@@ -57,6 +57,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -308,7 +315,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("region", help="rasterise a decomposability region to CSV")
     sp.add_argument("--conorm", required=True)
     sp.add_argument("--norm")
-    sp.add_argument("--resolution", type=int, default=200, help="cells per axis (1/n grid)")
+    sp.add_argument("--resolution", type=_positive_int, default=200, help="cells per axis (1/n grid)")
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=_cmd_region)
 
@@ -316,7 +323,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--connected-by", required=True, dest="connected_by")
     sp.add_argument("--conorm", required=True)
     sp.add_argument("--norm")
-    sp.add_argument("--resolution", type=int, default=200)
+    sp.add_argument("--resolution", type=_positive_int, default=200)
     sp.set_defaults(fn=_cmd_restricted)
 
     sp = sub.add_parser("tables", help="regenerate the reference tables and diff them")

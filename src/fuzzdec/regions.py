@@ -15,7 +15,6 @@ otherwise undecomposable conorm.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,12 +53,15 @@ class RegionGrid:
         return bool(np.array_equal(self.membership, self.membership.T))
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("a,b,member\n")
-        for i, a in enumerate(self.axis):
-            for j, b in enumerate(self.axis):
-                buf.write(f"{a:.17g},{b:.17g},{int(self.membership[i, j])}\n")
-        return buf.getvalue()
+        """``a,b,member`` lines, ``a`` outer, values to 17 significant digits."""
+        values = [f"{v:.17g}" for v in self.axis.tolist()]
+        tail0 = np.array([f"{b},0\n" for b in values], dtype=object)
+        tail1 = np.array([f"{b},1\n" for b in values], dtype=object)
+        rows = ["a,b,member\n"]
+        for a, member_row in zip(values, self.membership):
+            head = a + ","
+            rows.append(head + head.join(np.where(member_row, tail1, tail0).tolist()))
+        return "".join(rows)
 
     def save_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -115,14 +117,14 @@ def strong_region(T: BinaryOp, S: BinaryOp, resolution: float = 1 / 200) -> Regi
     inner = (np.abs(recon - r_m) <= EPSILON) & (tval <= EPSILON)
     member = (r_m <= i_m + EPSILON) | inner
 
-    # r = 1 edge: check the divisor intervals (catches attaining values the
-    # unattained residual misses for discontinuous conorms)
-    edge = np.abs(r_m - 1.0) <= EPSILON
+    # r = 1 edge, the last row and column (ax[-1] = 1 is the only axis value
+    # within EPSILON of 1): check the divisor intervals, which catch attaining
+    # values the unattained residual misses for discontinuous conorms
     nonempty = np.array(
         [not one_interval(S, w).intersect(zero_interval(T, w)).empty for w in ax]
     )
-    for k, w in enumerate(ax):
-        member[edge & (i_m == ax[k])] = nonempty[k]
+    member[-1, :] = nonempty
+    member[:, -1] = nonempty
     # the diagonal always decomposes via t = 0
     member |= r_m <= i_m + EPSILON
     return RegionGrid(resolution, ax, member)

@@ -38,8 +38,9 @@ class FuzzyRelation:
             raise ValueError("universe labels must be distinct")
         if mat.shape != (n, n):
             raise ValueError(f"degree matrix must be {n}x{n}, got {mat.shape}")
-        if not np.all((mat >= 0.0) & (mat <= 1.0)):
-            bad = np.argwhere((mat < 0.0) | (mat > 1.0))[0]
+        outside = ~((mat >= 0.0) & (mat <= 1.0))  # NaN counts as outside
+        if outside.any():
+            bad = np.argwhere(outside)[0]
             raise ValueError(
                 f"degree out of [0,1] at row {bad[0] + 1}, column {bad[1] + 1}"
             )
@@ -155,8 +156,9 @@ def crisp_decompose(R: FuzzyRelation) -> Tuple[FuzzyRelation, FuzzyRelation]:
 
 def format_relation(R: FuzzyRelation) -> str:
     lines = [FILE_HEADER, "universe " + " ".join(R.universe)]
+    row_format = " ".join(["%.17g"] * R.size)
     for row in R.degrees:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
+        lines.append(row_format % tuple(row.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -198,7 +200,13 @@ def parse_relation(text: str) -> FuzzyRelation:
             raise RelationParseError(
                 f"line {lineno}: row {r + 1} has {len(cells)} entries, expected {n}"
             )
-        for c, cell in enumerate(cells):
+        try:
+            mat[r] = list(map(float, cells))
+            if ((mat[r] >= 0.0) & (mat[r] <= 1.0)).all():  # NaN fails too
+                continue
+        except ValueError:
+            pass
+        for c, cell in enumerate(cells):  # name the row's first offending cell
             try:
                 v = float(cell)
             except ValueError:
@@ -209,7 +217,6 @@ def parse_relation(text: str) -> FuzzyRelation:
                 raise RelationParseError(
                     f"line {lineno}: row {r + 1}, column {c + 1}: degree {v!r} outside [0,1]"
                 )
-            mat[r, c] = v
     return FuzzyRelation(tuple(labels), mat)
 
 

@@ -144,6 +144,21 @@ def test_restricted_subcommand(capsys):
     assert code == 1 and "FAILS" in out
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_resolution_must_be_positive(tmp_path, capsys, value):
+    out_csv = tmp_path / "region.csv"
+    code, _, err = run(
+        capsys, "region", "--conorm", "max", "--resolution", value, "--out", str(out_csv)
+    )
+    assert code == 2 and "--resolution" in err and "positive" in err
+    assert not out_csv.exists()
+    code, _, err = run(
+        capsys, "restricted", "--connected-by", "max", "--conorm", "max",
+        "--resolution", value,
+    )
+    assert code == 2 and "--resolution" in err and "positive" in err
+
+
 def test_usage_and_parse_errors(tmp_path, capsys):
     code, _, err = run(capsys, "decompose", "--relation", "missing.rel", "--conorm", "max")
     assert code == 2

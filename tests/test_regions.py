@@ -5,16 +5,19 @@ import pytest
 
 from fuzzdec import (
     FuzzyRelation,
+    RegionGrid,
     Verdict,
     is_t_transitive,
     make_conorm,
     make_norm,
+    one_interval,
     pair_weakly_decomposable,
     restricted_decomposability,
     strong_region,
     t_transitive_closure,
     transitivity_preserves_verdict,
     weak_region,
+    zero_interval,
 )
 
 RES = 1 / 50  # fast grids for unit tests; the acceptance suite runs 1/200
@@ -88,6 +91,30 @@ def test_strong_region_minimum_maximum_point():
     assert grid.member(0.5, 0.5) and grid.member(1.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "t_spec, s_spec",
+    [
+        ("drastic", "lukasiewicz"),
+        ("product", "lukasiewicz"),
+        ("lukasiewicz", "prob"),
+        ("min", "max"),
+        ("drastic", "drastic"),
+        ("lukasiewicz", "lukasiewicz"),
+    ],
+)
+@pytest.mark.parametrize("cells", [37, 51])
+def test_strong_region_edge_matches_divisor_intervals(t_spec, s_spec, cells):
+    T, S = make_norm(t_spec), make_conorm(s_spec)
+    grid = strong_region(T, S, 1 / cells)
+    ax = grid.axis
+    expected = np.array(
+        [not one_interval(S, w).intersect(zero_interval(T, w)).empty for w in ax]
+    )
+    expected[-1] = True  # the (1,1) corner is on the diagonal
+    np.testing.assert_array_equal(grid.membership[-1, :], expected)
+    np.testing.assert_array_equal(grid.membership[:, -1], expected)
+
+
 def test_weak_contains_strong():
     pairs = [
         ("min", "max"),
@@ -112,6 +139,36 @@ def test_region_csv_round_trip():
     # row-major: the first data line is the (0,0) cell
     a, b, member = lines[1].split(",")
     assert float(a) == 0.0 and float(b) == 0.0 and member == "1"
+
+
+def reference_csv(grid):
+    """The per-cell writer the row-joined one must match byte for byte."""
+    out = ["a,b,member\n"]
+    for i, a in enumerate(grid.axis):
+        for j, b in enumerate(grid.axis):
+            out.append(f"{a:.17g},{b:.17g},{int(grid.membership[i, j])}\n")
+    return "".join(out)
+
+
+def test_region_csv_matches_per_cell_reference():
+    grids = [
+        weak_region(make_conorm("drastic"), 1 / 37),
+        strong_region(make_norm("lukasiewicz"), make_conorm("prob"), 1 / 37),
+        strong_region(make_norm("product"), make_conorm("lukasiewicz"), 1 / 10),
+    ]
+    # an irregular axis with edge values, and a random membership
+    axis = np.array([0.0, 5e-324, 0.1, 1 / 3, 1 - 2**-53, 1.0])
+    member = np.random.default_rng(3).random((6, 6)) < 0.5
+    grids.append(RegionGrid(0.2, axis, member))
+    for grid in grids:
+        assert grid.to_csv() == reference_csv(grid)
+
+
+def test_save_csv_writes_to_csv(tmp_path):
+    grid = strong_region(make_norm("drastic"), make_conorm("lukasiewicz"), 1 / 37)
+    path = tmp_path / "region.csv"
+    grid.save_csv(path)
+    assert path.read_bytes() == reference_csv(grid).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzdec import (
     FuzzyRelation,
@@ -35,6 +36,11 @@ def test_construction_validates():
     r = rel([[1, 0.5], [0.25, 1]])
     with pytest.raises(ValueError):
         r.degrees[0, 0] = 0.0  # matrices are frozen
+
+
+def test_construction_names_a_nan_degree():
+    with pytest.raises(ValueError, match="row 2, column 1"):
+        rel([[1.0, 0.5], [np.nan, 1.0]])
 
 
 def test_symmetry():
@@ -128,6 +134,67 @@ def test_file_round_trip():
     back = parse_relation(text)
     assert back.universe == R.universe
     np.testing.assert_array_equal(back.degrees, R.degrees)
+
+
+EDGE_DEGREES = [0.0, 1.0, 5e-324, 1 - 2**-53, 0.1]
+
+
+def reference_format(R):
+    """The per-value writer the row-wise one must match byte for byte."""
+    lines = ["fuzzrel v1", "universe " + " ".join(R.universe)]
+    for row in R.degrees:
+        lines.append(" ".join(f"{v:.17g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["continuous", "grid", "edge"])
+def test_format_matches_per_value_reference(kind):
+    rng = np.random.default_rng(7)
+    if kind == "continuous":
+        m = rng.random((9, 9))
+    elif kind == "grid":
+        m = rng.integers(0, 21, (9, 9)) / 20
+    else:
+        m = rng.choice(EDGE_DEGREES, (9, 9))
+    R = rel(m)
+    text = format_relation(R)
+    assert text == reference_format(R)
+    np.testing.assert_array_equal(parse_relation(text).degrees, R.degrees)
+
+
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.lists(
+            st.one_of(st.sampled_from(EDGE_DEGREES), st.floats(0.0, 1.0)),
+            min_size=n * n,
+            max_size=n * n,
+        )
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_round_trip_is_bit_identical(values):
+    n = int(round(len(values) ** 0.5))
+    R = rel(np.array(values).reshape(n, n))
+    back = parse_relation(format_relation(R))
+    assert back.degrees.tobytes() == R.degrees.tobytes()
+
+
+@pytest.mark.parametrize(
+    "cells, first",
+    [
+        ("0 boom 1.5 nan", "column 2: not a number: 'boom'"),
+        ("0 1.5 boom nan", "column 2: degree 1.5 outside"),
+        ("0 nan boom 1.5", "column 2: degree nan outside"),
+        ("0 -0.25 nan boom", "column 2: degree -0.25 outside"),
+        ("0 0.5 nan 1.5", "column 3: degree nan outside"),
+        ("1 1.5 -1 0", "column 2: degree 1.5 outside"),
+        ("0 0 0 inf", "column 4: degree inf outside"),
+    ],
+)
+def test_parse_reports_first_offending_cell_in_row_major_order(cells, first):
+    text = f"fuzzrel v1\nuniverse a b c d\n0 0 0 0\n{cells}\n0 nope 2 nan\n0 0 0 0\n"
+    with pytest.raises(RelationParseError, match="row 2, " + first):
+        parse_relation(text)
 
 
 def test_parse_errors_identify_position():
