@@ -72,7 +72,7 @@ def _seed(args) -> int:
         try:
             return int(env)
         except ValueError:
-            raise SystemExit(USAGE_ERROR)
+            raise ValueError(f"FUZZDEC_SEED must be an integer, got {env!r}") from None
     return 0
 
 
@@ -101,10 +101,12 @@ def _table_operator(path: str, kind: Kind) -> BinaryOp:
     lines = [ln for ln in lines if ln]
     if not lines or lines[0] != "fuzzop v1":
         raise ValueError(f"{path}: expected header 'fuzzop v1'")
-    head = lines[1].split()
+    head = lines[1].split() if len(lines) > 1 else []
     if len(head) != 2 or head[0] != "grid":
         raise ValueError(f"{path}: expected 'grid <n>' on the second line")
-    n = int(head[1])
+    n = int(head[1]) if head[1].isdecimal() else 0
+    if n < 1:
+        raise ValueError(f"{path}: grid size must be a positive integer, got {head[1]!r}")
     rows = lines[2:]
     if len(rows) != n + 1:
         raise ValueError(f"{path}: expected {n + 1} rows, found {len(rows)}")

@@ -27,7 +27,7 @@ from .operators import (
     resolved_family,
 )
 from .divisors import BISECTION_STEPS, strong_existence
-from .relations import FuzzyRelation, is_asymmetric, is_symmetric
+from .relations import FuzzyRelation, _first_cell, _row_blocks, asymmetry_violation, symmetry_violation
 from .verdicts import TriState, Verdict, fails, holds
 
 
@@ -157,7 +157,7 @@ def residual(S: BinaryOp, i: float, r: float) -> ResidualValue:
 def indifference_part(R: FuzzyRelation) -> FuzzyRelation:
     """Pointwise minimum of R and its transpose: the only symmetric component
     any reconstruction can have."""
-    return FuzzyRelation(R.universe, np.minimum(R.degrees, R.degrees.T))
+    return FuzzyRelation._adopt(R.universe, np.minimum(R.degrees, R.degrees.T))
 
 
 def canonical_decompose(R: FuzzyRelation, S: BinaryOp) -> Decomposition:
@@ -171,20 +171,26 @@ def canonical_decompose(R: FuzzyRelation, S: BinaryOp) -> Decomposition:
             f"{S.display_name} is not continuous in the first coordinate; "
             f"decomposition can fail: {cont.detail}"
         )
-    i_mat = np.minimum(R.degrees, R.degrees.T)
-    p_mat = residual_array(S, i_mat, R.degrees)
-    recon = np.asarray(S.evaluator(p_mat, i_mat), dtype=float)
-    gap = np.abs(recon - R.degrees)
-    if gap.max() > EPSILON:
-        a, b = np.argwhere(gap > EPSILON)[0]
+    m = R.degrees
+    i_mat, p_mat = np.empty_like(m), np.empty_like(m)
+    bad = None  # first unreconstructed pair; every block is still computed
+    for s in _row_blocks(R.size, R.size):
+        i_blk = i_mat[s] = np.minimum(m[s], m[:, s].T)
+        p_blk = p_mat[s] = residual_array(S, i_blk, m[s])
+        recon = np.asarray(S.evaluator(p_blk, i_blk), dtype=float)
+        gap = np.abs(recon - m[s]) > EPSILON
+        if bad is None and gap.any():
+            a, b = np.argwhere(gap)[0]
+            bad = (s.start + a, b, float(recon[a, b]))
+    if bad is not None:
+        a, b, got = bad
         raise DecompositionError(
-            f"residual infimum not attained at pair "
-            f"({R.universe[a]},{R.universe[b]}): S(P,I) = {recon[a, b]!r} "
-            f"but R = {R.degrees[a, b]!r}"
+            f"residual infimum not attained at pair ({R.universe[a]},{R.universe[b]}): "
+            f"S(P,I) = {got!r} but R = {float(m[a, b])!r}"
         )
     return Decomposition(
-        strict=FuzzyRelation(R.universe, p_mat),
-        indifference=FuzzyRelation(R.universe, i_mat),
+        strict=FuzzyRelation._adopt(R.universe, p_mat),
+        indifference=FuzzyRelation._adopt(R.universe, i_mat),
         conorm=S,
         norm=None,
         mode=Mode.WEAK,
@@ -218,26 +224,22 @@ def _structural_check(R: FuzzyRelation, D: Decomposition) -> Optional[TriState]:
     P, I = D.strict, D.indifference
     if not (R.universe == P.universe == I.universe):
         raise ValueError("relation and decomposition universes differ")
-    if not is_asymmetric(P):
-        m = P.degrees
-        a, b = np.argwhere((m > 0.0) & (m.T > 0.0))[0]
+    for m, violation, what in (
+        (P.degrees, asymmetry_violation, "strict part not asymmetric"),
+        (I.degrees, symmetry_violation, "indifference not symmetric"),
+    ):
+        bad = violation(m)
+        if bad is not None:
+            a, b = bad
+            return fails((float(m[a, b]), float(m[b, a])), f"{what} at ({R.universe[a]},{R.universe[b]})")
+    p, i, r = P.degrees, I.degrees, R.degrees
+    bad = _first_cell(
+        R.size, lambda s: np.abs(np.asarray(D.conorm.evaluator(p[s], i[s]), dtype=float) - r[s]) > EPSILON
+    )
+    if bad is not None:
+        a, b = bad
         return fails(
-            (float(m[a, b]), float(m[b, a])),
-            f"strict part not asymmetric at ({R.universe[a]},{R.universe[b]})",
-        )
-    if not is_symmetric(I):
-        m = I.degrees
-        a, b = np.argwhere(m != m.T)[0]
-        return fails(
-            (float(m[a, b]), float(m[b, a])),
-            f"indifference not symmetric at ({R.universe[a]},{R.universe[b]})",
-        )
-    recon = np.asarray(D.conorm.evaluator(P.degrees, I.degrees), dtype=float)
-    gap = np.abs(recon - R.degrees)
-    if gap.max() > EPSILON:
-        a, b = np.argwhere(gap > EPSILON)[0]
-        return fails(
-            (float(recon[a, b]), float(R.degrees[a, b])),
+            (D.conorm(p[a, b], i[a, b]), float(r[a, b])),
             f"S(P,I) != R at ({R.universe[a]},{R.universe[b]})",
         )
     return None
@@ -250,9 +252,9 @@ def verify_weak(R: FuzzyRelation, D: Decomposition) -> TriState:
     if bad is not None:
         return bad
     P, I = D.strict.degrees, D.indifference.degrees
-    viol = (I == 1.0) & (P > 0.0)
-    if viol.any():
-        a, b = np.argwhere(viol)[0]
+    bad = _first_cell(R.size, lambda s: (I[s] == 1.0) & (P[s] > 0.0))
+    if bad is not None:
+        a, b = bad
         return fails(
             (float(P[a, b]), 1.0),
             f"I = 1 but P = {P[a, b]:g} at ({R.universe[a]},{R.universe[b]})",
@@ -267,13 +269,12 @@ def verify_strong(R: FuzzyRelation, D: Decomposition, T: BinaryOp) -> TriState:
     if bad is not None:
         return bad
     P, I = D.strict.degrees, D.indifference.degrees
-    tvals = np.asarray(T.evaluator(P, I), dtype=float)
-    viol = tvals > EPSILON
-    if viol.any():
-        a, b = np.argwhere(viol)[0]
+    bad = _first_cell(R.size, lambda s: np.asarray(T.evaluator(P[s], I[s]), dtype=float) > EPSILON)
+    if bad is not None:
+        a, b = bad
         return fails(
             (float(P[a, b]), float(I[a, b])),
-            f"T({P[a, b]:g},{I[a, b]:g}) = {tvals[a, b]:g} != 0 "
+            f"T({P[a, b]:g},{I[a, b]:g}) = {T(P[a, b], I[a, b]):g} != 0 "
             f"at ({R.universe[a]},{R.universe[b]})",
         )
     return holds("strong decomposition verified")

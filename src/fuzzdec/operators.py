@@ -277,6 +277,8 @@ def make_family(family: str, kind: Kind, parameter: Optional[float] = None) -> B
         if parameter is None:
             raise ValueError(f"family {fam!r} requires a lambda parameter")
         lam = _snap_lambda(fam, parameter)
+        if math.isnan(lam):
+            raise ValueError(f"{fam} lambda must not be NaN")
         if fam == "hamacher" and not (lam >= 0.0):
             raise ValueError("hamacher lambda must lie in [0, +inf]")
     else:
@@ -481,7 +483,7 @@ def check_norm_axioms(op: BinaryOp, grid=None) -> TriState:
             k = int(np.argmax(bad))
             return fails(
                 (float(xs[k]), float(ys[k])),
-                f"boundary {label} violated: got {got[k]!r}",
+                f"boundary {label} violated: got {float(got[k])!r}",
             )
 
     xx, yy = np.meshgrid(g, g, indexing="ij")

@@ -41,7 +41,7 @@ from .decompose import (
     strong_decompose,
 )
 from .divisors import strong_existence, strong_uniqueness
-from .relations import FuzzyRelation
+from .relations import FuzzyRelation, _first_cell, asymmetry_violation, symmetry_violation
 from .verdicts import Verdict
 
 FP_AXIOMS = ("FP1", "FP2", "FP3", "FP4", "FP5", "FP6")
@@ -110,20 +110,13 @@ def audit_fp(
     n = len(labels)
     out: Dict[str, AxiomVerdict] = {}
 
-    bad = (P > 0.0) & (P.T > 0.0)
-    out["FP1"] = AxiomVerdict(not bad.any(), _pair_witness(labels, bad))
-
-    bad = I != I.T
-    out["FP2"] = AxiomVerdict(not bad.any(), _pair_witness(labels, bad))
-
-    bad = P > R + EPSILON
-    out["FP3"] = AxiomVerdict(not bad.any(), _pair_witness(labels, bad))
-
-    bad = (R > R.T) != (P > 0.0)
-    out["FP4"] = AxiomVerdict(not bad.any(), _pair_witness(labels, bad))
-
-    bad = (P == 0.0) & (np.abs(R - I) > EPSILON)
-    out["FP5"] = AxiomVerdict(not bad.any(), _pair_witness(labels, bad))
+    out["FP1"] = _pair_verdict(labels, asymmetry_violation(P))
+    out["FP2"] = _pair_verdict(labels, symmetry_violation(I))
+    out["FP3"] = _pair_verdict(labels, _first_cell(n, lambda s: P[s] > R[s] + EPSILON))
+    out["FP4"] = _pair_verdict(labels, _first_cell(n, lambda s: (R[s] > R[:, s].T) != (P[s] > 0.0)))
+    out["FP5"] = _pair_verdict(
+        labels, _first_cell(n, lambda s: (P[s] == 0.0) & (np.abs(R[s] - I[s]) > EPSILON))
+    )
 
     i_flat, p_flat, r_flat = I.ravel(), P.ravel(), R.ravel()
     if n <= 6:
@@ -158,11 +151,10 @@ def audit_fp(
     return FPReport(out)
 
 
-def _pair_witness(labels, mask: np.ndarray) -> Optional[tuple]:
-    if not mask.any():
-        return None
-    a, b = np.argwhere(mask)[0]
-    return (labels[a], labels[b])
+def _pair_verdict(labels, cell: Optional[Tuple[int, int]]) -> AxiomVerdict:
+    if cell is None:
+        return AxiomVerdict(True, None)
+    return AxiomVerdict(False, (labels[cell[0]], labels[cell[1]]))
 
 
 # ---------------------------------------------------------------------------

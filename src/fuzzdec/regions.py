@@ -23,7 +23,7 @@ import numpy as np
 from .operators import EPSILON, BinaryOp, Kind, check_first_coordinate_continuity
 from .decompose import residual_array
 from .divisors import one_interval, zero_interval
-from .relations import FuzzyRelation
+from .relations import FuzzyRelation, _first_cell, _row_blocks, sup_t_compose
 from .verdicts import TriState, Verdict, fails, unknown, holds
 
 
@@ -68,6 +68,15 @@ class RegionGrid:
             fh.write(self.to_csv())
 
 
+def _rasterise(ax: np.ndarray, cell_test) -> np.ndarray:
+    """Membership over ax x ax, one row block at a time: ``cell_test(i, r)``
+    gets the smaller and the larger coordinate of each cell in the block."""
+    member = np.empty((ax.size, ax.size), dtype=bool)
+    for s in _row_blocks(ax.size, ax.size):
+        member[s] = cell_test(np.minimum(ax[s, None], ax), np.maximum(ax[s, None], ax))
+    return member
+
+
 def _axis(resolution: float) -> np.ndarray:
     if resolution < 1.0 / 2000.0:
         raise ValueError("resolution below 1/2000 is not supported")
@@ -86,16 +95,13 @@ def weak_region(S: BinaryOp, resolution: float = 1 / 200) -> RegionGrid:
 
     if S.kind is not Kind.CONORM:
         raise ValueError("weak_region expects a conorm")
+
+    def test(i_m, r_m):
+        recon = np.asarray(S.evaluator(residual_array(S, i_m, r_m), i_m), dtype=float)
+        return (r_m <= i_m + EPSILON) | (r_m >= 1.0 - EPSILON) | (np.abs(recon - r_m) <= EPSILON)
+
     ax = _axis(resolution)
-    A, B = np.meshgrid(ax, ax, indexing="ij")
-    i_m = np.minimum(A, B)
-    r_m = np.maximum(A, B)
-    res = residual_array(S, i_m, r_m)
-    recon = np.asarray(S.evaluator(res, i_m), dtype=float)
-    member = (r_m <= i_m + EPSILON) | (r_m >= 1.0 - EPSILON) | (
-        np.abs(recon - r_m) <= EPSILON
-    )
-    return RegionGrid(resolution, ax, member)
+    return RegionGrid(resolution, ax, _rasterise(ax, test))
 
 
 def strong_region(T: BinaryOp, S: BinaryOp, resolution: float = 1 / 200) -> RegionGrid:
@@ -107,15 +113,15 @@ def strong_region(T: BinaryOp, S: BinaryOp, resolution: float = 1 / 200) -> Regi
 
     if T.kind is not Kind.NORM or S.kind is not Kind.CONORM:
         raise ValueError("strong_region expects (norm, conorm)")
+
+    def test(i_m, r_m):
+        res = residual_array(S, i_m, r_m)
+        recon = np.asarray(S.evaluator(res, i_m), dtype=float)
+        tval = np.asarray(T.evaluator(res, i_m), dtype=float)
+        return (r_m <= i_m + EPSILON) | ((np.abs(recon - r_m) <= EPSILON) & (tval <= EPSILON))
+
     ax = _axis(resolution)
-    A, B = np.meshgrid(ax, ax, indexing="ij")
-    i_m = np.minimum(A, B)
-    r_m = np.maximum(A, B)
-    res = residual_array(S, i_m, r_m)
-    recon = np.asarray(S.evaluator(res, i_m), dtype=float)
-    tval = np.asarray(T.evaluator(res, i_m), dtype=float)
-    inner = (np.abs(recon - r_m) <= EPSILON) & (tval <= EPSILON)
-    member = (r_m <= i_m + EPSILON) | inner
+    member = _rasterise(ax, test)
 
     # r = 1 edge, the last row and column (ax[-1] = 1 is the only axis value
     # within EPSILON of 1): check the divisor intervals, which catch attaining
@@ -125,8 +131,8 @@ def strong_region(T: BinaryOp, S: BinaryOp, resolution: float = 1 / 200) -> Regi
     )
     member[-1, :] = nonempty
     member[:, -1] = nonempty
-    # the diagonal always decomposes via t = 0
-    member |= r_m <= i_m + EPSILON
+    # the diagonal always decomposes via t = 0 (the edge overwrote its corner)
+    member[-1, -1] = True
     return RegionGrid(resolution, ax, member)
 
 
@@ -160,12 +166,14 @@ def restricted_decomposability(
     if S_prime.kind is not Kind.CONORM:
         raise ValueError("the connecting operator must be a conorm")
     region = weak_region(S, resolution) if T is None else strong_region(T, S, resolution)
-    ax = region.axis
-    A, B = np.meshgrid(ax, ax, indexing="ij")
-    connected = np.asarray(S_prime.evaluator(A, B), dtype=float) >= 1.0 - EPSILON
-    escaping = connected & ~region.membership
-    if escaping.any():
-        i, j = np.argwhere(escaping)[0]
+    ax, member = region.axis, region.membership
+
+    def escaping(s):
+        return (np.asarray(S_prime.evaluator(ax[s, None], ax), dtype=float) >= 1.0 - EPSILON) & ~member[s]
+
+    bad = _first_cell(ax.size, escaping)
+    if bad is not None:
+        i, j = bad
         return fails(
             (float(ax[i]), float(ax[j])),
             f"pair ({ax[i]:g},{ax[j]:g}) is {S_prime.display_name}-connected "
@@ -188,15 +196,10 @@ def t_transitive_closure(R: FuzzyRelation, T_prime: BinaryOp, max_iter: Optional
     m = R.degrees.copy()
     limit = max_iter if max_iter is not None else max(2, R.size)
     for _ in range(limit):
-        comp = np.asarray(
-            T_prime.evaluator(m[:, :, None], m[None, :, :]), dtype=float
-        ).max(axis=1)
-        new = np.maximum(m, comp)
-        if np.all(np.abs(new - m) <= EPSILON):
-            m = new
+        m, old = np.maximum(m, sup_t_compose(m, T_prime)), m
+        if np.all(np.abs(m - old) <= EPSILON):
             break
-        m = new
-    return FuzzyRelation(R.universe, np.clip(m, 0.0, 1.0))
+    return FuzzyRelation._adopt(R.universe, np.clip(m, 0.0, 1.0))
 
 
 def transitivity_preserves_verdict(

@@ -10,13 +10,37 @@ operator evaluations (transitivity, connectedness) allow the package-wide
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .operators import EPSILON, BinaryOp, Kind
 
 FILE_HEADER = "fuzzrel v1"
+
+# Whole-matrix work runs in row blocks of at most this many cells (or one row,
+# where a row alone is larger), so no temporary outgrows one block.
+_BLOCK_CELLS = 1 << 16
+
+
+def _row_blocks(rows: int, cells_per_row: int) -> Iterator[slice]:
+    """Consecutive row slices covering ``range(rows)``, each spanning at most
+    ``_BLOCK_CELLS`` cells of ``cells_per_row`` per row (at least one row)."""
+    step = max(1, _BLOCK_CELLS // max(1, cells_per_row))
+    for lo in range(0, rows, step):
+        yield slice(lo, min(lo + step, rows))
+
+
+def _first_cell(n: int, mask_of: Callable[[slice], np.ndarray]) -> Optional[Tuple[int, int]]:
+    """Row-major first True cell of the n x n mask that ``mask_of`` builds one
+    row block at a time, or None.  Every block is built, as the whole mask was."""
+    first = None
+    for rows in _row_blocks(n, n):
+        mask = mask_of(rows)
+        if first is None and mask.any():
+            a, b = np.argwhere(mask)[0]
+            first = (rows.start + int(a), int(b))
+    return first
 
 
 class RelationParseError(ValueError):
@@ -31,16 +55,27 @@ class FuzzyRelation:
     degrees: np.ndarray = field(compare=False)
 
     def __post_init__(self):
+        self._settle(np.array(self.degrees, dtype=float, copy=True))
+
+    @classmethod
+    def _adopt(cls, universe: Tuple[str, ...], mat: np.ndarray) -> "FuzzyRelation":
+        """Wrap a float matrix the library has just built, without the
+        defensive copy public construction makes."""
+        rel = object.__new__(cls)
+        object.__setattr__(rel, "universe", universe)
+        rel._settle(mat)
+        return rel
+
+    def _settle(self, mat: np.ndarray) -> None:
         labels = tuple(str(u) for u in self.universe)
-        mat = np.array(self.degrees, dtype=float, copy=True)
         n = len(labels)
         if len(set(labels)) != n:
             raise ValueError("universe labels must be distinct")
         if mat.shape != (n, n):
             raise ValueError(f"degree matrix must be {n}x{n}, got {mat.shape}")
-        outside = ~((mat >= 0.0) & (mat <= 1.0))  # NaN counts as outside
-        if outside.any():
-            bad = np.argwhere(outside)[0]
+        # NaN counts as outside
+        bad = _first_cell(n, lambda s: ~((mat[s] >= 0.0) & (mat[s] <= 1.0)))
+        if bad is not None:
             raise ValueError(
                 f"degree out of [0,1] at row {bad[0] + 1}, column {bad[1] + 1}"
             )
@@ -83,14 +118,23 @@ def relation_from_dict(universe: Sequence[str], entries: dict, default: float = 
 # predicates
 
 
+def asymmetry_violation(m: np.ndarray) -> Optional[Tuple[int, int]]:
+    """Row-major first (x, y) with m(x,y) > 0 and m(y,x) > 0, or None."""
+    return _first_cell(m.shape[0], lambda s: (m[s] > 0.0) & (m[:, s].T > 0.0))
+
+
+def symmetry_violation(m: np.ndarray) -> Optional[Tuple[int, int]]:
+    """Row-major first (x, y) with m(x,y) != m(y,x), or None."""
+    return _first_cell(m.shape[0], lambda s: m[s] != m[:, s].T)
+
+
 def is_symmetric(R: FuzzyRelation) -> bool:
-    return bool(np.array_equal(R.degrees, R.degrees.T))
+    return symmetry_violation(R.degrees) is None
 
 
 def is_asymmetric(R: FuzzyRelation) -> bool:
     """R(x,y) > 0 forces R(y,x) = 0 (and hence a zero diagonal)."""
-    m = R.degrees
-    return not bool(np.any((m > 0.0) & (m.T > 0.0)))
+    return asymmetry_violation(R.degrees) is None
 
 
 def is_reflexive(R: FuzzyRelation) -> bool:
@@ -107,9 +151,17 @@ def is_t_transitive(R: FuzzyRelation, T: BinaryOp) -> bool:
     if T.kind is not Kind.NORM:
         raise ValueError("transitivity expects a norm")
     m = R.degrees
-    comp = np.asarray(T.evaluator(m[:, :, None], m[None, :, :]), dtype=float)
-    needed = comp.max(axis=1)
-    return bool(np.all(m >= needed - EPSILON))
+    return bool(np.all(m >= sup_t_compose(m, T) - EPSILON))
+
+
+def sup_t_compose(m: np.ndarray, T: BinaryOp) -> np.ndarray:
+    """The sup-T self-composition max_y T(m(x,y), m(y,z)), built one row
+    block of x at a time so the n x n x n products never exist at once."""
+    n = m.shape[0]
+    out = np.empty_like(m)
+    for s in _row_blocks(n, n * n):
+        out[s] = np.asarray(T.evaluator(m[s, :, None], m[None, :, :]), dtype=float).max(axis=1)
+    return out
 
 
 def is_s_connected(R: FuzzyRelation, S: BinaryOp) -> bool:
@@ -118,8 +170,9 @@ def is_s_connected(R: FuzzyRelation, S: BinaryOp) -> bool:
     if S.kind is not Kind.CONORM:
         raise ValueError("connectedness expects a conorm")
     m = R.degrees
-    vals = np.asarray(S.evaluator(m, m.T), dtype=float)
-    return bool(np.all(vals >= 1.0 - EPSILON))
+    return _first_cell(
+        R.size, lambda s: ~(np.asarray(S.evaluator(m[s], m[:, s].T), dtype=float) >= 1.0 - EPSILON)
+    ) is None
 
 
 # ---------------------------------------------------------------------------
@@ -162,23 +215,23 @@ def format_relation(R: FuzzyRelation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_relation(text: str) -> FuzzyRelation:
-    raw_lines = text.splitlines()
-    lines = []
-    for idx, line in enumerate(raw_lines, start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((idx, stripped))
-    if not lines:
+def parse_relation(source: Union[str, Iterable[str]]) -> FuzzyRelation:
+    """Parse a relation file given as one string or as an iterable of lines
+    (an open file streams: no copy of the whole text is made)."""
+    if isinstance(source, str):
+        source = source.splitlines()
+    numbered = enumerate((part for chunk in source for part in chunk.splitlines()), start=1)
+    lines = ((idx, s) for idx, line in numbered if (s := line.split("#", 1)[0].strip()))
+    lineno, header = next(lines, (None, None))
+    if header is None:
         raise RelationParseError("empty relation file")
-    lineno, header = lines[0]
     if header != FILE_HEADER:
         raise RelationParseError(
             f"line {lineno}: expected header {FILE_HEADER!r}, got {header!r}"
         )
-    if len(lines) < 2:
+    lineno, uline = next(lines, (None, None))
+    if uline is None:
         raise RelationParseError("missing universe line")
-    lineno, uline = lines[1]
     parts = uline.split()
     if parts[0] != "universe" or len(parts) < 2:
         raise RelationParseError(
@@ -188,14 +241,13 @@ def parse_relation(text: str) -> FuzzyRelation:
     n = len(labels)
     if len(set(labels)) != n:
         raise RelationParseError(f"line {lineno}: duplicate universe labels")
-    body = lines[2:]
-    if len(body) != n:
-        raise RelationParseError(
-            f"expected {n} matrix rows, found {len(body)}"
-        )
     mat = np.zeros((n, n))
-    for r, (lineno, row_text) in enumerate(body):
-        cells = row_text.split()
+    rows = 0  # rows past the n-th are only counted
+    for lineno, row_text in lines:
+        rows += 1
+        if rows > n:
+            continue
+        r, cells = rows - 1, row_text.split()
         if len(cells) != n:
             raise RelationParseError(
                 f"line {lineno}: row {r + 1} has {len(cells)} entries, expected {n}"
@@ -217,12 +269,14 @@ def parse_relation(text: str) -> FuzzyRelation:
                 raise RelationParseError(
                     f"line {lineno}: row {r + 1}, column {c + 1}: degree {v!r} outside [0,1]"
                 )
-    return FuzzyRelation(tuple(labels), mat)
+    if rows != n:
+        raise RelationParseError(f"expected {n} matrix rows, found {rows}")
+    return FuzzyRelation._adopt(tuple(labels), mat)
 
 
 def load_relation(path) -> FuzzyRelation:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_relation(fh.read())
+        return parse_relation(fh)
 
 
 def save_relation(R: FuzzyRelation, path) -> None:

@@ -1,0 +1,360 @@
+"""Row-blocked array pipelines against whole-matrix references.
+
+Closure, decomposition, verification, the FP1-FP5 audit and the region
+rasters work one row block at a time.  Each test below recomputes the same
+result with the whole-matrix numpy expression and requires bit-identical
+arrays and the same witness (the first offending pair in row-major order).
+Sizes cover one element, one block exactly, just below and just above a
+block, and sizes that leave a partial last block; the module constant is
+also shrunk to a few cells so small matrices span many blocks.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import fuzzdec.relations as relations_module
+from fuzzdec import (
+    Decomposition,
+    DecompositionError,
+    FuzzyRelation,
+    Mode,
+    PreferenceTriplet,
+    audit_fp,
+    canonical_decompose,
+    is_asymmetric,
+    is_s_connected,
+    is_symmetric,
+    is_t_transitive,
+    make_conorm,
+    make_norm,
+    restricted_decomposability,
+    strong_region,
+    t_transitive_closure,
+    triplet_from_decomposition,
+    verify_strong,
+    verify_weak,
+    weak_region,
+)
+from fuzzdec.decompose import residual_array
+from fuzzdec.operators import EPSILON
+
+BLOCK = relations_module._BLOCK_CELLS
+SIDE = int(BLOCK ** 0.5)  # an n x n matrix with n <= SIDE is a single block
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(bits(a), bits(b))
+
+
+def labels(n):
+    return tuple(f"x{k}" for k in range(n))
+
+
+def random_relation(rng, n, grid=False):
+    m = rng.integers(0, 21, size=(n, n)) / 20 if grid else rng.random((n, n))
+    np.fill_diagonal(m, 1.0)
+    return FuzzyRelation(labels(n), m)
+
+
+def first(mask):
+    return tuple(int(v) for v in np.argwhere(mask)[0]) if mask.any() else None
+
+
+@pytest.fixture(params=[None, 7, 64], ids=["block", "block7", "block64"])
+def block(request, monkeypatch):
+    """The real block size, and two tiny ones that split small matrices into
+    many blocks (7 does not divide any size used below)."""
+    if request.param is not None:
+        monkeypatch.setattr(relations_module, "_BLOCK_CELLS", request.param)
+    return relations_module._BLOCK_CELLS
+
+
+# ---------------------------------------------------------------------------
+# whole-matrix references (the expressions the blocked code replaced)
+
+
+def ref_closure(m, T, limit):
+    m = m.copy()
+    for _ in range(limit):
+        comp = np.asarray(T.evaluator(m[:, :, None], m[None, :, :]), dtype=float).max(axis=1)
+        new = np.maximum(m, comp)
+        if np.all(np.abs(new - m) <= EPSILON):
+            m = new
+            break
+        m = new
+    return np.clip(m, 0.0, 1.0)
+
+
+def ref_decompose(m, S):
+    i = np.minimum(m, m.T)
+    p = residual_array(S, i, m)
+    recon = np.asarray(S.evaluator(p, i), dtype=float)
+    return p, i, first(np.abs(recon - m) > EPSILON)
+
+
+def ref_fp_witnesses(R, P, I):
+    return {
+        "FP1": first((P > 0.0) & (P.T > 0.0)),
+        "FP2": first(I != I.T),
+        "FP3": first(P > R + EPSILON),
+        "FP4": first((R > R.T) != (P > 0.0)),
+        "FP5": first((P == 0.0) & (np.abs(R - I) > EPSILON)),
+    }
+
+
+def ref_rasters(T, S, cells):
+    ax = np.linspace(0.0, 1.0, cells)
+    A, B = np.meshgrid(ax, ax, indexing="ij")
+    i_m, r_m = np.minimum(A, B), np.maximum(A, B)
+    res = residual_array(S, i_m, r_m)
+    recon = np.asarray(S.evaluator(res, i_m), dtype=float)
+    weak = (r_m <= i_m + EPSILON) | (r_m >= 1.0 - EPSILON) | (np.abs(recon - r_m) <= EPSILON)
+    tval = np.asarray(T.evaluator(res, i_m), dtype=float)
+    strong = (r_m <= i_m + EPSILON) | ((np.abs(recon - r_m) <= EPSILON) & (tval <= EPSILON))
+    return ax, A, B, weak, strong
+
+
+# ---------------------------------------------------------------------------
+# the block partition
+
+
+@pytest.mark.parametrize("rows, per_row", [(1, 1), (0, 5), (10, 3), (257, 256), (3, 10**6)])
+def test_row_blocks_partition_rows_within_the_cap(rows, per_row):
+    blocks = list(relations_module._row_blocks(rows, per_row))
+    covered = [r for s in blocks for r in range(s.start, s.stop)]
+    assert covered == list(range(rows))
+    for s in blocks:
+        assert s.stop - s.start == 1 or (s.stop - s.start) * per_row <= BLOCK
+
+
+# ---------------------------------------------------------------------------
+# closure and transitivity
+
+
+@pytest.mark.parametrize(
+    "n, norm",
+    # rows per block: 65536 (n = 1, 2), 47 of 37, 6 of 100, 2 of 181 (a
+    # partial last block each time) and a single row of exactly one block
+    [(1, ("product", None)), (2, ("lukasiewicz", None)), (37, ("hamacher", 2.0)),
+     (100, ("schweizer_sklar", 0.5)), (181, ("minimum", None)), (SIDE, ("product", None))],
+)
+def test_closure_and_transitivity_match_whole_array(n, norm):
+    T = make_norm(*norm)
+    R = random_relation(np.random.default_rng(n), n, grid=n % 2 == 0)
+    C = t_transitive_closure(R, T)
+    assert same_bits(C.degrees, ref_closure(R.degrees, T, max(2, n)))
+    assert is_t_transitive(C, T)
+    if n > 1:
+        m = R.degrees
+        comp = np.asarray(T.evaluator(m[:, :, None], m[None, :, :]), dtype=float).max(axis=1)
+        assert is_t_transitive(R, T) == bool(np.all(m >= comp - EPSILON))
+
+
+def test_closure_matches_whole_array_across_tiny_blocks(block):
+    T = make_norm("hamacher", 0.5)
+    for n in (1, 2, 3, 9, 16):
+        R = random_relation(np.random.default_rng(n), n)
+        C = t_transitive_closure(R, T)
+        assert same_bits(C.degrees, ref_closure(R.degrees, T, max(2, n)))
+        m = R.degrees
+        comp = np.asarray(T.evaluator(m[:, :, None], m[None, :, :]), dtype=float).max(axis=1)
+        assert is_t_transitive(C, T)
+        assert is_t_transitive(R, T) == bool(np.all(m >= comp - EPSILON))
+
+
+# ---------------------------------------------------------------------------
+# decomposition and verification
+
+
+CONORMS = [("minimum", None), ("product", None), ("hamacher", 2.0), ("schweizer_sklar", 0.5),
+           ("ordinal_sum", None)]
+
+
+@pytest.mark.parametrize("n", [1, 2, SIDE - 1, SIDE, SIDE + 1, 300])
+@pytest.mark.parametrize("conorm", CONORMS, ids=[c[0] for c in CONORMS])
+def test_decomposition_matches_whole_array(n, conorm):
+    S = make_conorm(*conorm)
+    R = random_relation(np.random.default_rng(n), n, grid=n % 2 == 1)
+    p, i, bad = ref_decompose(R.degrees, S)
+    assert bad is None
+    d = canonical_decompose(R, S)
+    assert same_bits(d.strict.degrees, p) and same_bits(d.indifference.degrees, i)
+    assert not d.strict.degrees.flags.writeable
+    assert verify_weak(R, d).passed
+
+
+def test_decomposition_matches_whole_array_across_tiny_blocks(block):
+    for n in (1, 5, 8, 13):
+        for conorm in CONORMS:
+            S = make_conorm(*conorm)
+            R = random_relation(np.random.default_rng(n), n)
+            p, i, _ = ref_decompose(R.degrees, S)
+            d = canonical_decompose(R, S)
+            assert same_bits(d.strict.degrees, p) and same_bits(d.indifference.degrees, i)
+
+
+@pytest.mark.parametrize("n, cells", [(12, [(9, 2), (3, 7)]), (SIDE + 1, [(SIDE, 0), (200, 4)]),
+                                      (300, [(299, 1), (2, 250), (2, 251)])])
+def test_unattained_residual_names_the_first_pair_in_row_major_order(n, cells, block):
+    # (0.85, 1) has no reconstructing strict degree under Schweizer-Sklar at lambda = 2
+    S = make_conorm("schweizer_sklar", 2.0)
+    m = np.random.default_rng(0).integers(0, 5, size=(n, n)) / 10
+    np.fill_diagonal(m, 1.0)
+    for a, b in cells:
+        m[a, b], m[b, a] = 1.0, 0.85
+    R = FuzzyRelation(labels(n), m)
+    a, b = ref_decompose(m, S)[2]
+    assert (a, b) == min(cells)
+    with pytest.raises(DecompositionError) as exc:
+        canonical_decompose(R, S)
+    assert str(exc.value).startswith(f"residual infimum not attained at pair (x{a},x{b}): S(P,I) = 0.99")
+    assert str(exc.value).endswith("but R = 1.0")
+
+
+def tampered(R, S, n, rng):
+    """The canonical decomposition with a few strict degrees moved, so that
+    several checks fail at scattered cells."""
+    d = canonical_decompose(R, S)
+    P = d.strict.degrees.copy()
+    cells = rng.integers(0, n, size=(3, 2))
+    for a, b in cells:
+        P[a, b] = P[b, a] = 0.25 if a != b else 0.5
+    return Decomposition(FuzzyRelation(R.universe, P), d.indifference, S, None, Mode.WEAK)
+
+
+@pytest.mark.parametrize("n", [3, 40, SIDE + 1])
+def test_verification_witnesses_match_whole_array(n, block):
+    rng = np.random.default_rng(n)
+    S, T = make_conorm("lukasiewicz"), make_norm("lukasiewicz")
+    m = rng.integers(0, 21, size=(n, n)) / 20
+    np.fill_diagonal(m, 1.0)
+    m[-1, 0], m[0, -1] = 0.6, 0.3  # a strict pair with a positive indifference
+    R = FuzzyRelation(labels(n), m)
+    d = tampered(R, S, n, rng)
+    P, I = d.strict.degrees, d.indifference.degrees
+    a, b = first((P > 0.0) & (P.T > 0.0))
+    got = verify_weak(R, d)
+    assert got.witness == (P[a, b], P[b, a]) and f"at (x{a},x{b})" in got.detail
+    assert not is_asymmetric(d.strict) and is_symmetric(d.indifference)
+
+    # asymmetric again, but no longer reconstructing R
+    P2 = np.zeros_like(P)
+    d2 = Decomposition(FuzzyRelation(R.universe, P2), d.indifference, S, T, Mode.STRONG)
+    recon = np.asarray(S.evaluator(P2, I), dtype=float)
+    a, b = first(np.abs(recon - m) > EPSILON)
+    got = verify_strong(R, d2, T)
+    assert got.witness == (recon[a, b], m[a, b]) and f"at (x{a},x{b})" in got.detail
+
+    # reconstructing under the maximum, with T(P, I) > 0 somewhere
+    S_max, T_prod = make_conorm("minimum"), make_norm("product")
+    d3 = canonical_decompose(R, S_max)
+    d3 = Decomposition(d3.strict, d3.indifference, S_max, T_prod, Mode.STRONG)
+    P3, I3 = d3.strict.degrees, d3.indifference.degrees
+    tvals = np.asarray(T_prod.evaluator(P3, I3), dtype=float)
+    a, b = first(tvals > EPSILON)
+    got = verify_strong(R, d3, T_prod)
+    assert got.witness == (P3[a, b], I3[a, b])
+    assert f"= {tvals[a, b]:g} != 0 at (x{a},x{b})" in got.detail
+
+
+@pytest.mark.parametrize("n", [1, 6, 30, SIDE + 1])
+def test_connectedness_matches_whole_array(n, block):
+    R = random_relation(np.random.default_rng(n), n, grid=True)
+    for spec in ("lukasiewicz", "drastic", "minimum"):
+        S = make_conorm(spec)
+        m = R.degrees
+        expected = bool(np.all(np.asarray(S.evaluator(m, m.T), dtype=float) >= 1.0 - EPSILON))
+        assert is_s_connected(R, S) == expected
+
+
+# ---------------------------------------------------------------------------
+# FP audit
+
+
+@pytest.mark.parametrize("n", [7, 40, SIDE - 1, SIDE + 1, 300])
+def test_fp_witnesses_match_whole_array(n, block):
+    rng = np.random.default_rng(n)
+    R = random_relation(rng, n, grid=True)
+    d = canonical_decompose(R, make_conorm("lukasiewicz"))
+    assert all(v.passed for k, v in audit_fp(triplet_from_decomposition(R, d)).verdicts.items()
+               if k != "FP6")
+    # break each of FP1-FP5 at scattered cells
+    P, I = d.strict.degrees.copy(), d.indifference.degrees.copy()
+    for a, b in rng.integers(0, n, size=(4, 2)):
+        P[a, b] = P[b, a] = min(1.0, R.degrees[a, b] + 0.05)
+        I[a, b] = 0.5 * I[a, b]
+    t = PreferenceTriplet(R, FuzzyRelation(R.universe, P), FuzzyRelation(R.universe, I))
+    report = audit_fp(t)
+    for axiom, cell in ref_fp_witnesses(R.degrees, P, I).items():
+        verdict = report.verdicts[axiom]
+        assert verdict.passed == (cell is None)
+        assert verdict.witness == (None if cell is None else (f"x{cell[0]}", f"x{cell[1]}"))
+
+
+# ---------------------------------------------------------------------------
+# region rasters and the connectedness mask
+
+
+@pytest.mark.parametrize("cells", [2, SIDE, SIDE + 1, 300])
+@pytest.mark.parametrize(
+    "norm, conorm",
+    [(("lukasiewicz", None), ("lukasiewicz", None)),
+     (("drastic", None), ("schweizer_sklar", 0.5)),
+     (("product", None), ("drastic", None)),
+     (("hamacher", 2.0), ("hamacher", 2.0))],
+)
+def test_rasters_match_whole_array(cells, norm, conorm, block):
+    T, S = make_norm(*norm), make_conorm(*conorm)
+    ax, A, B, weak, strong = ref_rasters(T, S, cells)
+    assert np.array_equal(weak_region(S, 1 / (cells - 1)).membership, weak)
+    grid = strong_region(T, S, 1 / (cells - 1))
+    inner = np.s_[:-1, :-1]  # the r = 1 edge comes from the divisor intervals
+    assert np.array_equal(grid.membership[inner], strong[inner])
+    for conn in ("lukasiewicz", "drastic", "ordinal_sum"):
+        S_prime = make_conorm(conn)
+        connected = np.asarray(S_prime.evaluator(A, B), dtype=float) >= 1.0 - EPSILON
+        cell = first(connected & ~grid.membership)
+        got = restricted_decomposability(S_prime, S, T, 1 / (cells - 1))
+        assert got.passed == (cell is None)
+        if cell is not None:
+            assert got.witness == (ax[cell[0]], ax[cell[1]])
+
+
+# ---------------------------------------------------------------------------
+# memory bounds
+
+
+def peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_closure_memory_is_bounded():
+    # the whole-array composition held 256^3 cells (128 MB) per temporary
+    R = random_relation(np.random.default_rng(1), 256)
+    assert peak_bytes(lambda: t_transitive_closure(R, make_norm("lukasiewicz"))) < 16 * 2**20
+
+
+def test_decompose_and_audit_memory_is_bounded():
+    n = 1000
+    R = random_relation(np.random.default_rng(2), n)
+    S = make_conorm("hamacher", 2.0)
+    peak = peak_bytes(lambda: audit_fp(triplet_from_decomposition(R, canonical_decompose(R, S))))
+    assert peak < 5 * n * n * 8
+
+
+def test_weak_region_memory_is_bounded():
+    # the Boolean raster (1 byte a cell), its axis and one block of floats
+    cells = 2001
+    peak = peak_bytes(lambda: weak_region(make_conorm("schweizer_sklar", 2.0), 1 / 2000))
+    assert peak < 3 * cells**2 + 8 * BLOCK

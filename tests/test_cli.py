@@ -179,3 +179,50 @@ def test_seed_determinism(capsys, monkeypatch):
     monkeypatch.setenv("FUZZDEC_SEED", "7")
     c = run(capsys, "classify", "--conorm", "lukasiewicz")
     assert c == a
+
+
+@pytest.mark.parametrize(
+    "body, problem",
+    [
+        ("fuzzop v1\n", "expected 'grid <n>' on the second line"),
+        ("fuzzop v1\ngrid 0\n0\n", "grid size must be a positive integer, got '0'"),
+        ("fuzzop v1\ngrid -2\n0 0\n", "grid size must be a positive integer, got '-2'"),
+    ],
+)
+def test_bad_custom_table_header_exits_2(tmp_path, capsys, body, problem):
+    table = tmp_path / "bad.op"
+    table.write_text(body)
+    code, out, err = run(capsys, "check-norm", "--op", f"custom:table={table}", "--kind", "norm")
+    assert code == 2 and out == ""
+    assert err == f"error: {table}: {problem}\n"
+
+
+def test_bad_seed_environment_is_named(capsys, monkeypatch):
+    monkeypatch.setenv("FUZZDEC_SEED", "seven")
+    code, out, err = run(capsys, "classify", "--conorm", "lukasiewicz")
+    assert code == 2 and out == ""
+    assert err == "error: FUZZDEC_SEED must be an integer, got 'seven'\n"
+
+
+def test_messages_print_plain_floats(tmp_path, capsys):
+    # a Schweizer-Sklar conorm (lambda = 2) cannot reconstruct the pair (0.85, 1)
+    rel = tmp_path / "ss.rel"
+    rel.write_text("fuzzrel v1\nuniverse a b\n1 1\n0.85 1\n")
+    code, _, err = run(capsys, "decompose", "--relation", str(rel),
+                       "--conorm", "schweizer_sklar:lambda=2")
+    assert code == 2
+    assert err.startswith("error: residual infimum not attained at pair (a,b): S(P,I) = 0.99")
+    assert err.endswith(" but R = 1.0\n")
+    messages = [err]
+    # the product posing as a conorm breaks S(x,0) = x
+    table = tmp_path / "product.op"
+    rows = (" ".join(str(i / 4 * j / 4) for j in range(5)) for i in range(5))
+    table.write_text("fuzzop v1\ngrid 4\n" + "\n".join(rows) + "\n")
+    code, out, _ = run(capsys, "check-norm", "--op", f"custom:table={table}", "--kind", "conorm")
+    assert code == 1 and "violated: got 0.0" in out
+    messages.append(out)
+    code, out, _ = run(capsys, "restricted", "--connected-by", "lukasiewicz",
+                       "--conorm", "drastic", "--resolution", "20")
+    assert code == 1
+    messages.append(out)
+    assert not any("np.float64(" in m for m in messages)

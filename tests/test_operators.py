@@ -294,3 +294,16 @@ def test_strict_near_zero_table(family, lam, expect):
 def test_strict_near_zero_rejects_norms():
     with pytest.raises(ValueError):
         check_strict_near_zero(make_norm("minimum"))
+
+
+@pytest.mark.parametrize("family", ["schweizer_sklar", "hamacher"])
+@pytest.mark.parametrize("kind", [Kind.NORM, Kind.CONORM])
+def test_nan_lambda_is_rejected(family, kind):
+    with pytest.raises(ValueError, match="must not be NaN"):
+        make_family(family, kind, float("nan"))
+    with pytest.raises(ValueError, match="must not be NaN"):
+        parse_op_spec(f"{family}:lambda=nan", kind)
+    # the infinite limits stay valid
+    assert make_family(family, kind, math.inf).parameter == math.inf
+    if family == "schweizer_sklar":
+        assert make_family(family, kind, -math.inf).parameter == -math.inf

@@ -13,6 +13,7 @@ from fuzzdec import (
     is_s_connected,
     is_symmetric,
     is_t_transitive,
+    load_relation,
     make_conorm,
     make_norm,
     parse_relation,
@@ -214,3 +215,55 @@ def test_comments_and_blank_lines_ignored():
     text = "# comment\nfuzzrel v1\n\nuniverse a b  # trailing\n1 0.5\n0 1\n"
     R = parse_relation(text)
     assert R.value("a", "b") == 0.5
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "# c\r\nfuzzrel v1\r\n\r\nuniverse a b  # t\r\n1 0.5\r\n0 1\r\n",
+        "fuzzrel v1\runiverse a b\r1 0.5\x0c0 1",
+    ],
+)
+def test_lines_and_files_parse_like_the_text(tmp_path, text):
+    path = tmp_path / "r.rel"
+    path.write_bytes(text.encode("utf-8"))
+    expected = parse_relation(text)
+    assert expected.value("a", "b") == 0.5
+    for R in (
+        parse_relation(text.splitlines(keepends=True)),
+        parse_relation(iter(text.splitlines())),
+        load_relation(path),
+    ):
+        assert R.universe == expected.universe
+        assert R.degrees.tobytes() == expected.degrees.tobytes()
+
+
+def test_streamed_errors_match_the_text(tmp_path):
+    text = "fuzzrel v1\r\nuniverse a b\r\n0 0\x0c0 boom\n"
+    path = tmp_path / "bad.rel"
+    path.write_bytes(text.encode("utf-8"))
+    for source in (text, iter(text.splitlines())):
+        with pytest.raises(RelationParseError, match="line 4: row 2, column 2: not a number"):
+            parse_relation(source)
+    with pytest.raises(RelationParseError, match="line 4: row 2, column 2: not a number"):
+        load_relation(path)
+    # errors come in line order: a bad row before the count, rows past the
+    # n-th are counted however they arrive
+    head = ["fuzzrel v1", "universe a b"]
+    for rows, message in (
+        (["0 boom", "0 0", "0 0"], "line 3: row 1, column 2: not a number"),
+        (["0 0", "0 0", "0 boom"], "expected 2 matrix rows, found 3"),
+    ):
+        for source in ("\n".join(head + rows), iter(head + rows)):
+            with pytest.raises(RelationParseError, match=message):
+                parse_relation(source)
+
+
+def test_public_construction_copies_and_parsed_matrices_are_frozen():
+    m = np.array([[1.0, 0.5], [0.25, 1.0]])
+    R = FuzzyRelation(("a", "b"), m)
+    m[0, 1] = 0.0
+    assert R.value("a", "b") == 0.5
+    parsed = parse_relation(format_relation(R))
+    assert not parsed.degrees.flags.writeable
+    assert parsed.degrees.tobytes() == R.degrees.tobytes()
