@@ -13,6 +13,7 @@ from .operators import (
     check_strictly_increasing_first,
     degree_grid,
     dual,
+    find_collapse_witness,
     make_conorm,
     make_custom,
     make_family,
@@ -68,7 +69,6 @@ from .preferences import (
     RuleClassification,
     audit_fp,
     classify_rule,
-    find_collapse_witness,
     make_rule,
     mj_counterexample,
     sample_relations,

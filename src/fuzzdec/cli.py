@@ -9,6 +9,7 @@ identical seeds give identical reports.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Optional
@@ -115,7 +116,13 @@ def _table_operator(path: str, kind: Kind) -> BinaryOp:
         cells = row_text.split()
         if len(cells) != n + 1:
             raise ValueError(f"{path}: row {r + 1} has {len(cells)} entries, expected {n + 1}")
-        mat[r] = [float(c) for c in cells]
+        for c, cell in enumerate(cells):
+            try:
+                mat[r, c] = float(cell)
+            except ValueError:
+                raise ValueError(f"{path}: row {r + 1}, column {c + 1}: not a number: {cell!r}") from None
+            if not math.isfinite(mat[r, c]):
+                raise ValueError(f"{path}: row {r + 1}, column {c + 1}: not a finite number: {cell!r}")
 
     def fn(x, y):
         xi = np.clip(np.asarray(x, dtype=float), 0.0, 1.0) * n

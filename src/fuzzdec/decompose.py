@@ -19,13 +19,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .operators import (
-    EPSILON,
-    BinaryOp,
-    Kind,
-    check_first_coordinate_continuity,
-    resolved_family,
-)
+from .operators import EPSILON, BinaryOp, Kind, check_first_coordinate_continuity
 from .divisors import BISECTION_STEPS, strong_existence
 from .relations import FuzzyRelation, _first_cell, _row_blocks, asymmetry_violation, symmetry_violation
 from .verdicts import TriState, Verdict, fails, holds
@@ -78,45 +72,17 @@ def residual_array(S: BinaryOp, i, r) -> np.ndarray:
 
     i = np.asarray(i, dtype=float)
     r = np.asarray(r, dtype=float)
-    fam = resolved_family(S) if S.is_builtin else "custom"
-    lam = S.parameter
-    active = r > i  # elsewhere the residual is 0
-
-    if fam == "minimum":
-        out = np.where(active, r, 0.0)
-    elif fam == "lukasiewicz":
-        out = np.where(active, np.maximum(r - i, 0.0), 0.0)
-    elif fam == "product":
-        with np.errstate(all="ignore"):
-            val = (r - i) / (1.0 - i)
-        out = np.where(active, np.clip(val, 0.0, 1.0), 0.0)
-    elif fam == "drastic":
-        # for 0 < i < r the attaining set is (0,1]: infimum 0, not attained
-        out = np.where(active & (i == 0.0), r, 0.0)
-    elif fam == "ordinal_sum_lukasiewicz_half":
-        scaled = np.maximum(r - i, 0.0)
-        out = np.where(active, np.where((r <= 0.5) & (i <= 0.5), scaled, r), 0.0)
-    elif fam == "schweizer_sklar":
-        with np.errstate(all="ignore"):
-            A = (1.0 - r) ** lam + 1.0 - (1.0 - i) ** lam
-            val = 1.0 - A ** (1.0 / lam)
-            if lam < 0:
-                val = np.where(r == 1.0, 1.0, val)
-            else:
-                val = np.where(A <= 0.0, 1.0, val)
-        out = np.where(active, np.clip(val, 0.0, 1.0), 0.0)
-    elif fam == "hamacher":
-        with np.errstate(all="ignore"):
-            den = 1.0 - (2.0 - lam) * i + (1.0 - lam) * r * i
-            val = (r - i) / den
-        out = np.where(active, np.clip(val, 0.0, 1.0), 0.0)
-    else:
-        out = _bisect_residual_array(S, i, r)
-    return out
+    if not S.is_builtin:
+        return np.asarray(bisection_residual(S, i, r))
+    with np.errstate(all="ignore"):
+        return np.where(r > i, S.record.residual(S, i, r), 0.0)
 
 
-def _bisect_residual_array(S: BinaryOp, i: np.ndarray, r: np.ndarray) -> np.ndarray:
-    i, r = np.broadcast_arrays(i, r)
+def bisection_residual(S: BinaryOp, i, r):
+    """Residual computed by bisection regardless of family: the fallback for
+    custom conorms and the independent oracle for the closed forms.  Scalar
+    in, scalar out; arrays broadcast."""
+    i, r = np.broadcast_arrays(np.asarray(i, float), np.asarray(r, float))
     lo = np.zeros(i.shape)
     hi = np.ones(i.shape)
     base = np.asarray(S.evaluator(lo, i), dtype=float) >= r
@@ -125,16 +91,8 @@ def _bisect_residual_array(S: BinaryOp, i: np.ndarray, r: np.ndarray) -> np.ndar
         ok = np.asarray(S.evaluator(mid, i), dtype=float) >= r
         hi = np.where(ok, mid, hi)
         lo = np.where(ok, lo, mid)
-    return np.where(base, 0.0, hi)
-
-
-def bisection_residual(S: BinaryOp, i, r):
-    """Residual computed by bisection regardless of family: the independent
-    oracle for the closed forms.  Scalar in, scalar out; arrays broadcast."""
-    out = _bisect_residual_array(S, np.asarray(i, float), np.asarray(r, float))
-    if np.ndim(i) == 0 and np.ndim(r) == 0:
-        return float(out)
-    return out
+    out = np.where(base, 0.0, hi)
+    return float(out) if out.ndim == 0 else out
 
 
 def residual(S: BinaryOp, i: float, r: float) -> ResidualValue:

@@ -10,107 +10,21 @@ unique exactly when every intersection is a singleton.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import math
 
 import numpy as np
 
+from .families import DegreeInterval
 from .operators import (
     BinaryOp,
     Kind,
     check_first_coordinate_continuity,
     degree_grid,
     family_breakpoints,
-    resolved_family,
-    ss_regime,
 )
 from .verdicts import TriState, Verdict, fails, holds, unknown
 
 BISECTION_STEPS = 60
-
-
-@dataclass(frozen=True)
-class DegreeInterval:
-    """A sub-interval of [0,1] with individually open or closed endpoints."""
-
-    lower: float = 0.0
-    upper: float = 0.0
-    lower_closed: bool = True
-    upper_closed: bool = True
-    empty: bool = False
-
-    def __post_init__(self):
-        if self.empty:
-            return
-        if not (0.0 <= self.lower <= self.upper <= 1.0):
-            raise ValueError("interval endpoints must satisfy 0 <= lower <= upper <= 1")
-        if self.lower == self.upper and not (self.lower_closed and self.upper_closed):
-            raise ValueError("a degenerate interval must be closed (or empty)")
-
-    @staticmethod
-    def closed(lower: float, upper: float) -> "DegreeInterval":
-        return DegreeInterval(lower, upper, True, True)
-
-    @staticmethod
-    def singleton(value: float) -> "DegreeInterval":
-        return DegreeInterval(value, value, True, True)
-
-    @staticmethod
-    def void() -> "DegreeInterval":
-        return DegreeInterval(0.0, 0.0, False, False, empty=True)
-
-    def contains(self, t: float) -> bool:
-        if self.empty:
-            return False
-        above = t > self.lower or (self.lower_closed and t == self.lower)
-        below = t < self.upper or (self.upper_closed and t == self.upper)
-        return above and below
-
-    @property
-    def is_singleton(self) -> bool:
-        return not self.empty and self.lower == self.upper
-
-    def intersect(self, other: "DegreeInterval") -> "DegreeInterval":
-        if self.empty or other.empty:
-            return DegreeInterval.void()
-        if self.lower > other.lower or (
-            self.lower == other.lower and not self.lower_closed
-        ):
-            lo, lo_c = self.lower, self.lower_closed
-        else:
-            lo, lo_c = other.lower, other.lower_closed
-        if self.lower == other.lower:
-            lo_c = self.lower_closed and other.lower_closed
-        if self.upper < other.upper or (
-            self.upper == other.upper and not self.upper_closed
-        ):
-            hi, hi_c = self.upper, self.upper_closed
-        else:
-            hi, hi_c = other.upper, other.upper_closed
-        if self.upper == other.upper:
-            hi_c = self.upper_closed and other.upper_closed
-        if lo > hi or (lo == hi and not (lo_c and hi_c)):
-            return DegreeInterval.void()
-        return DegreeInterval(lo, hi, lo_c, hi_c)
-
-    def two_points(self) -> Optional[tuple]:
-        """Two distinct members, if the interval has them."""
-        if self.empty or self.is_singleton:
-            return None
-        a = self.lower if self.lower_closed else self.lower + (self.upper - self.lower) / 4
-        b = self.upper if self.upper_closed else self.upper - (self.upper - self.lower) / 4
-        if a == b:
-            b = (a + self.upper) / 2
-        return (a, b)
-
-    def __str__(self) -> str:
-        if self.empty:
-            return "{}"
-        if self.is_singleton:
-            return f"{{{self.lower:g}}}"
-        lb = "[" if self.lower_closed else "("
-        rb = "]" if self.upper_closed else ")"
-        return f"{lb}{self.lower:g}, {self.upper:g}{rb}"
 
 
 # ---------------------------------------------------------------------------
@@ -125,29 +39,8 @@ def one_interval(S: BinaryOp, w: float) -> DegreeInterval:
     if not 0.0 <= w <= 1.0:
         raise ValueError("w must lie in [0,1]")
     if not S.is_builtin:
-        return _bisect_one_interval(S, w)
-
-    fam = resolved_family(S)
-    lam = S.parameter
-    if fam == "drastic":
-        if w == 0.0:
-            return DegreeInterval.singleton(1.0)
-        if w == 1.0:
-            return DegreeInterval.closed(0.0, 1.0)
-        return DegreeInterval(0.0, 1.0, False, True)
-    if fam in ("minimum", "product", "hamacher", "ordinal_sum_lukasiewicz_half"):
-        if w == 1.0:
-            return DegreeInterval.closed(0.0, 1.0)
-        return DegreeInterval.singleton(1.0)
-    if fam == "lukasiewicz":
-        return DegreeInterval.closed(1.0 - w, 1.0)
-    # Schweizer-Sklar with finite lam
-    if ss_regime(lam) == "neg":
-        if w == 1.0:
-            return DegreeInterval.closed(0.0, 1.0)
-        return DegreeInterval.singleton(1.0)
-    lower = 1.0 - (1.0 - (1.0 - w) ** lam) ** (1.0 / lam)
-    return DegreeInterval.closed(min(max(lower, 0.0), 1.0), 1.0)
+        return bisection_one_interval(S, w)
+    return S.record.one_interval(w, S.parameter)
 
 
 def zero_interval(T: BinaryOp, w: float) -> DegreeInterval:
@@ -158,35 +51,17 @@ def zero_interval(T: BinaryOp, w: float) -> DegreeInterval:
     if not 0.0 <= w <= 1.0:
         raise ValueError("w must lie in [0,1]")
     if not T.is_builtin:
-        return _bisect_zero_interval(T, w)
-
-    fam = resolved_family(T)
-    lam = T.parameter
-    if fam == "drastic":
-        if w == 1.0:
-            return DegreeInterval.singleton(0.0)
-        if w == 0.0:
-            return DegreeInterval.closed(0.0, 1.0)
-        return DegreeInterval(0.0, 1.0, True, False)
-    if fam in ("minimum", "product", "hamacher", "ordinal_sum_lukasiewicz_half"):
-        if w == 0.0:
-            return DegreeInterval.closed(0.0, 1.0)
-        return DegreeInterval.singleton(0.0)
-    if fam == "lukasiewicz":
-        return DegreeInterval.closed(0.0, 1.0 - w)
-    if ss_regime(lam) == "neg":
-        if w == 0.0:
-            return DegreeInterval.closed(0.0, 1.0)
-        return DegreeInterval.singleton(0.0)
-    upper = (1.0 - w ** lam) ** (1.0 / lam)
-    return DegreeInterval.closed(0.0, min(max(upper, 0.0), 1.0))
+        return bisection_zero_interval(T, w)
+    return T.record.zero_interval(w, T.parameter)
 
 
 # ---------------------------------------------------------------------------
-# bisection fallback (monotone level-set boundary)
+# bisection (monotone level-set boundary): the fallback for custom operators
+# and an independent oracle for the closed forms
 
 
-def _bisect_one_interval(S: BinaryOp, w: float) -> DegreeInterval:
+def bisection_one_interval(S: BinaryOp, w: float) -> DegreeInterval:
+    """Numerically computed one-interval, ignoring closed forms."""
     if S(1.0, w) != 1.0:
         raise ValueError("operator violates the conorm boundary S(1,w) = 1")
     if S(0.0, w) == 1.0:
@@ -203,7 +78,8 @@ def _bisect_one_interval(S: BinaryOp, w: float) -> DegreeInterval:
     return DegreeInterval(lower, 1.0, S(lower, w) == 1.0, True)
 
 
-def _bisect_zero_interval(T: BinaryOp, w: float) -> DegreeInterval:
+def bisection_zero_interval(T: BinaryOp, w: float) -> DegreeInterval:
+    """Numerically computed zero-interval, ignoring closed forms."""
     if T(0.0, w) != 0.0:
         raise ValueError("operator violates the norm boundary T(0,w) = 0")
     if T(1.0, w) == 0.0:
@@ -219,60 +95,42 @@ def _bisect_zero_interval(T: BinaryOp, w: float) -> DegreeInterval:
     return DegreeInterval(0.0, upper, True, T(upper, w) == 0.0)
 
 
-def bisection_one_interval(S: BinaryOp, w: float) -> DegreeInterval:
-    """Numerically computed one-interval, ignoring closed forms.  Exposed as
-    an independent oracle for the closed-form formulas."""
-    return _bisect_one_interval(S, w)
-
-
-def bisection_zero_interval(T: BinaryOp, w: float) -> DegreeInterval:
-    """Numerically computed zero-interval, ignoring closed forms."""
-    return _bisect_zero_interval(T, w)
-
-
 # ---------------------------------------------------------------------------
 # existence / uniqueness of strong decompositions
 
 
-def _pair_is_analytic(T: BinaryOp, S: BinaryOp) -> bool:
-    """Whether the all-w verdict for this (T,S) pair is analytically known.
+def _exponent(op: BinaryOp) -> float:
+    return op.parameter if op.record.exponent is None else op.record.exponent
 
-    Covers every combination of built-in families, except Schweizer-Sklar
-    norm against Schweizer-Sklar conorm with two different finite positive
+
+def _pair_is_analytic(T: BinaryOp, S: BinaryOp) -> bool:
+    """Whether the all-w verdicts for this (T,S) pair are analytically known.
+
+    Covers every pair of built-in operators except Schweizer-Sklar norm
+    against Schweizer-Sklar conorm with two different finite positive
     parameters (not a classified pairing; swept instead)."""
 
     if not (T.is_builtin and S.is_builtin):
         return False
-    tf, sf = resolved_family(T), resolved_family(S)
-    if tf == "schweizer_sklar" and sf == "schweizer_sklar":
-        return T.parameter == S.parameter
-    return True
+    both_lambda = T.record.exponent is None and S.record.exponent is None
+    return not (both_lambda and T.parameter != S.parameter)
 
 
-def _norm_zero_class(T: BinaryOp) -> str:
-    fam = resolved_family(T)
-    if fam in ("minimum", "product", "hamacher", "ordinal_sum_lukasiewicz_half"):
-        return "point"          # {0} for every w > 0
-    if fam == "drastic":
-        return "drastic"        # [0,1) for interior w
-    if fam == "lukasiewicz":
-        return "lukasiewicz"    # [0, 1-w]
-    if ss_regime(T.parameter) == "neg":
-        return "point"
-    return "ss"                 # [0, (1-w^lam)^(1/lam)], finite lam > 0
+def _analytic_nonempty_all_w(T: BinaryOp, S: BinaryOp) -> bool:
+    """`for all w: intersection nonempty` for an analytically classified pair.
 
+    At w = 0 the zero-interval is all of [0,1]; at w = 1 the one-interval is
+    all of [0,1] and 0 always lies in the zero-interval: only interior w can
+    fail.  A point interval ({0} or {1}) never meets the other one there; a
+    drastic interval ([0,1) or (0,1]) always does; two power intervals of
+    the classified pairs (one exponent 1, or both equal) meet for every w
+    iff w^p + (1-w)^p <= 1 on (0,1), i.e. p >= 1.
+    """
 
-def _conorm_one_class(S: BinaryOp) -> str:
-    fam = resolved_family(S)
-    if fam in ("minimum", "product", "hamacher", "ordinal_sum_lukasiewicz_half"):
-        return "point"          # {1} for every w < 1
-    if fam == "drastic":
-        return "drastic"        # (0,1] for interior w
-    if fam == "lukasiewicz":
-        return "lukasiewicz"    # [1-w, 1]
-    if ss_regime(S.parameter) == "neg":
-        return "point"
-    return "ss"
+    p, q = _exponent(T), _exponent(S)
+    if p == 0.0 or q == 0.0:
+        return False
+    return math.inf in (p, q) or min(p, q) >= 1.0
 
 
 def _sweep_intersections(T: BinaryOp, S: BinaryOp, w_grid) -> tuple:
@@ -306,10 +164,23 @@ def _default_w_grid(T: BinaryOp, S: BinaryOp, w_grid) -> np.ndarray:
     return np.asarray(w_grid, dtype=float)
 
 
+def _multi_witness(T: BinaryOp, S: BinaryOp):
+    """(w, t1, t2) with S(t, w) = 1 and T(t, w) = 0 exactly in floating point
+    for both t, for a pair whose intersections are analytically proper
+    intervals; None if no probed w shows one.  w = 0.5 is probed first, then
+    w = 1 - 2^-k toward 1, where one-intervals are widest."""
+    for w in (0.5, *(1.0 - 2.0 ** -k for k in range(2, 53))):
+        pts = one_interval(S, w).intersect(zero_interval(T, w)).two_points()
+        if pts is not None and all(S(t, w) == 1.0 and T(t, w) == 0.0 for t in pts):
+            return (w, float(pts[0]), float(pts[1]))
+    return None
+
+
 def strong_existence(T: BinaryOp, S: BinaryOp, w_grid=None) -> TriState:
     """Whether every fuzzy relation admits a strong decomposition under (T,S):
     S continuous in the first coordinate and the divisor intervals intersect
-    at every w.  Analytic over all w for classified built-in pairs."""
+    at every w.  Analytic over all w for classified built-in pairs, whose
+    failures are witnessed at w = 0.5; other pairs are swept over ``w_grid``."""
 
     if T.kind is not Kind.NORM or S.kind is not Kind.CONORM:
         raise ValueError("strong_existence expects (norm, conorm)")
@@ -317,8 +188,12 @@ def strong_existence(T: BinaryOp, S: BinaryOp, w_grid=None) -> TriState:
     if cont.verdict is Verdict.FAILS:
         return fails(cont.witness, f"conorm discontinuous in the first coordinate: {cont.detail}")
 
-    grid = _default_w_grid(T, S, w_grid)
-    empty_w, _ = _sweep_intersections(T, S, grid)
+    if _pair_is_analytic(T, S):
+        if _analytic_nonempty_all_w(T, S):
+            return holds("divisor intervals intersect for every w")
+        empty_w = 0.5
+    else:
+        empty_w, _ = _sweep_intersections(T, S, _default_w_grid(T, S, w_grid))
     if empty_w is not None:
         i1 = one_interval(S, empty_w)
         i0 = zero_interval(T, empty_w)
@@ -326,52 +201,9 @@ def strong_existence(T: BinaryOp, S: BinaryOp, w_grid=None) -> TriState:
             (empty_w,),
             f"at w={empty_w:g}: one-interval {i1} and zero-interval {i0} are disjoint",
         )
-
-    if _pair_is_analytic(T, S):
-        verdict = _analytic_nonempty_all_w(T, S)
-        if verdict is True:
-            return holds("divisor intervals intersect for every w")
-        if verdict is False:
-            # the sweep should have caught it; check midpoint explicitly
-            inter = one_interval(S, 0.5).intersect(zero_interval(T, 0.5))
-            if inter.empty:
-                return fails((0.5,), "intervals disjoint at w=0.5")
-            raise AssertionError("analytic verdict contradicts the grid sweep")
     if cont.verdict is Verdict.UNKNOWN_SAMPLED:
         return unknown("grid sweep passed; conorm continuity only sampled")
     return unknown("grid sweep passed; pair not analytically classified")
-
-
-def _analytic_nonempty_all_w(T: BinaryOp, S: BinaryOp):
-    """True/False when `for all w: intersection nonempty` is analytically
-    decided, None when it is not."""
-
-    nc = _norm_zero_class(T)
-    cc = _conorm_one_class(S)
-    # at w = 0 the zero-interval is all of [0,1]; at w = 1 the one-interval
-    # is all of [0,1] and 0 always lies in the zero-interval: only interior
-    # w can fail.
-    if nc == "point":
-        return False  # needs S(0,w) = 1 for interior w, impossible
-    if cc == "point":
-        return False  # needs T(1,w) = 0 for interior w, impossible
-    if cc == "drastic":
-        # continuity already failed; unreachable for the verdict, but the
-        # intersection itself is nonempty for lukasiewicz/ss/drastic norms
-        return True
-    if nc == "drastic":
-        # [0,1) meets [l(w),1] iff l(w) < 1, true for w > 0 for both
-        # lukasiewicz and finite-positive Schweizer-Sklar conorms
-        return True
-    lam_t = T.parameter if nc == "ss" else 1.0
-    lam_s = S.parameter if cc == "ss" else 1.0
-    if nc in ("lukasiewicz", "ss") and cc in ("lukasiewicz", "ss"):
-        if nc == "ss" and cc == "ss" and lam_t != lam_s:
-            return None
-        lam = lam_t if nc == "ss" else lam_s
-        # nonempty for every w iff w^lam + (1-w)^lam <= 1 on (0,1), i.e. lam >= 1
-        return lam >= 1.0
-    return None
 
 
 def strong_uniqueness(T: BinaryOp, S: BinaryOp, w_grid=None) -> TriState:
@@ -381,34 +213,22 @@ def strong_uniqueness(T: BinaryOp, S: BinaryOp, w_grid=None) -> TriState:
     if exist.verdict is Verdict.FAILS:
         return exist
 
-    grid = _default_w_grid(T, S, w_grid)
-    _, multi = _sweep_intersections(T, S, grid)
-    if multi is not None:
-        w, t1, t2 = multi
-        return fails(
-            (w, t1, t2),
-            f"at w={w:g} both t={t1:g} and t={t2:g} decompose the pair",
-        )
-
-    if _pair_is_analytic(T, S) and exist.verdict is Verdict.HOLDS:
-        nc, cc = _norm_zero_class(T), _conorm_one_class(S)
-        lam_t = T.parameter if nc == "ss" else 1.0
-        lam_s = S.parameter if cc == "ss" else 1.0
-        if (
-            nc in ("lukasiewicz", "ss")
-            and cc in ("lukasiewicz", "ss")
-            and lam_t == lam_s == 1.0
-        ):
+    if _pair_is_analytic(T, S):
+        # proper intervals meet in a single point for every w only when both
+        # have exponent 1: the intersection is then {1-w}
+        if _exponent(T) == _exponent(S) == 1.0:
             return holds("intersection is the singleton {1-w} for every w")
-        # existence holds but some interior intersection is a proper interval
-        inter = one_interval(S, 0.5).intersect(zero_interval(T, 0.5))
-        pts = inter.two_points()
-        if pts is None:
-            raise AssertionError(
-                "existence holds analytically but no multi-point witness found"
+        multi = _multi_witness(T, S)
+        if multi is None:
+            return unknown(
+                "intersections are proper intervals, but no probed w shows two points in floating point"
             )
-        return fails(
-            (0.5, pts[0], pts[1]),
-            f"at w=0.5 both t={pts[0]:g} and t={pts[1]:g} decompose the pair",
-        )
-    return unknown("no multi-point intersection found on the grid")
+    else:
+        _, multi = _sweep_intersections(T, S, _default_w_grid(T, S, w_grid))
+        if multi is None:
+            return unknown("no multi-point intersection found on the grid")
+    w, t1, t2 = multi
+    return fails(
+        (w, t1, t2),
+        f"at w={w:g} both t={t1:g} and t={t2:g} decompose the pair",
+    )

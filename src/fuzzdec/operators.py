@@ -5,7 +5,8 @@ drastic, Schweizer-Sklar (lambda in [-inf, +inf]), Hamacher (lambda in
 [0, +inf]) and the ordinal sum that rescales the Lukasiewicz conorm onto
 [0, 1/2].  Evaluators are numpy-vectorised and exact at the boundary rows
 x=0, x=1 (the parametric families short-circuit them instead of trusting a
-power-function round trip).
+power-function round trip).  Their formulas and closed-form verdicts live in
+one record per family, in `families`.
 
 Universally quantified properties (continuity, strictness, ...) carry
 analytically known verdicts for built-in families; user-supplied operators
@@ -14,21 +15,19 @@ are swept on a finite grid and can at best earn an UNKNOWN_SAMPLED verdict.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
 
+from .families import FAMILIES, Family, resolve
 from .verdicts import TriState, fails, holds, unknown
 
 # Absolute tolerance for comparisons between membership degrees.
 EPSILON = 1e-9
-
-# A parameter this close to a special value (0 for Schweizer-Sklar) is
-# treated as that special value.
-LAMBDA_SNAP = 1e-12
 
 
 class Kind(Enum):
@@ -36,16 +35,7 @@ class Kind(Enum):
     CONORM = "conorm"
 
 
-_CANONICAL_FAMILIES = (
-    "minimum",
-    "product",
-    "lukasiewicz",
-    "drastic",
-    "schweizer_sklar",
-    "hamacher",
-    "ordinal_sum_lukasiewicz_half",
-    "custom",
-)
+_CANONICAL_FAMILIES = (*FAMILIES, "custom")
 
 _ALIASES = {
     "min": "minimum",
@@ -61,8 +51,6 @@ _ALIASES = {
     "ordinal_sum": "ordinal_sum_lukasiewicz_half",
 }
 
-_PARAMETRIC = ("schweizer_sklar", "hamacher")
-
 
 @dataclass(frozen=True)
 class BinaryOp:
@@ -75,6 +63,8 @@ class BinaryOp:
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(
         default=None, repr=False, compare=False
     )
+    # the closed forms of a built-in operator's family; None for custom ones
+    record: Optional[Family] = field(default=None, repr=False, compare=False)
 
     def __call__(self, x, y):
         out = self.evaluator(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
@@ -88,27 +78,11 @@ class BinaryOp:
 
     @property
     def display_name(self) -> str:
+        if self.record is None:
+            return f"custom {self.kind.value}"
         lam = self.parameter
         suffix = "" if lam is None else f"(lambda={format_lambda(lam)})"
-        names = {
-            ("minimum", Kind.NORM): "Minimum",
-            ("minimum", Kind.CONORM): "Maximum",
-            ("product", Kind.NORM): "Product",
-            ("product", Kind.CONORM): "Probabilistic sum",
-            ("lukasiewicz", Kind.NORM): "Lukasiewicz norm",
-            ("lukasiewicz", Kind.CONORM): "Lukasiewicz conorm",
-            ("drastic", Kind.NORM): "Drastic product",
-            ("drastic", Kind.CONORM): "Drastic sum",
-            ("schweizer_sklar", Kind.NORM): "Schweizer-Sklar norm",
-            ("schweizer_sklar", Kind.CONORM): "Schweizer-Sklar conorm",
-            ("hamacher", Kind.NORM): "Hamacher norm",
-            ("hamacher", Kind.CONORM): "Hamacher conorm",
-            ("ordinal_sum_lukasiewicz_half", Kind.NORM): "Ordinal-sum norm (Lukasiewicz on [1/2,1])",
-            ("ordinal_sum_lukasiewicz_half", Kind.CONORM): "Ordinal-sum conorm (Lukasiewicz on [0,1/2])",
-            ("custom", Kind.NORM): "custom norm",
-            ("custom", Kind.CONORM): "custom conorm",
-        }
-        return names[(self.family, self.kind)] + suffix
+        return self.record.names[self.kind is Kind.CONORM] + suffix
 
     def spec_string(self) -> str:
         if self.parameter is None:
@@ -133,137 +107,7 @@ def canonical_family(name: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# evaluators
-
-
-def _t_minimum(x, y):
-    return np.minimum(x, y)
-
-
-def _s_maximum(x, y):
-    return np.maximum(x, y)
-
-
-def _t_product(x, y):
-    return x * y
-
-
-def _s_probabilistic(x, y):
-    # the plain formula rounds S(1,y) below 1 for some y; pin the boundary
-    return np.where((x == 1.0) | (y == 1.0), 1.0, x + y - x * y)
-
-
-def _t_lukasiewicz(x, y):
-    return np.maximum(x + y - 1.0, 0.0)
-
-
-def _s_lukasiewicz(x, y):
-    return np.minimum(x + y, 1.0)
-
-
-def _t_drastic(x, y):
-    return np.where(y == 1.0, x, np.where(x == 1.0, y, 0.0))
-
-
-def _s_drastic(x, y):
-    return np.where(y == 0.0, x, np.where(x == 0.0, y, 1.0))
-
-
-def _t_ordinal_sum(x, y):
-    return np.where(
-        (x >= 0.5) & (y >= 0.5), np.maximum(0.5, x + y - 1.0), np.minimum(x, y)
-    )
-
-
-def _s_ordinal_sum(x, y):
-    return np.where(
-        (x <= 0.5) & (y <= 0.5), np.minimum(0.5, x + y), np.maximum(x, y)
-    )
-
-
-def _make_ss_norm(lam: float):
-    def ev(x, y):
-        interior = (x > 0) & (y > 0) & (x < 1) & (y < 1)
-        xs = np.where(interior, x, 0.5)
-        ys = np.where(interior, y, 0.5)
-        with np.errstate(all="ignore"):
-            inner = np.maximum(xs ** lam + ys ** lam - 1.0, 0.0)
-            val = inner ** (1.0 / lam)
-        val = np.clip(val, 0.0, 1.0)
-        out = np.where(interior, val, 0.0)
-        out = np.where((x == 0.0) | (y == 0.0), 0.0, out)
-        out = np.where(x == 1.0, y, out)
-        out = np.where(y == 1.0, np.where(x == 1.0, 1.0, x), out)
-        return out
-
-    return ev
-
-
-def _make_ss_conorm(lam: float):
-    def ev(x, y):
-        interior = (x > 0) & (y > 0) & (x < 1) & (y < 1)
-        xs = np.where(interior, x, 0.5)
-        ys = np.where(interior, y, 0.5)
-        with np.errstate(all="ignore"):
-            inner = np.maximum((1.0 - xs) ** lam + (1.0 - ys) ** lam - 1.0, 0.0)
-            val = 1.0 - inner ** (1.0 / lam)
-        val = np.clip(val, 0.0, 1.0)
-        out = np.where(interior, val, 0.0)
-        out = np.where((x == 1.0) | (y == 1.0), 1.0, out)
-        out = np.where(x == 0.0, y, out)
-        out = np.where(y == 0.0, np.where(x == 0.0, 0.0, x), out)
-        return out
-
-    return ev
-
-
-def _make_hamacher_norm(lam: float):
-    def ev(x, y):
-        plain = (x > 0) & (y > 0) & (x < 1) & (y < 1)
-        xs = np.where(plain, x, 0.5)
-        ys = np.where(plain, y, 0.5)
-        with np.errstate(all="ignore"):
-            val = xs * ys / (lam + (1.0 - lam) * (xs + ys - xs * ys))
-        val = np.clip(val, 0.0, 1.0)
-        out = np.where(plain, val, 0.0)
-        out = np.where((x == 0.0) | (y == 0.0), 0.0, out)
-        out = np.where(x == 1.0, y, out)
-        out = np.where(y == 1.0, np.where(x == 1.0, 1.0, x), out)
-        return out
-
-    return ev
-
-
-def _make_hamacher_conorm(lam: float):
-    def ev(x, y):
-        plain = (x > 0) & (y > 0) & (x < 1) & (y < 1)
-        xs = np.where(plain, x, 0.5)
-        ys = np.where(plain, y, 0.5)
-        with np.errstate(all="ignore"):
-            val = (xs + ys - xs * ys - (1.0 - lam) * xs * ys) / (
-                1.0 - (1.0 - lam) * xs * ys
-            )
-        val = np.clip(val, 0.0, 1.0)
-        out = np.where(plain, val, 0.0)
-        out = np.where((x == 1.0) | (y == 1.0), 1.0, out)
-        out = np.where(x == 0.0, y, out)
-        out = np.where(y == 0.0, np.where(x == 0.0, 0.0, x), out)
-        return out
-
-    return ev
-
-
-# ---------------------------------------------------------------------------
 # construction
-
-
-def _snap_lambda(family: str, lam: float) -> float:
-    lam = float(lam)
-    if family == "schweizer_sklar" and abs(lam) <= LAMBDA_SNAP:
-        return 0.0
-    if family == "hamacher" and abs(lam) <= LAMBDA_SNAP:
-        return 0.0
-    return lam
 
 
 def make_family(family: str, kind: Kind, parameter: Optional[float] = None) -> BinaryOp:
@@ -273,54 +117,9 @@ def make_family(family: str, kind: Kind, parameter: Optional[float] = None) -> B
     fam = canonical_family(family)
     if fam == "custom":
         raise ValueError("use make_custom() for user-supplied operators")
-    if fam in _PARAMETRIC:
-        if parameter is None:
-            raise ValueError(f"family {fam!r} requires a lambda parameter")
-        lam = _snap_lambda(fam, parameter)
-        if math.isnan(lam):
-            raise ValueError(f"{fam} lambda must not be NaN")
-        if fam == "hamacher" and not (lam >= 0.0):
-            raise ValueError("hamacher lambda must lie in [0, +inf]")
-    else:
-        if parameter is not None:
-            raise ValueError(f"family {fam!r} takes no parameter")
-        lam = None
-
-    if fam == "schweizer_sklar":
-        if lam == -math.inf:
-            ev = _t_minimum if kind is Kind.NORM else _s_maximum
-        elif lam == 0.0:
-            ev = _t_product if kind is Kind.NORM else _s_probabilistic
-        elif lam == math.inf:
-            ev = _t_drastic if kind is Kind.NORM else _s_drastic
-        else:
-            ev = _make_ss_norm(lam) if kind is Kind.NORM else _make_ss_conorm(lam)
-        return BinaryOp(kind, fam, lam, ev)
-
-    if fam == "hamacher":
-        if lam == math.inf:
-            ev = _t_drastic if kind is Kind.NORM else _s_drastic
-        else:
-            ev = (
-                _make_hamacher_norm(lam)
-                if kind is Kind.NORM
-                else _make_hamacher_conorm(lam)
-            )
-        return BinaryOp(kind, fam, lam, ev)
-
-    table = {
-        ("minimum", Kind.NORM): _t_minimum,
-        ("minimum", Kind.CONORM): _s_maximum,
-        ("product", Kind.NORM): _t_product,
-        ("product", Kind.CONORM): _s_probabilistic,
-        ("lukasiewicz", Kind.NORM): _t_lukasiewicz,
-        ("lukasiewicz", Kind.CONORM): _s_lukasiewicz,
-        ("drastic", Kind.NORM): _t_drastic,
-        ("drastic", Kind.CONORM): _s_drastic,
-        ("ordinal_sum_lukasiewicz_half", Kind.NORM): _t_ordinal_sum,
-        ("ordinal_sum_lukasiewicz_half", Kind.CONORM): _s_ordinal_sum,
-    }
-    return BinaryOp(kind, fam, None, table[(fam, kind)])
+    lam, record = resolve(fam, parameter)
+    formula = record.norm if kind is Kind.NORM else record.conorm
+    return BinaryOp(kind, fam, lam, functools.partial(formula, lam=lam), record)
 
 
 def make_norm(family: str, parameter: Optional[float] = None) -> BinaryOp:
@@ -337,9 +136,18 @@ def make_custom(fn: Callable, kind: Kind) -> BinaryOp:
 
     def ev(x, y):
         try:
-            return np.asarray(fn(x, y), dtype=float)
+            out = np.asarray(fn(x, y), dtype=float)
         except (TypeError, ValueError):
-            return np.vectorize(fn, otypes=[float])(x, y)
+            out = np.vectorize(fn, otypes=[float])(x, y)
+        # a NaN fails every comparison, so it would pass every check silently
+        if not np.isfinite(out).all():
+            xs, ys, vs = (a.ravel() for a in np.broadcast_arrays(x, y, out))
+            k = int(np.argmax(~np.isfinite(vs)))
+            raise ValueError(
+                f"custom {kind.value} returned {float(vs[k])!r} at "
+                f"({float(xs[k])!r}, {float(ys[k])!r})"
+            )
+        return out
 
     return BinaryOp(kind, "custom", None, ev)
 
@@ -396,9 +204,7 @@ def degree_grid(step: float = 1e-3, extra: Iterable[float] = ()) -> np.ndarray:
 
 
 def family_breakpoints(op: BinaryOp) -> tuple:
-    if op.family == "ordinal_sum_lukasiewicz_half":
-        return (0.5,)
-    return ()
+    return () if op.record is None else op.record.breakpoints
 
 
 def _as_grid(grid, op: BinaryOp, default_step: float) -> np.ndarray:
@@ -407,40 +213,6 @@ def _as_grid(grid, op: BinaryOp, default_step: float) -> np.ndarray:
     if np.isscalar(grid):
         return degree_grid(float(grid), family_breakpoints(op))
     return np.asarray(grid, dtype=float)
-
-
-# ---------------------------------------------------------------------------
-# regime helpers (used by the analytic verdicts below and by `divisors`)
-
-
-def ss_regime(lam: float) -> str:
-    if lam == -math.inf:
-        return "neg_inf"
-    if lam == math.inf:
-        return "pos_inf"
-    if lam < 0:
-        return "neg"
-    if lam == 0:
-        return "zero"
-    return "pos"
-
-
-def resolved_family(op: BinaryOp) -> str:
-    """The family whose formulas govern this operator, after collapsing
-    degenerate parameter values (Schweizer-Sklar at -inf/0/+inf, Hamacher
-    at +inf) onto the family they reproduce."""
-
-    if op.family == "schweizer_sklar":
-        return {
-            "neg_inf": "minimum",
-            "zero": "product",
-            "pos_inf": "drastic",
-            "neg": "schweizer_sklar",
-            "pos": "schweizer_sklar",
-        }[ss_regime(op.parameter)]
-    if op.family == "hamacher":
-        return "drastic" if op.parameter == math.inf else "hamacher"
-    return op.family
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +319,7 @@ def check_first_coordinate_continuity(op: BinaryOp, resolution: float = 1e-3) ->
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     if op.is_builtin:
-        fam = resolved_family(op)
-        if fam != "drastic":
+        if op.record.continuous:
             return holds(f"{op.display_name} is continuous on [0,1]^2")
         w = 0.5
         if op.kind is Kind.CONORM:
@@ -581,16 +352,6 @@ def check_first_coordinate_continuity(op: BinaryOp, resolution: float = 1e-3) ->
 # strict increasingness in the first coordinate
 
 
-def _ss_conorm_saturation(lam: float, w: float) -> float:
-    # smallest t with S_ss(t, w) = 1, for finite lam > 0
-    return 1.0 - (1.0 - (1.0 - w) ** lam) ** (1.0 / lam)
-
-
-def _ss_norm_vanishing(lam: float, w: float) -> float:
-    # largest t with T_ss(t, w) = 0, for finite lam > 0
-    return (1.0 - w ** lam) ** (1.0 / lam)
-
-
 def check_strictly_increasing_first(op: BinaryOp, resolution: float = 1e-3) -> TriState:
     """Strict increase of t -> op(t,w): on [0,1) with w < 1 for conorms, on
     (0,1] with w > 0 for norms (the only strictness a t-operator can have)."""
@@ -598,29 +359,10 @@ def check_strictly_increasing_first(op: BinaryOp, resolution: float = 1e-3) -> T
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     if op.is_builtin:
-        fam = resolved_family(op)
-        lam = op.parameter
-        if fam == "product" or (
-            fam == "schweizer_sklar" and ss_regime(lam) == "neg"
-        ) or (fam == "hamacher" and lam != math.inf):
+        witness = op.record.strict_conorm if op.kind is Kind.CONORM else op.record.strict_norm
+        if witness is None:
             return holds(f"{op.display_name} is strictly increasing off its absorbing row")
-        if fam == "minimum":
-            witness = (0.2, 0.3, 0.5) if op.kind is Kind.CONORM else (0.6, 0.7, 0.5)
-        elif fam == "lukasiewicz":
-            witness = (0.8, 0.9, 0.5) if op.kind is Kind.CONORM else (0.1, 0.2, 0.5)
-        elif fam == "drastic":
-            witness = (0.3, 0.4, 0.5)
-        elif fam == "ordinal_sum_lukasiewicz_half":
-            witness = (0.3, 0.4, 0.3) if op.kind is Kind.CONORM else (0.6, 0.65, 0.7)
-        else:  # schweizer_sklar, finite lam > 0
-            w = 0.5
-            if op.kind is Kind.CONORM:
-                t0 = _ss_conorm_saturation(lam, w)
-                witness = (t0 + (1 - t0) / 3, t0 + 2 * (1 - t0) / 3, w)
-            else:
-                u0 = _ss_norm_vanishing(lam, w)
-                witness = (u0 / 3, 2 * u0 / 3, w)
-        t, s, w = witness
+        t, s, w = witness(op.parameter)
         return fails(
             (t, s, w),
             f"op({t:g},{w:g}) = op({s:g},{w:g}) = {op(t, w):g}",
@@ -656,41 +398,33 @@ def check_collapse_implies_absorption(op: BinaryOp, resolution: float = 0.01) ->
     if op.kind is not Kind.CONORM:
         raise ValueError("collapse/absorption is a conorm property")
     if op.is_builtin:
-        fam = resolved_family(op)
-        lam = op.parameter
-        if fam in ("minimum", "product") or (
-            fam == "schweizer_sklar" and ss_regime(lam) == "neg"
-        ) or (fam == "hamacher" and lam != math.inf):
+        if op.record.collapse is None:
             return holds(f"collapses of {op.display_name} only happen at the absorbed value")
-        if fam == "lukasiewicz":
-            witness = (0.5, 0.6, 0.7)
-        elif fam == "drastic":
-            witness = (0.5, 0.3, 0.4)
-        elif fam == "ordinal_sum_lukasiewicz_half":
-            witness = (0.3, 0.4, 0.45)
-        else:  # schweizer_sklar, finite lam > 0
-            w = 0.5
-            t0 = _ss_conorm_saturation(lam, w)
-            witness = (w, t0 + (1 - t0) / 3, t0 + 2 * (1 - t0) / 3)
-        w, t, s = witness
-        return fails(
-            (w, t, s),
-            f"S({t:g},{w:g}) = S({s:g},{w:g}) = {op(t, w):g} > {w:g}",
-        )
+        witness = op.record.collapse(op.parameter)
+    else:
+        witness = find_collapse_witness(op, max(resolution, 0.005))
+        if witness is None:
+            return unknown("no collapse above the absorbed value at the sampled resolution")
+    w, t, s = witness
+    return fails(
+        (w, t, s),
+        f"S({t:g},{w:g}) = S({s:g},{w:g}) = {op(t, w):g} > {w:g}",
+    )
 
-    g = degree_grid(max(resolution, 0.005))
-    T, S_, W = np.meshgrid(g, g, g, indexing="ij")
-    mask = T < S_
-    vt = np.asarray(op.evaluator(T, W), dtype=float)
-    vs = np.asarray(op.evaluator(S_, W), dtype=float)
-    bad = mask & (np.abs(vt - vs) <= EPSILON) & (vt > W + EPSILON)
-    if bad.any():
-        i, j, k = np.argwhere(bad)[0]
-        return fails(
-            (float(g[k]), float(g[i]), float(g[j])),
-            f"S({g[i]:g},{g[k]:g}) = S({g[j]:g},{g[k]:g}) = {vt[i, j, k]:g} > {g[k]:g}",
-        )
-    return unknown("no collapse above the absorbed value at the sampled resolution")
+
+def find_collapse_witness(S: BinaryOp, step: float = 0.01) -> Optional[Tuple[float, float, float]]:
+    """Grid sweep for (w, t, s) with S(t,w) = S(s,w) > w and t != s; None if
+    the precondition is unsatisfiable on the grid."""
+
+    g = degree_grid(step, ())
+    T_, S_, W = np.meshgrid(g, g, g, indexing="ij")
+    vt = np.asarray(S.evaluator(T_, W), dtype=float)
+    vs = np.asarray(S.evaluator(S_, W), dtype=float)
+    bad = (T_ < S_) & (np.abs(vt - vs) <= EPSILON) & (vt > W + EPSILON)
+    if not bad.any():
+        return None
+    i, j, k = np.argwhere(bad)[0]
+    return (float(g[k]), float(g[i]), float(g[j]))
 
 
 # ---------------------------------------------------------------------------
@@ -707,19 +441,9 @@ def check_strict_near_zero(op: BinaryOp, resolution: float = 1e-3) -> TriState:
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     if op.is_builtin:
-        fam = resolved_family(op)
-        lam = op.parameter
-        if fam in ("lukasiewicz", "product") or (
-            fam == "schweizer_sklar" and ss_regime(lam) in ("neg", "pos")
-        ) or (fam == "hamacher" and lam != math.inf):
+        if op.record.flat_near_zero is None:
             return holds(f"{op.display_name} rises strictly from t=0 for every w < 1")
-        if fam == "minimum":
-            witness = (0.5, 0.0, 0.25)
-        elif fam == "drastic":
-            witness = (0.5, 0.1, 0.2)
-        else:  # ordinal sum: sections at w >= 1/2 are flat near zero
-            witness = (0.5, 0.0, 0.2)
-        w, t, s = witness
+        w, t, s = op.record.flat_near_zero(op.parameter)
         return fails(
             (w, t, s),
             f"S({t:g},{w:g}) = {op(t, w):g} and S({s:g},{w:g}) = {op(s, w):g}: flat near 0",

@@ -29,9 +29,7 @@ from .operators import (
     Kind,
     check_collapse_implies_absorption,
     check_first_coordinate_continuity,
-    degree_grid,
     make_conorm,
-    ss_regime,
 )
 from .decompose import (
     Decomposition,
@@ -226,21 +224,6 @@ def tie_strict_max_decomposition(R: FuzzyRelation) -> Decomposition:
 # multiplicity witnesses
 
 
-def find_collapse_witness(S: BinaryOp, step: float = 0.01) -> Optional[Tuple[float, float, float]]:
-    """Grid sweep for (w, t, s) with S(t,w) = S(s,w) > w and t != s; None if
-    the precondition is unsatisfiable on the grid."""
-
-    g = degree_grid(step, ())
-    T_, S_, W = np.meshgrid(g, g, g, indexing="ij")
-    vt = np.asarray(S.evaluator(T_, W), dtype=float)
-    vs = np.asarray(S.evaluator(S_, W), dtype=float)
-    bad = (T_ < S_) & (np.abs(vt - vs) <= EPSILON) & (vt > W + EPSILON)
-    if not bad.any():
-        return None
-    i, j, k = np.argwhere(bad)[0]
-    return (float(g[k]), float(g[i]), float(g[j]))
-
-
 def mj_counterexample(
     S: BinaryOp, w: float, t: float, s: float
 ) -> Tuple[FuzzyRelation, Decomposition, Decomposition]:
@@ -306,25 +289,20 @@ def _undetermined_cell(S: BinaryOp, T: Optional[BinaryOp]) -> bool:
     classification leaves open.  These are reported UNDETERMINED and never
     resolved, even though the sampling oracles often suggest an answer."""
 
+    # local import avoids a cycle
+    from .tables import ALL, REFERENCE_TABLE2, REGIMES, WEAK_ROW, Table2Verdict
+
     if not S.is_builtin or (T is not None and not T.is_builtin):
         return False
-    s_ss_pos = S.family == "schweizer_sklar" and ss_regime(S.parameter) == "pos"
-    if T is None:
-        return s_ss_pos
-    t_fam, s_fam = T.family, S.family
-    if t_fam == "drastic" and s_ss_pos:
-        return True
-    if t_fam == "lukasiewicz" and S.family == "schweizer_sklar" and ss_regime(S.parameter) == "pos" and S.parameter >= 1.0:
-        return True
-    if (
-        t_fam == "schweizer_sklar"
-        and s_fam == "schweizer_sklar"
-        and T.parameter == S.parameter
-        and ss_regime(S.parameter) == "pos"
-        and S.parameter >= 1.0
-    ):
-        return True
-    return False
+    lams = {op.parameter for op in (S, T) if op is not None and op.parameter is not None}
+    if len(lams) > 1:  # the reference cells share one lambda between norm and conorm
+        return False
+    lam = lams.pop() if lams else None
+    entries = REFERENCE_TABLE2.get((WEAK_ROW if T is None else T.family, S.family), ())
+    return any(
+        verdict is Table2Verdict.UNDETERMINED and REGIMES.get(label, ALL).contains(lam)
+        for label, verdict in entries
+    )
 
 
 def sample_relations(

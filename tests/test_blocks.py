@@ -19,6 +19,7 @@ from fuzzdec import (
     Decomposition,
     DecompositionError,
     FuzzyRelation,
+    Kind,
     Mode,
     PreferenceTriplet,
     audit_fp,
@@ -28,6 +29,7 @@ from fuzzdec import (
     is_symmetric,
     is_t_transitive,
     make_conorm,
+    make_custom,
     make_norm,
     restricted_decomposability,
     strong_region,
@@ -199,22 +201,30 @@ def test_decomposition_matches_whole_array_across_tiny_blocks(block):
             assert same_bits(d.strict.degrees, p) and same_bits(d.indifference.degrees, i)
 
 
+def jump_conorm():
+    """The maximum raised by 0.02 off the axes: a jump the sampled continuity
+    scan (tolerance 0.05) lets through, so no strict degree reconstructs
+    R = 0.51 over I = 0.5."""
+    return make_custom(
+        lambda x, y: np.where(np.minimum(x, y) > 0.0, np.minimum(np.maximum(x, y) + 0.02, 1.0), np.maximum(x, y)),
+        Kind.CONORM,
+    )
+
+
 @pytest.mark.parametrize("n, cells", [(12, [(9, 2), (3, 7)]), (SIDE + 1, [(SIDE, 0), (200, 4)]),
                                       (300, [(299, 1), (2, 250), (2, 251)])])
 def test_unattained_residual_names_the_first_pair_in_row_major_order(n, cells, block):
-    # (0.85, 1) has no reconstructing strict degree under Schweizer-Sklar at lambda = 2
-    S = make_conorm("schweizer_sklar", 2.0)
+    S = jump_conorm()
     m = np.random.default_rng(0).integers(0, 5, size=(n, n)) / 10
     np.fill_diagonal(m, 1.0)
     for a, b in cells:
-        m[a, b], m[b, a] = 1.0, 0.85
+        m[a, b], m[b, a] = 0.51, 0.5
     R = FuzzyRelation(labels(n), m)
     a, b = ref_decompose(m, S)[2]
     assert (a, b) == min(cells)
     with pytest.raises(DecompositionError) as exc:
         canonical_decompose(R, S)
-    assert str(exc.value).startswith(f"residual infimum not attained at pair (x{a},x{b}): S(P,I) = 0.99")
-    assert str(exc.value).endswith("but R = 1.0")
+    assert str(exc.value) == f"residual infimum not attained at pair (x{a},x{b}): S(P,I) = 0.52 but R = 0.51"
 
 
 def tampered(R, S, n, rng):

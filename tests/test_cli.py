@@ -1,6 +1,13 @@
+import contextlib
+import io
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fuzzdec import cli, make_custom
 from fuzzdec.cli import main
 from fuzzdec.relations import format_relation, parse_relation
 
@@ -205,14 +212,15 @@ def test_bad_seed_environment_is_named(capsys, monkeypatch):
 
 
 def test_messages_print_plain_floats(tmp_path, capsys):
-    # a Schweizer-Sklar conorm (lambda = 2) cannot reconstruct the pair (0.85, 1)
-    rel = tmp_path / "ss.rel"
-    rel.write_text("fuzzrel v1\nuniverse a b\n1 1\n0.85 1\n")
-    code, _, err = run(capsys, "decompose", "--relation", str(rel),
-                       "--conorm", "schweizer_sklar:lambda=2")
+    # a tabulated conorm sitting 0.02 above 1/2 at (0, 1/2) and (1/2, 1/2):
+    # no strict degree reconstructs R = 0.51 over I = 0.5
+    jump = tmp_path / "jump.op"
+    jump.write_text("fuzzop v1\ngrid 2\n0 0.52 1\n0.52 0.52 1\n1 1 1\n")
+    rel = tmp_path / "jump.rel"
+    rel.write_text("fuzzrel v1\nuniverse a b\n1 0.51\n0.5 1\n")
+    code, _, err = run(capsys, "decompose", "--relation", str(rel), "--conorm", f"custom:table={jump}")
     assert code == 2
-    assert err.startswith("error: residual infimum not attained at pair (a,b): S(P,I) = 0.99")
-    assert err.endswith(" but R = 1.0\n")
+    assert err == "error: residual infimum not attained at pair (a,b): S(P,I) = 0.52 but R = 0.51\n"
     messages = [err]
     # the product posing as a conorm breaks S(x,0) = x
     table = tmp_path / "product.op"
@@ -226,3 +234,57 @@ def test_messages_print_plain_floats(tmp_path, capsys):
     assert code == 1
     messages.append(out)
     assert not any("np.float64(" in m for m in messages)
+
+
+@pytest.mark.parametrize(
+    "cell, problem",
+    [("x", "not a number: 'x'"), ("nan", "not a finite number: 'nan'"), ("-inf", "not a finite number: '-inf'")],
+)
+def test_table_cell_errors_name_file_row_and_column(tmp_path, capsys, cell, problem):
+    table = tmp_path / "bad.op"
+    table.write_text(f"fuzzop v1\ngrid 1\n0 {cell}\n1 1\n")
+    code, out, err = run(capsys, "check-norm", "--op", f"custom:table={table}", "--kind", "norm")
+    assert (code, out) == (2, "")
+    assert err == f"error: {table}: row 1, column 2: {problem}\n"
+
+
+def test_check_norm_rejects_nan_output(monkeypatch, capsys):
+    def nan_band(x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        return np.where((0.3 < x) & (x < 0.4), np.nan, np.minimum(x, y))
+
+    monkeypatch.setattr(cli, "_load_op", lambda spec, kind, table: make_custom(nan_band, kind))
+    code, out, err = run(capsys, "check-norm", "--op", "custom", "--kind", "norm")
+    assert (code, out) == (2, "")
+    assert err == "error: custom norm returned nan at (0.31, 1.0)\n"
+
+
+TABLE_TOKENS = st.sampled_from(
+    ["0", "1", "0.5", "0.25", "-1", "2", "1e308", "-1e308", "5e-324", "nan", "inf", "x", "#", "grid", "fuzzop v1"]
+)
+
+
+@given(
+    st.one_of(
+        st.builds(
+            lambda header, grid, rows: "\n".join(
+                [header, f"grid {grid}"] + [" ".join(row) for row in rows]
+            ),
+            st.sampled_from(["fuzzop v1", "fuzzop v2", ""]),
+            st.sampled_from(["0", "1", "2", "3", "-1", "x", "", "1 2", "99999999999"]),
+            st.lists(st.lists(TABLE_TOKENS, max_size=4), max_size=5),
+        ),
+        st.text(max_size=60),
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_fuzzed_table_files_never_raise(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.op")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check-norm", "--op", f"custom:table={path}", "--kind", "conorm"])
+    assert code in (0, 1, 2)
+    assert (code == 2) == err.getvalue().startswith("error: ")

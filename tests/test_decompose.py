@@ -15,6 +15,7 @@ from fuzzdec import (
     make_norm,
     relation_from_dict,
     residual,
+    residual_array,
     strong_decompose,
     verify_strong,
     verify_weak,
@@ -69,6 +70,18 @@ def test_residual_is_attained_for_continuous_conorms():
 def test_residual_unattained_for_drastic():
     res = residual(make_conorm("drastic"), 0.3, 0.7)
     assert res.value == 0.0 and not res.attained
+
+
+@pytest.mark.parametrize("lam", [1.5, 2.0, 3.0, 5.0, 10.0])
+def test_schweizer_sklar_residual_reaches_one_exactly(lam):
+    # for lambda > 1 the closed form alone misses S(P, i) = 1 on some (i, 1),
+    # e.g. S(P, 0.85) = 0.99999998509 at lambda = 2
+    S = make_conorm("schweizer_sklar", lam)
+    i = np.unique(np.concatenate([np.arange(20) / 20, np.arange(1000) / 1000]))
+    p = residual_array(S, i, np.ones_like(i))
+    assert np.all(S(p, i) == 1.0)
+    d = canonical_decompose(FuzzyRelation(("a", "b"), np.array([[1.0, 1.0], [0.85, 1.0]])), S)
+    assert S(d.strict.value("a", "b"), 0.85) == 1.0
 
 
 def test_residual_minimality_against_bisection_oracle():

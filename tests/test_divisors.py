@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from fuzzdec import (
     Verdict,
     bisection_one_interval,
     bisection_zero_interval,
+    check_first_coordinate_continuity,
     degree_grid,
     make_conorm,
     make_custom,
@@ -17,6 +20,7 @@ from fuzzdec import (
     strong_uniqueness,
     zero_interval,
 )
+from fuzzdec.divisors import _analytic_nonempty_all_w, _pair_is_analytic, _sweep_intersections
 
 CONORMS = [
     ("minimum", None),
@@ -190,3 +194,41 @@ def test_mixed_lambda_pairs_are_swept_not_certified():
         make_norm("schweizer_sklar", 2.0), make_conorm("schweizer_sklar", 3.0)
     )
     assert v.verdict is Verdict.UNKNOWN_SAMPLED
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.1, 0.2, 0.22])
+def test_drastic_schweizer_sklar_existence_holds_at_small_lambda(lam):
+    # the closed-form one-interval rounds to {1} at w = 0.5 for lambda = 0.05,
+    # yet the intersections are proper intervals for every interior w
+    T, S = make_norm("drastic"), make_conorm("schweizer_sklar", lam)
+    assert strong_existence(T, S).verdict is Verdict.HOLDS
+    v = strong_uniqueness(T, S)
+    assert v.verdict is Verdict.FAILS
+    w, t1, t2 = v.witness
+    assert t1 != t2
+    for t in (t1, t2):
+        assert S(t, w) == 1.0 and T(t, w) == 0.0
+
+
+LAMBDAS = (-math.inf, -2.0, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, math.inf)
+
+
+def builtin_ops(kind):
+    ops = [make_family(f, kind) for f in ("minimum", "product", "lukasiewicz", "drastic", "ordinal_sum")]
+    ops += [make_family("schweizer_sklar", kind, lam) for lam in LAMBDAS]
+    return ops + [make_family("hamacher", kind, lam) for lam in LAMBDAS if lam >= 0.0]
+
+
+def test_grid_sweep_agrees_with_the_analytic_verdicts():
+    grid = degree_grid(0.01)
+    classified = 0
+    for T in builtin_ops(Kind.NORM):
+        for S in builtin_ops(Kind.CONORM):
+            if not _pair_is_analytic(T, S):
+                continue
+            classified += 1
+            empty, multi = _sweep_intersections(T, S, grid)
+            assert (empty is None) is _analytic_nonempty_all_w(T, S), (T, S)
+            if empty is None and check_first_coordinate_continuity(S).verdict is Verdict.HOLDS:
+                assert (multi is None) is (strong_uniqueness(T, S).verdict is Verdict.HOLDS), (T, S)
+    assert classified == 27 * 27 - 7 * 6  # all but the Schweizer-Sklar pairs of two lambdas in (0, +inf)

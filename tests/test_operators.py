@@ -307,3 +307,45 @@ def test_nan_lambda_is_rejected(family, kind):
     assert make_family(family, kind, math.inf).parameter == math.inf
     if family == "schweizer_sklar":
         assert make_family(family, kind, -math.inf).parameter == -math.inf
+
+
+def nan_band(kind):
+    """The minimum (norm) or the probabilistic sum (conorm), except NaN
+    wherever an argument lies in (0.3, 0.4)."""
+    base = np.minimum if kind is Kind.NORM else (lambda x, y: x + y - x * y)
+
+    def fn(x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        band = ((0.3 < x) & (x < 0.4)) | ((0.3 < y) & (y < 0.4))
+        return np.where(band, np.nan, base(x, y))
+
+    return make_custom(fn, kind)
+
+
+@pytest.mark.parametrize(
+    "check, kind",
+    [
+        (check_norm_axioms, Kind.NORM),
+        (check_norm_axioms, Kind.CONORM),
+        (check_first_coordinate_continuity, Kind.NORM),
+        (check_first_coordinate_continuity, Kind.CONORM),
+        (check_strictly_increasing_first, Kind.NORM),
+        (check_strictly_increasing_first, Kind.CONORM),
+        (check_collapse_implies_absorption, Kind.CONORM),
+        (check_strict_near_zero, Kind.CONORM),
+    ],
+)
+def test_custom_nan_output_is_rejected(check, kind):
+    # every comparison with NaN is False, so before the check these sweeps
+    # passed as UNKNOWN_SAMPLED
+    with pytest.raises(ValueError, match=rf"^custom {kind.value} returned nan at \("):
+        check(nan_band(kind))
+
+
+def test_custom_nan_message_names_the_first_offending_pair():
+    with pytest.raises(ValueError) as exc:
+        check_norm_axioms(nan_band(Kind.NORM))
+    assert str(exc.value) == "custom norm returned nan at (0.31, 1.0)"
+    inf_op = make_custom(lambda x, y: np.where(np.asarray(y) == 0.5, np.inf, np.minimum(x, y)), Kind.NORM)
+    with pytest.raises(ValueError, match=r"^custom norm returned inf at \(0\.0, 0\.5\)$"):
+        check_first_coordinate_continuity(inf_op)

@@ -267,3 +267,31 @@ def test_public_construction_copies_and_parsed_matrices_are_frozen():
     parsed = parse_relation(format_relation(R))
     assert not parsed.degrees.flags.writeable
     assert parsed.degrees.tobytes() == R.degrees.tobytes()
+
+
+RELATION_TOKENS = st.sampled_from(
+    ["0", "1", "0.5", "1e-320", "-0.0", "2", "-1", "nan", "inf", "x", "#", "universe", "fuzzrel v1", "a", "a#b"]
+)
+
+
+@given(
+    st.one_of(
+        st.builds(
+            lambda header, labels, rows: "\n".join(
+                [header, "universe " + " ".join(labels)] + [" ".join(row) for row in rows]
+            ),
+            st.sampled_from(["fuzzrel v1", "fuzzrel v2", "", "# c"]),
+            st.lists(st.sampled_from(["a", "b", "c", "a", "#", "1"]), max_size=4),
+            st.lists(st.lists(RELATION_TOKENS, max_size=4), max_size=5),
+        ),
+        st.text(max_size=80),
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_relation_text_parses_or_raises_a_parse_error(text):
+    try:
+        R = parse_relation(text)
+    except ValueError:  # RelationParseError, or FuzzyRelation's own check
+        return
+    assert R.degrees.shape == (R.size, R.size)
+    assert np.all((R.degrees >= 0.0) & (R.degrees <= 1.0))

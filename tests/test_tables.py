@@ -13,6 +13,7 @@ from fuzzdec import (
 from fuzzdec.divisors import strong_existence
 from fuzzdec.operators import check_collapse_implies_absorption
 from fuzzdec.tables import (
+    DEFAULT_LAMBDA_SAMPLES,
     REFERENCE_TABLE1,
     REFERENCE_TABLE2,
     RegimeConsistencyError,
@@ -113,6 +114,13 @@ def test_unique_cells_with_absorbing_collapse_are_induced():
 def test_uncovered_regime_raises():
     with pytest.raises(ValueError):
         generate_table1(lambda_samples=(-1.0, 2.0))  # nothing hits lambda=1
+
+
+def test_table1_holds_with_a_small_positive_lambda():
+    # drastic x Schweizer-Sklar at lambda = 0.1: the float one-interval at
+    # w = 0.001 rounds to {1}, but the analytic verdict (existence) decides
+    cells = generate_table1(DEFAULT_LAMBDA_SAMPLES + (0.1,))
+    assert diff_against_reference(cells, 1) == []
 
 
 def test_regime_summaries_are_uniform(table1):
