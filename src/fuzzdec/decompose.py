@@ -75,7 +75,7 @@ def residual_array(S: BinaryOp, i, r) -> np.ndarray:
     if not S.is_builtin:
         return np.asarray(bisection_residual(S, i, r))
     with np.errstate(all="ignore"):
-        return np.where(r > i, S.record.residual(S, i, r), 0.0)
+        return np.where(r > i, S.record.residual(i, r, S.evaluator), 0.0)
 
 
 def bisection_residual(S: BinaryOp, i, r):
@@ -157,7 +157,9 @@ def canonical_decompose(R: FuzzyRelation, S: BinaryOp) -> Decomposition:
 
 def strong_decompose(R: FuzzyRelation, T: BinaryOp, S: BinaryOp) -> Decomposition:
     """Canonical decomposition re-verified against the norm condition
-    T(P, I) = 0.  Requires the (T,S) existence certificate."""
+    T(P, I) = 0.  Requires the (T,S) existence certificate; even with it the
+    check can fail where the divisor intervals meet only between two floats
+    (drastic x Schweizer-Sklar at lambda near 0 has P = 1 where I > 0)."""
 
     exist = strong_existence(T, S)
     if exist.verdict is Verdict.FAILS:
@@ -168,9 +170,7 @@ def strong_decompose(R: FuzzyRelation, T: BinaryOp, S: BinaryOp) -> Decompositio
     d = Decomposition(weak.strict, weak.indifference, S, T, Mode.STRONG)
     check = verify_strong(R, d, T)
     if check.verdict is Verdict.FAILS:
-        raise DecompositionError(
-            f"internal consistency: canonical pair fails the norm condition: {check.detail}"
-        )
+        raise DecompositionError(f"canonical pair fails the norm condition: {check.detail}")
     return d
 
 

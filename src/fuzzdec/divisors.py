@@ -40,7 +40,7 @@ def one_interval(S: BinaryOp, w: float) -> DegreeInterval:
         raise ValueError("w must lie in [0,1]")
     if not S.is_builtin:
         return bisection_one_interval(S, w)
-    return S.record.one_interval(w, S.parameter)
+    return S.record.one_interval(w)
 
 
 def zero_interval(T: BinaryOp, w: float) -> DegreeInterval:
@@ -52,7 +52,7 @@ def zero_interval(T: BinaryOp, w: float) -> DegreeInterval:
         raise ValueError("w must lie in [0,1]")
     if not T.is_builtin:
         return bisection_zero_interval(T, w)
-    return T.record.zero_interval(w, T.parameter)
+    return T.record.zero_interval(w)
 
 
 # ---------------------------------------------------------------------------
@@ -99,10 +99,6 @@ def bisection_zero_interval(T: BinaryOp, w: float) -> DegreeInterval:
 # existence / uniqueness of strong decompositions
 
 
-def _exponent(op: BinaryOp) -> float:
-    return op.parameter if op.record.exponent is None else op.record.exponent
-
-
 def _pair_is_analytic(T: BinaryOp, S: BinaryOp) -> bool:
     """Whether the all-w verdicts for this (T,S) pair are analytically known.
 
@@ -112,7 +108,7 @@ def _pair_is_analytic(T: BinaryOp, S: BinaryOp) -> bool:
 
     if not (T.is_builtin and S.is_builtin):
         return False
-    both_lambda = T.record.exponent is None and S.record.exponent is None
+    both_lambda = T.record.exponent_is_lambda and S.record.exponent_is_lambda
     return not (both_lambda and T.parameter != S.parameter)
 
 
@@ -127,7 +123,7 @@ def _analytic_nonempty_all_w(T: BinaryOp, S: BinaryOp) -> bool:
     iff w^p + (1-w)^p <= 1 on (0,1), i.e. p >= 1.
     """
 
-    p, q = _exponent(T), _exponent(S)
+    p, q = T.record.exponent, S.record.exponent
     if p == 0.0 or q == 0.0:
         return False
     return math.inf in (p, q) or min(p, q) >= 1.0
@@ -216,7 +212,7 @@ def strong_uniqueness(T: BinaryOp, S: BinaryOp, w_grid=None) -> TriState:
     if _pair_is_analytic(T, S):
         # proper intervals meet in a single point for every w only when both
         # have exponent 1: the intersection is then {1-w}
-        if _exponent(T) == _exponent(S) == 1.0:
+        if T.record.exponent == S.record.exponent == 1.0:
             return holds("intersection is the singleton {1-w} for every w")
         multi = _multi_witness(T, S)
         if multi is None:

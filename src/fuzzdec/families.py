@@ -4,13 +4,14 @@ Every closed-form fact the package knows about a family lives in its
 `Family` record: the norm and conorm formulas, the residual, the divisor
 intervals, the continuity, strictness, collapse and strict-near-zero
 verdicts with their witnesses, the breakpoints and the display names.
-Schweizer-Sklar has two records, one per regime (lambda < 0 and
-0 < lambda < +inf), because its formulas change shape at 0.
+Schweizer-Sklar's record takes one of two shapes, for lambda < 0 and for
+0 < lambda < +inf, because its formulas change shape at 0.
 
 `resolve` picks the record of a (family, lambda) pair once, when an
-operator is built.  A degenerate parameter maps onto the family it
-reproduces: Schweizer-Sklar at -inf, 0 and +inf onto minimum, product and
-drastic, Hamacher at +inf onto drastic; the record keeps the parametric
+operator is built; a parametric family's record is built for that lambda,
+so no field takes a parameter.  A degenerate parameter maps onto the family
+it reproduces: Schweizer-Sklar at -inf, 0 and +inf onto minimum, product
+and drastic, Hamacher at +inf onto drastic; the record keeps the parametric
 family's display names.
 """
 
@@ -25,8 +26,8 @@ import numpy as np
 # A parameter this close to 0 is treated as 0.
 LAMBDA_SNAP = 1e-12
 
-# lam -> the witness of a failing property; None on a record: the property holds
-Witness = Optional[Callable[[Optional[float]], Tuple[float, ...]]]
+# the witness of a failing property; None on a record: the property holds
+Witness = Optional[Tuple[float, ...]]
 
 
 @dataclass(frozen=True)
@@ -115,24 +116,25 @@ class DegreeInterval:
 
 @dataclass(frozen=True)
 class Family:
-    """The closed forms of one family.  Evaluators take ``(x, y, lam)``,
-    the residual ``(S, i, r)`` with the conorm itself (it is evaluated
-    through ``S.evaluator``) and the intervals ``(w, lam)``; families
-    without a parameter ignore ``lam``.
+    """The closed forms of one family at one parameter value.
 
     ``exponent`` is the p of the divisor intervals at interior w: the
     zero-interval is [0, (1-w^p)^(1/p)] and the one-interval
     [1-(1-(1-w)^p)^(1/p), 1], where p = 0 stands for the points {0} and
-    {1}, p = +inf for [0,1) and (0,1], and None for p = lambda.
+    {1} and p = +inf for [0,1) and (0,1].
     """
 
     names: Tuple[str, str]  # display names of the norm and the conorm
-    norm: Callable
-    conorm: Callable
-    residual: Callable  # inf{t : S(t, i) >= r}, read where r > i
-    one_interval: Callable  # {t : S(t, w) = 1}
-    zero_interval: Callable  # {t : T(t, w) = 0}
-    exponent: Optional[float]
+    norm: Callable  # (x, y) -> T(x, y)
+    conorm: Callable  # (x, y) -> S(x, y)
+    # (i, r, S) -> inf{t : S(t, i) >= r}, read where r > i; S evaluates the
+    # conorm, for the families whose closed form needs a float correction
+    residual: Callable
+    one_interval: Callable  # w -> {t : S(t, w) = 1}
+    zero_interval: Callable  # w -> {t : T(t, w) = 0}
+    exponent: float
+    # p = lambda: pairs of two such records at different lambdas are not classified
+    exponent_is_lambda: bool = False
     continuous: bool = True
     strict_norm: Witness = None  # (t, s, w): T(t,w) = T(s,w) with w > 0
     strict_conorm: Witness = None  # (t, s, w): S(t,w) = S(s,w) with w < 1
@@ -147,10 +149,10 @@ def _pinned(formula, absorbing: float):
     a conorm (absorbing 1) has S(x,1) = 1 and S(x,0) = x."""
     identity = 1.0 - absorbing
 
-    def ev(x, y, lam):
+    def ev(x, y):
         inside = (x > 0) & (y > 0) & (x < 1) & (y < 1)
         with np.errstate(all="ignore"):
-            val = formula(np.where(inside, x, 0.5), np.where(inside, y, 0.5), lam)
+            val = formula(np.where(inside, x, 0.5), np.where(inside, y, 0.5))
         out = np.where(inside, np.clip(val, 0.0, 1.0), 0.0)
         out = np.where((x == absorbing) | (y == absorbing), absorbing, out)
         out = np.where(x == identity, y, out)
@@ -159,71 +161,59 @@ def _pinned(formula, absorbing: float):
     return ev
 
 
-def _point_one(w, lam):
+def _point_one(w):
     return DegreeInterval.closed(0.0, 1.0) if w == 1.0 else DegreeInterval.singleton(1.0)
 
 
-def _point_zero(w, lam):
+def _point_zero(w):
     return DegreeInterval.closed(0.0, 1.0) if w == 0.0 else DegreeInterval.singleton(0.0)
 
 
-def _ss_saturation(w, lam):
-    # smallest t with S_ss(t, w) = 1, for finite lam > 0
-    return 1.0 - (1.0 - (1.0 - w) ** lam) ** (1.0 / lam)
+_ONE_BITS = np.float64(1.0).view(np.int64)
 
 
-def _ss_vanishing(w, lam):
-    # largest t with T_ss(t, w) = 0, for finite lam > 0
-    return (1.0 - w ** lam) ** (1.0 / lam)
-
-
-def _ss_closed_residual(i, r, lam):
-    A = (1.0 - r) ** lam + 1.0 - (1.0 - i) ** lam
-    return A, 1.0 - A ** (1.0 / lam)
-
-
-def _ss_pos_residual(S, i, r):
-    A, val = _ss_closed_residual(i, r, S.parameter)
-    p = np.array(np.clip(np.where(A <= 0.0, 1.0, val), 0.0, 1.0))
-    # At r = 1 the conorm's power 1/lam amplifies the rounding of (1-p)^lam,
-    # so for lam > 1 the closed form can miss S(p, i) = 1 (by up to 1e-8 at
-    # lam = 2); there 1 - p steps down one ulp at a time until S(p, i) = 1.
-    edge = (r == 1.0) & (i < 1.0)
-    if edge.any():
-        i_e = np.broadcast_to(i, p.shape)[edge]
-        p_e = p[edge]
-        short = S.evaluator(p_e, i_e) != 1.0
-        while short.any():
-            p_e = np.where(short, 1.0 - np.nextafter(1.0 - p_e, 0.0), p_e)
-            short = S.evaluator(p_e, i_e) != 1.0
-        p[edge] = p_e
+def _least_saturating(S, p, i):
+    """The least float t with S(t, i) == 1.0 for i < 1, given the closed form
+    p of that infimum.  Where S(p, i) < 1 (for lam > 1 the conorm's power
+    1/lam amplifies the rounding of (1-p)^lam, by up to 1e-8 at lam = 2) it
+    lies above p; where p rounded up to 1 (small lam) it can lie below, and
+    a strict degree of 1 would break T(P, I) = 0 for every norm.  Both are
+    found by bisection over the bit patterns of [p, 1] and [0, 1], which
+    order like the floats; elsewhere p is kept."""
+    short = S(p, i) != 1.0
+    find = short | ((p == 1.0) & (i > 0.0))  # S(t, 0) = t saturates only at t = 1
+    if find.any():
+        # lo never saturates (S(0, i) = i < 1), hi always does (S(1, i) = 1)
+        lo = np.where(short, p, 0.0)[find].view(np.int64)
+        hi = np.full(lo.shape, _ONE_BITS)
+        i_find = i[find]
+        while (hi - lo > 1).any():
+            mid = (lo + hi) // 2
+            ok = S(mid.view(np.float64), i_find) == 1.0
+            hi, lo = np.where(ok, mid, hi), np.where(ok, lo, mid)
+        p[find] = hi.view(np.float64)
     return p
-
-
-def _ss_pos_strict_conorm(lam):
-    t0 = _ss_saturation(0.5, lam)
-    return (t0 + (1 - t0) / 3, t0 + 2 * (1 - t0) / 3, 0.5)
 
 
 MINIMUM = Family(
     names=("Minimum", "Maximum"),
-    norm=lambda x, y, lam: np.minimum(x, y),
-    conorm=lambda x, y, lam: np.maximum(x, y),
-    residual=lambda S, i, r: r,
+    norm=np.minimum,
+    conorm=np.maximum,
+    residual=lambda i, r, S: r,
     one_interval=_point_one,
     zero_interval=_point_zero,
     exponent=0.0,
-    strict_norm=lambda lam: (0.6, 0.7, 0.5),
-    strict_conorm=lambda lam: (0.2, 0.3, 0.5),
-    flat_near_zero=lambda lam: (0.5, 0.0, 0.25),
+    strict_norm=(0.6, 0.7, 0.5),
+    strict_conorm=(0.2, 0.3, 0.5),
+    flat_near_zero=(0.5, 0.0, 0.25),
 )
 
 PRODUCT = Family(
     names=("Product", "Probabilistic sum"),
-    norm=lambda x, y, lam: x * y,
+    norm=lambda x, y: x * y,
     # the plain formula rounds S(1,y) below 1 for some y; pin the boundary
-    conorm=lambda x, y, lam: np.where((x == 1.0) | (y == 1.0), 1.0, x + y - x * y),
-    residual=lambda S, i, r: np.clip((r - i) / (1.0 - i), 0.0, 1.0),
+    conorm=lambda x, y: np.where((x == 1.0) | (y == 1.0), 1.0, x + y - x * y),
+    residual=lambda i, r, S: np.clip((r - i) / (1.0 - i), 0.0, 1.0),
     one_interval=_point_one,
     zero_interval=_point_zero,
     exponent=0.0,
@@ -231,19 +221,19 @@ PRODUCT = Family(
 
 LUKASIEWICZ = Family(
     names=("Lukasiewicz norm", "Lukasiewicz conorm"),
-    norm=lambda x, y, lam: np.maximum(x + y - 1.0, 0.0),
-    conorm=lambda x, y, lam: np.minimum(x + y, 1.0),
-    residual=lambda S, i, r: np.maximum(r - i, 0.0),
-    one_interval=lambda w, lam: DegreeInterval.closed(1.0 - w, 1.0),
-    zero_interval=lambda w, lam: DegreeInterval.closed(0.0, 1.0 - w),
+    norm=lambda x, y: np.maximum(x + y - 1.0, 0.0),
+    conorm=lambda x, y: np.minimum(x + y, 1.0),
+    residual=lambda i, r, S: np.maximum(r - i, 0.0),
+    one_interval=lambda w: DegreeInterval.closed(1.0 - w, 1.0),
+    zero_interval=lambda w: DegreeInterval.closed(0.0, 1.0 - w),
     exponent=1.0,
-    strict_norm=lambda lam: (0.1, 0.2, 0.5),
-    strict_conorm=lambda lam: (0.8, 0.9, 0.5),
-    collapse=lambda lam: (0.5, 0.6, 0.7),
+    strict_norm=(0.1, 0.2, 0.5),
+    strict_conorm=(0.8, 0.9, 0.5),
+    collapse=(0.5, 0.6, 0.7),
 )
 
 
-def _drastic_one(w, lam):
+def _drastic_one(w):
     if w == 0.0:
         return DegreeInterval.singleton(1.0)
     if w == 1.0:
@@ -251,7 +241,7 @@ def _drastic_one(w, lam):
     return DegreeInterval(0.0, 1.0, False, True)
 
 
-def _drastic_zero(w, lam):
+def _drastic_zero(w):
     if w == 1.0:
         return DegreeInterval.singleton(0.0)
     if w == 0.0:
@@ -261,18 +251,18 @@ def _drastic_zero(w, lam):
 
 DRASTIC = Family(
     names=("Drastic product", "Drastic sum"),
-    norm=lambda x, y, lam: np.where(y == 1.0, x, np.where(x == 1.0, y, 0.0)),
-    conorm=lambda x, y, lam: np.where(y == 0.0, x, np.where(x == 0.0, y, 1.0)),
+    norm=lambda x, y: np.where(y == 1.0, x, np.where(x == 1.0, y, 0.0)),
+    conorm=lambda x, y: np.where(y == 0.0, x, np.where(x == 0.0, y, 1.0)),
     # for 0 < i < r the attaining set is (0,1]: infimum 0, not attained
-    residual=lambda S, i, r: np.where(i == 0.0, r, 0.0),
+    residual=lambda i, r, S: np.where(i == 0.0, r, 0.0),
     one_interval=_drastic_one,
     zero_interval=_drastic_zero,
     exponent=math.inf,
     continuous=False,
-    strict_norm=lambda lam: (0.3, 0.4, 0.5),
-    strict_conorm=lambda lam: (0.3, 0.4, 0.5),
-    collapse=lambda lam: (0.5, 0.3, 0.4),
-    flat_near_zero=lambda lam: (0.5, 0.1, 0.2),
+    strict_norm=(0.3, 0.4, 0.5),
+    strict_conorm=(0.3, 0.4, 0.5),
+    collapse=(0.5, 0.3, 0.4),
+    flat_near_zero=(0.5, 0.1, 0.2),
 )
 
 ORDINAL_SUM = Family(
@@ -280,87 +270,115 @@ ORDINAL_SUM = Family(
         "Ordinal-sum norm (Lukasiewicz on [1/2,1])",
         "Ordinal-sum conorm (Lukasiewicz on [0,1/2])",
     ),
-    norm=lambda x, y, lam: np.where(
+    norm=lambda x, y: np.where(
         (x >= 0.5) & (y >= 0.5), np.maximum(0.5, x + y - 1.0), np.minimum(x, y)
     ),
-    conorm=lambda x, y, lam: np.where(
+    conorm=lambda x, y: np.where(
         (x <= 0.5) & (y <= 0.5), np.minimum(0.5, x + y), np.maximum(x, y)
     ),
-    residual=lambda S, i, r: np.where((r <= 0.5) & (i <= 0.5), np.maximum(r - i, 0.0), r),
+    residual=lambda i, r, S: np.where((r <= 0.5) & (i <= 0.5), np.maximum(r - i, 0.0), r),
     one_interval=_point_one,
     zero_interval=_point_zero,
     exponent=0.0,
-    strict_norm=lambda lam: (0.6, 0.65, 0.7),
-    strict_conorm=lambda lam: (0.3, 0.4, 0.3),
-    collapse=lambda lam: (0.3, 0.4, 0.45),
+    strict_norm=(0.6, 0.65, 0.7),
+    strict_conorm=(0.3, 0.4, 0.3),
+    collapse=(0.3, 0.4, 0.45),
     # sections at w >= 1/2 are flat near zero
-    flat_near_zero=lambda lam: (0.5, 0.0, 0.2),
+    flat_near_zero=(0.5, 0.0, 0.2),
     breakpoints=(0.5,),
 )
 
 _SS_NAMES = ("Schweizer-Sklar norm", "Schweizer-Sklar conorm")
-_ss_norm = _pinned(lambda x, y, lam: np.maximum(x ** lam + y ** lam - 1.0, 0.0) ** (1.0 / lam), 0.0)
-_ss_conorm = _pinned(
-    lambda x, y, lam: 1.0 - np.maximum((1.0 - x) ** lam + (1.0 - y) ** lam - 1.0, 0.0) ** (1.0 / lam),
-    1.0,
-)
+_HAMACHER_NAMES = ("Hamacher norm", "Hamacher conorm")
 
-SCHWEIZER_SKLAR_NEGATIVE = Family(
-    names=_SS_NAMES,
-    norm=_ss_norm,
-    conorm=_ss_conorm,
-    residual=lambda S, i, r: np.clip(
-        np.where(r == 1.0, 1.0, _ss_closed_residual(i, r, S.parameter)[1]), 0.0, 1.0
-    ),
-    one_interval=_point_one,
-    zero_interval=_point_zero,
-    exponent=0.0,
-)
 
-SCHWEIZER_SKLAR_POSITIVE = Family(
-    names=_SS_NAMES,
-    norm=_ss_norm,
-    conorm=_ss_conorm,
-    residual=_ss_pos_residual,
-    one_interval=lambda w, lam: DegreeInterval.closed(min(max(_ss_saturation(w, lam), 0.0), 1.0), 1.0),
-    zero_interval=lambda w, lam: DegreeInterval.closed(0.0, min(max(_ss_vanishing(w, lam), 0.0), 1.0)),
-    exponent=None,
-    strict_norm=lambda lam: (_ss_vanishing(0.5, lam) / 3, 2 * _ss_vanishing(0.5, lam) / 3, 0.5),
-    strict_conorm=_ss_pos_strict_conorm,
-    collapse=lambda lam: (0.5, *_ss_pos_strict_conorm(lam)[:2]),
-)
+def _schweizer_sklar(lam: float) -> Family:
+    """Schweizer-Sklar at a finite lambda != 0."""
 
-HAMACHER = Family(
-    names=("Hamacher norm", "Hamacher conorm"),
-    norm=_pinned(lambda x, y, lam: x * y / (lam + (1.0 - lam) * (x + y - x * y)), 0.0),
-    conorm=_pinned(
-        lambda x, y, lam: (x + y - x * y - (1.0 - lam) * x * y) / (1.0 - (1.0 - lam) * x * y),
-        1.0,
-    ),
-    residual=lambda S, i, r: np.clip(
-        (r - i) / (1.0 - (2.0 - S.parameter) * i + (1.0 - S.parameter) * r * i), 0.0, 1.0
-    ),
-    one_interval=_point_one,
-    zero_interval=_point_zero,
-    exponent=0.0,
-)
+    def closed_residual(i, r):
+        A = (1.0 - r) ** lam + 1.0 - (1.0 - i) ** lam
+        return A, 1.0 - A ** (1.0 / lam)
+
+    # lambda < 0: the divisor intervals are the points {0} and {1}
+    base = Family(
+        names=_SS_NAMES,
+        norm=_pinned(lambda x, y: np.maximum(x ** lam + y ** lam - 1.0, 0.0) ** (1.0 / lam), 0.0),
+        conorm=_pinned(
+            lambda x, y: 1.0 - np.maximum((1.0 - x) ** lam + (1.0 - y) ** lam - 1.0, 0.0) ** (1.0 / lam),
+            1.0,
+        ),
+        residual=lambda i, r, S: np.clip(np.where(r == 1.0, 1.0, closed_residual(i, r)[1]), 0.0, 1.0),
+        one_interval=_point_one,
+        zero_interval=_point_zero,
+        exponent=0.0,
+    )
+    if lam < 0.0:
+        return base
+
+    def saturation(w):  # smallest t with S(t, w) = 1
+        return 1.0 - (1.0 - (1.0 - w) ** lam) ** (1.0 / lam)
+
+    def vanishing(w):  # largest t with T(t, w) = 0
+        return (1.0 - w ** lam) ** (1.0 / lam)
+
+    def residual(i, r, S):
+        A, val = closed_residual(i, r)
+        p = np.array(np.clip(np.where(A <= 0.0, 1.0, val), 0.0, 1.0))
+        edge = (r == 1.0) & (i < 1.0)
+        if edge.any():
+            p[edge] = _least_saturating(S, p[edge], np.broadcast_to(i, p.shape)[edge])
+        return p
+
+    t0, z0 = saturation(0.5), vanishing(0.5)
+    strict_conorm = (t0 + (1 - t0) / 3, t0 + 2 * (1 - t0) / 3, 0.5)
+    return replace(
+        base,
+        residual=residual,
+        one_interval=lambda w: DegreeInterval.closed(min(max(saturation(w), 0.0), 1.0), 1.0),
+        zero_interval=lambda w: DegreeInterval.closed(0.0, min(max(vanishing(w), 0.0), 1.0)),
+        exponent=lam,
+        exponent_is_lambda=True,
+        strict_norm=(z0 / 3, 2 * z0 / 3, 0.5),
+        strict_conorm=strict_conorm,
+        collapse=(0.5, *strict_conorm[:2]),
+    )
+
+
+def _hamacher(lam: float) -> Family:
+    """Hamacher at a finite lambda >= 0."""
+    return Family(
+        names=_HAMACHER_NAMES,
+        norm=_pinned(lambda x, y: x * y / (lam + (1.0 - lam) * (x + y - x * y)), 0.0),
+        conorm=_pinned(
+            lambda x, y: (x + y - x * y - (1.0 - lam) * x * y) / (1.0 - (1.0 - lam) * x * y),
+            1.0,
+        ),
+        residual=lambda i, r, S: np.clip(
+            (r - i) / (1.0 - (2.0 - lam) * i + (1.0 - lam) * r * i), 0.0, 1.0
+        ),
+        one_interval=_point_one,
+        zero_interval=_point_zero,
+        exponent=0.0,
+    )
+
 
 FAMILIES = {
     "minimum": MINIMUM,
     "product": PRODUCT,
     "lukasiewicz": LUKASIEWICZ,
     "drastic": DRASTIC,
-    "schweizer_sklar": SCHWEIZER_SKLAR_POSITIVE,
-    "hamacher": HAMACHER,
     "ordinal_sum_lukasiewicz_half": ORDINAL_SUM,
 }
+
+# lambda -> the record of a parametric family at a regular parameter
+PARAMETRIC = {"schweizer_sklar": _schweizer_sklar, "hamacher": _hamacher}
 
 # the parameter values at which a parametric family reproduces another one
 _COLLAPSE = {
     ("schweizer_sklar", -math.inf): replace(MINIMUM, names=_SS_NAMES),
     ("schweizer_sklar", 0.0): replace(PRODUCT, names=_SS_NAMES),
     ("schweizer_sklar", math.inf): replace(DRASTIC, names=_SS_NAMES),
-    ("hamacher", math.inf): replace(DRASTIC, names=HAMACHER.names),
+    ("hamacher", math.inf): replace(DRASTIC, names=_HAMACHER_NAMES),
 }
 
 
@@ -368,7 +386,7 @@ def resolve(family: str, lam: Optional[float]) -> Tuple[Optional[float], Family]
     """Validate ``lam`` for a canonical family name and return it, snapped to
     0 within LAMBDA_SNAP, together with the record whose formulas govern it."""
 
-    if family not in ("schweizer_sklar", "hamacher"):
+    if family in FAMILIES:
         if lam is not None:
             raise ValueError(f"family {family!r} takes no parameter")
         return None, FAMILIES[family]
@@ -381,6 +399,4 @@ def resolve(family: str, lam: Optional[float]) -> Tuple[Optional[float], Family]
         raise ValueError("hamacher lambda must lie in [0, +inf]")
     if (family, lam) in _COLLAPSE:
         return lam, _COLLAPSE[family, lam]
-    if family == "schweizer_sklar" and lam < 0.0:
-        return lam, SCHWEIZER_SKLAR_NEGATIVE
-    return lam, FAMILIES[family]
+    return lam, PARAMETRIC[family](lam)

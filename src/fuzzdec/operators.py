@@ -15,7 +15,6 @@ are swept on a finite grid and can at best earn an UNKNOWN_SAMPLED verdict.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -23,7 +22,7 @@ from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
 
-from .families import FAMILIES, Family, resolve
+from .families import FAMILIES, PARAMETRIC, Family, resolve
 from .verdicts import TriState, fails, holds, unknown
 
 # Absolute tolerance for comparisons between membership degrees.
@@ -35,7 +34,7 @@ class Kind(Enum):
     CONORM = "conorm"
 
 
-_CANONICAL_FAMILIES = (*FAMILIES, "custom")
+_CANONICAL_FAMILIES = (*FAMILIES, *PARAMETRIC, "custom")
 
 _ALIASES = {
     "min": "minimum",
@@ -119,7 +118,7 @@ def make_family(family: str, kind: Kind, parameter: Optional[float] = None) -> B
         raise ValueError("use make_custom() for user-supplied operators")
     lam, record = resolve(fam, parameter)
     formula = record.norm if kind is Kind.NORM else record.conorm
-    return BinaryOp(kind, fam, lam, functools.partial(formula, lam=lam), record)
+    return BinaryOp(kind, fam, lam, formula, record)
 
 
 def make_norm(family: str, parameter: Optional[float] = None) -> BinaryOp:
@@ -362,7 +361,7 @@ def check_strictly_increasing_first(op: BinaryOp, resolution: float = 1e-3) -> T
         witness = op.record.strict_conorm if op.kind is Kind.CONORM else op.record.strict_norm
         if witness is None:
             return holds(f"{op.display_name} is strictly increasing off its absorbing row")
-        t, s, w = witness(op.parameter)
+        t, s, w = witness
         return fails(
             (t, s, w),
             f"op({t:g},{w:g}) = op({s:g},{w:g}) = {op(t, w):g}",
@@ -400,7 +399,7 @@ def check_collapse_implies_absorption(op: BinaryOp, resolution: float = 0.01) ->
     if op.is_builtin:
         if op.record.collapse is None:
             return holds(f"collapses of {op.display_name} only happen at the absorbed value")
-        witness = op.record.collapse(op.parameter)
+        witness = op.record.collapse
     else:
         witness = find_collapse_witness(op, max(resolution, 0.005))
         if witness is None:
@@ -443,7 +442,7 @@ def check_strict_near_zero(op: BinaryOp, resolution: float = 1e-3) -> TriState:
     if op.is_builtin:
         if op.record.flat_near_zero is None:
             return holds(f"{op.display_name} rises strictly from t=0 for every w < 1")
-        w, t, s = op.record.flat_near_zero(op.parameter)
+        w, t, s = op.record.flat_near_zero
         return fails(
             (w, t, s),
             f"S({t:g},{w:g}) = {op(t, w):g} and S({s:g},{w:g}) = {op(s, w):g}: flat near 0",

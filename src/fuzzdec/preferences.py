@@ -334,8 +334,9 @@ def classify_rule(
 ) -> RuleClassification:
     """Classify the canonical rule for S (weak) or (T, S) (strong).
 
-    NOT_COMPATIBLE when decompositions can fail to exist or some sampled
-    canonical output fails the preference audit; INDUCED when additionally
+    NOT_COMPATIBLE when decompositions can fail to exist, the canonical rule
+    fails on a sampled relation or some sampled canonical output fails the
+    preference audit; INDUCED when additionally
     no second preference-inducing decomposition can exist (collapse forces
     absorption for weak rules, uniqueness for strong ones); COMPATIBLE in
     between; UNDETERMINED for the open cells of the reference classification
@@ -376,7 +377,15 @@ def _classify_computed(
 
     rule = make_rule(S, T)
     for R in sample_relations(samples, size=3, grid_step=0.05, seed=seed, reflexive=False):
-        d = rule(R)
+        try:
+            d = rule(R)
+        except DecompositionError as exc:
+            # e.g. drastic x Schweizer-Sklar at lambda near 0: the pair exists
+            # in real arithmetic but no float P satisfies S(P,I) = 1, T(P,I) = 0
+            return RuleClassification(
+                RuleClass.NOT_COMPATIBLE,
+                f"the canonical rule fails on a sampled relation: {exc}",
+            )
         report = audit_fp(triplet_from_decomposition(R, d))
         if not report.overall:
             axiom = report.failed_axioms()[0]

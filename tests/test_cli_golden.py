@@ -3,9 +3,9 @@
 ``tests/data/cli_golden.json`` holds the exit code, stdout and stderr of
 ``check-norm`` (both kinds), ``divisors --w 0.5`` (each side) and weak
 ``classify`` for every built-in family at each lambda of
-``DEFAULT_LAMBDA_SAMPLES`` (Hamacher only lambda >= 0), ``divisors`` for
-every (norm, conorm) pair of those operators whose lambdas agree, and
-``tables --which 1|2 --format text|csv``.  Re-record it with
+``DEFAULT_LAMBDA_SAMPLES`` (Hamacher only lambda >= 0), ``divisors`` and
+strong ``classify`` for every (norm, conorm) pair of those operators whose
+lambdas agree, and ``tables --which 1|2 --format text|csv``.  Re-record it with
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
 """
@@ -51,6 +51,7 @@ def commands():
         for s_spec, s_lam in ops:
             if t_lam is None or s_lam is None or t_lam == s_lam:
                 out.append(["divisors", "--norm", t_spec, "--conorm", s_spec])
+                out.append(["classify", "--norm", t_spec, "--conorm", s_spec])
     for which in ("1", "2"):
         for fmt in ("text", "csv"):
             out.append(["tables", "--which", which, "--format", fmt])

@@ -84,6 +84,35 @@ def test_schweizer_sklar_residual_reaches_one_exactly(lam):
     assert S(d.strict.value("a", "b"), 0.85) == 1.0
 
 
+@pytest.mark.parametrize("lam", [0.05, 0.1, 0.2, 0.22])
+def test_drastic_schweizer_sklar_strong_decompose_at_small_lambda(lam):
+    # at lambda = 0.05 the closed-form residual at (0.65, 1) rounds to 1, and
+    # T(1, 0.65) = 0.65 under the drastic norm
+    T, S = make_norm("drastic"), make_conorm("schweizer_sklar", lam)
+    R = FuzzyRelation(("a", "b"), np.array([[1.0, 1.0], [0.65, 1.0]]))
+    d = strong_decompose(R, T, S)
+    p = d.strict.value("a", "b")
+    assert p < 1.0 and S(p, 0.65) == 1.0 and T(p, 0.65) == 0.0
+    assert verify_strong(R, d, T).verdict is Verdict.HOLDS
+
+
+@pytest.mark.parametrize("lam", [0.001, 0.05, 2.0, 3.0])
+def test_corrected_residual_is_the_least_saturating_float(lam):
+    # where the closed form misses S(P, i) = 1 (lambda > 1) or rounds up to
+    # 1 (lambda near 0), P is the least float with S(P, i) = 1
+    S = make_conorm("schweizer_sklar", lam)
+    i = np.arange(1, 1000) / 1000
+    A = 1.0 - (1.0 - i) ** lam
+    closed = np.where(A <= 0.0, 1.0, 1.0 - A ** (1.0 / lam))
+    p = residual_array(S, i, np.ones_like(i))
+    searched = (S(closed, i) != 1.0) | (closed == 1.0)
+    assert searched.any()
+    assert np.all(S(p, i) == 1.0)
+    assert np.all(p[~searched] == closed[~searched])
+    below = np.nextafter(p, 0.0)[searched]
+    assert np.all(S(below, i[searched]) != 1.0)
+
+
 def test_residual_minimality_against_bisection_oracle():
     rng = np.random.default_rng(42)
     for family, lam in CONTINUOUS_CONORMS:

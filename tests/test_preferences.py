@@ -230,6 +230,26 @@ def test_classify_open_cells_stay_undetermined():
     assert c.verdict is RuleClass.UNDETERMINED
 
 
+@pytest.mark.parametrize("lam", [0.05, 0.1, 0.2, 0.22])
+def test_drastic_schweizer_sklar_classifies_at_small_lambda(lam):
+    # existence holds there, so every sampled relation is strongly decomposed
+    c = classify_rule(make_conorm("schweizer_sklar", lam), make_norm("drastic"))
+    assert c.verdict is RuleClass.UNDETERMINED
+    assert c.oracle_verdict is RuleClass.COMPATIBLE
+
+
+def test_classify_reports_a_canonical_rule_that_fails_in_floats():
+    # at lambda = 0.001 no float P < 1 has S(P, 0.45) = 1, so the canonical
+    # pair of a sampled relation breaks T(P, I) = 0 under the drastic norm
+    S, T = make_conorm("schweizer_sklar", 0.001), make_norm("drastic")
+    c = classify_rule(S, T)
+    assert c.verdict is RuleClass.UNDETERMINED
+    assert c.oracle_verdict is RuleClass.NOT_COMPATIBLE
+    R = FuzzyRelation(("a", "b"), np.array([[1.0, 1.0], [0.45, 1.0]]))
+    with pytest.raises(DecompositionError, match=r"^canonical pair fails the norm condition: T\(1,0.45\)"):
+        make_rule(S, T)(R)
+
+
 def test_classify_is_seed_deterministic():
     a = classify_rule(make_conorm("lukasiewicz"), samples=10, seed=3)
     b = classify_rule(make_conorm("lukasiewicz"), samples=10, seed=3)
