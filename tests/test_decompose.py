@@ -97,9 +97,9 @@ def test_drastic_schweizer_sklar_strong_decompose_at_small_lambda(lam):
 
 
 @pytest.mark.parametrize("lam", [0.001, 0.05, 2.0, 3.0])
-def test_corrected_residual_is_the_least_saturating_float(lam):
+def test_corrected_residual_is_the_least_saturating_degree(lam):
     # where the closed form misses S(P, i) = 1 (lambda > 1) or rounds up to
-    # 1 (lambda near 0), P is the least float with S(P, i) = 1
+    # 1 (lambda near 0), P is the least 1 - d (d a float) with S(P, i) = 1
     S = make_conorm("schweizer_sklar", lam)
     i = np.arange(1, 1000) / 1000
     A = 1.0 - (1.0 - i) ** lam
@@ -109,8 +109,7 @@ def test_corrected_residual_is_the_least_saturating_float(lam):
     assert searched.any()
     assert np.all(S(p, i) == 1.0)
     assert np.all(p[~searched] == closed[~searched])
-    below = np.nextafter(p, 0.0)[searched]
-    assert np.all(S(below, i[searched]) != 1.0)
+    assert np.all(S(p[searched] - 2.0 ** -53, i[searched]) != 1.0)
 
 
 def test_residual_minimality_against_bisection_oracle():
