@@ -173,19 +173,14 @@ _ONE_BITS = np.float64(1.0).view(np.int64)
 
 
 def _least_saturating(S, p, i):
-    """The least t = 1 - d (d a float) with S(t, i) == 1.0 for i < 1, given
-    the closed form p of that infimum.  The formula reads t through 1 - t,
-    so these are the points where S(t, i) can change, and every float of
-    [1/2, 1] is one.
-
-    Where S(p, i) < 1 (for lam > 1 the conorm's power 1/lam amplifies the
-    rounding of (1-p)^lam, by up to 1e-8 at lam = 2), t steps up to the next
-    such point, and at least to the next float, until S(t, i) = 1; S(1, i) = 1
-    ends the walk (1 or 2 steps for lam in [1.5, 50] on the 1/1000 grid).
-    Where p rounded up to 1 (lam near 0) although lesser floats saturate,
-    bisection over the bit patterns of [0, 1], which order like the floats,
-    finds the least of them: a strict degree of 1 would break T(P, I) = 0
-    for every norm.  Elsewhere p is kept."""
+    """The least t = 1 - d (d a float: S reads t through 1 - t) with
+    S(t, i) == 1.0, for i < 1, from the closed form p of that infimum.
+    Where S(p, i) < 1 (lam > 1 amplifies the rounding of (1-p)^lam, by up to
+    1e-8 at lam = 2), t steps up to the next such point and at least one
+    float, 1 or 2 steps for lam in [1.5, 50]; S(1, i) = 1 ends the walk.
+    Where p rounded up to 1 (lam near 0), bisection over the bit patterns of
+    [0, 1] finds the least saturating float: a strict degree of 1 breaks
+    T(P, I) = 0 for every norm.  Elsewhere p is kept."""
     short = S(p, i) != 1.0
     while short.any():
         up = np.maximum(np.nextafter(p, 1.0), 1.0 - np.nextafter(1.0 - p, 0.0))
