@@ -66,15 +66,16 @@ def _positive_int(text: str) -> int:
 
 
 def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("FUZZDEC_SEED")
-    if env is not None:
+    name, seed = "--seed", args.seed
+    if seed is None:
+        name, env = "FUZZDEC_SEED", os.environ.get("FUZZDEC_SEED", "0")
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ValueError(f"FUZZDEC_SEED must be an integer, got {env!r}") from None
-    return 0
+    if seed < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _load_op(spec: str, kind: Kind, table_arg: Optional[str]) -> BinaryOp:
@@ -303,7 +304,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("classify", help="classify the canonical decomposition rule")
     sp.add_argument("--conorm", required=True)
     sp.add_argument("--norm")
-    sp.add_argument("--samples", type=int, default=25)
+    sp.add_argument("--samples", type=_positive_int, default=25)
     sp.add_argument("--speculate", action="store_true")
     add_seed(sp)
     sp.set_defaults(fn=_cmd_classify)
@@ -339,7 +340,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--which", type=int, choices=[1, 2], required=True)
     sp.add_argument("--format", choices=["text", "csv"], default="text")
     sp.add_argument("--speculate", action="store_true")
-    sp.add_argument("--samples", type=int, default=12)
+    sp.add_argument("--samples", type=_positive_int, default=12)
     add_seed(sp)
     sp.set_defaults(fn=_cmd_tables)
 

@@ -194,8 +194,8 @@ def degree_grid(step: float = 1e-3, extra: Iterable[float] = ()) -> np.ndarray:
     """Uniform grid on [0,1] of the given step, always containing 0, 1/2, 1
     plus any extra breakpoints."""
 
-    if step <= 0:
-        raise ValueError("grid step must be positive")
+    if not 0.0 < step <= 1.0:  # NaN fails this too
+        raise ValueError(f"grid step must lie in (0, 1], got {step:g}")
     n = max(1, round(1.0 / step))
     pts = np.linspace(0.0, 1.0, n + 1)
     merged = np.union1d(pts, np.asarray([0.0, 0.5, 1.0, *extra], dtype=float))

@@ -40,6 +40,7 @@ from .decompose import (
 )
 from .divisors import strong_existence, strong_uniqueness
 from .relations import FuzzyRelation, _first_cell, asymmetry_violation, symmetry_violation
+from .tables import OPEN_CELLS, WEAK_ROW, in_regime
 from .verdicts import Verdict
 
 FP_AXIOMS = ("FP1", "FP2", "FP3", "FP4", "FP5", "FP6")
@@ -289,20 +290,14 @@ def _undetermined_cell(S: BinaryOp, T: Optional[BinaryOp]) -> bool:
     classification leaves open.  These are reported UNDETERMINED and never
     resolved, even though the sampling oracles often suggest an answer."""
 
-    # local import avoids a cycle
-    from .tables import ALL, REFERENCE_TABLE2, REGIMES, WEAK_ROW, Table2Verdict
-
     if not S.is_builtin or (T is not None and not T.is_builtin):
         return False
     lams = {op.parameter for op in (S, T) if op is not None and op.parameter is not None}
     if len(lams) > 1:  # the reference cells share one lambda between norm and conorm
         return False
     lam = lams.pop() if lams else None
-    entries = REFERENCE_TABLE2.get((WEAK_ROW if T is None else T.family, S.family), ())
-    return any(
-        verdict is Table2Verdict.UNDETERMINED and REGIMES.get(label, ALL).contains(lam)
-        for label, verdict in entries
-    )
+    pos = (WEAK_ROW if T is None else T.family, S.family)
+    return any((row, col) == pos and in_regime(label, lam) for row, col, label in OPEN_CELLS)
 
 
 def sample_relations(
@@ -340,9 +335,12 @@ def classify_rule(
     no second preference-inducing decomposition can exist (collapse forces
     absorption for weak rules, uniqueness for strong ones); COMPATIBLE in
     between; UNDETERMINED for the open cells of the reference classification
-    and for custom operators whose checks stay sampled.
+    and for custom operators whose checks stay sampled.  ``samples`` (the
+    number of sampled relations) must be at least 1.
     """
 
+    if samples < 1:
+        raise ValueError(f"classify_rule needs at least one sampled relation, got samples={samples}")
     computed = _classify_computed(S, T, samples, seed)
     if _undetermined_cell(S, T):
         return RuleClassification(

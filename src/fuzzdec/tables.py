@@ -8,23 +8,34 @@ rule is the only preference-forming choice, or whether the question is
 open.  Parametric families are summarised per lambda regime; a regime whose
 samples disagree raises instead of summarising.
 
-The expected tables embedded here are the reference verdicts with two
-transcription slips repaired (see the repository notes): the strong
-(Lukasiewicz, Schweizer-Sklar) cell had its 0<lambda<1 / lambda>1 regimes
-swapped relative to its own divisor-interval formulas, and the weak
-Schweizer-Sklar rule column listed nonexistence on -inf<lambda<=0 where
-those strictly increasing conorms provably induce their rule (at lambda=0
-the same conorm is the probabilistic sum, whose cell says exactly that).
-Open cells stay open: they are reported as undetermined, never resolved.
+`CELLS` declares both tables at once: each cell's lambda regimes with their
+two reference verdicts.  The reference tables, the regimes the generators
+sample and the open cells are all read off it.
+
+The declared verdicts are the reference verdicts with two transcription
+slips repaired (see the repository notes): the strong (Lukasiewicz,
+Schweizer-Sklar) cell had its 0<lambda<1 / lambda>1 regimes swapped
+relative to its own divisor-interval formulas, and the weak Schweizer-Sklar
+rule column listed nonexistence on -inf<lambda<=0 where those strictly
+increasing conorms provably induce their rule (at lambda=0 the same conorm
+is the probabilistic sum, whose cell says exactly that).  Open cells stay
+open: they are reported as undetermined, never resolved.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+# preferences reads OPEN_CELLS from this module while it loads, so its own
+# names are looked up on the module when a table is generated
+from . import preferences
+from .divisors import strong_existence, strong_uniqueness
+from .families import PARAMETRIC
 from .operators import (
     BinaryOp,
     check_first_coordinate_continuity,
@@ -32,8 +43,6 @@ from .operators import (
     make_conorm,
     make_norm,
 )
-from .divisors import strong_existence, strong_uniqueness
-from .preferences import RuleClass, classify_rule
 from .verdicts import Verdict
 
 NORM_FAMILIES = ("drastic", "minimum", "lukasiewicz", "product", "schweizer_sklar", "hamacher")
@@ -56,6 +65,7 @@ NORM_LABELS = {
     "hamacher": "Hamacher",
 }
 WEAK_ROW = "weak"
+ROWS = NORM_FAMILIES + (WEAK_ROW,)
 
 DEFAULT_LAMBDA_SAMPLES = (-math.inf, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, math.inf)
 
@@ -73,28 +83,92 @@ class Table2Verdict(Enum):
     UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
-class Regime:
-    label: str
-    contains: Callable[[float], bool]
+# ---------------------------------------------------------------------------
+# the declaration of both tables
 
-
-_R = Regime
-ALL = _R("", lambda lam: True)
-
-REGIMES = {
-    "lambda<=0": _R("lambda<=0", lambda l: l <= 0.0),
-    "0<lambda<1": _R("0<lambda<1", lambda l: 0.0 < l < 1.0),
-    "0<lambda<+inf": _R("0<lambda<+inf", lambda l: 0.0 < l < math.inf),
-    "lambda=1": _R("lambda=1", lambda l: l == 1.0),
-    "1<lambda<+inf": _R("1<lambda<+inf", lambda l: 1.0 < l < math.inf),
-    "lambda<1": _R("lambda<1", lambda l: l < 1.0),
-    "lambda>1": _R("lambda>1", lambda l: l > 1.0),
-    "lambda=+inf": _R("lambda=+inf", lambda l: l == math.inf),
-    "lambda=-inf": _R("lambda=-inf", lambda l: l == -math.inf),
-    "-inf<lambda<=0": _R("-inf<lambda<=0", lambda l: -math.inf < l <= 0.0),
-    "lambda<+inf": _R("lambda<+inf", lambda l: l < math.inf),
+# (row, col) -> ((regime label, table-1 verdict, table-2 verdict), ...).  A
+# label reads [a<|a<=]lambda[<b|<=b|>b|=b]; the empty label is every lambda.
+# Every cell not listed has no decomposition for any lambda.
+CELLS: Dict[Tuple[str, str], Tuple[Tuple[str, str, str], ...]] = {
+    ("drastic", "lukasiewicz"): (("", "exists", "compatible"),),
+    ("drastic", "schweizer_sklar"): (
+        ("lambda<=0", "none", "none"),
+        ("0<lambda<+inf", "exists", "undetermined"),
+        ("lambda=+inf", "none", "none"),
+    ),
+    ("lukasiewicz", "lukasiewicz"): (("", "unique", "induced"),),
+    ("lukasiewicz", "schweizer_sklar"): (
+        ("lambda<=0", "none", "none"),
+        # the reference's table 1 swaps the next two regimes against its own intervals
+        ("0<lambda<1", "none", "none"),
+        ("lambda=1", "unique", "undetermined"),
+        ("1<lambda<+inf", "exists", "undetermined"),
+        ("lambda=+inf", "none", "none"),
+    ),
+    ("schweizer_sklar", "lukasiewicz"): (
+        ("lambda<1", "none", "none"),
+        ("lambda=1", "unique", "induced"),
+        ("lambda>1", "exists", "compatible"),
+    ),
+    ("schweizer_sklar", "schweizer_sklar"): (
+        ("lambda<1", "none", "none"),
+        ("lambda=1", "unique", "undetermined"),
+        ("1<lambda<+inf", "exists", "undetermined"),
+        ("lambda=+inf", "none", "none"),
+    ),
+    (WEAK_ROW, "minimum"): (("", "exists", "induced"),),
+    (WEAK_ROW, "lukasiewicz"): (("", "exists", "compatible"),),
+    (WEAK_ROW, "product"): (("", "unique", "induced"),),
+    (WEAK_ROW, "schweizer_sklar"): (
+        ("lambda=-inf", "exists", "induced"),
+        # the reference's table 2 says none, but these strictly increasing conorms induce
+        ("-inf<lambda<=0", "unique", "induced"),
+        ("0<lambda<+inf", "exists", "undetermined"),
+        ("lambda=+inf", "none", "none"),
+    ),
+    (WEAK_ROW, "hamacher"): (("lambda<+inf", "unique", "induced"), ("lambda=+inf", "none", "none")),
 }
+
+# The lambdas a Hamacher row or column is sampled at.  The family takes
+# lambda >= 0; its row stops short of +inf, where the norm is the drastic
+# one and the row would repeat the drastic row.
+_ROW_SCOPE = {"hamacher": "0<=lambda<+inf"}
+_COL_SCOPE = {"hamacher": "0<=lambda"}
+
+_REGIME = re.compile(r"(?:(.+?)(<=?))?lambda(?:(<=?|>|=)(.+))?")
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, "=": operator.eq}
+
+
+def in_regime(label: str, lam: Optional[float]) -> bool:
+    """Whether lam lies in the regime a label names (grammar at `CELLS`)."""
+    a, op_a, op_b, b = _REGIME.fullmatch(label or "lambda").groups()
+    return (a is None or _COMPARE[op_a](float(a), lam)) and (
+        b is None or _COMPARE[op_b](lam, float(b))
+    )
+
+
+def _declared(row: str, col: str) -> Tuple[Tuple[str, str, str], ...]:
+    return CELLS.get((row, col), (("", "none", "none"),))
+
+
+def _reference(verdict: type, k: int) -> Dict[Tuple[str, str], Tuple[Tuple[str, Enum], ...]]:
+    return {
+        (row, col): tuple((entry[0], verdict(entry[k])) for entry in _declared(row, col))
+        for row in ROWS
+        for col in CONORM_FAMILIES
+    }
+
+
+REFERENCE_TABLE1 = _reference(Table1Verdict, 1)
+REFERENCE_TABLE2 = _reference(Table2Verdict, 2)
+
+# (row, col, regime label) of each regime whose rule the reference leaves open
+OPEN_CELLS: Tuple[Tuple[str, str, str], ...] = tuple(
+    (row, col, label)
+    for (row, col), entries in REFERENCE_TABLE2.items()
+    for label, verdict in entries
+    if verdict is Table2Verdict.UNDETERMINED
+)
 
 
 @dataclass(frozen=True)
@@ -115,60 +189,23 @@ class TableCell:
         return "; ".join(f"{lab}: {v.value}" for lab, v in self.entries)
 
 
-# ---------------------------------------------------------------------------
-# regime structure of each cell (which lambda ranges a cell distinguishes)
-
-
-def _cell_regimes(row: str, col: str) -> Tuple[str, ...]:
-    row_param = row in ("schweizer_sklar", "hamacher")
-    col_param = col in ("schweizer_sklar", "hamacher")
-    if not row_param and not col_param:
-        return ("",)
-    if row == "schweizer_sklar" and col == "schweizer_sklar":
-        return ("lambda<1", "lambda=1", "1<lambda<+inf", "lambda=+inf")
-    if col == "schweizer_sklar":
-        if row == "lukasiewicz":
-            return ("lambda<=0", "0<lambda<1", "lambda=1", "1<lambda<+inf", "lambda=+inf")
-        if row == WEAK_ROW:
-            return ("lambda=-inf", "-inf<lambda<=0", "0<lambda<+inf", "lambda=+inf")
-        if row == "drastic":
-            return ("lambda<=0", "0<lambda<+inf", "lambda=+inf")
-        return ("",)  # minimum/product/hamacher norms: uniform nonexistence
-    if row == "schweizer_sklar":
-        if col == "lukasiewicz":
-            return ("lambda<1", "lambda=1", "lambda>1")
-        return ("",)  # verdict uniform in lambda for the other columns
-    if col == "hamacher":
-        if row == WEAK_ROW:
-            return ("lambda<+inf", "lambda=+inf")
-        return ("",)  # uniform: nonexistence for every lambda
-    if row == "hamacher":
-        return ("",)  # scoped to lambda < +inf (+inf reproduces the drastic row)
-    return ("",)
-
-
-def _samples_for(row: str, col: str, regime_label: str, lambda_samples: Sequence[float]) -> List[float]:
-    if regime_label == "":
-        reg = ALL
-    else:
-        reg = REGIMES[regime_label]
-    vals = [l for l in lambda_samples if reg.contains(l)]
-    if row == "hamacher" or col == "hamacher":
-        vals = [l for l in vals if l >= 0.0]
-        if row == "hamacher":
-            vals = [l for l in vals if l < math.inf]
+def _lambdas(row: str, col: str, label: str, lambda_samples: Sequence[float]) -> List[Optional[float]]:
+    """The samples a regime of a cell is checked at; [None] for a cell of
+    two non-parametric families."""
+    if row not in PARAMETRIC and col not in PARAMETRIC:
+        return [None]
+    scopes = (label, _ROW_SCOPE.get(row, ""), _COL_SCOPE.get(col, ""))
+    vals = [lam for lam in lambda_samples if all(in_regime(s, lam) for s in scopes)]
     if not vals:
         raise ValueError(
-            f"lambda samples do not cover regime {regime_label!r} of cell ({row}, {col})"
+            f"lambda samples do not cover regime {label!r} of cell ({row}, {col})"
         )
     return vals
 
 
 def _ops_for(row: str, col: str, lam: Optional[float]) -> Tuple[Optional[BinaryOp], BinaryOp]:
-    t_lam = lam if row in ("schweizer_sklar", "hamacher") else None
-    s_lam = lam if col in ("schweizer_sklar", "hamacher") else None
-    T = None if row == WEAK_ROW else make_norm(row, t_lam)
-    S = make_conorm(col, s_lam)
+    T = None if row == WEAK_ROW else make_norm(row, lam if row in PARAMETRIC else None)
+    S = make_conorm(col, lam if col in PARAMETRIC else None)
     return T, S
 
 
@@ -204,38 +241,25 @@ def _engine_table1(T: Optional[BinaryOp], S: BinaryOp) -> Table1Verdict:
     return Table1Verdict.EXISTS
 
 
-_RULECLASS_TO_T2 = {
-    RuleClass.NOT_COMPATIBLE: Table2Verdict.NOT_EXISTS,
-    RuleClass.COMPATIBLE: Table2Verdict.COMPATIBLE_RULE,
-    RuleClass.INDUCED: Table2Verdict.INDUCED_RULE,
-    RuleClass.UNDETERMINED: Table2Verdict.UNDETERMINED,
-}
-
-
 def _engine_table2(T: Optional[BinaryOp], S: BinaryOp, seed: int) -> Table2Verdict:
-    return _RULECLASS_TO_T2[classify_rule(S, T, samples=12, seed=seed).verdict]
+    verdict = preferences.classify_rule(S, T, samples=12, seed=seed).verdict
+    # a rule class has the value of its table verdict, but for not-compatible (none)
+    if verdict is preferences.RuleClass.NOT_COMPATIBLE:
+        return Table2Verdict.NOT_EXISTS
+    return Table2Verdict(verdict.value)
 
 
 def _generate(which: int, lambda_samples: Sequence[float], seed: int) -> List[TableCell]:
+    engine = _engine_table1 if which == 1 else (lambda T, S: _engine_table2(T, S, seed))
     cells: List[TableCell] = []
-    rows = list(NORM_FAMILIES) + [WEAK_ROW]
-    for row in rows:
+    for row in ROWS:
         for col in CONORM_FAMILIES:
             entries = []
-            for label in _cell_regimes(row, col):
-                row_param = row in ("schweizer_sklar", "hamacher")
-                col_param = col in ("schweizer_sklar", "hamacher")
-                if not row_param and not col_param:
-                    lams: List[Optional[float]] = [None]
-                else:
-                    lams = _samples_for(row, col, label, lambda_samples)
-                verdicts = []
-                for lam in lams:
-                    T, S = _ops_for(row, col, lam)
-                    if which == 1:
-                        verdicts.append(_engine_table1(T, S))
-                    else:
-                        verdicts.append(_engine_table2(T, S, seed))
+            for label, *_ in _declared(row, col):
+                verdicts = [
+                    engine(*_ops_for(row, col, lam))
+                    for lam in _lambdas(row, col, label, lambda_samples)
+                ]
                 entries.append((label, _summarise(row, col, label, verdicts)))
             cells.append(TableCell(row, col, tuple(entries)))
     return cells
@@ -253,168 +277,6 @@ def generate_table2(
 ) -> List[TableCell]:
     """Rule-classification verdicts computed by classify_rule."""
     return _generate(2, lambda_samples, seed=seed)
-
-
-# ---------------------------------------------------------------------------
-# embedded reference tables
-
-_NE1 = Table1Verdict.NOT_EXISTS
-_E1 = Table1Verdict.EXISTS
-_U1 = Table1Verdict.EXISTS_UNIQUE
-
-REFERENCE_TABLE1: Dict[Tuple[str, str], Tuple[Tuple[str, Table1Verdict], ...]] = {}
-
-
-def _set1(row, col, *entries):
-    REFERENCE_TABLE1[(row, col)] = tuple(entries)
-
-
-for _col in CONORM_FAMILIES:
-    _set1("minimum", _col, ("", _NE1))
-    _set1("product", _col, ("", _NE1))
-    _set1("hamacher", _col, ("", _NE1))
-
-_set1("drastic", "drastic", ("", _NE1))
-_set1("drastic", "minimum", ("", _NE1))
-_set1("drastic", "lukasiewicz", ("", _E1))
-_set1("drastic", "product", ("", _NE1))
-_set1(
-    "drastic",
-    "schweizer_sklar",
-    ("lambda<=0", _NE1),
-    ("0<lambda<+inf", _E1),
-    ("lambda=+inf", _NE1),
-)
-_set1("drastic", "hamacher", ("", _NE1))
-
-_set1("lukasiewicz", "drastic", ("", _NE1))
-_set1("lukasiewicz", "minimum", ("", _NE1))
-_set1("lukasiewicz", "lukasiewicz", ("", _U1))
-_set1("lukasiewicz", "product", ("", _NE1))
-_set1(
-    "lukasiewicz",
-    "schweizer_sklar",
-    ("lambda<=0", _NE1),
-    ("0<lambda<1", _NE1),
-    ("lambda=1", _U1),
-    ("1<lambda<+inf", _E1),
-    ("lambda=+inf", _NE1),
-)
-_set1("lukasiewicz", "hamacher", ("", _NE1))
-
-_set1("schweizer_sklar", "drastic", ("", _NE1))
-_set1("schweizer_sklar", "minimum", ("", _NE1))
-_set1(
-    "schweizer_sklar",
-    "lukasiewicz",
-    ("lambda<1", _NE1),
-    ("lambda=1", _U1),
-    ("lambda>1", _E1),
-)
-_set1("schweizer_sklar", "product", ("", _NE1))
-_set1(
-    "schweizer_sklar",
-    "schweizer_sklar",
-    ("lambda<1", _NE1),
-    ("lambda=1", _U1),
-    ("1<lambda<+inf", _E1),
-    ("lambda=+inf", _NE1),
-)
-_set1("schweizer_sklar", "hamacher", ("", _NE1))
-
-_set1(WEAK_ROW, "drastic", ("", _NE1))
-_set1(WEAK_ROW, "minimum", ("", _E1))
-_set1(WEAK_ROW, "lukasiewicz", ("", _E1))
-_set1(WEAK_ROW, "product", ("", _U1))
-_set1(
-    WEAK_ROW,
-    "schweizer_sklar",
-    ("lambda=-inf", _E1),
-    ("-inf<lambda<=0", _U1),
-    ("0<lambda<+inf", _E1),
-    ("lambda=+inf", _NE1),
-)
-_set1(WEAK_ROW, "hamacher", ("lambda<+inf", _U1), ("lambda=+inf", _NE1))
-
-
-_NE2 = Table2Verdict.NOT_EXISTS
-_CR2 = Table2Verdict.COMPATIBLE_RULE
-_ID2 = Table2Verdict.INDUCED_RULE
-_UN2 = Table2Verdict.UNDETERMINED
-
-REFERENCE_TABLE2: Dict[Tuple[str, str], Tuple[Tuple[str, Table2Verdict], ...]] = {}
-
-
-def _set2(row, col, *entries):
-    REFERENCE_TABLE2[(row, col)] = tuple(entries)
-
-
-for _col in CONORM_FAMILIES:
-    _set2("minimum", _col, ("", _NE2))
-    _set2("product", _col, ("", _NE2))
-    _set2("hamacher", _col, ("", _NE2))
-
-_set2("drastic", "drastic", ("", _NE2))
-_set2("drastic", "minimum", ("", _NE2))
-_set2("drastic", "lukasiewicz", ("", _CR2))
-_set2("drastic", "product", ("", _NE2))
-_set2(
-    "drastic",
-    "schweizer_sklar",
-    ("lambda<=0", _NE2),
-    ("0<lambda<+inf", _UN2),
-    ("lambda=+inf", _NE2),
-)
-_set2("drastic", "hamacher", ("", _NE2))
-
-_set2("lukasiewicz", "drastic", ("", _NE2))
-_set2("lukasiewicz", "minimum", ("", _NE2))
-_set2("lukasiewicz", "lukasiewicz", ("", _ID2))
-_set2("lukasiewicz", "product", ("", _NE2))
-_set2(
-    "lukasiewicz",
-    "schweizer_sklar",
-    ("lambda<=0", _NE2),
-    ("0<lambda<1", _NE2),
-    ("lambda=1", _UN2),
-    ("1<lambda<+inf", _UN2),
-    ("lambda=+inf", _NE2),
-)
-_set2("lukasiewicz", "hamacher", ("", _NE2))
-
-_set2("schweizer_sklar", "drastic", ("", _NE2))
-_set2("schweizer_sklar", "minimum", ("", _NE2))
-_set2(
-    "schweizer_sklar",
-    "lukasiewicz",
-    ("lambda<1", _NE2),
-    ("lambda=1", _ID2),
-    ("lambda>1", _CR2),
-)
-_set2("schweizer_sklar", "product", ("", _NE2))
-_set2(
-    "schweizer_sklar",
-    "schweizer_sklar",
-    ("lambda<1", _NE2),
-    ("lambda=1", _UN2),
-    ("1<lambda<+inf", _UN2),
-    ("lambda=+inf", _NE2),
-)
-_set2("schweizer_sklar", "hamacher", ("", _NE2))
-
-_set2(WEAK_ROW, "drastic", ("", _NE2))
-_set2(WEAK_ROW, "minimum", ("", _ID2))
-_set2(WEAK_ROW, "lukasiewicz", ("", _CR2))
-_set2(WEAK_ROW, "product", ("", _ID2))
-_set2(
-    WEAK_ROW,
-    "schweizer_sklar",
-    ("lambda=-inf", _ID2),
-    ("-inf<lambda<=0", _ID2),
-    ("0<lambda<+inf", _UN2),
-    ("lambda=+inf", _NE2),
-)
-_set2(WEAK_ROW, "hamacher", ("lambda<+inf", _ID2), ("lambda=+inf", _NE2))
 
 
 # ---------------------------------------------------------------------------
@@ -436,34 +298,26 @@ class TableMismatch:
 
 def diff_against_reference(cells: List[TableCell], which: int) -> List[TableMismatch]:
     ref = REFERENCE_TABLE1 if which == 1 else REFERENCE_TABLE2
-    mismatches = []
-    for cell in cells:
-        expected_entries = dict(ref[(cell.row, cell.col)])
-        got_entries = dict(cell.entries)
-        if set(expected_entries) != set(got_entries):
-            raise RuntimeError(
-                f"regime structure mismatch in cell ({cell.row}, {cell.col})"
-            )
-        for label, expected in expected_entries.items():
-            got = got_entries[label]
-            if got is not expected:
-                mismatches.append(TableMismatch(cell.row, cell.col, label, expected, got))
-    return mismatches
+    return [
+        TableMismatch(cell.row, cell.col, label, expected, got)
+        for cell in cells
+        for label, expected in ref[(cell.row, cell.col)]
+        if (got := cell.verdict_for(label)) is not expected
+    ]
 
 
 def render_table(cells: List[TableCell], which: int, fmt: str = "text") -> str:
     by_pos = {(c.row, c.col): c for c in cells}
-    rows = list(NORM_FAMILIES) + [WEAK_ROW]
     if fmt == "csv":
         lines = ["row,conorm,regime,verdict"]
-        for row in rows:
+        for row in ROWS:
             for col in CONORM_FAMILIES:
                 for label, v in by_pos[(row, col)].entries:
                     lines.append(f"{_row_label(row)},{CONORM_LABELS[col]},{label},{v.value}")
         return "\n".join(lines) + "\n"
     header = ["T \\ S"] + [CONORM_LABELS[c] for c in CONORM_FAMILIES]
     table_rows = [header]
-    for row in rows:
+    for row in ROWS:
         table_rows.append([_row_label(row)] + [by_pos[(row, col)].render() for col in CONORM_FAMILIES])
     widths = [max(len(r[k]) for r in table_rows) for k in range(len(header))]
     out = []
@@ -485,19 +339,14 @@ def oracle_evidence_for_open_cells(
     seed: int = 0,
 ) -> List[str]:
     """What the sampling oracles would say about the open cells of the rule
-    table.  Informational only: the open cells stay undetermined."""
+    table, each at the first sample of its regime.  Informational only: the
+    open cells stay undetermined."""
 
     lines = []
-    for (row, col), entries in REFERENCE_TABLE2.items():
-        for label, verdict in entries:
-            if verdict is not Table2Verdict.UNDETERMINED:
-                continue
-            lams = _samples_for(row, col, label, lambda_samples)
-            T, S = _ops_for(row, col, lams[0])
-            info = classify_rule(S, T, samples=samples, seed=seed)
-            says = (info.oracle_verdict or info.verdict).value
-            where = f"({_row_label(row)}, {CONORM_LABELS[col]})" + (
-                f" [{label}]" if label else ""
-            )
-            lines.append(f"{where}: oracle says {says}")
+    for row, col, label in OPEN_CELLS:
+        T, S = _ops_for(row, col, _lambdas(row, col, label, lambda_samples)[0])
+        info = preferences.classify_rule(S, T, samples=samples, seed=seed)
+        says = (info.oracle_verdict or info.verdict).value
+        where = f"({_row_label(row)}, {CONORM_LABELS[col]})" + (f" [{label}]" if label else "")
+        lines.append(f"{where}: oracle says {says}")
     return sorted(lines)

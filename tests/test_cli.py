@@ -288,3 +288,37 @@ def test_fuzzed_table_files_never_raise(text):
             code = main(["check-norm", "--op", f"custom:table={path}", "--kind", "conorm"])
     assert code in (0, 1, 2)
     assert (code == 2) == err.getvalue().startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--conorm", "lukasiewicz", "--samples", "0"),
+        ("classify", "--conorm", "lukasiewicz", "--samples", "-5"),
+        ("tables", "--which", "2", "--speculate", "--samples", "0"),
+    ],
+)
+def test_zero_evidence_samples_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: argument --samples: must be a positive integer, got '{argv[-1]}'\n"
+
+
+def test_negative_seed_flag_is_named(capsys):
+    code, out, err = run(capsys, "classify", "--conorm", "lukasiewicz", "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --seed must be a non-negative integer, got -1\n"
+
+
+def test_negative_seed_environment_is_named(capsys, monkeypatch):
+    monkeypatch.setenv("FUZZDEC_SEED", "-2")
+    code, out, err = run(capsys, "classify", "--conorm", "lukasiewicz")
+    assert (code, out) == (2, "")
+    assert err == "error: FUZZDEC_SEED must be a non-negative integer, got -2\n"
+
+
+@pytest.mark.parametrize("step", ["nan", "inf", "5", "0"])
+def test_bad_grid_step_is_named(capsys, step):
+    code, out, err = run(capsys, "check-norm", "--op", "minimum", "--kind", "norm", "--grid-step", step)
+    assert (code, out) == (2, "")
+    assert err == f"error: grid step must lie in (0, 1], got {float(step):g}\n"

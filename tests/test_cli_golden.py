@@ -5,7 +5,8 @@
 ``classify`` for every built-in family at each lambda of
 ``DEFAULT_LAMBDA_SAMPLES`` (Hamacher only lambda >= 0), ``divisors`` and
 strong ``classify`` for every (norm, conorm) pair of those operators whose
-lambdas agree, and ``tables --which 1|2 --format text|csv``.  Re-record it with
+lambdas agree, ``tables --which 1|2 --format text|csv`` and the oracle
+evidence for the open cells, ``tables --which 2 --speculate``.  Re-record it with
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
 """
@@ -55,6 +56,7 @@ def commands():
     for which in ("1", "2"):
         for fmt in ("text", "csv"):
             out.append(["tables", "--which", which, "--format", fmt])
+    out.append(["tables", "--which", "2", "--speculate"])
     return out
 
 

@@ -254,3 +254,9 @@ def test_classify_is_seed_deterministic():
     a = classify_rule(make_conorm("lukasiewicz"), samples=10, seed=3)
     b = classify_rule(make_conorm("lukasiewicz"), samples=10, seed=3)
     assert a == b
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_classify_rule_refuses_zero_evidence(samples):
+    with pytest.raises(ValueError, match="at least one sampled relation"):
+        classify_rule(make_conorm("lukasiewicz"), samples=samples)

@@ -1,14 +1,18 @@
 import pytest
 
 from fuzzdec import (
+    RuleClass,
     Table1Verdict,
     Table2Verdict,
+    check_strictly_increasing_first,
+    classify_rule,
     diff_against_reference,
     generate_table1,
     generate_table2,
     make_conorm,
     make_norm,
     render_table,
+    tables,
 )
 from fuzzdec.divisors import strong_existence
 from fuzzdec.operators import check_collapse_implies_absorption
@@ -72,6 +76,17 @@ def test_table2_matches_reference(table2):
     assert diff_against_reference(table2, 2) == []
 
 
+def test_table2_repaired_cell_backed_by_direct_witness(table2):
+    # the weak Schweizer-Sklar rule on -inf < lambda <= 0: the reference
+    # listing says none, but these conorms rise strictly and induce their rule
+    assert cell(table2, "weak", "schweizer_sklar").verdict_for("-inf<lambda<=0") is (
+        Table2Verdict.INDUCED_RULE
+    )
+    S = make_conorm("schweizer_sklar", -1.0)
+    assert check_strictly_increasing_first(S).verdict is Verdict.HOLDS
+    assert classify_rule(S).verdict is RuleClass.INDUCED
+
+
 def test_table2_spot_cells(table2):
     assert cell(table2, "weak", "minimum").verdict_for() is Table2Verdict.INDUCED_RULE
     assert cell(table2, "drastic", "lukasiewicz").verdict_for() is Table2Verdict.COMPATIBLE_RULE
@@ -97,7 +112,9 @@ def test_table2_open_cells_all_undetermined(table2):
 
 def test_unique_cells_with_absorbing_collapse_are_induced():
     # internal consistency: a conorm that decomposes uniquely and absorbs
-    # collapses appears as an induced rule wherever the reference decides it
+    # collapses appears as an induced rule wherever the reference decides it;
+    # each regime is represented by its first default lambda sample
+    checked = 0
     for (row, col), entries in REFERENCE_TABLE1.items():
         for label, verdict in entries:
             if verdict is not Table1Verdict.EXISTS_UNIQUE:
@@ -105,10 +122,12 @@ def test_unique_cells_with_absorbing_collapse_are_induced():
             t2 = dict(REFERENCE_TABLE2[(row, col)])[label]
             if t2 is Table2Verdict.UNDETERMINED:
                 continue
-            lam = {"lambda=1": 1.0, "-inf<lambda<=0": -1.0, "lambda<+inf": 2.0, "": None}[label]
-            S = make_conorm(col, lam if col in ("schweizer_sklar", "hamacher") else None)
+            lam = tables._lambdas(row, col, label, DEFAULT_LAMBDA_SAMPLES)[0]
+            _, S = tables._ops_for(row, col, lam)
             if check_collapse_implies_absorption(S).verdict is Verdict.HOLDS:
                 assert t2 is Table2Verdict.INDUCED_RULE, (row, col, label)
+            checked += 1
+    assert checked >= 5
 
 
 def test_uncovered_regime_raises():
@@ -123,10 +142,28 @@ def test_table1_holds_with_a_small_positive_lambda():
     assert diff_against_reference(cells, 1) == []
 
 
-def test_regime_summaries_are_uniform(table1):
-    # a regime never mixes verdicts; reaching here means no
-    # RegimeConsistencyError escaped
-    assert isinstance(RegimeConsistencyError("x"), RuntimeError)
+def test_regime_straddling_a_verdict_boundary_raises(monkeypatch):
+    # merging lambda<1 (none) with lambda=1 (unique) declares a regime whose
+    # samples disagree; the generator must refuse to summarise it
+    monkeypatch.setitem(
+        tables.CELLS,
+        ("schweizer_sklar", "lukasiewicz"),
+        (("lambda<=1", "none", "none"), ("lambda>1", "exists", "compatible")),
+    )
+    with pytest.raises(RegimeConsistencyError, match=r"regime 'lambda<=1': mixed verdicts"):
+        generate_table1()
+
+
+def test_regime_labels_read_as_their_ranges():
+    inf = float("inf")
+    assert all(tables.in_regime("", lam) for lam in (-inf, 0.0, inf, None))
+    assert [tables.in_regime("-inf<lambda<=0", lam) for lam in (-inf, -1.0, 0.0, 0.5)] == [
+        False, True, True, False,
+    ]
+    assert [tables.in_regime("0<=lambda<+inf", lam) for lam in (-0.5, 0.0, 2.0, inf)] == [
+        False, True, True, False,
+    ]
+    assert tables.in_regime("lambda=+inf", inf) and not tables.in_regime("lambda>1", 1.0)
 
 
 def test_render_formats(table1):
