@@ -199,6 +199,25 @@ def _least_saturating(S, p, i):
     return p
 
 
+def _least_addend(i, r):
+    """The least float t >= 0 with t + i rounding to at least r: the residual
+    of a conorm that adds its arguments, for r <= the sum's cap.  r - i is the
+    real infimum; the float sum reaches r from up to half the float gap below
+    r, so r - i can lie above the least such t (at i one float below r, the
+    sum already rounds to r at t = half that gap).  The start r - i - gap/2
+    is exact for i >= r/2; a step or two down or up ends the walk."""
+    t = np.maximum((r - i) - 0.5 * (r - np.nextafter(r, 0.0)), 0.0)
+    over = (t > 0.0) & (np.nextafter(t, 0.0) + i >= r)
+    while over.any():
+        t = np.where(over, np.nextafter(t, 0.0), t)
+        over = (t > 0.0) & (np.nextafter(t, 0.0) + i >= r)
+    short = t + i < r
+    while short.any():
+        t = np.where(short, np.nextafter(t, 1.0), t)
+        short = t + i < r
+    return t
+
+
 MINIMUM = Family(
     names=("Minimum", "Maximum"),
     norm=np.minimum,
@@ -227,7 +246,7 @@ LUKASIEWICZ = Family(
     names=("Lukasiewicz norm", "Lukasiewicz conorm"),
     norm=lambda x, y: np.maximum(x + y - 1.0, 0.0),
     conorm=lambda x, y: np.minimum(x + y, 1.0),
-    residual=lambda i, r, S: np.maximum(r - i, 0.0),
+    residual=lambda i, r, S: _least_addend(i, r),
     one_interval=lambda w: DegreeInterval.closed(1.0 - w, 1.0),
     zero_interval=lambda w: DegreeInterval.closed(0.0, 1.0 - w),
     exponent=1.0,
@@ -280,7 +299,7 @@ ORDINAL_SUM = Family(
     conorm=lambda x, y: np.where(
         (x <= 0.5) & (y <= 0.5), np.minimum(0.5, x + y), np.maximum(x, y)
     ),
-    residual=lambda i, r, S: np.where((r <= 0.5) & (i <= 0.5), np.maximum(r - i, 0.0), r),
+    residual=lambda i, r, S: np.where((r <= 0.5) & (i <= 0.5), _least_addend(i, r), r),
     one_interval=_point_one,
     zero_interval=_point_zero,
     exponent=0.0,

@@ -128,6 +128,7 @@ def test_residual_minimality_against_bisection_oracle():
     st.floats(min_value=0, max_value=1, allow_nan=False),
 )
 @example(i=0.0, r=5e-324)  # v/2 underflows to 0 at the smallest subnormal
+@example(i=0.9999999999999999, r=1.0)  # i + v/2 rounds to r at one float below r
 @settings(max_examples=80, deadline=None)
 def test_residual_infimum_property(i, r):
     # nothing below the residual reconstructs; the residual itself does
@@ -138,6 +139,22 @@ def test_residual_infimum_property(i, r):
         below = v - min(1e-6, v / 2) if v / 2 > 0 else 0.0
         assert below < v
         assert S(below, i) < r
+
+
+@pytest.mark.parametrize("family", ["lukasiewicz", "ordinal_sum"])
+def test_adding_residual_is_the_least_float_that_reconstructs(family):
+    # r - i can lie above the least float whose sum with i rounds to r
+    S = make_conorm(family)
+    rng = np.random.default_rng(7)
+    r = rng.uniform(0.0, 0.5, size=4000)
+    r[:4] = [0.5, 0.25, 5e-324, 0.1]
+    i = r * rng.uniform(size=r.size)
+    i[: r.size // 2] = np.nextafter(r[: r.size // 2], 0.0)
+    p = residual_array(S, i, r)
+    assert (S(p, i) >= r).all()
+    below = np.nextafter(p, 0.0)
+    assert ((p == 0.0) | (S(below, i) < r)).all()
+    assert (np.abs(p - (r - i)) <= np.spacing(r)).all()  # the closed form, to a float
 
 
 # ---------------------------------------------------------------------------
