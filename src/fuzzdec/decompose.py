@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .operators import EPSILON, BinaryOp, Kind, check_first_coordinate_continuity
-from .divisors import BISECTION_STEPS, strong_existence
+from .divisors import _bisect, strong_existence
 from .relations import FuzzyRelation, _first_cell, _row_blocks, asymmetry_violation, symmetry_violation
 from .verdicts import TriState, Verdict, fails, holds
 
@@ -83,16 +83,8 @@ def bisection_residual(S: BinaryOp, i, r):
     custom conorms and the independent oracle for the closed forms.  Scalar
     in, scalar out; arrays broadcast."""
     i, r = np.broadcast_arrays(np.asarray(i, float), np.asarray(r, float))
-    lo = np.zeros(i.shape)
-    hi = np.ones(i.shape)
-    base = np.asarray(S.evaluator(lo, i), dtype=float) >= r
-    for _ in range(BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        ok = np.asarray(S.evaluator(mid, i), dtype=float) >= r
-        hi = np.where(ok, mid, hi)
-        lo = np.where(ok, lo, mid)
-    out = np.where(base, 0.0, hi)
-    return float(out) if out.ndim == 0 else out
+    _, hi = _bisect(lambda t: np.asarray(S.evaluator(t, i), dtype=float) >= r, i.shape)
+    return float(hi) if hi.ndim == 0 else hi
 
 
 def residual(S: BinaryOp, i: float, r: float) -> ResidualValue:

@@ -15,13 +15,7 @@ import math
 import numpy as np
 
 from .families import DegreeInterval
-from .operators import (
-    BinaryOp,
-    Kind,
-    check_first_coordinate_continuity,
-    degree_grid,
-    family_breakpoints,
-)
+from .operators import BinaryOp, Kind, _as_grid, check_first_coordinate_continuity
 from .verdicts import TriState, Verdict, fails, holds, unknown
 
 BISECTION_STEPS = 60
@@ -31,24 +25,24 @@ BISECTION_STEPS = 60
 # closed forms
 
 
-def one_interval(S: BinaryOp, w: float) -> DegreeInterval:
-    """{t in [0,1] : S(t, w) = 1} for a conorm S."""
+def one_interval(S: BinaryOp, w) -> DegreeInterval:
+    """{t in [0,1] : S(t, w) = 1} for a conorm S, entry by entry for an array of w."""
 
     if S.kind is not Kind.CONORM:
         raise ValueError("one_interval expects a conorm")
-    if not 0.0 <= w <= 1.0:
+    if not ((0.0 <= np.asarray(w)) & (np.asarray(w) <= 1.0)).all():  # NaN fails this too
         raise ValueError("w must lie in [0,1]")
     if not S.is_builtin:
         return bisection_one_interval(S, w)
     return S.record.one_interval(w)
 
 
-def zero_interval(T: BinaryOp, w: float) -> DegreeInterval:
-    """{t in [0,1] : T(t, w) = 0} for a norm T."""
+def zero_interval(T: BinaryOp, w) -> DegreeInterval:
+    """{t in [0,1] : T(t, w) = 0} for a norm T, entry by entry for an array of w."""
 
     if T.kind is not Kind.NORM:
         raise ValueError("zero_interval expects a norm")
-    if not 0.0 <= w <= 1.0:
+    if not ((0.0 <= np.asarray(w)) & (np.asarray(w) <= 1.0)).all():  # NaN fails this too
         raise ValueError("w must lie in [0,1]")
     if not T.is_builtin:
         return bisection_zero_interval(T, w)
@@ -60,39 +54,52 @@ def zero_interval(T: BinaryOp, w: float) -> DegreeInterval:
 # and an independent oracle for the closed forms
 
 
-def bisection_one_interval(S: BinaryOp, w: float) -> DegreeInterval:
+def _bisect(passes, shape) -> tuple:
+    """(lo, hi) around the point of [0,1] where the monotone ``passes``
+    starts to hold, per entry (0 where it holds at 0, 1 where it fails at 1):
+    BISECTION_STEPS halvings, each one call of ``passes`` on the vector."""
+    lo = np.where(passes(np.ones(shape)), 0.0, 1.0)
+    hi = np.where(passes(np.zeros(shape)), 0.0, 1.0)
+    for _ in range(BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        ok = passes(mid)
+        hi, lo = np.where(ok, mid, hi), np.where(ok, lo, mid)
+    return lo, hi
+
+
+def _absorbing_edge(op: BinaryOp, w, boundary: str) -> tuple:
+    """Per entry of w: the bisected end inside [0,1] of {t : op(t, w) = a},
+    a the absorbing element (1 for a conorm, 0 for a norm), and whether op
+    reaches a there.  The first w with op(a, w) != a is named."""
+    w = np.asarray(w, dtype=float)
+    a = 1.0 if op.kind is Kind.CONORM else 0.0
+
+    def absorbed(t):
+        return np.asarray(op.evaluator(np.broadcast_to(t, w.shape), w), dtype=float) == a
+
+    bad = np.flatnonzero(~absorbed(a))
+    if bad.size:
+        at = float(w.flat[bad[0]])
+        raise ValueError(
+            f"operator violates the {op.kind.value} boundary {boundary} at w={at!r}: got {op(a, at)!r}"
+        )
+    # the set is [edge, 1] for a conorm and [0, edge] for a norm; the bracket
+    # end inside it is the best estimate, and membership decides closure
+    lo, hi = _bisect(lambda t: absorbed(t) == (a == 1.0), w.shape)
+    edge = hi if a == 1.0 else lo
+    return edge, absorbed(edge)
+
+
+def bisection_one_interval(S: BinaryOp, w) -> DegreeInterval:
     """Numerically computed one-interval, ignoring closed forms."""
-    if S(1.0, w) != 1.0:
-        raise ValueError("operator violates the conorm boundary S(1,w) = 1")
-    if S(0.0, w) == 1.0:
-        return DegreeInterval.closed(0.0, 1.0)
-    lo, hi = 0.0, 1.0
-    for _ in range(BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if S(mid, w) == 1.0:
-            hi = mid
-        else:
-            lo = mid
-    # hi is the best upper estimate of the boundary; membership decides closure
-    lower = hi
-    return DegreeInterval(lower, 1.0, S(lower, w) == 1.0, True)
+    lower, closed = _absorbing_edge(S, w, "S(1,w) = 1")
+    return DegreeInterval(lower, 1.0, closed, True)
 
 
-def bisection_zero_interval(T: BinaryOp, w: float) -> DegreeInterval:
+def bisection_zero_interval(T: BinaryOp, w) -> DegreeInterval:
     """Numerically computed zero-interval, ignoring closed forms."""
-    if T(0.0, w) != 0.0:
-        raise ValueError("operator violates the norm boundary T(0,w) = 0")
-    if T(1.0, w) == 0.0:
-        return DegreeInterval.closed(0.0, 1.0)
-    lo, hi = 0.0, 1.0
-    for _ in range(BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if T(mid, w) == 0.0:
-            lo = mid
-        else:
-            hi = mid
-    upper = lo
-    return DegreeInterval(0.0, upper, True, T(upper, w) == 0.0)
+    upper, closed = _absorbing_edge(T, w, "T(0,w) = 0")
+    return DegreeInterval(0.0, upper, True, closed)
 
 
 # ---------------------------------------------------------------------------
@@ -133,31 +140,18 @@ def _sweep_intersections(T: BinaryOp, S: BinaryOp, w_grid) -> tuple:
     """Grid sweep returning (first empty w, first non-singleton (w, t1, t2)).
     The midpoint is probed first: interior behaviour is uniform for the
     built-in families, so it yields the most readable witness."""
-    first_empty = None
-    first_multi = None
     grid = np.asarray(w_grid, dtype=float)
     if 0.5 in grid:
         grid = np.concatenate(([0.5], grid[grid != 0.5]))
-    for w in grid:
-        inter = one_interval(S, w).intersect(zero_interval(T, w))
-        if inter.empty:
-            if first_empty is None:
-                first_empty = float(w)
-        elif not inter.is_singleton and first_multi is None:
-            t1, t2 = inter.two_points()
-            first_multi = (float(w), float(t1), float(t2))
-        if first_empty is not None and first_multi is not None:
-            break
-    return first_empty, first_multi
-
-
-def _default_w_grid(T: BinaryOp, S: BinaryOp, w_grid) -> np.ndarray:
-    if w_grid is None:
-        extra = family_breakpoints(T) + family_breakpoints(S)
-        return degree_grid(1e-3, extra)
-    if np.isscalar(w_grid):
-        return degree_grid(float(w_grid), family_breakpoints(T) + family_breakpoints(S))
-    return np.asarray(w_grid, dtype=float)
+    inter = one_interval(S, grid).intersect(zero_interval(T, grid))
+    empty = np.flatnonzero(inter.empty)
+    multi = np.flatnonzero(~(inter.empty | inter.is_singleton))
+    first_empty = float(grid[empty[0]]) if empty.size else None
+    if not multi.size:
+        return first_empty, None
+    w = float(grid[multi[0]])
+    t1, t2 = one_interval(S, w).intersect(zero_interval(T, w)).two_points()
+    return first_empty, (w, float(t1), float(t2))
 
 
 def _multi_witness(T: BinaryOp, S: BinaryOp):
@@ -189,7 +183,7 @@ def strong_existence(T: BinaryOp, S: BinaryOp, w_grid=None) -> TriState:
             return holds("divisor intervals intersect for every w")
         empty_w = 0.5
     else:
-        empty_w, _ = _sweep_intersections(T, S, _default_w_grid(T, S, w_grid))
+        empty_w, _ = _sweep_intersections(T, S, _as_grid(w_grid, 1e-3, T, S))
     if empty_w is not None:
         i1 = one_interval(S, empty_w)
         i0 = zero_interval(T, empty_w)
@@ -220,7 +214,7 @@ def strong_uniqueness(T: BinaryOp, S: BinaryOp, w_grid=None) -> TriState:
                 "intersections are proper intervals, but no probed w shows two points in floating point"
             )
     else:
-        _, multi = _sweep_intersections(T, S, _default_w_grid(T, S, w_grid))
+        _, multi = _sweep_intersections(T, S, _as_grid(w_grid, 1e-3, T, S))
         if multi is None:
             return unknown("no multi-point intersection found on the grid")
     w, t1, t2 = multi

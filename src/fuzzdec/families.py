@@ -1,9 +1,10 @@
 """One record per built-in operator family.
 
 Every closed-form fact the package knows about a family lives in its
-`Family` record: the norm and conorm formulas, the residual, the divisor
-intervals, the continuity, strictness, collapse and strict-near-zero
-verdicts with their witnesses, the breakpoints and the display names.
+`Family` record: the norm and conorm formulas, the residual, the exponent
+the divisor intervals derive from, the continuity, strictness, collapse and
+strict-near-zero verdicts with their witnesses, the breakpoints and the
+display names.
 Schweizer-Sklar's record takes one of two shapes, for lambda < 0 and for
 0 < lambda < +inf, because its formulas change shape at 0.
 
@@ -30,9 +31,19 @@ LAMBDA_SNAP = 1e-12
 Witness = Optional[Tuple[float, ...]]
 
 
+def _plain(x):
+    """An array with entries as it is; one value as a plain Python scalar."""
+    x = np.asarray(x)
+    return x.item() if x.ndim == 0 else x
+
+
 @dataclass(frozen=True)
 class DegreeInterval:
-    """A sub-interval of [0,1] with individually open or closed endpoints."""
+    """A sub-interval of [0,1] with individually open or closed endpoints.
+
+    Array fields hold one interval per entry (they broadcast against each
+    other), and every method then works entry by entry; one interval keeps
+    plain Python floats and bools."""
 
     lower: float = 0.0
     upper: float = 0.0
@@ -41,12 +52,20 @@ class DegreeInterval:
     empty: bool = False
 
     def __post_init__(self):
-        if self.empty:
-            return
-        if not (0.0 <= self.lower <= self.upper <= 1.0):
+        names = ("lower", "upper", "lower_closed", "upper_closed", "empty")
+        fields = [np.asarray(getattr(self, n)) for n in names]
+        if any(f.ndim for f in fields):
+            fields = np.broadcast_arrays(*fields)
+        else:
+            fields = [f.item() for f in fields]
+        lo, hi, lo_c, hi_c, empty = fields
+        live = np.logical_not(empty)
+        if np.count_nonzero(live & np.logical_not((0.0 <= lo) & (lo <= hi) & (hi <= 1.0))):
             raise ValueError("interval endpoints must satisfy 0 <= lower <= upper <= 1")
-        if self.lower == self.upper and not (self.lower_closed and self.upper_closed):
+        if np.count_nonzero(live & (lo == hi) & np.logical_not(lo_c & hi_c)):
             raise ValueError("a degenerate interval must be closed (or empty)")
+        for name, value in zip(names, fields):
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def closed(lower: float, upper: float) -> "DegreeInterval":
@@ -60,39 +79,26 @@ class DegreeInterval:
     def void() -> "DegreeInterval":
         return DegreeInterval(0.0, 0.0, False, False, empty=True)
 
-    def contains(self, t: float) -> bool:
-        if self.empty:
-            return False
-        above = t > self.lower or (self.lower_closed and t == self.lower)
-        below = t < self.upper or (self.upper_closed and t == self.upper)
-        return above and below
+    def contains(self, t):
+        above = (t > self.lower) | (self.lower_closed & (t == self.lower))
+        below = (t < self.upper) | (self.upper_closed & (t == self.upper))
+        return _plain(np.logical_not(self.empty) & above & below)
 
     @property
-    def is_singleton(self) -> bool:
-        return not self.empty and self.lower == self.upper
+    def is_singleton(self):
+        return _plain(np.logical_not(self.empty) & (self.lower == self.upper))
 
     def intersect(self, other: "DegreeInterval") -> "DegreeInterval":
-        if self.empty or other.empty:
-            return DegreeInterval.void()
-        if self.lower > other.lower or (
-            self.lower == other.lower and not self.lower_closed
-        ):
-            lo, lo_c = self.lower, self.lower_closed
-        else:
-            lo, lo_c = other.lower, other.lower_closed
-        if self.lower == other.lower:
-            lo_c = self.lower_closed and other.lower_closed
-        if self.upper < other.upper or (
-            self.upper == other.upper and not self.upper_closed
-        ):
-            hi, hi_c = self.upper, self.upper_closed
-        else:
-            hi, hi_c = other.upper, other.upper_closed
-        if self.upper == other.upper:
-            hi_c = self.upper_closed and other.upper_closed
-        if lo > hi or (lo == hi and not (lo_c and hi_c)):
-            return DegreeInterval.void()
-        return DegreeInterval(lo, hi, lo_c, hi_c)
+        a, b = self, other
+        # an inner end is open where an interval that reaches it leaves it open
+        lo_c = (a.lower_closed | (a.lower < b.lower)) & (b.lower_closed | (b.lower < a.lower))
+        hi_c = (a.upper_closed | (a.upper > b.upper)) & (b.upper_closed | (b.upper > a.upper))
+        lo, hi = np.maximum(a.lower, b.lower), np.minimum(a.upper, b.upper)
+        empty = a.empty | b.empty | (lo > hi) | ((lo == hi) & np.logical_not(lo_c & hi_c))
+        live = np.logical_not(empty)
+        return DegreeInterval(
+            np.where(live, lo, 0.0), np.where(live, hi, 0.0), lo_c & live, hi_c & live, empty
+        )
 
     def two_points(self) -> Optional[tuple]:
         """Two distinct members, if the interval has them."""
@@ -118,10 +124,9 @@ class DegreeInterval:
 class Family:
     """The closed forms of one family at one parameter value.
 
-    ``exponent`` is the p of the divisor intervals at interior w: the
-    zero-interval is [0, (1-w^p)^(1/p)] and the one-interval
-    [1-(1-(1-w)^p)^(1/p), 1], where p = 0 stands for the points {0} and
-    {1} and p = +inf for [0,1) and (0,1].
+    ``exponent`` is the p the divisor intervals `zero_interval` and
+    `one_interval` derive from: p = 0 for the points {0} and {1}, +inf for
+    the drastic [0,1) and (0,1], the power p of [0, (1-w^p)^(1/p)] otherwise.
     """
 
     names: Tuple[str, str]  # display names of the norm and the conorm
@@ -130,8 +135,6 @@ class Family:
     # (i, r, S) -> inf{t : S(t, i) >= r}, read where r > i; S evaluates the
     # conorm, for the families whose closed form needs a float correction
     residual: Callable
-    one_interval: Callable  # w -> {t : S(t, w) = 1}
-    zero_interval: Callable  # w -> {t : T(t, w) = 0}
     exponent: float
     # p = lambda: pairs of two such records at different lambdas are not classified
     exponent_is_lambda: bool = False
@@ -141,6 +144,36 @@ class Family:
     collapse: Witness = None  # (w, t, s): S(t,w) = S(s,w) > w
     flat_near_zero: Witness = None  # (w, t, s): S flat from t = 0 at w < 1
     breakpoints: Tuple[float, ...] = ()
+
+    def zero_interval(self, w) -> DegreeInterval:
+        """{t : T(t, w) = 0}, for one w or entry by entry for an array of w."""
+        p, w = self.exponent, np.asarray(w, dtype=float)
+        if p == 0.0:  # {0}; all of [0,1] at w = 0
+            return DegreeInterval.closed(0.0, 1.0 * (w == 0.0))
+        if p == math.inf:  # [0,1); all of [0,1] at w = 0, {0} at w = 1
+            return DegreeInterval(0.0, 1.0 * (w != 1.0), True, (w == 0.0) | (w == 1.0))
+        return DegreeInterval.closed(0.0, _vanishing(w, p))
+
+    def one_interval(self, w) -> DegreeInterval:
+        """{t : S(t, w) = 1}, for one w or entry by entry for an array of w."""
+        p, w = self.exponent, np.asarray(w, dtype=float)
+        if p == 0.0:  # {1}; all of [0,1] at w = 1
+            return DegreeInterval.closed(1.0 * (w != 1.0), 1.0)
+        if p == math.inf:  # (0,1]; {1} at w = 0, all of [0,1] at w = 1
+            return DegreeInterval(1.0 * (w == 0.0), 1.0, (w == 0.0) | (w == 1.0), True)
+        # S is the dual of T: the zero-interval at 1 - w, reflected
+        return DegreeInterval.closed(1.0 - _vanishing(1.0 - w, p), 1.0)
+
+
+# x ** y entry by entry through the C library's pow, as for two Python
+# floats: numpy's array ``**`` differs from it in the last bit for some x, and
+# an interval must not depend on whether its w came alone or in an array
+_pow = np.frompyfunc(pow, 2, 1)
+
+
+def _vanishing(w, p):
+    """(1 - w^p)^(1/p), the largest t with T(t, w) = 0 for exponent p."""
+    return 1.0 - w if p == 1.0 else np.asarray(_pow(1.0 - _pow(w, p), 1.0 / p), dtype=float)
 
 
 def _pinned(formula, absorbing: float):
@@ -159,14 +192,6 @@ def _pinned(formula, absorbing: float):
         return np.where(y == identity, np.where(x == identity, identity, x), out)
 
     return ev
-
-
-def _point_one(w):
-    return DegreeInterval.closed(0.0, 1.0) if w == 1.0 else DegreeInterval.singleton(1.0)
-
-
-def _point_zero(w):
-    return DegreeInterval.closed(0.0, 1.0) if w == 0.0 else DegreeInterval.singleton(0.0)
 
 
 _ONE_BITS = np.float64(1.0).view(np.int64)
@@ -223,8 +248,6 @@ MINIMUM = Family(
     norm=np.minimum,
     conorm=np.maximum,
     residual=lambda i, r, S: r,
-    one_interval=_point_one,
-    zero_interval=_point_zero,
     exponent=0.0,
     strict_norm=(0.6, 0.7, 0.5),
     strict_conorm=(0.2, 0.3, 0.5),
@@ -237,8 +260,6 @@ PRODUCT = Family(
     # the plain formula rounds S(1,y) below 1 for some y; pin the boundary
     conorm=lambda x, y: np.where((x == 1.0) | (y == 1.0), 1.0, x + y - x * y),
     residual=lambda i, r, S: np.clip((r - i) / (1.0 - i), 0.0, 1.0),
-    one_interval=_point_one,
-    zero_interval=_point_zero,
     exponent=0.0,
 )
 
@@ -247,29 +268,11 @@ LUKASIEWICZ = Family(
     norm=lambda x, y: np.maximum(x + y - 1.0, 0.0),
     conorm=lambda x, y: np.minimum(x + y, 1.0),
     residual=lambda i, r, S: _least_addend(i, r),
-    one_interval=lambda w: DegreeInterval.closed(1.0 - w, 1.0),
-    zero_interval=lambda w: DegreeInterval.closed(0.0, 1.0 - w),
     exponent=1.0,
     strict_norm=(0.1, 0.2, 0.5),
     strict_conorm=(0.8, 0.9, 0.5),
     collapse=(0.5, 0.6, 0.7),
 )
-
-
-def _drastic_one(w):
-    if w == 0.0:
-        return DegreeInterval.singleton(1.0)
-    if w == 1.0:
-        return DegreeInterval.closed(0.0, 1.0)
-    return DegreeInterval(0.0, 1.0, False, True)
-
-
-def _drastic_zero(w):
-    if w == 1.0:
-        return DegreeInterval.singleton(0.0)
-    if w == 0.0:
-        return DegreeInterval.closed(0.0, 1.0)
-    return DegreeInterval(0.0, 1.0, True, False)
 
 
 DRASTIC = Family(
@@ -278,8 +281,6 @@ DRASTIC = Family(
     conorm=lambda x, y: np.where(y == 0.0, x, np.where(x == 0.0, y, 1.0)),
     # for 0 < i < r the attaining set is (0,1]: infimum 0, not attained
     residual=lambda i, r, S: np.where(i == 0.0, r, 0.0),
-    one_interval=_drastic_one,
-    zero_interval=_drastic_zero,
     exponent=math.inf,
     continuous=False,
     strict_norm=(0.3, 0.4, 0.5),
@@ -300,8 +301,6 @@ ORDINAL_SUM = Family(
         (x <= 0.5) & (y <= 0.5), np.minimum(0.5, x + y), np.maximum(x, y)
     ),
     residual=lambda i, r, S: np.where((r <= 0.5) & (i <= 0.5), _least_addend(i, r), r),
-    one_interval=_point_one,
-    zero_interval=_point_zero,
     exponent=0.0,
     strict_norm=(0.6, 0.65, 0.7),
     strict_conorm=(0.3, 0.4, 0.3),
@@ -331,18 +330,10 @@ def _schweizer_sklar(lam: float) -> Family:
             1.0,
         ),
         residual=lambda i, r, S: np.clip(np.where(r == 1.0, 1.0, closed_residual(i, r)[1]), 0.0, 1.0),
-        one_interval=_point_one,
-        zero_interval=_point_zero,
         exponent=0.0,
     )
     if lam < 0.0:
         return base
-
-    def saturation(w):  # smallest t with S(t, w) = 1
-        return 1.0 - (1.0 - (1.0 - w) ** lam) ** (1.0 / lam)
-
-    def vanishing(w):  # largest t with T(t, w) = 0
-        return (1.0 - w ** lam) ** (1.0 / lam)
 
     def residual(i, r, S):
         A, val = closed_residual(i, r)
@@ -352,15 +343,11 @@ def _schweizer_sklar(lam: float) -> Family:
             p[edge] = _least_saturating(S, p[edge], np.broadcast_to(i, p.shape)[edge])
         return p
 
-    t0, z0 = saturation(0.5), vanishing(0.5)
+    powered = replace(base, residual=residual, exponent=lam, exponent_is_lambda=True)
+    t0, z0 = powered.one_interval(0.5).lower, powered.zero_interval(0.5).upper
     strict_conorm = (t0 + (1 - t0) / 3, t0 + 2 * (1 - t0) / 3, 0.5)
     return replace(
-        base,
-        residual=residual,
-        one_interval=lambda w: DegreeInterval.closed(min(max(saturation(w), 0.0), 1.0), 1.0),
-        zero_interval=lambda w: DegreeInterval.closed(0.0, min(max(vanishing(w), 0.0), 1.0)),
-        exponent=lam,
-        exponent_is_lambda=True,
+        powered,
         strict_norm=(z0 / 3, 2 * z0 / 3, 0.5),
         strict_conorm=strict_conorm,
         collapse=(0.5, *strict_conorm[:2]),
@@ -379,8 +366,6 @@ def _hamacher(lam: float) -> Family:
         residual=lambda i, r, S: np.clip(
             (r - i) / (1.0 - (2.0 - lam) * i + (1.0 - lam) * r * i), 0.0, 1.0
         ),
-        one_interval=_point_one,
-        zero_interval=_point_zero,
         exponent=0.0,
     )
 

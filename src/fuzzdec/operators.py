@@ -202,16 +202,13 @@ def degree_grid(step: float = 1e-3, extra: Iterable[float] = ()) -> np.ndarray:
     return merged[(merged >= 0.0) & (merged <= 1.0)]
 
 
-def family_breakpoints(op: BinaryOp) -> tuple:
-    return () if op.record is None else op.record.breakpoints
-
-
-def _as_grid(grid, op: BinaryOp, default_step: float) -> np.ndarray:
-    if grid is None:
-        return degree_grid(default_step, family_breakpoints(op))
-    if np.isscalar(grid):
-        return degree_grid(float(grid), family_breakpoints(op))
-    return np.asarray(grid, dtype=float)
+def _as_grid(grid, default_step: float, *ops: BinaryOp) -> np.ndarray:
+    """``grid`` itself when it is an array; otherwise the degree grid of step
+    ``grid`` (``default_step`` for None) holding the breakpoints of ``ops``."""
+    if grid is not None and not np.isscalar(grid):
+        return np.asarray(grid, dtype=float)
+    extra = [b for op in ops if op.record is not None for b in op.record.breakpoints]
+    return degree_grid(default_step if grid is None else float(grid), extra)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +224,7 @@ def check_norm_axioms(op: BinaryOp, grid=None) -> TriState:
     the sweep earn UNKNOWN_SAMPLED, never HOLDS.
     """
 
-    g = _as_grid(grid, op, default_step=0.01)
+    g = _as_grid(grid, 0.01, op)
     if 0.0 not in g or 1.0 not in g:
         raise ValueError("axiom grid must contain 0 and 1")
     zeros = np.zeros_like(g)

@@ -140,9 +140,7 @@ def strong_region(T: BinaryOp, S: BinaryOp, resolution: float = 1 / 200) -> Regi
     # r = 1 edge, the last row and column (ax[-1] = 1 is the only axis value
     # within EPSILON of 1): check the divisor intervals, which catch attaining
     # values the unattained residual misses for discontinuous conorms
-    nonempty = np.array(
-        [not one_interval(S, w).intersect(zero_interval(T, w)).empty for w in ax]
-    )
+    nonempty = ~one_interval(S, ax).intersect(zero_interval(T, ax)).empty
     member[-1, :] = nonempty
     member[:, -1] = nonempty
     # the diagonal always decomposes via t = 0 (the edge overwrote its corner)

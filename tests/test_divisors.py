@@ -46,6 +46,19 @@ def test_interval_basics():
         DegreeInterval(0.7, 0.2)
 
 
+def test_array_interval_rejects_one_bad_entry():
+    ok = DegreeInterval(np.array([0.1, 0.2]), np.array([0.5, 0.2]))
+    assert ok.is_singleton.tolist() == [False, True]
+    with pytest.raises(ValueError, match="0 <= lower <= upper <= 1"):
+        DegreeInterval(np.array([0.1, 0.7, 0.0]), np.array([0.5, 0.2, 1.0]))
+    with pytest.raises(ValueError, match="0 <= lower <= upper <= 1"):
+        DegreeInterval(0.0, np.array([0.5, 1.5]))
+    with pytest.raises(ValueError, match="degenerate"):
+        DegreeInterval(np.array([0.2, 0.5]), np.array([0.4, 0.5]), np.array([True, False]), True)
+    # an empty entry's endpoints are not read
+    DegreeInterval(np.array([0.0, 0.9]), np.array([1.0, 0.1]), empty=np.array([False, True]))
+
+
 def test_interval_intersection_openness():
     a = DegreeInterval(0.0, 0.5, True, True)
     b = DegreeInterval(0.5, 1.0, False, True)
@@ -131,6 +144,51 @@ def test_custom_operator_uses_bisection():
     S = make_custom(lambda x, y: np.minimum(np.asarray(x) + np.asarray(y), 1.0), Kind.CONORM)
     iv = one_interval(S, 0.25)
     assert abs(iv.lower - 0.75) <= 1e-9 and iv.upper == 1.0
+
+
+def test_boundary_violation_names_the_first_w_and_value():
+    # x + y - x*y rounds S(1, 0.001) to 0.9999999999999999
+    S = make_custom(lambda x, y: x + y - x * y, Kind.CONORM)
+    with pytest.raises(ValueError, match=r"S\(1,w\) = 1 at w=0\.001: got 0\.9999999999999999$"):
+        strong_existence(make_norm("lukasiewicz"), S)
+    with pytest.raises(ValueError, match=r"at w=0\.3: got 0\.1$"):
+        zero_interval(make_custom(lambda x, y: np.where(y == 0.3, 0.1, x * y), Kind.NORM), np.array([0.5, 0.3]))
+    iv = one_interval(S, 0.5)
+    assert type(iv.lower) is float and type(iv.lower_closed) is bool
+
+
+VIEW_OPS = [(f, None) for f in ("minimum", "product", "lukasiewicz", "drastic", "ordinal_sum")]
+VIEW_OPS += [(f, lam) for f in ("schweizer_sklar", "hamacher") for lam in (0.05, 0.22, 0.5, 1.0, 1.5, 3.0, 50.0)]
+VIEW_OPS += [("schweizer_sklar", lam) for lam in (-math.inf, -1.0, 0.0, math.inf)] + [("hamacher", math.inf)]
+FIELDS = ("lower", "upper", "lower_closed", "upper_closed", "empty")
+
+
+def _view_ops():
+    for family, lam in VIEW_OPS:
+        yield make_family(family, Kind.NORM, lam), make_family(family, Kind.CONORM, lam)
+    yield (
+        make_custom(lambda x, y: np.maximum(x + y - 1.0, 0.0), Kind.NORM),
+        make_custom(lambda x, y: 1.0 - np.maximum((1 - x) ** 2 + (1 - y) ** 2 - 1, 0.0) ** 0.5, Kind.CONORM),
+    )
+
+
+def test_array_intervals_match_the_single_w_view():
+    # bit for bit, closedness and emptiness included: the power forms go
+    # through the C library's pow entry by entry, as a single float does
+    rng = np.random.default_rng(7)
+    ws = np.concatenate((
+        degree_grid(0.01), [1e-300, 2.0 ** -54, 9.3e-10, 1e-9, 0.5 + 2.0 ** -53, 1.0 - 2.0 ** -53],
+        rng.random(60), rng.random(20) * 1e-6, 1.0 - rng.random(20) * 1e-6,
+    ))
+    for T, S in _view_ops():
+        one, zero = one_interval(S, ws), zero_interval(T, ws)
+        inter = one.intersect(zero)
+        for k, w in enumerate(ws.tolist()):
+            i1, i0 = one_interval(S, w), zero_interval(T, w)
+            for vec, iv in ((one, i1), (zero, i0), (inter, i1.intersect(i0))):
+                got = tuple(np.asarray(getattr(vec, f))[k].item() for f in FIELDS)
+                assert got == tuple(getattr(iv, f) for f in FIELDS), (T, S, w)
+            assert inter.is_singleton[k] == i1.intersect(i0).is_singleton
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,22 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fuzzdec import (
     FuzzyRelation,
+    Kind,
     RegionGrid,
     Verdict,
     is_t_transitive,
     make_conorm,
+    make_custom,
     make_norm,
     one_interval,
+    parse_op_spec,
     pair_weakly_decomposable,
     restricted_decomposability,
     strong_region,
@@ -100,11 +106,17 @@ def test_strong_region_minimum_maximum_point():
         ("min", "max"),
         ("drastic", "drastic"),
         ("lukasiewicz", "lukasiewicz"),
+        ("product", "custom_sum"),
+        ("schweizer_sklar:lambda=0.5", "schweizer_sklar:lambda=2"),
     ],
 )
 @pytest.mark.parametrize("cells", [37, 51])
 def test_strong_region_edge_matches_divisor_intervals(t_spec, s_spec, cells):
-    T, S = make_norm(t_spec), make_conorm(s_spec)
+    T = parse_op_spec(t_spec, Kind.NORM)
+    if s_spec == "custom_sum":
+        S = make_custom(lambda x, y: np.minimum(x + y, 1.0), Kind.CONORM)
+    else:
+        S = parse_op_spec(s_spec, Kind.CONORM)
     grid = strong_region(T, S, 1 / cells)
     ax = grid.axis
     expected = np.array(
@@ -113,6 +125,24 @@ def test_strong_region_edge_matches_divisor_intervals(t_spec, s_spec, cells):
     expected[-1] = True  # the (1,1) corner is on the diagonal
     np.testing.assert_array_equal(grid.membership[-1, :], expected)
     np.testing.assert_array_equal(grid.membership[:, -1], expected)
+
+
+GOLDEN_REGIONS = Path(__file__).resolve().parents[1] / "perfbench" / "golden_regions.json"
+
+
+def test_strong_regions_match_the_benchmark_golden_digests():
+    # the strong rasters the regions benchmark replays, recomputed here: the
+    # digest is the first 24 hex digits of SHA-256 over the packed membership
+    golden = json.loads(GOLDEN_REGIONS.read_text(encoding="utf-8"))
+    strong = {k: v for k, v in golden.items() if k.startswith("region|") and "/" in k}
+    assert len(strong) == 180
+    for key, want in strong.items():
+        _, pair, _, res = key.split("|")
+        t_spec, s_spec = pair.split("/")
+        T, S = parse_op_spec(t_spec, Kind.NORM), parse_op_spec(s_spec, Kind.CONORM)
+        member = strong_region(T, S, 1.0 / int(res)).membership
+        digest = hashlib.sha256(np.packbits(member).tobytes()).hexdigest()[:24]
+        assert f"{member.shape[0]}:{digest}" == want, key
 
 
 def test_weak_contains_strong():
