@@ -220,5 +220,5 @@ def strong_uniqueness(T: BinaryOp, S: BinaryOp, w_grid=None) -> TriState:
     w, t1, t2 = multi
     return fails(
         (w, t1, t2),
-        f"at w={w:g} both t={t1:g} and t={t2:g} decompose the pair",
+        f"at w={w!r} both t={t1!r} and t={t2!r} decompose the pair",
     )

@@ -235,6 +235,15 @@ def test_strong_uniqueness_cases():
     assert strong_uniqueness(ss1n, ss1c).verdict is Verdict.HOLDS
 
 
+def test_uniqueness_witness_is_printed_in_full():
+    # one rounding apart: :g printed both as 0.5
+    S = make_custom(lambda x, y: np.minimum(1.0, x + y), Kind.CONORM)
+    v = strong_uniqueness(make_norm("lukasiewicz"), S)
+    assert v.verdict is Verdict.FAILS
+    w, t1, t2 = v.witness
+    assert t1 != t2 and f"at w={w!r} both t={t1!r} and t={t2!r} decompose" in v.detail
+
+
 def test_ss_lambda_regimes_against_interval_math():
     SL = make_conorm("lukasiewicz")
     for lam, expect in ((0.5, Verdict.FAILS), (1.0, Verdict.HOLDS), (2.0, Verdict.HOLDS)):
