@@ -83,8 +83,9 @@ def _absorbing_edge(op: BinaryOp, w, boundary: str) -> tuple:
         raise ValueError(
             f"operator violates the {op.kind.value} boundary {boundary} at w={at!r}: got {op(a, at)!r}"
         )
-    # the set is [edge, 1] for a conorm and [0, edge] for a norm; the bracket
-    # end inside it is the best estimate, and membership decides closure
+    # the set is [edge, 1] for a conorm and [0, edge] for a norm, so t lies
+    # at or above the edge where S(t, w) = 1 or T(t, w) != 0; the bracket end
+    # inside the set is the best estimate, and membership decides closure
     lo, hi = _bisect(lambda t: absorbed(t) == (a == 1.0), w.shape)
     edge = hi if a == 1.0 else lo
     return edge, absorbed(edge)

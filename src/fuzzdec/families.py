@@ -152,7 +152,7 @@ class Family:
             return DegreeInterval.closed(0.0, 1.0 * (w == 0.0))
         if p == math.inf:  # [0,1); all of [0,1] at w = 0, {0} at w = 1
             return DegreeInterval(0.0, 1.0 * (w != 1.0), True, (w == 0.0) | (w == 1.0))
-        return DegreeInterval.closed(0.0, _vanishing(w, p))
+        return DegreeInterval.closed(0.0, _zero_end(w, p))
 
     def one_interval(self, w) -> DegreeInterval:
         """{t : S(t, w) = 1}, for one w or entry by entry for an array of w."""
@@ -162,7 +162,7 @@ class Family:
         if p == math.inf:  # (0,1]; {1} at w = 0, all of [0,1] at w = 1
             return DegreeInterval(1.0 * (w == 0.0), 1.0, (w == 0.0) | (w == 1.0), True)
         # S is the dual of T: the zero-interval at 1 - w, reflected
-        return DegreeInterval.closed(1.0 - _vanishing(1.0 - w, p), 1.0)
+        return DegreeInterval.closed(1.0 - _zero_end(1.0 - w, p), 1.0)
 
 
 # x ** y entry by entry through the C library's pow, as for two Python
@@ -171,8 +171,8 @@ class Family:
 _pow = np.frompyfunc(pow, 2, 1)
 
 
-def _vanishing(w, p):
-    """(1 - w^p)^(1/p), the largest t with T(t, w) = 0 for exponent p."""
+def _zero_end(w, p):
+    """(1 - w^p)^(1/p): the upper end of the zero-interval for exponent p."""
     return 1.0 - w if p == 1.0 else np.asarray(_pow(1.0 - _pow(w, p), 1.0 / p), dtype=float)
 
 
