@@ -23,7 +23,7 @@ from .operators import (
     make_custom,
     parse_op_spec,
 )
-from .divisors import one_interval, strong_existence, strong_uniqueness, zero_interval
+from .divisors import intersection, one_interval, strong_existence, strong_uniqueness, zero_interval
 from .decompose import (
     DecompositionError,
     canonical_decompose,
@@ -219,8 +219,7 @@ def _cmd_divisors(args) -> int:
         if T is not None:
             print(f"zero-interval of {T.display_name} at w={args.w:g}: {zero_interval(T, args.w)}")
         if S is not None and T is not None:
-            inter = one_interval(S, args.w).intersect(zero_interval(T, args.w))
-            print(f"intersection at w={args.w:g}: {inter}")
+            print(f"intersection at w={args.w:g}: {intersection(T, S, args.w)}")
     if S is not None and T is not None:
         exist = strong_existence(T, S)
         uniq = strong_uniqueness(T, S)

@@ -137,41 +137,54 @@ def _analytic_nonempty_all_w(T: BinaryOp, S: BinaryOp) -> bool:
     return math.inf in (p, q) or min(p, q) >= 1.0
 
 
-def _sweep_intersections(T: BinaryOp, S: BinaryOp, w_grid) -> tuple:
-    """Grid sweep returning (first empty w, first non-singleton (w, t1, t2)).
-    The midpoint is probed first: interior behaviour is uniform for the
-    built-in families, so it yields the most readable witness."""
-    grid = np.asarray(w_grid, dtype=float)
-    if 0.5 in grid:
-        grid = np.concatenate(([0.5], grid[grid != 0.5]))
-    inter = one_interval(S, grid).intersect(zero_interval(T, grid))
-    empty = np.flatnonzero(inter.empty)
-    multi = np.flatnonzero(~(inter.empty | inter.is_singleton))
-    first_empty = float(grid[empty[0]]) if empty.size else None
-    if not multi.size:
-        return first_empty, None
-    w = float(grid[multi[0]])
-    t1, t2 = one_interval(S, w).intersect(zero_interval(T, w)).two_points()
-    return first_empty, (w, float(t1), float(t2))
+def intersection(T: BinaryOp, S: BinaryOp, w) -> DegreeInterval:
+    """{t : S(t, w) = 1 and T(t, w) = 0}, entry by entry for an array of w."""
+    return one_interval(S, w).intersect(zero_interval(T, w))
 
 
-def _multi_witness(T: BinaryOp, S: BinaryOp):
-    """(w, t1, t2) with S(t, w) = 1 and T(t, w) = 0 exactly in floating point
-    for both t, for a pair whose intersections are analytically proper
-    intervals; None if no probed w shows one.  w = 0.5 is probed first, then
-    w = 1 - 2^-k toward 1, where one-intervals are widest."""
-    for w in (0.5, *(1.0 - 2.0 ** -k for k in range(2, 53))):
-        pts = one_interval(S, w).intersect(zero_interval(T, w)).two_points()
-        if pts is not None and all(S(t, w) == 1.0 and T(t, w) == 0.0 for t in pts):
-            return (w, float(pts[0]), float(pts[1]))
+# toward 1, where one-intervals are widest, then toward 0, where large-exponent zero-intervals resolve
+_CLASSIFIED_PROBES = np.concatenate([1.0 - 2.0 ** -np.arange(2, 53), 2.0 ** -np.arange(2, 53)])
+
+
+def _probes(T: BinaryOp, S: BinaryOp, w_grid):
+    """The probe order: w = 0.5 alone (the single-w path is ~10x cheaper than
+    an array call, and it gives the most readable witness), then one array,
+    `_CLASSIFIED_PROBES` for a classified pair and the sweep grid otherwise."""
+    yield 0.5
+    rest = _CLASSIFIED_PROBES if _pair_is_analytic(T, S) else _as_grid(w_grid, 1e-3, T, S)
+    yield rest[rest != 0.5]
+
+
+def _witness(T: BinaryOp, S: BinaryOp, w_grid, unique: bool):
+    """(witness, detail) at the first probe that disproves existence, (w,)
+    with disjoint intervals, or uniqueness, (w, t1, t2) with S(t, w) = 1 and
+    T(t, w) = 0 for both t through scalar calls (an array evaluation may
+    round differently); None if no probe does."""
+    for ws in _probes(T, S, w_grid):
+        one, zero = one_interval(S, ws), zero_interval(T, ws)
+        inter = one.intersect(zero)
+        ws = np.atleast_1d(ws)
+        if not unique:
+            hits = np.flatnonzero(inter.empty)
+            if hits.size:
+                w = float(ws[hits[0]])
+                if ws.size > 1:  # the message shows the intervals at w alone
+                    one, zero = one_interval(S, w), zero_interval(T, w)
+                return (w,), f"at w={w:g}: one-interval {one} and zero-interval {zero} are disjoint"
+            continue
+        t1, t2 = (np.atleast_1d(t) for t in inter.two_points())
+        for k in np.flatnonzero(~np.isnan(t1)).tolist():
+            w, pts = float(ws[k]), (float(t1[k]), float(t2[k]))
+            if all(S(t, w) == 1.0 and T(t, w) == 0.0 for t in pts):
+                return (w, *pts), f"at w={w!r} both t={pts[0]!r} and t={pts[1]!r} decompose the pair"
     return None
 
 
 def strong_existence(T: BinaryOp, S: BinaryOp, w_grid=None) -> TriState:
     """Whether every fuzzy relation admits a strong decomposition under (T,S):
     S continuous in the first coordinate and the divisor intervals intersect
-    at every w.  Analytic over all w for classified built-in pairs, whose
-    failures are witnessed at w = 0.5; other pairs are swept over ``w_grid``."""
+    at every w.  Analytic over all w for classified built-in pairs; a failure
+    is witnessed at the first of `_probes` with disjoint intervals."""
 
     if T.kind is not Kind.NORM or S.kind is not Kind.CONORM:
         raise ValueError("strong_existence expects (norm, conorm)")
@@ -179,19 +192,11 @@ def strong_existence(T: BinaryOp, S: BinaryOp, w_grid=None) -> TriState:
     if cont.verdict is Verdict.FAILS:
         return fails(cont.witness, f"conorm discontinuous in the first coordinate: {cont.detail}")
 
-    if _pair_is_analytic(T, S):
-        if _analytic_nonempty_all_w(T, S):
-            return holds("divisor intervals intersect for every w")
-        empty_w = 0.5
-    else:
-        empty_w, _ = _sweep_intersections(T, S, _as_grid(w_grid, 1e-3, T, S))
-    if empty_w is not None:
-        i1 = one_interval(S, empty_w)
-        i0 = zero_interval(T, empty_w)
-        return fails(
-            (empty_w,),
-            f"at w={empty_w:g}: one-interval {i1} and zero-interval {i0} are disjoint",
-        )
+    if _pair_is_analytic(T, S) and _analytic_nonempty_all_w(T, S):
+        return holds("divisor intervals intersect for every w")
+    found = _witness(T, S, w_grid, unique=False)
+    if found is not None:
+        return fails(*found)
     if cont.verdict is Verdict.UNKNOWN_SAMPLED:
         return unknown("grid sweep passed; conorm continuity only sampled")
     return unknown("grid sweep passed; pair not analytically classified")
@@ -203,23 +208,11 @@ def strong_uniqueness(T: BinaryOp, S: BinaryOp, w_grid=None) -> TriState:
     exist = strong_existence(T, S, w_grid)
     if exist.verdict is Verdict.FAILS:
         return exist
-
-    if _pair_is_analytic(T, S):
-        # proper intervals meet in a single point for every w only when both
-        # have exponent 1: the intersection is then {1-w}
-        if T.record.exponent == S.record.exponent == 1.0:
-            return holds("intersection is the singleton {1-w} for every w")
-        multi = _multi_witness(T, S)
-        if multi is None:
-            return unknown(
-                "intersections are proper intervals, but no probed w shows two points in floating point"
-            )
-    else:
-        _, multi = _sweep_intersections(T, S, _as_grid(w_grid, 1e-3, T, S))
-        if multi is None:
-            return unknown("no multi-point intersection found on the grid")
-    w, t1, t2 = multi
-    return fails(
-        (w, t1, t2),
-        f"at w={w!r} both t={t1!r} and t={t2!r} decompose the pair",
-    )
+    # proper intervals of a classified pair meet in a single point for every
+    # w only when both have exponent 1: the intersection is then {1-w}
+    if _pair_is_analytic(T, S) and T.record.exponent == S.record.exponent == 1.0:
+        return holds("intersection is the singleton {1-w} for every w")
+    found = _witness(T, S, w_grid, unique=True)
+    if found is None:
+        return unknown("no probed w shows two points that decompose the pair")
+    return fails(*found)

@@ -50,10 +50,10 @@ class DegreeInterval:
     lower_closed: bool = True
     upper_closed: bool = True
     empty: bool = False
+    _FIELDS = ("lower", "upper", "lower_closed", "upper_closed", "empty")
 
     def __post_init__(self):
-        names = ("lower", "upper", "lower_closed", "upper_closed", "empty")
-        fields = [np.asarray(getattr(self, n)) for n in names]
+        fields = [np.asarray(getattr(self, n)) for n in self._FIELDS]
         if any(f.ndim for f in fields):
             fields = np.broadcast_arrays(*fields)
         else:
@@ -64,8 +64,13 @@ class DegreeInterval:
             raise ValueError("interval endpoints must satisfy 0 <= lower <= upper <= 1")
         if np.count_nonzero(live & (lo == hi) & np.logical_not(lo_c & hi_c)):
             raise ValueError("a degenerate interval must be closed (or empty)")
-        for name, value in zip(names, fields):
+        for name, value in zip(self._FIELDS, fields):
             object.__setattr__(self, name, value)
+
+    def __eq__(self, other):  # field by field: array intervals compare to one bool too
+        if not isinstance(other, DegreeInterval):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in self._FIELDS)
 
     @staticmethod
     def closed(lower: float, upper: float) -> "DegreeInterval":
@@ -100,15 +105,15 @@ class DegreeInterval:
             np.where(live, lo, 0.0), np.where(live, hi, 0.0), lo_c & live, hi_c & live, empty
         )
 
-    def two_points(self) -> Optional[tuple]:
-        """Two distinct members, if the interval has them."""
-        if self.empty or self.is_singleton:
-            return None
-        a = self.lower if self.lower_closed else self.lower + (self.upper - self.lower) / 4
-        b = self.upper if self.upper_closed else self.upper - (self.upper - self.lower) / 4
-        if a == b:
-            b = (a + self.upper) / 2
-        return (a, b)
+    def two_points(self) -> tuple:
+        """Two distinct members (a, b), entry by entry; NaN for both where
+        the interval has fewer than two."""
+        lo, hi = self.lower, self.upper
+        a = np.where(self.lower_closed, lo, lo + (hi - lo) / 4)
+        b = np.where(self.upper_closed, hi, hi - (hi - lo) / 4)
+        b = np.where(a == b, (a + hi) / 2, b)
+        none = self.empty | (a == b)
+        return _plain(np.where(none, np.nan, a)), _plain(np.where(none, np.nan, b))
 
     def __str__(self) -> str:
         if self.empty:

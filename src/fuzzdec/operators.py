@@ -230,23 +230,24 @@ def check_norm_axioms(op: BinaryOp, grid=None) -> TriState:
     zeros = np.zeros_like(g)
     ones = np.ones_like(g)
 
+    # identity rows within EPSILON, absorbing rows exactly (divisor intervals are their level sets)
     if op.kind is Kind.NORM:
         pairs = [
-            (g, ones, g, "T(x,1) = x"),
-            (ones, g, g, "T(1,x) = x"),
-            (g, zeros, zeros, "T(x,0) = 0"),
-            (zeros, g, zeros, "T(0,x) = 0"),
+            (g, ones, g, EPSILON, "T(x,1) = x"),
+            (ones, g, g, EPSILON, "T(1,x) = x"),
+            (g, zeros, zeros, 0.0, "T(x,0) = 0"),
+            (zeros, g, zeros, 0.0, "T(0,x) = 0"),
         ]
     else:
         pairs = [
-            (g, zeros, g, "S(x,0) = x"),
-            (zeros, g, g, "S(0,x) = x"),
-            (g, ones, ones, "S(x,1) = 1"),
-            (ones, g, ones, "S(1,x) = 1"),
+            (g, zeros, g, EPSILON, "S(x,0) = x"),
+            (zeros, g, g, EPSILON, "S(0,x) = x"),
+            (g, ones, ones, 0.0, "S(x,1) = 1"),
+            (ones, g, ones, 0.0, "S(1,x) = 1"),
         ]
-    for xs, ys, want, label in pairs:
+    for xs, ys, want, tol, label in pairs:
         got = np.asarray(op.evaluator(xs, ys), dtype=float)
-        bad = np.abs(got - want) > EPSILON
+        bad = np.abs(got - want) > tol
         if bad.any():
             k = int(np.argmax(bad))
             return fails(

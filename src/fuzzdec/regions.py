@@ -22,7 +22,8 @@ import numpy as np
 
 from .operators import EPSILON, BinaryOp, Kind, check_first_coordinate_continuity
 from .decompose import residual_array
-from .divisors import one_interval, zero_interval
+from .divisors import intersection
+from .preferences import sample_relations
 from .relations import FuzzyRelation, _first_cell, _row_blocks, sup_t_compose
 from .verdicts import TriState, Verdict, fails, unknown, holds
 
@@ -140,7 +141,7 @@ def strong_region(T: BinaryOp, S: BinaryOp, resolution: float = 1 / 200) -> Regi
     # r = 1 edge, the last row and column (ax[-1] = 1 is the only axis value
     # within EPSILON of 1): check the divisor intervals, which catch attaining
     # values the unattained residual misses for discontinuous conorms
-    nonempty = ~one_interval(S, ax).intersect(zero_interval(T, ax)).empty
+    nonempty = ~intersection(T, S, ax).empty
     member[-1, :] = nonempty
     member[:, -1] = nonempty
     # the diagonal always decomposes via t = 0 (the edge overwrote its corner)
@@ -221,8 +222,6 @@ def transitivity_preserves_verdict(
     with the samples.  A pass is reported UNKNOWN_SAMPLED: the claim ranges
     over infinitely many relations.
     """
-
-    from .preferences import sample_relations  # local import avoids a cycle
 
     unrestricted = check_first_coordinate_continuity(S).verdict is Verdict.HOLDS
     rng_relations = sample_relations(samples, size=size, grid_step=0.05, seed=seed)

@@ -11,6 +11,7 @@ evidence for the open cells, ``tables --which 2 --speculate``.  Re-record it wit
     PYTHONPATH=src python tests/test_cli_golden.py --record
 """
 
+import ast
 import contextlib
 import io
 import json
@@ -18,7 +19,9 @@ import os
 import sys
 from pathlib import Path
 
+from fuzzdec import Kind, parse_op_spec
 from fuzzdec.cli import main
+from fuzzdec.divisors import intersection
 from fuzzdec.operators import format_lambda
 from fuzzdec.tables import DEFAULT_LAMBDA_SAMPLES
 
@@ -73,6 +76,28 @@ def test_cli_output_matches_the_recording(monkeypatch):
     assert [e["argv"] for e in recorded] == commands()
     for entry in recorded:
         assert run(entry["argv"]) == entry, " ".join(entry["argv"])
+
+
+def test_recorded_divisor_witnesses_replay():
+    # a re-record must not pin a witness that does not reproduce its failure
+    replayed = 0
+    for entry in json.loads(GOLDEN.read_text(encoding="utf-8")):
+        argv = entry["argv"]
+        if argv[0] != "divisors" or "--w" in argv:
+            continue
+        T, S = parse_op_spec(argv[2], Kind.NORM), parse_op_spec(argv[4], Kind.CONORM)
+        for line in entry["stdout"].splitlines():
+            if "witness=" not in line or "discontinuous" in line:
+                continue
+            witness = ast.literal_eval(line.split("witness=", 1)[1].split(" -- ", 1)[0])
+            if "disjoint" in line:
+                (w,) = witness
+                assert intersection(T, S, w).empty, line
+            else:
+                w, t1, t2 = witness
+                assert t1 != t2 and all(S(t, w) == 1.0 and T(t, w) == 0.0 for t in (t1, t2)), line
+            replayed += 1
+    assert replayed == 275
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from fuzzdec import (
     strong_uniqueness,
     zero_interval,
 )
-from fuzzdec.divisors import _analytic_nonempty_all_w, _pair_is_analytic, _sweep_intersections
+from fuzzdec.divisors import _analytic_nonempty_all_w, _pair_is_analytic, intersection
 
 CONORMS = [
     ("minimum", None),
@@ -57,6 +57,16 @@ def test_array_interval_rejects_one_bad_entry():
         DegreeInterval(np.array([0.2, 0.5]), np.array([0.4, 0.5]), np.array([True, False]), True)
     # an empty entry's endpoints are not read
     DegreeInterval(np.array([0.0, 0.9]), np.array([1.0, 0.1]), empty=np.array([False, True]))
+
+
+def test_array_intervals_compare_field_by_field():
+    S = make_conorm("lukasiewicz")
+    ws = np.array([0.2, 0.3])
+    assert one_interval(S, ws) == one_interval(S, ws.copy())
+    assert one_interval(S, ws) != one_interval(S, ws[::-1])
+    assert one_interval(S, ws) != one_interval(S, 0.2)
+    assert one_interval(S, 0.3) == DegreeInterval.closed(0.7, 1.0)
+    assert len({one_interval(S, 0.3), DegreeInterval.closed(0.7, 1.0)}) == 1
 
 
 def test_interval_intersection_openness():
@@ -150,7 +160,7 @@ def test_boundary_violation_names_the_first_w_and_value():
     # x + y - x*y rounds S(1, 0.001) to 0.9999999999999999
     S = make_custom(lambda x, y: x + y - x * y, Kind.CONORM)
     with pytest.raises(ValueError, match=r"S\(1,w\) = 1 at w=0\.001: got 0\.9999999999999999$"):
-        strong_existence(make_norm("lukasiewicz"), S)
+        one_interval(S, degree_grid(0.001))
     with pytest.raises(ValueError, match=r"at w=0\.3: got 0\.1$"):
         zero_interval(make_custom(lambda x, y: np.where(y == 0.3, 0.1, x * y), Kind.NORM), np.array([0.5, 0.3]))
     iv = one_interval(S, 0.5)
@@ -280,10 +290,10 @@ def test_drastic_schweizer_sklar_existence_holds_at_small_lambda(lam):
 LAMBDAS = (-math.inf, -2.0, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, math.inf)
 
 
-def builtin_ops(kind):
+def builtin_ops(kind, lambdas=LAMBDAS):
     ops = [make_family(f, kind) for f in ("minimum", "product", "lukasiewicz", "drastic", "ordinal_sum")]
-    ops += [make_family("schweizer_sklar", kind, lam) for lam in LAMBDAS]
-    return ops + [make_family("hamacher", kind, lam) for lam in LAMBDAS if lam >= 0.0]
+    ops += [make_family("schweizer_sklar", kind, lam) for lam in lambdas]
+    return ops + [make_family("hamacher", kind, lam) for lam in lambdas if lam >= 0.0]
 
 
 def test_grid_sweep_agrees_with_the_analytic_verdicts():
@@ -294,8 +304,31 @@ def test_grid_sweep_agrees_with_the_analytic_verdicts():
             if not _pair_is_analytic(T, S):
                 continue
             classified += 1
-            empty, multi = _sweep_intersections(T, S, grid)
-            assert (empty is None) is _analytic_nonempty_all_w(T, S), (T, S)
-            if empty is None and check_first_coordinate_continuity(S).verdict is Verdict.HOLDS:
-                assert (multi is None) is (strong_uniqueness(T, S).verdict is Verdict.HOLDS), (T, S)
+            inter = intersection(T, S, grid)
+            empty, multi = inter.empty.any(), (~inter.empty & ~inter.is_singleton).any()
+            assert (not empty) is _analytic_nonempty_all_w(T, S), (T, S)
+            if not empty and check_first_coordinate_continuity(S).verdict is Verdict.HOLDS:
+                assert (not multi) is (strong_uniqueness(T, S).verdict is Verdict.HOLDS), (T, S)
     assert classified == 27 * 27 - 7 * 6  # all but the Schweizer-Sklar pairs of two lambdas in (0, +inf)
+
+
+PROPERTY_LAMBDAS = (-math.inf, -2.0, -1.0, -0.5, 0.0, 0.05, 0.22, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0, math.inf)
+
+
+def test_every_witness_replays_in_floats():
+    # 35 x 35 built-in pairs: an interval witness shows disjoint intervals at
+    # its w, and both points of a uniqueness witness decompose the pair
+    # through the scalar calls
+    norms, conorms = builtin_ops(Kind.NORM, PROPERTY_LAMBDAS), builtin_ops(Kind.CONORM, PROPERTY_LAMBDAS)
+    pairs = [(T, S) for T in norms for S in conorms]
+    assert len(pairs) == 1225
+    for T, S in pairs:
+        for v in (strong_existence(T, S), strong_uniqueness(T, S)):
+            if v.verdict is not Verdict.FAILS or "discontinuous" in v.detail:
+                continue
+            if "disjoint" in v.detail:
+                (w,) = v.witness
+                assert intersection(T, S, w).empty, (T, S, v)
+            else:
+                w, t1, t2 = v.witness
+                assert t1 != t2 and all(S(t, w) == 1.0 and T(t, w) == 0.0 for t in (t1, t2)), (T, S, v)

@@ -152,6 +152,19 @@ def test_custom_violation_found_with_reproducible_witness():
     assert abs(bad(x, y) - x * y) <= 1e-12
 
 
+def test_absorbing_boundary_rows_must_hold_exactly():
+    # x + y - x*y rounds S(0.13, 1) to 0.9999999999999999, which the divisor
+    # intervals (level sets of 1) cannot absorb
+    v = check_norm_axioms(make_custom(lambda x, y: x + y - x * y, Kind.CONORM))
+    assert v.verdict is Verdict.FAILS
+    assert v.witness == (0.13, 1.0) and v.detail == "boundary S(x,1) = 1 violated: got 0.9999999999999999"
+    ok = make_custom(lambda x, y: np.minimum(1.0, x + y), Kind.CONORM)
+    assert check_norm_axioms(ok).verdict is Verdict.UNKNOWN_SAMPLED
+    # the identity rows keep the tolerance
+    near = make_custom(lambda x, y: np.where(np.asarray(y) == 1.0, x * (1 - 1e-12), np.minimum(x, y)), Kind.NORM)
+    assert check_norm_axioms(near).verdict is Verdict.UNKNOWN_SAMPLED
+
+
 def test_custom_passing_grid_is_only_sampled():
     ok = make_custom(lambda x, y: np.maximum(x, y), Kind.CONORM)
     assert check_norm_axioms(ok, 0.05).verdict is Verdict.UNKNOWN_SAMPLED
