@@ -44,5 +44,5 @@ print()
 
 print("Full regenerated table (0 mismatches expected):")
 cells = generate_table1()
-print(render_table(cells, 1))
+print(render_table(cells))
 print(f"{len(diff_against_reference(cells, 1))} mismatches against the reference")

@@ -68,5 +68,5 @@ print()
 
 print("Full regenerated rule table (0 mismatches expected):")
 cells = generate_table2(seed=0)
-print(render_table(cells, 2))
+print(render_table(cells))
 print(f"{len(diff_against_reference(cells, 2))} mismatches against the reference")

@@ -43,6 +43,7 @@ from .relations import (
     load_relation,
     parse_relation,
     relation_from_dict,
+    sample_relations,
     save_relation,
 )
 from .decompose import (
@@ -71,7 +72,6 @@ from .preferences import (
     classify_rule,
     make_rule,
     mj_counterexample,
-    sample_relations,
     tie_strict_max_decomposition,
     triplet_from_decomposition,
 )

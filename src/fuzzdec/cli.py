@@ -12,7 +12,6 @@ import argparse
 import math
 import os
 import sys
-from typing import Optional
 
 import numpy as np
 
@@ -78,15 +77,12 @@ def _seed(args) -> int:
     return seed
 
 
-def _load_op(spec: str, kind: Kind, table_arg: Optional[str]) -> BinaryOp:
+def _load_op(spec: str, kind: Kind) -> BinaryOp:
     if spec.strip().lower().startswith("custom"):
-        path = table_arg
         rest = spec.strip()[len("custom"):]
-        if rest.startswith(":table="):
-            path = rest[len(":table="):]
-        if path is None:
+        if not rest.startswith(":table="):
             raise ValueError("custom operators need a table: custom:table=<path>")
-        return _table_operator(path, kind)
+        return _table_operator(rest[len(":table="):], kind)
     return parse_op_spec(spec, kind)
 
 
@@ -148,20 +144,17 @@ def _table_operator(path: str, kind: Kind) -> BinaryOp:
 
 def _cmd_decompose(args) -> int:
     R = load_relation(args.relation)
-    S = _load_op(args.conorm, Kind.CONORM, None)
+    S = _load_op(args.conorm, Kind.CONORM)
     T = parse_op_spec(args.norm, Kind.NORM) if args.norm else None
-    mode = args.mode or ("strong" if T is not None else "weak")
-    if mode == "strong" and T is None:
-        print("error: strong mode needs --norm", file=sys.stderr)
-        return USAGE_ERROR
-    if mode == "strong":
+    mode = "strong" if T is not None else "weak"
+    if T is not None:
         d = strong_decompose(R, T, S)
         check = verify_strong(R, d, T)
     else:
         d = canonical_decompose(R, S)
         check = verify_weak(R, d)
     print(f"# canonical {mode} decomposition under {S.display_name}"
-          + (f" / {T.display_name}" if mode == "strong" else ""))
+          + (f" / {T.display_name}" if T is not None else ""))
     print("# strict part P")
     print(format_relation(d.strict), end="")
     print("# indifference part I")
@@ -172,7 +165,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_audit(args) -> int:
     R = load_relation(args.relation)
-    S = _load_op(args.conorm, Kind.CONORM, None)
+    S = _load_op(args.conorm, Kind.CONORM)
     T = parse_op_spec(args.norm, Kind.NORM) if args.norm else None
     d = strong_decompose(R, T, S) if T is not None else canonical_decompose(R, S)
     report = audit_fp(triplet_from_decomposition(R, d), seed=_seed(args))
@@ -182,7 +175,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    S = _load_op(args.conorm, Kind.CONORM, None)
+    S = _load_op(args.conorm, Kind.CONORM)
     T = parse_op_spec(args.norm, Kind.NORM) if args.norm else None
     result = classify_rule(S, T, samples=args.samples, seed=_seed(args))
     kind = "strong" if T is not None else "weak"
@@ -199,7 +192,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_check_norm(args) -> int:
     kind = Kind.NORM if args.kind == "norm" else Kind.CONORM
-    op = _load_op(args.op, kind, args.table)
+    op = _load_op(args.op, kind)
     verdict = check_norm_axioms(op, args.grid_step)
     print(f"# axiom check for {op.display_name} as a {args.kind}")
     print(verdict)
@@ -207,7 +200,7 @@ def _cmd_check_norm(args) -> int:
 
 
 def _cmd_divisors(args) -> int:
-    S = _load_op(args.conorm, Kind.CONORM, None) if args.conorm else None
+    S = _load_op(args.conorm, Kind.CONORM) if args.conorm else None
     T = parse_op_spec(args.norm, Kind.NORM) if args.norm else None
     if S is None and T is None:
         print("error: give at least one of --conorm / --norm", file=sys.stderr)
@@ -231,7 +224,7 @@ def _cmd_divisors(args) -> int:
 
 
 def _cmd_region(args) -> int:
-    S = _load_op(args.conorm, Kind.CONORM, None)
+    S = _load_op(args.conorm, Kind.CONORM)
     T = parse_op_spec(args.norm, Kind.NORM) if args.norm else None
     res = 1.0 / args.resolution
     grid = weak_region(S, res) if T is None else strong_region(T, S, res)
@@ -246,8 +239,8 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_restricted(args) -> int:
-    S_prime = _load_op(args.connected_by, Kind.CONORM, None)
-    S = _load_op(args.conorm, Kind.CONORM, None)
+    S_prime = _load_op(args.connected_by, Kind.CONORM)
+    S = _load_op(args.conorm, Kind.CONORM)
     T = parse_op_spec(args.norm, Kind.NORM) if args.norm else None
     verdict = restricted_decomposability(S_prime, S, T, 1.0 / args.resolution)
     print(
@@ -263,7 +256,7 @@ def _cmd_tables(args) -> int:
         cells = generate_table1()
     else:
         cells = generate_table2(seed=_seed(args))
-    print(render_table(cells, args.which, args.format), end="")
+    print(render_table(cells, args.format), end="")
     mismatches = diff_against_reference(cells, args.which)
     print(f"{len(mismatches)} mismatches against the reference table")
     for m in mismatches:
@@ -290,7 +283,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--relation", required=True)
     sp.add_argument("--conorm", required=True)
     sp.add_argument("--norm")
-    sp.add_argument("--mode", choices=["strong", "weak"])
     sp.set_defaults(fn=_cmd_decompose)
 
     sp = sub.add_parser("audit", help="audit the canonical decomposition as a preference")
@@ -311,7 +303,6 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("check-norm", help="check the defining axioms of an operator")
     sp.add_argument("--op", required=True)
     sp.add_argument("--kind", choices=["norm", "conorm"], required=True)
-    sp.add_argument("--table", help="value table for custom operators")
     sp.add_argument("--grid-step", type=float, default=0.01, dest="grid_step")
     sp.set_defaults(fn=_cmd_check_norm)
 

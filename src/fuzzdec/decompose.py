@@ -123,21 +123,17 @@ def canonical_decompose(R: FuzzyRelation, S: BinaryOp) -> Decomposition:
         )
     m = R.degrees
     i_mat, p_mat = np.empty_like(m), np.empty_like(m)
-    bad = None  # first unreconstructed pair; every block is still computed
     for s in _row_blocks(R.size, R.size):
         i_blk = i_mat[s] = np.minimum(m[s], m[:, s].T)
         p_blk = p_mat[s] = residual_array(S, i_blk, m[s])
         recon = np.asarray(S.evaluator(p_blk, i_blk), dtype=float)
         gap = np.abs(recon - m[s]) > EPSILON
-        if bad is None and gap.any():
+        if gap.any():
             a, b = np.argwhere(gap)[0]
-            bad = (s.start + a, b, float(recon[a, b]))
-    if bad is not None:
-        a, b, got = bad
-        raise DecompositionError(
-            f"residual infimum not attained at pair ({R.universe[a]},{R.universe[b]}): "
-            f"S(P,I) = {got!r} but R = {float(m[a, b])!r}"
-        )
+            raise DecompositionError(
+                f"residual infimum not attained at pair ({R.universe[s.start + a]},{R.universe[b]}): "
+                f"S(P,I) = {float(recon[a, b])!r} but R = {float(m[s.start + a, b])!r}"
+            )
     return Decomposition(
         strict=FuzzyRelation._adopt(R.universe, p_mat),
         indifference=FuzzyRelation._adopt(R.universe, i_mat),

@@ -146,21 +146,21 @@ def intersection(T: BinaryOp, S: BinaryOp, w) -> DegreeInterval:
 _CLASSIFIED_PROBES = np.concatenate([1.0 - 2.0 ** -np.arange(2, 53), 2.0 ** -np.arange(2, 53)])
 
 
-def _probes(T: BinaryOp, S: BinaryOp, w_grid):
+def _probes(T: BinaryOp, S: BinaryOp):
     """The probe order: w = 0.5 alone (the single-w path is ~10x cheaper than
     an array call, and it gives the most readable witness), then one array,
     `_CLASSIFIED_PROBES` for a classified pair and the sweep grid otherwise."""
     yield 0.5
-    rest = _CLASSIFIED_PROBES if _pair_is_analytic(T, S) else _as_grid(w_grid, 1e-3, T, S)
+    rest = _CLASSIFIED_PROBES if _pair_is_analytic(T, S) else _as_grid(1e-3, T, S)
     yield rest[rest != 0.5]
 
 
-def _witness(T: BinaryOp, S: BinaryOp, w_grid, unique: bool):
+def _witness(T: BinaryOp, S: BinaryOp, unique: bool):
     """(witness, detail) at the first probe that disproves existence, (w,)
     with disjoint intervals, or uniqueness, (w, t1, t2) with S(t, w) = 1 and
     T(t, w) = 0 for both t through scalar calls (an array evaluation may
     round differently); None if no probe does."""
-    for ws in _probes(T, S, w_grid):
+    for ws in _probes(T, S):
         one, zero = one_interval(S, ws), zero_interval(T, ws)
         inter = one.intersect(zero)
         ws = np.atleast_1d(ws)
@@ -180,7 +180,7 @@ def _witness(T: BinaryOp, S: BinaryOp, w_grid, unique: bool):
     return None
 
 
-def strong_existence(T: BinaryOp, S: BinaryOp, w_grid=None) -> TriState:
+def strong_existence(T: BinaryOp, S: BinaryOp) -> TriState:
     """Whether every fuzzy relation admits a strong decomposition under (T,S):
     S continuous in the first coordinate and the divisor intervals intersect
     at every w.  Analytic over all w for classified built-in pairs; a failure
@@ -194,7 +194,7 @@ def strong_existence(T: BinaryOp, S: BinaryOp, w_grid=None) -> TriState:
 
     if _pair_is_analytic(T, S) and _analytic_nonempty_all_w(T, S):
         return holds("divisor intervals intersect for every w")
-    found = _witness(T, S, w_grid, unique=False)
+    found = _witness(T, S, unique=False)
     if found is not None:
         return fails(*found)
     if cont.verdict is Verdict.UNKNOWN_SAMPLED:
@@ -202,17 +202,17 @@ def strong_existence(T: BinaryOp, S: BinaryOp, w_grid=None) -> TriState:
     return unknown("grid sweep passed; pair not analytically classified")
 
 
-def strong_uniqueness(T: BinaryOp, S: BinaryOp, w_grid=None) -> TriState:
+def strong_uniqueness(T: BinaryOp, S: BinaryOp) -> TriState:
     """Existence plus |intersection| = 1 for every w."""
 
-    exist = strong_existence(T, S, w_grid)
+    exist = strong_existence(T, S)
     if exist.verdict is Verdict.FAILS:
         return exist
     # proper intervals of a classified pair meet in a single point for every
     # w only when both have exponent 1: the intersection is then {1-w}
     if _pair_is_analytic(T, S) and T.record.exponent == S.record.exponent == 1.0:
         return holds("intersection is the singleton {1-w} for every w")
-    found = _witness(T, S, w_grid, unique=True)
+    found = _witness(T, S, unique=True)
     if found is None:
         return unknown("no probed w shows two points that decompose the pair")
     return fails(*found)

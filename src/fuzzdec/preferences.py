@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -39,8 +39,14 @@ from .decompose import (
     strong_decompose,
 )
 from .divisors import strong_existence, strong_uniqueness
-from .relations import FuzzyRelation, _first_cell, asymmetry_violation, symmetry_violation
-from .tables import OPEN_CELLS, WEAK_ROW, in_regime
+from .reference import open_cell
+from .relations import (
+    FuzzyRelation,
+    _first_cell,
+    asymmetry_violation,
+    sample_relations,
+    symmetry_violation,
+)
 from .verdicts import Verdict
 
 FP_AXIOMS = ("FP1", "FP2", "FP3", "FP4", "FP5", "FP6")
@@ -118,35 +124,19 @@ def audit_fp(
     )
 
     i_flat, p_flat, r_flat = I.ravel(), P.ravel(), R.ravel()
-    if n <= 6:
-        ante = (i_flat[:, None] <= i_flat[None, :]) & (p_flat[:, None] <= p_flat[None, :])
-        viol = ante & (r_flat[:, None] > r_flat[None, :] + EPSILON)
-        if viol.any():
-            a, b = np.argwhere(viol)[0]
-            witness = (
-                labels[a // n], labels[a % n], labels[b // n], labels[b % n],
-            )
-            out["FP6"] = AxiomVerdict(False, witness)
-        else:
-            out["FP6"] = AxiomVerdict(True, None)
+    if n <= 6:  # every pair of cells, row-major
+        a, b = np.divmod(np.arange(n**4), n * n)
     else:
         rng = np.random.default_rng(seed)
-        total = n * n
-        a = rng.integers(0, total, size=fp6_sample)
-        b = rng.integers(0, total, size=fp6_sample)
-        viol = (
-            (i_flat[a] <= i_flat[b])
-            & (p_flat[a] <= p_flat[b])
-            & (r_flat[a] > r_flat[b] + EPSILON)
-        )
-        if viol.any():
-            k = int(np.argmax(viol))
-            witness = (
-                labels[a[k] // n], labels[a[k] % n], labels[b[k] // n], labels[b[k] % n],
-            )
-            out["FP6"] = AxiomVerdict(False, witness)
-        else:
-            out["FP6"] = AxiomVerdict(True, None)
+        a = rng.integers(0, n * n, size=fp6_sample)
+        b = rng.integers(0, n * n, size=fp6_sample)
+    viol = (i_flat[a] <= i_flat[b]) & (p_flat[a] <= p_flat[b]) & (r_flat[a] > r_flat[b] + EPSILON)
+    if viol.any():
+        k = int(np.argmax(viol))
+        witness = (labels[a[k] // n], labels[a[k] % n], labels[b[k] // n], labels[b[k] % n])
+        out["FP6"] = AxiomVerdict(False, witness)
+    else:
+        out["FP6"] = AxiomVerdict(True, None)
     return FPReport(out)
 
 
@@ -285,42 +275,6 @@ class RuleClassification:
         return text
 
 
-def _undetermined_cell(S: BinaryOp, T: Optional[BinaryOp]) -> bool:
-    """The (family, lambda) combinations whose rule status the reference
-    classification leaves open.  These are reported UNDETERMINED and never
-    resolved, even though the sampling oracles often suggest an answer."""
-
-    if not S.is_builtin or (T is not None and not T.is_builtin):
-        return False
-    lams = {op.parameter for op in (S, T) if op is not None and op.parameter is not None}
-    if len(lams) > 1:  # the reference cells share one lambda between norm and conorm
-        return False
-    lam = lams.pop() if lams else None
-    pos = (WEAK_ROW if T is None else T.family, S.family)
-    return any((row, col) == pos and in_regime(label, lam) for row, col, label in OPEN_CELLS)
-
-
-def sample_relations(
-    count: int,
-    size: int = 3,
-    grid_step: float = 0.05,
-    seed: int = 0,
-    reflexive: bool = False,
-) -> List[FuzzyRelation]:
-    """Seeded random relations with degrees on a uniform grid."""
-
-    rng = np.random.default_rng(seed)
-    levels = round(1.0 / grid_step)
-    labels = tuple(f"x{k}" for k in range(size))
-    out = []
-    for _ in range(count):
-        m = rng.integers(0, levels + 1, size=(size, size)) / levels
-        if reflexive:
-            np.fill_diagonal(m, 1.0)
-        out.append(FuzzyRelation(labels, m))
-    return out
-
-
 def classify_rule(
     S: BinaryOp,
     T: Optional[BinaryOp] = None,
@@ -342,7 +296,7 @@ def classify_rule(
     if samples < 1:
         raise ValueError(f"classify_rule needs at least one sampled relation, got samples={samples}")
     computed = _classify_computed(S, T, samples, seed)
-    if _undetermined_cell(S, T):
+    if open_cell(T, S):
         return RuleClassification(
             RuleClass.UNDETERMINED,
             "reference classification leaves this operator family open",

@@ -23,8 +23,7 @@ import numpy as np
 from .operators import EPSILON, BinaryOp, Kind, check_first_coordinate_continuity
 from .decompose import residual_array
 from .divisors import intersection
-from .preferences import sample_relations
-from .relations import FuzzyRelation, _first_cell, _row_blocks, sup_t_compose
+from .relations import FuzzyRelation, _first_cell, _row_blocks, sample_relations, sup_t_compose
 from .verdicts import TriState, Verdict, fails, unknown, holds
 
 
@@ -190,7 +189,7 @@ def restricted_decomposability(
 # transitive closure and the transitivity-neutrality check
 
 
-def t_transitive_closure(R: FuzzyRelation, T_prime: BinaryOp, max_iter: Optional[int] = None) -> FuzzyRelation:
+def t_transitive_closure(R: FuzzyRelation, T_prime: BinaryOp) -> FuzzyRelation:
     """Least T'-transitive relation above R via repeated sup-T' composition.
     Converges in at most |X| rounds because a norm never exceeds min, so
     cycles cannot strengthen a path."""
@@ -198,8 +197,7 @@ def t_transitive_closure(R: FuzzyRelation, T_prime: BinaryOp, max_iter: Optional
     if T_prime.kind is not Kind.NORM:
         raise ValueError("transitive closure expects a norm")
     m = R.degrees.copy()
-    limit = max_iter if max_iter is not None else max(2, R.size)
-    for _ in range(limit):
+    for _ in range(max(2, R.size)):
         m, old = np.maximum(m, sup_t_compose(m, T_prime)), m
         if np.all(np.abs(m - old) <= EPSILON):
             break

@@ -10,7 +10,7 @@ operator evaluations (transitivity, connectedness) allow the package-wide
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,14 +33,13 @@ def _row_blocks(rows: int, cells_per_row: int) -> Iterator[slice]:
 
 def _first_cell(n: int, mask_of: Callable[[slice], np.ndarray]) -> Optional[Tuple[int, int]]:
     """Row-major first True cell of the n x n mask that ``mask_of`` builds one
-    row block at a time, or None.  Every block is built, as the whole mask was."""
-    first = None
+    row block at a time, or None.  No block after the first hit is built."""
     for rows in _row_blocks(n, n):
         mask = mask_of(rows)
-        if first is None and mask.any():
+        if mask.any():
             a, b = np.argwhere(mask)[0]
-            first = (rows.start + int(a), int(b))
-    return first
+            return (rows.start + int(a), int(b))
+    return None
 
 
 class RelationParseError(ValueError):
@@ -92,14 +91,6 @@ class FuzzyRelation:
         j = self.universe.index(y)
         return float(self.degrees[i, j])
 
-    def transpose(self) -> "FuzzyRelation":
-        return FuzzyRelation(self.universe, self.degrees.T)
-
-    def equals(self, other: "FuzzyRelation") -> bool:
-        return self.universe == other.universe and np.array_equal(
-            self.degrees, other.degrees
-        )
-
     def __str__(self) -> str:
         return format_relation(self)
 
@@ -112,6 +103,27 @@ def relation_from_dict(universe: Sequence[str], entries: dict, default: float = 
     for (x, y), v in entries.items():
         mat[labels.index(x), labels.index(y)] = v
     return FuzzyRelation(tuple(labels), mat)
+
+
+def sample_relations(
+    count: int,
+    size: int = 3,
+    grid_step: float = 0.05,
+    seed: int = 0,
+    reflexive: bool = False,
+) -> List[FuzzyRelation]:
+    """Seeded random relations with degrees on a uniform grid."""
+
+    rng = np.random.default_rng(seed)
+    levels = round(1.0 / grid_step)
+    labels = tuple(f"x{k}" for k in range(size))
+    out = []
+    for _ in range(count):
+        m = rng.integers(0, levels + 1, size=(size, size)) / levels
+        if reflexive:
+            np.fill_diagonal(m, 1.0)
+        out.append(FuzzyRelation(labels, m))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,32 +8,18 @@ rule is the only preference-forming choice, or whether the question is
 open.  Parametric families are summarised per lambda regime; a regime whose
 samples disagree raises instead of summarising.
 
-`CELLS` declares both tables at once: each cell's lambda regimes with their
-two reference verdicts.  The reference tables, the regimes the generators
-sample and the open cells are all read off it.
-
-The declared verdicts are the reference verdicts with two transcription
-slips repaired (see the repository notes): the strong (Lukasiewicz,
-Schweizer-Sklar) cell had its 0<lambda<1 / lambda>1 regimes swapped
-relative to its own divisor-interval formulas, and the weak Schweizer-Sklar
-rule column listed nonexistence on -inf<lambda<=0 where those strictly
-increasing conorms provably induce their rule (at lambda=0 the same conorm
-is the probabilistic sum, whose cell says exactly that).  Open cells stay
-open: they are reported as undetermined, never resolved.
+The declaration both tables are checked against, `CELLS`, lives in
+`reference`; the reference tables, the regimes the generators sample and
+the open cells are read off it here.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
-# preferences reads OPEN_CELLS from this module while it loads, so its own
-# names are looked up on the module when a table is generated
-from . import preferences
 from .divisors import strong_existence, strong_uniqueness
 from .families import PARAMETRIC
 from .operators import (
@@ -43,6 +29,8 @@ from .operators import (
     make_conorm,
     make_norm,
 )
+from .preferences import RuleClass, classify_rule
+from .reference import CELLS, WEAK_ROW, in_regime
 from .verdicts import Verdict
 
 NORM_FAMILIES = ("drastic", "minimum", "lukasiewicz", "product", "schweizer_sklar", "hamacher")
@@ -64,7 +52,6 @@ NORM_LABELS = {
     "schweizer_sklar": "Schweizer-Sklar",
     "hamacher": "Hamacher",
 }
-WEAK_ROW = "weak"
 ROWS = NORM_FAMILIES + (WEAK_ROW,)
 
 DEFAULT_LAMBDA_SAMPLES = (-math.inf, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, math.inf)
@@ -83,69 +70,11 @@ class Table2Verdict(Enum):
     UNDETERMINED = "undetermined"
 
 
-# ---------------------------------------------------------------------------
-# the declaration of both tables
-
-# (row, col) -> ((regime label, table-1 verdict, table-2 verdict), ...).  A
-# label reads [a<|a<=]lambda[<b|<=b|>b|=b]; the empty label is every lambda.
-# Every cell not listed has no decomposition for any lambda.
-CELLS: Dict[Tuple[str, str], Tuple[Tuple[str, str, str], ...]] = {
-    ("drastic", "lukasiewicz"): (("", "exists", "compatible"),),
-    ("drastic", "schweizer_sklar"): (
-        ("lambda<=0", "none", "none"),
-        ("0<lambda<+inf", "exists", "undetermined"),
-        ("lambda=+inf", "none", "none"),
-    ),
-    ("lukasiewicz", "lukasiewicz"): (("", "unique", "induced"),),
-    ("lukasiewicz", "schweizer_sklar"): (
-        ("lambda<=0", "none", "none"),
-        # the reference's table 1 swaps the next two regimes against its own intervals
-        ("0<lambda<1", "none", "none"),
-        ("lambda=1", "unique", "undetermined"),
-        ("1<lambda<+inf", "exists", "undetermined"),
-        ("lambda=+inf", "none", "none"),
-    ),
-    ("schweizer_sklar", "lukasiewicz"): (
-        ("lambda<1", "none", "none"),
-        ("lambda=1", "unique", "induced"),
-        ("lambda>1", "exists", "compatible"),
-    ),
-    ("schweizer_sklar", "schweizer_sklar"): (
-        ("lambda<1", "none", "none"),
-        ("lambda=1", "unique", "undetermined"),
-        ("1<lambda<+inf", "exists", "undetermined"),
-        ("lambda=+inf", "none", "none"),
-    ),
-    (WEAK_ROW, "minimum"): (("", "exists", "induced"),),
-    (WEAK_ROW, "lukasiewicz"): (("", "exists", "compatible"),),
-    (WEAK_ROW, "product"): (("", "unique", "induced"),),
-    (WEAK_ROW, "schweizer_sklar"): (
-        ("lambda=-inf", "exists", "induced"),
-        # the reference's table 2 says none, but these strictly increasing conorms induce
-        ("-inf<lambda<=0", "unique", "induced"),
-        ("0<lambda<+inf", "exists", "undetermined"),
-        ("lambda=+inf", "none", "none"),
-    ),
-    (WEAK_ROW, "hamacher"): (("lambda<+inf", "unique", "induced"), ("lambda=+inf", "none", "none")),
-}
-
 # The lambdas a Hamacher row or column is sampled at.  The family takes
 # lambda >= 0; its row stops short of +inf, where the norm is the drastic
 # one and the row would repeat the drastic row.
 _ROW_SCOPE = {"hamacher": "0<=lambda<+inf"}
 _COL_SCOPE = {"hamacher": "0<=lambda"}
-
-_REGIME = re.compile(r"(?:(.+?)(<=?))?lambda(?:(<=?|>|=)(.+))?")
-_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, "=": operator.eq}
-
-
-def in_regime(label: str, lam: Optional[float]) -> bool:
-    """Whether lam lies in the regime a label names (grammar at `CELLS`)."""
-    a, op_a, op_b, b = _REGIME.fullmatch(label or "lambda").groups()
-    return (a is None or _COMPARE[op_a](float(a), lam)) and (
-        b is None or _COMPARE[op_b](lam, float(b))
-    )
-
 
 def _declared(row: str, col: str) -> Tuple[Tuple[str, str, str], ...]:
     return CELLS.get((row, col), (("", "none", "none"),))
@@ -242,9 +171,9 @@ def _engine_table1(T: Optional[BinaryOp], S: BinaryOp) -> Table1Verdict:
 
 
 def _engine_table2(T: Optional[BinaryOp], S: BinaryOp, seed: int) -> Table2Verdict:
-    verdict = preferences.classify_rule(S, T, samples=12, seed=seed).verdict
+    verdict = classify_rule(S, T, samples=12, seed=seed).verdict
     # a rule class has the value of its table verdict, but for not-compatible (none)
-    if verdict is preferences.RuleClass.NOT_COMPATIBLE:
+    if verdict is RuleClass.NOT_COMPATIBLE:
         return Table2Verdict.NOT_EXISTS
     return Table2Verdict(verdict.value)
 
@@ -306,7 +235,7 @@ def diff_against_reference(cells: List[TableCell], which: int) -> List[TableMism
     ]
 
 
-def render_table(cells: List[TableCell], which: int, fmt: str = "text") -> str:
+def render_table(cells: List[TableCell], fmt: str = "text") -> str:
     by_pos = {(c.row, c.col): c for c in cells}
     if fmt == "csv":
         lines = ["row,conorm,regime,verdict"]
@@ -345,7 +274,7 @@ def oracle_evidence_for_open_cells(
     lines = []
     for row, col, label in OPEN_CELLS:
         T, S = _ops_for(row, col, _lambdas(row, col, label, lambda_samples)[0])
-        info = preferences.classify_rule(S, T, samples=samples, seed=seed)
+        info = classify_rule(S, T, samples=samples, seed=seed)
         says = (info.oracle_verdict or info.verdict).value
         where = f"({_row_label(row)}, {CONORM_LABELS[col]})" + (f" [{label}]" if label else "")
         lines.append(f"{where}: oracle says {says}")

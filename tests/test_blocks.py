@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fuzzdec.decompose as decompose_module
 import fuzzdec.relations as relations_module
 from fuzzdec import (
     Decomposition,
@@ -225,6 +226,31 @@ def test_unattained_residual_names_the_first_pair_in_row_major_order(n, cells, b
     with pytest.raises(DecompositionError) as exc:
         canonical_decompose(R, S)
     assert str(exc.value) == f"residual infimum not attained at pair (x{a},x{b}): S(P,I) = 0.52 but R = 0.51"
+
+
+def test_a_hit_in_the_first_block_builds_no_later_block(monkeypatch):
+    monkeypatch.setattr(relations_module, "_BLOCK_CELLS", 7)  # one row per block at n = 12
+    n, built = 12, []
+
+    def mask_of(rows):
+        built.append(rows)
+        return np.ones((rows.stop - rows.start, n), dtype=bool)
+
+    assert relations_module._first_cell(n, mask_of) == (0, 0)
+    assert len(built) == 1
+
+    m = np.full((n, n), 0.25)
+    m[0, 1], m[1, 0] = 0.51, 0.5
+    residuals = []
+
+    def counted(S, i, r):
+        residuals.append(r)
+        return residual_array(S, i, r)
+
+    monkeypatch.setattr(decompose_module, "residual_array", counted)
+    with pytest.raises(DecompositionError, match=r"pair \(x0,x1\)"):
+        canonical_decompose(FuzzyRelation(labels(n), m), jump_conorm())
+    assert len(residuals) == 1
 
 
 def tampered(R, S, n, rng):

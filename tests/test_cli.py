@@ -253,7 +253,7 @@ def test_check_norm_rejects_nan_output(monkeypatch, capsys):
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         return np.where((0.3 < x) & (x < 0.4), np.nan, np.minimum(x, y))
 
-    monkeypatch.setattr(cli, "_load_op", lambda spec, kind, table: make_custom(nan_band, kind))
+    monkeypatch.setattr(cli, "_load_op", lambda spec, kind: make_custom(nan_band, kind))
     code, out, err = run(capsys, "check-norm", "--op", "custom", "--kind", "norm")
     assert (code, out) == (2, "")
     assert err == "error: custom norm returned nan at (0.31, 1.0)\n"

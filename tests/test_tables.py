@@ -167,9 +167,9 @@ def test_regime_labels_read_as_their_ranges():
 
 
 def test_render_formats(table1):
-    text = render_table(table1, 1, "text")
+    text = render_table(table1, "text")
     assert "Weak decomposition" in text and "unique" in text
-    csv = render_table(table1, 1, "csv")
+    csv = render_table(table1, "csv")
     assert csv.splitlines()[0] == "row,conorm,regime,verdict"
     assert len(csv.strip().splitlines()) == 1 + sum(len(c.entries) for c in table1)
 
