@@ -74,9 +74,14 @@ def triplet_from_decomposition(R: FuzzyRelation, D: Decomposition) -> Preference
 class AxiomVerdict:
     passed: bool
     witness: Optional[tuple] = None
+    sampled: Optional[Tuple[int, int]] = None  # (quadruples, seed) behind a sampled FP6 pass
 
     def __str__(self) -> str:
-        return "pass" if self.passed else f"fail (witness {self.witness})"
+        if not self.passed:
+            return f"fail (witness {self.witness})"
+        if self.sampled is not None:
+            return "pass (sampled: %d quadruples, seed %d)" % self.sampled
+        return "pass"
 
 
 @dataclass(frozen=True)
@@ -103,7 +108,8 @@ def audit_fp(
 ) -> FPReport:
     """Audit all six axioms.  FP1-FP5 are exhaustive over ordered pairs.
     FP6 is exhaustive over quadruples for universes of at most 6 elements
-    and falls back to seeded random sampling above that.
+    and falls back to seeded random sampling above that; a sampled pass
+    records the sample size and the seed.
 
     Strict comparisons are exact; tolerant comparisons get the package
     epsilon.  Witnesses are the lexicographically first failing tuple in
@@ -136,7 +142,7 @@ def audit_fp(
         witness = (labels[a[k] // n], labels[a[k] % n], labels[b[k] // n], labels[b[k] % n])
         out["FP6"] = AxiomVerdict(False, witness)
     else:
-        out["FP6"] = AxiomVerdict(True, None)
+        out["FP6"] = AxiomVerdict(True, None, None if n <= 6 else (fp6_sample, seed))
     return FPReport(out)
 
 

@@ -217,14 +217,65 @@ def crisp_decompose(R: FuzzyRelation) -> Tuple[FuzzyRelation, FuzzyRelation]:
 #
 # '#' starts a comment; blank lines are ignored.  Degrees are written with
 # 17 significant digits so emitted files re-parse to bit-identical matrices.
+# A degree is ASCII without '_': the further spellings Python's float()
+# accepts ('0.0_5', full-width digits) are rejected.
+#
+# Degrees elicited on a finite scale repeat, so both directions convert each
+# distinct value once through a per-call memo while rows are mostly repeats,
+# and fall back to converting every cell once a row is mostly new values.
+
+_MEMO_ENTRIES = 4096
+
+
+class _Memo(dict):
+    """Results of ``convert``, at most ``_MEMO_ENTRIES`` of them."""
+
+    def __init__(self, convert: Callable):
+        super().__init__()
+        self.convert = convert
+        self.misses = 0
+
+    def __missing__(self, key):
+        self.misses += 1
+        value = self.convert(key)
+        if len(self) < _MEMO_ENTRIES:
+            self[key] = value
+        return value
+
+    def row(self, items: Sequence) -> Tuple[list, bool]:
+        """Convert one row; the flag says whether at most half of it was new."""
+        before = self.misses
+        out = list(map(self.__getitem__, items))
+        return out, 2 * (self.misses - before) <= len(out)
+
+
+def _lines(R: FuzzyRelation) -> Iterator[str]:
+    """The file text of R, one newline-terminated line at a time."""
+    yield FILE_HEADER + "\n"
+    yield "universe " + " ".join(R.universe) + "\n"
+    m = R.degrees
+    row_format = " ".join(["%.17g"] * R.size) + "\n"
+    # -0.0 == 0.0 as a key, so a memo would print -0 as 0
+    signed = _first_cell(R.size, lambda s: np.signbit(m[s]))
+    memo = None if signed is not None else _Memo("%.17g".__mod__)
+    for row in m:
+        if memo is None:
+            yield row_format % tuple(row.tolist())
+            continue
+        texts, mostly_hits = memo.row(row.tolist())
+        yield " ".join(texts) + "\n"
+        if not mostly_hits:
+            memo = None
 
 
 def format_relation(R: FuzzyRelation) -> str:
-    lines = [FILE_HEADER, "universe " + " ".join(R.universe)]
-    row_format = " ".join(["%.17g"] * R.size)
-    for row in R.degrees:
-        lines.append(row_format % tuple(row.tolist()))
-    return "\n".join(lines) + "\n"
+    return "".join(_lines(R))
+
+
+def _degree(cell: str) -> float:
+    if "_" in cell or not cell.isascii():
+        raise ValueError(cell)
+    return float(cell)
 
 
 def parse_relation(source: Union[str, Iterable[str]]) -> FuzzyRelation:
@@ -254,6 +305,7 @@ def parse_relation(source: Union[str, Iterable[str]]) -> FuzzyRelation:
     if len(set(labels)) != n:
         raise RelationParseError(f"line {lineno}: duplicate universe labels")
     mat = np.zeros((n, n))
+    memo: Optional[_Memo] = _Memo(float)
     rows = 0  # rows past the n-th are only counted
     for lineno, row_text in lines:
         rows += 1
@@ -264,15 +316,21 @@ def parse_relation(source: Union[str, Iterable[str]]) -> FuzzyRelation:
             raise RelationParseError(
                 f"line {lineno}: row {r + 1} has {len(cells)} entries, expected {n}"
             )
-        try:
-            mat[r] = list(map(float, cells))
-            if ((mat[r] >= 0.0) & (mat[r] <= 1.0)).all():  # NaN fails too
-                continue
-        except ValueError:
-            pass
+        if row_text.isascii() and "_" not in row_text:
+            try:
+                if memo is None:
+                    mat[r] = list(map(float, cells))
+                else:
+                    mat[r], mostly_hits = memo.row(cells)
+                    if not mostly_hits:
+                        memo = None
+                if ((mat[r] >= 0.0) & (mat[r] <= 1.0)).all():  # NaN fails too
+                    continue
+            except ValueError:
+                pass
         for c, cell in enumerate(cells):  # name the row's first offending cell
             try:
-                v = float(cell)
+                v = _degree(cell)
             except ValueError:
                 raise RelationParseError(
                     f"line {lineno}: row {r + 1}, column {c + 1}: not a number: {cell!r}"
@@ -281,6 +339,7 @@ def parse_relation(source: Union[str, Iterable[str]]) -> FuzzyRelation:
                 raise RelationParseError(
                     f"line {lineno}: row {r + 1}, column {c + 1}: degree {v!r} outside [0,1]"
                 )
+            mat[r, c] = v
     if rows != n:
         raise RelationParseError(f"expected {n} matrix rows, found {rows}")
     return FuzzyRelation._adopt(tuple(labels), mat)
@@ -293,4 +352,4 @@ def load_relation(path) -> FuzzyRelation:
 
 def save_relation(R: FuzzyRelation, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_relation(R))
+        fh.writelines(_lines(R))

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from fuzzdec import cli, make_custom
 from fuzzdec.cli import main
-from fuzzdec.relations import format_relation, parse_relation
+from fuzzdec.relations import FuzzyRelation, format_relation, parse_relation
 
 SHOWCASE = "fuzzrel v1\nuniverse x y\n1 1\n0.5 1\n"
 
@@ -67,6 +67,16 @@ def test_audit_subcommand(showcase_file, capsys):
     code, out, _ = run(capsys, "audit", "--relation", showcase_file, "--conorm", "max")
     assert code == 0
     assert "overall: pass" in out
+
+
+def test_audit_labels_a_sampled_fp6_pass(tmp_path, capsys):
+    n = 8
+    m = np.random.default_rng(8).integers(0, 21, (n, n)) / 20
+    path = tmp_path / "r8.rel"
+    path.write_text(format_relation(FuzzyRelation(tuple(f"x{k}" for k in range(n)), m)))
+    code, out, _ = run(capsys, "audit", "--relation", str(path), "--conorm", "prob", "--seed", "3")
+    assert code == 0
+    assert out.endswith("\nFP6: pass (sampled: 100000 quadruples, seed 3)\noverall: pass\n")
 
 
 def test_classify_subcommand(capsys):

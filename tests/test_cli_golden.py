@@ -6,7 +6,9 @@
 ``DEFAULT_LAMBDA_SAMPLES`` (Hamacher only lambda >= 0), ``divisors`` and
 strong ``classify`` for every (norm, conorm) pair of those operators whose
 lambdas agree, ``tables --which 1|2 --format text|csv`` and the oracle
-evidence for the open cells, ``tables --which 2 --speculate``.  Re-record it with
+evidence for the open cells, ``tables --which 2 --speculate``, and weak and
+strong ``decompose`` and ``audit`` on the relation files of ``RELATIONS``
+(named relative to ``tests/data``).  Re-record it with
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
 """
@@ -25,7 +27,10 @@ from fuzzdec.divisors import intersection
 from fuzzdec.operators import format_lambda
 from fuzzdec.tables import DEFAULT_LAMBDA_SAMPLES
 
-GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "cli_golden.json"
+# one grid-valued and one continuous relation, each holding -0.0 and a subnormal
+RELATIONS = ("grid5.rel", "continuous5.rel")
 PLAIN = ("minimum", "product", "lukasiewicz", "drastic", "ordinal_sum")
 
 
@@ -60,13 +65,17 @@ def commands():
         for fmt in ("text", "csv"):
             out.append(["tables", "--which", which, "--format", fmt])
     out.append(["tables", "--which", "2", "--speculate"])
+    for name in RELATIONS:
+        for cmd in ("decompose", "audit"):
+            out.append([cmd, "--relation", name, "--conorm", "product"])
+            out.append([cmd, "--relation", name, "--conorm", "lukasiewicz", "--norm", "lukasiewicz"])
     return out
 
 
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(list(argv))
+        rc = main([str(DATA / a) if a in RELATIONS else a for a in argv])
     return {"argv": list(argv), "rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 

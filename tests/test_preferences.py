@@ -90,6 +90,22 @@ def test_audit_rejects_universe_mismatch():
         PreferenceTripletShim(R, other, other)
 
 
+def test_sampled_fp6_pass_is_labelled():
+    rng = np.random.default_rng(8)
+    R = FuzzyRelation(tuple(f"v{k}" for k in range(8)), rng.integers(0, 21, (8, 8)) / 20)
+    report = audit_fp(triplet_from_decomposition(R, canonical_decompose(R, make_conorm("prob"))), seed=5)
+    assert str(report.verdicts["FP6"]) == "pass (sampled: 100000 quadruples, seed 5)"
+    assert report.overall and str(report).endswith("\nFP6: pass (sampled: 100000 quadruples, seed 5)\noverall: pass")
+
+
+@pytest.mark.parametrize("n", [1, 6])
+def test_exhaustive_fp6_report_is_unlabelled(n):
+    rng = np.random.default_rng(n)
+    R = FuzzyRelation(tuple(f"v{k}" for k in range(n)), rng.integers(0, 21, (n, n)) / 20)
+    report = audit_fp(triplet_from_decomposition(R, canonical_decompose(R, make_conorm("prob"))), seed=5)
+    assert str(report) == "FP1: pass\nFP2: pass\nFP3: pass\nFP4: pass\nFP5: pass\nFP6: pass\noverall: pass"
+
+
 def test_fp6_sampled_path_agrees_on_large_universe():
     rng = np.random.default_rng(2)
     m = rng.uniform(size=(7, 7))

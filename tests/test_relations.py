@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fuzzdec import (
     FuzzyRelation,
@@ -18,6 +20,7 @@ from fuzzdec import (
     make_norm,
     parse_relation,
     relation_from_dict,
+    save_relation,
 )
 
 
@@ -180,6 +183,76 @@ def test_round_trip_is_bit_identical(values):
     assert back.degrees.tobytes() == R.degrees.tobytes()
 
 
+def reference_parse(text):
+    """The per-token reader the memoised one must match bit for bit."""
+    rows = text.splitlines()[2:]
+    return np.array([[float(token) for token in row.split()] for row in rows])
+
+
+def codec_matrix(n, kinds, seed, specials):
+    """An n x n matrix whose row r is of kind ``kinds[r % len(kinds)]``:
+    ``grid`` (the 1/20 grid), ``fine`` (zeros in its first n//2 + 1 cells and
+    fresh values of the 1/10**6 grid after them, so it repeats values and
+    yet adds new ones) or ``continuous``; ``specials`` then sets single
+    cells, given as (flat index mod n*n, value)."""
+    rng = np.random.default_rng(seed)
+    m = np.empty((n, n))
+    for r in range(n):
+        kind = kinds[r % len(kinds)]
+        if kind == "grid":
+            m[r] = rng.integers(0, 21, n) / 20
+        elif kind == "fine":
+            m[r] = rng.integers(0, 10**6 + 1, n) / 10**6
+            m[r, : n // 2 + 1] = 0.0
+        else:
+            m[r] = rng.random(n)
+    for k, v in specials:
+        m.flat[k % (n * n)] = v
+    return m
+
+
+SPECIAL_DEGREES = [-0.0, 5e-324, 2.2250738585072009e-308, 1 - 2**-53, 1.0]
+
+
+@given(
+    st.integers(1, 120),
+    st.lists(st.sampled_from(["grid", "fine", "continuous"]), min_size=1, max_size=6),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.integers(0, 14400), st.sampled_from(SPECIAL_DEGREES)), max_size=4),
+)
+@example(150, ["fine"], 0, [])  # more than 4,096 distinct values while rows mostly repeat
+@example(100, ["grid"] * 50 + ["continuous"] * 50, 1, [])  # the memo switches off at row 51
+@example(100, ["continuous"] * 50 + ["grid"] * 50, 2, [])
+@example(100, ["grid"], 3, [(5050, -0.0), (7, 5e-324), (8, 1 - 2**-53)])
+@settings(max_examples=60, deadline=None)
+def test_memoised_codec_matches_per_cell_references(n, kinds, seed, specials):
+    m = codec_matrix(n, kinds, seed, specials)
+    R = rel(m)
+    text = format_relation(R)
+    assert text == reference_format(R)
+    parsed = parse_relation(text).degrees
+    assert parsed.tobytes() == reference_parse(text).tobytes() == m.tobytes()
+
+
+def test_save_relation_streams_the_formatted_text(tmp_path):
+    n = 1000
+    rng = np.random.default_rng(3)
+    for m in (rng.integers(0, 21, (n, n)) / 20, rng.random((n, n))):
+        R = rel(m)
+        path = tmp_path / "r.rel"
+        tracemalloc.start()
+        try:
+            save_relation(R, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one row (its floats, texts and encoded line, generously) plus a
+        # full memo (keys, texts and table slots), against ~20 MB of text
+        assert peak < 200 * n + 150 * 4096, peak
+        assert path.read_text(encoding="utf-8") == format_relation(R)
+        assert load_relation(path).degrees.tobytes() == R.degrees.tobytes()
+
+
 @pytest.mark.parametrize(
     "cells, first",
     [
@@ -190,6 +263,10 @@ def test_round_trip_is_bit_identical(values):
         ("0 0.5 nan 1.5", "column 3: degree nan outside"),
         ("1 1.5 -1 0", "column 2: degree 1.5 outside"),
         ("0 0 0 inf", "column 4: degree inf outside"),
+        ("0 0.0_5 1.5 nan", "column 2: not a number: '0.0_5'"),
+        ("0 1.5 0.0_5 nan", "column 2: degree 1.5 outside"),
+        ("0 0.5 \uff10.\uff15 1.5", "column 3: not a number: '\uff10.\uff15'"),
+        ("0 0.5 1_0 \uff10", "column 3: not a number: '1_0'"),
     ],
 )
 def test_parse_reports_first_offending_cell_in_row_major_order(cells, first):
