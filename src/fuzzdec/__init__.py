@@ -78,11 +78,9 @@ from .preferences import (
 from .regions import (
     RegionGrid,
     pair_weakly_decomposable,
-    relation_weakly_decomposes,
     restricted_decomposability,
     strong_region,
     t_transitive_closure,
-    transitivity_preserves_verdict,
     weak_region,
 )
 from .tables import (

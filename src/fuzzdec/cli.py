@@ -2,15 +2,13 @@
 
 Exit codes: 0 for success / a holding verdict, 1 for a failing verdict
 (witness printed), 2 for usage or parse errors.  Randomised subroutines
-take --seed, falling back to the FUZZDEC_SEED environment variable, then 0;
-identical seeds give identical reports.
+take --seed, 0 by default; identical seeds give identical reports.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -65,16 +63,9 @@ def _positive_int(text: str) -> int:
 
 
 def _seed(args) -> int:
-    name, seed = "--seed", args.seed
-    if seed is None:
-        name, env = "FUZZDEC_SEED", os.environ.get("FUZZDEC_SEED", "0")
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ValueError(f"FUZZDEC_SEED must be an integer, got {env!r}") from None
-    if seed < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {seed}")
-    return seed
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    return args.seed
 
 
 def _load_op(spec: str, kind: Kind) -> BinaryOp:
@@ -277,7 +268,7 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_seed(sp):
-        sp.add_argument("--seed", type=int, default=None, help="seed for randomised subroutines")
+        sp.add_argument("--seed", type=int, default=0, help="seed for randomised subroutines")
 
     sp = sub.add_parser("decompose", help="decompose a relation file")
     sp.add_argument("--relation", required=True)

@@ -158,8 +158,8 @@ def _probes(T: BinaryOp, S: BinaryOp):
 def _witness(T: BinaryOp, S: BinaryOp, unique: bool):
     """(witness, detail) at the first probe that disproves existence, (w,)
     with disjoint intervals, or uniqueness, (w, t1, t2) with S(t, w) = 1 and
-    T(t, w) = 0 for both t through scalar calls (an array evaluation may
-    round differently); None if no probe does."""
+    T(t, w) = 0 for both t (a value rounds the same alone or in an array, so
+    the scalar replay sees what the probe array saw); None if no probe does."""
     for ws in _probes(T, S):
         one, zero = one_interval(S, ws), zero_interval(T, ws)
         inter = one.intersect(zero)

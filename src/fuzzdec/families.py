@@ -170,27 +170,34 @@ class Family:
         return DegreeInterval.closed(1.0 - _zero_end(1.0 - w, p), 1.0)
 
 
-# x ** y entry by entry through the C library's pow, as for two Python
-# floats: numpy's array ``**`` differs from it in the last bit for some x, and
-# an interval must not depend on whether its w came alone or in an array
-_pow = np.frompyfunc(pow, 2, 1)
+def lifted(formula, *bases):
+    """``formula(*bases)`` with every 0-d base lifted to one entry, the result
+    back to 0-d when all bases were.  A 0-d operand decays to np.float64,
+    whose ``**`` is the C library's pow; numpy's array power differs from it
+    in the last bit for some x, so one value must take the array path to round
+    as it does in an array.  Exponents stay Python floats: an array exponent
+    skips numpy's square, sqrt and reciprocal fast paths."""
+    bases = [np.asarray(b, dtype=float) for b in bases]
+    out = formula(*[b if b.ndim else b[None] for b in bases])
+    return out if any(b.ndim for b in bases) else np.asarray(out).reshape(())
 
 
 def _zero_end(w, p):
     """(1 - w^p)^(1/p): the upper end of the zero-interval for exponent p."""
-    return 1.0 - w if p == 1.0 else np.asarray(_pow(1.0 - _pow(w, p), 1.0 / p), dtype=float)
+    return 1.0 - w if p == 1.0 else lifted(lambda w: (1.0 - w ** p) ** (1.0 / p), w)
 
 
 def _pinned(formula, absorbing: float):
-    """Evaluator computing ``formula`` off the boundary of the square and the
-    boundary rows exactly: a norm (absorbing 0) has T(x,0) = 0 and T(x,1) = x,
-    a conorm (absorbing 1) has S(x,1) = 1 and S(x,0) = x."""
+    """Evaluator computing ``formula`` off the boundary of the square (on
+    `lifted` operands) and the boundary rows exactly: a norm (absorbing 0) has
+    T(x,0) = 0 and T(x,1) = x, a conorm (absorbing 1) has S(x,1) = 1 and
+    S(x,0) = x."""
     identity = 1.0 - absorbing
 
     def ev(x, y):
         inside = (x > 0) & (y > 0) & (x < 1) & (y < 1)
         with np.errstate(all="ignore"):
-            val = formula(np.where(inside, x, 0.5), np.where(inside, y, 0.5))
+            val = lifted(formula, np.where(inside, x, 0.5), np.where(inside, y, 0.5))
         out = np.where(inside, np.clip(val, 0.0, 1.0), 0.0)
         out = np.where((x == absorbing) | (y == absorbing), absorbing, out)
         out = np.where(x == identity, y, out)
@@ -323,8 +330,13 @@ def _schweizer_sklar(lam: float) -> Family:
     """Schweizer-Sklar at a finite lambda != 0."""
 
     def closed_residual(i, r):
-        A = (1.0 - r) ** lam + 1.0 - (1.0 - i) ** lam
-        return A, 1.0 - A ** (1.0 / lam)
+        """1 - A^(1/lam) with A = (1-r)^lam + 1 - (1-i)^lam; 1 where A <= 0."""
+
+        def formula(i, r):
+            A = (1.0 - r) ** lam + 1.0 - (1.0 - i) ** lam
+            return np.where(A <= 0.0, 1.0, 1.0 - A ** (1.0 / lam))
+
+        return lifted(formula, i, r)
 
     # lambda < 0: the divisor intervals are the points {0} and {1}
     base = Family(
@@ -334,15 +346,14 @@ def _schweizer_sklar(lam: float) -> Family:
             lambda x, y: 1.0 - np.maximum((1.0 - x) ** lam + (1.0 - y) ** lam - 1.0, 0.0) ** (1.0 / lam),
             1.0,
         ),
-        residual=lambda i, r, S: np.clip(np.where(r == 1.0, 1.0, closed_residual(i, r)[1]), 0.0, 1.0),
+        residual=lambda i, r, S: np.clip(np.where(r == 1.0, 1.0, closed_residual(i, r)), 0.0, 1.0),
         exponent=0.0,
     )
     if lam < 0.0:
         return base
 
     def residual(i, r, S):
-        A, val = closed_residual(i, r)
-        p = np.array(np.clip(np.where(A <= 0.0, 1.0, val), 0.0, 1.0))
+        p = np.array(np.clip(closed_residual(i, r), 0.0, 1.0))
         edge = (r == 1.0) & (i < 1.0)
         if edge.any():
             p[edge] = _least_saturating(S, p[edge], np.broadcast_to(i, p.shape)[edge])

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
 
-from .families import FAMILIES, PARAMETRIC, Family, resolve
+from .families import FAMILIES, PARAMETRIC, Family, lifted, resolve
 from .verdicts import TriState, fails, holds, unknown
 
 # Absolute tolerance for comparisons between membership degrees.
@@ -131,11 +131,12 @@ def make_conorm(family: str, parameter: Optional[float] = None) -> BinaryOp:
 
 def make_custom(fn: Callable, kind: Kind) -> BinaryOp:
     """Wrap a user-supplied [0,1]^2 -> [0,1] callable (must broadcast over
-    numpy arrays, or at least accept scalars)."""
+    numpy arrays, or at least accept scalars).  Array operands reach it
+    `lifted`, so one value rounds as it does in an array."""
 
     def ev(x, y):
         try:
-            out = np.asarray(fn(x, y), dtype=float)
+            out = np.asarray(lifted(fn, x, y), dtype=float)
         except (TypeError, ValueError):
             out = np.vectorize(fn, otypes=[float])(x, y)
         # a NaN fails every comparison, so it would pass every check silently

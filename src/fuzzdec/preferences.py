@@ -199,14 +199,7 @@ def tie_strict_max_decomposition(R: FuzzyRelation) -> Decomposition:
     """
 
     m = R.degrees
-    n = R.size
-    P = np.zeros_like(m)
-    for a in range(n):
-        for b in range(n):
-            if m[a, b] > m[b, a]:
-                P[a, b] = m[a, b]
-            elif a < b and m[a, b] == m[b, a] and m[a, b] < 1.0:
-                P[a, b] = m[a, b]
+    P = np.where((m > m.T) | np.triu((m == m.T) & (m < 1.0), 1), m, 0.0)
     I = np.minimum(m, m.T)
     return Decomposition(
         FuzzyRelation(R.universe, P),

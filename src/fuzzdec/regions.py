@@ -7,10 +7,10 @@ pair (S(t, min) = max, with t forced to 0 if min = 1), and in the strong
 region of (T,S) when such a t also satisfies T(t, min) = 0.
 
 Regions are rasterised on uniform grids for figure reproduction, and power
-restricted-domain tests: a transitivity bound on relations never changes
-the decomposability verdict, while a connectedness bound confines value
-pairs to the set where the connecting conorm reaches 1 and can rescue an
-otherwise undecomposable conorm.
+the restricted-domain test: a connectedness bound confines value pairs to
+the set where the connecting conorm reaches 1 and can rescue an otherwise
+undecomposable conorm.  `t_transitive_closure` gives the least transitive
+relation above a relation.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from typing import Optional
 
 import numpy as np
 
-from .operators import EPSILON, BinaryOp, Kind, check_first_coordinate_continuity
+from .operators import EPSILON, BinaryOp, Kind
 from .decompose import residual_array
 from .divisors import intersection
-from .relations import FuzzyRelation, _first_cell, _row_blocks, sample_relations, sup_t_compose
-from .verdicts import TriState, Verdict, fails, unknown, holds
+from .relations import FuzzyRelation, _first_cell, _row_blocks, sup_t_compose
+from .verdicts import TriState, fails, holds
 
 
 @dataclass(frozen=True)
@@ -91,18 +91,6 @@ def _weakly_decomposable(S: BinaryOp, i, r) -> np.ndarray:
     return (r <= i + EPSILON) | (r >= 1.0 - EPSILON) | (np.abs(recon - r) <= EPSILON)
 
 
-def _weak_violation(R: FuzzyRelation, S: BinaryOp):
-    """Row-major first (x, y) whose pair (R(x,y), R(y,x)) does not decompose
-    weakly under S, or None."""
-    m = R.degrees
-
-    def bad(s):
-        back = m[:, s].T
-        return ~_weakly_decomposable(S, np.minimum(m[s], back), np.maximum(m[s], back))
-
-    return _first_cell(R.size, bad)
-
-
 def weak_region(S: BinaryOp, resolution: float = 1 / 200) -> RegionGrid:
     """Cells (a,b) whose value pair admits a weak decomposition under S.
 
@@ -152,10 +140,6 @@ def pair_weakly_decomposable(S: BinaryOp, a: float, b: float) -> bool:
     return bool(_weakly_decomposable(S, np.asarray(min(a, b), float), np.asarray(max(a, b), float)))
 
 
-def relation_weakly_decomposes(R: FuzzyRelation, S: BinaryOp) -> bool:
-    return _weak_violation(R, S) is None
-
-
 def restricted_decomposability(
     S_prime: BinaryOp,
     S: BinaryOp,
@@ -186,7 +170,7 @@ def restricted_decomposability(
 
 
 # ---------------------------------------------------------------------------
-# transitive closure and the transitivity-neutrality check
+# transitive closure
 
 
 def t_transitive_closure(R: FuzzyRelation, T_prime: BinaryOp) -> FuzzyRelation:
@@ -202,55 +186,3 @@ def t_transitive_closure(R: FuzzyRelation, T_prime: BinaryOp) -> FuzzyRelation:
         if np.all(np.abs(m - old) <= EPSILON):
             break
     return FuzzyRelation._adopt(R.universe, np.clip(m, 0.0, 1.0))
-
-
-def transitivity_preserves_verdict(
-    T_prime: BinaryOp,
-    S: BinaryOp,
-    samples: int = 40,
-    size: int = 3,
-    seed: int = 0,
-) -> TriState:
-    """Sampled check that restricting to T'-transitive relations never flips
-    the decomposability verdict of S.
-
-    When S decomposes everything, every sampled transitive relation must
-    decompose.  When S does not, some transitive relation must fail too;
-    a two-element witness with an interior asymmetric pair is tried along
-    with the samples.  A pass is reported UNKNOWN_SAMPLED: the claim ranges
-    over infinitely many relations.
-    """
-
-    unrestricted = check_first_coordinate_continuity(S).verdict is Verdict.HOLDS
-    rng_relations = sample_relations(samples, size=size, grid_step=0.05, seed=seed)
-    closures = [t_transitive_closure(R, T_prime) for R in rng_relations]
-
-    if unrestricted:
-        for R in closures:
-            bad = _weak_violation(R, S)
-            if bad is not None:
-                a, b = bad
-                return fails(
-                    (float(R.degrees[a, b]), float(R.degrees[b, a])),
-                    "transitive relation fails to decompose although "
-                    "the unrestricted verdict is existence",
-                )
-        return unknown(
-            f"all {samples} sampled transitive relations decompose, matching "
-            "the unrestricted verdict"
-        )
-
-    # unrestricted nonexistence: look for a transitive non-decomposable witness
-    probe = FuzzyRelation(("x", "y"), np.array([[1.0, 0.6], [0.5, 1.0]]))
-    candidates = closures + [t_transitive_closure(probe, T_prime)]
-    for R in candidates:
-        if not relation_weakly_decomposes(R, S):
-            return unknown(
-                "restriction keeps nonexistence: a transitive relation still "
-                "fails to decompose"
-            )
-    return fails(
-        (0.0,),
-        "every sampled transitive relation decomposes although the "
-        "unrestricted verdict is nonexistence",
-    )

@@ -189,13 +189,10 @@ def test_usage_and_parse_errors(tmp_path, capsys):
     assert code == 2
 
 
-def test_seed_determinism(capsys, monkeypatch):
+def test_seed_determinism(capsys):
     a = run(capsys, "classify", "--conorm", "lukasiewicz", "--seed", "7")
     b = run(capsys, "classify", "--conorm", "lukasiewicz", "--seed", "7")
     assert a == b
-    monkeypatch.setenv("FUZZDEC_SEED", "7")
-    c = run(capsys, "classify", "--conorm", "lukasiewicz")
-    assert c == a
 
 
 @pytest.mark.parametrize(
@@ -212,13 +209,6 @@ def test_bad_custom_table_header_exits_2(tmp_path, capsys, body, problem):
     code, out, err = run(capsys, "check-norm", "--op", f"custom:table={table}", "--kind", "norm")
     assert code == 2 and out == ""
     assert err == f"error: {table}: {problem}\n"
-
-
-def test_bad_seed_environment_is_named(capsys, monkeypatch):
-    monkeypatch.setenv("FUZZDEC_SEED", "seven")
-    code, out, err = run(capsys, "classify", "--conorm", "lukasiewicz")
-    assert code == 2 and out == ""
-    assert err == "error: FUZZDEC_SEED must be an integer, got 'seven'\n"
 
 
 def test_messages_print_plain_floats(tmp_path, capsys):
@@ -318,13 +308,6 @@ def test_negative_seed_flag_is_named(capsys):
     code, out, err = run(capsys, "classify", "--conorm", "lukasiewicz", "--seed", "-1")
     assert (code, out) == (2, "")
     assert err == "error: --seed must be a non-negative integer, got -1\n"
-
-
-def test_negative_seed_environment_is_named(capsys, monkeypatch):
-    monkeypatch.setenv("FUZZDEC_SEED", "-2")
-    code, out, err = run(capsys, "classify", "--conorm", "lukasiewicz")
-    assert (code, out) == (2, "")
-    assert err == "error: FUZZDEC_SEED must be a non-negative integer, got -2\n"
 
 
 @pytest.mark.parametrize("step", ["nan", "inf", "5", "0"])

@@ -17,7 +17,6 @@ import ast
 import contextlib
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -79,8 +78,7 @@ def run(argv):
     return {"argv": list(argv), "rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-def test_cli_output_matches_the_recording(monkeypatch):
-    monkeypatch.delenv("FUZZDEC_SEED", raising=False)
+def test_cli_output_matches_the_recording():
     recorded = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert [e["argv"] for e in recorded] == commands()
     for entry in recorded:
@@ -112,7 +110,6 @@ def test_recorded_divisor_witnesses_replay():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_cli_golden.py --record")
-    os.environ.pop("FUZZDEC_SEED", None)
     entries = [run(argv) for argv in commands()]
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")

@@ -16,6 +16,8 @@ from fuzzdec import (
     make_family,
     make_norm,
     one_interval,
+    residual,
+    residual_array,
     strong_existence,
     strong_uniqueness,
     zero_interval,
@@ -183,22 +185,37 @@ def _view_ops():
 
 
 def test_array_intervals_match_the_single_w_view():
-    # bit for bit, closedness and emptiness included: the power forms go
-    # through the C library's pow entry by entry, as a single float does
+    # bit for bit, closedness and emptiness included: one value rounds as it
+    # does in an array, so the scalar calls of the evaluators, the residual
+    # and both interval ends agree with the array calls entry by entry
     rng = np.random.default_rng(7)
     ws = np.concatenate((
-        degree_grid(0.01), [1e-300, 2.0 ** -54, 9.3e-10, 1e-9, 0.5 + 2.0 ** -53, 1.0 - 2.0 ** -53],
+        degree_grid(0.01), [1e-300, 2.0 ** -54, 9.3e-10, 1e-9, 0.5 + 2.0 ** -53, 1.0 - 2.0 ** -53, 0.512],
         rng.random(60), rng.random(20) * 1e-6, 1.0 - rng.random(20) * 1e-6,
     ))
-    for T, S in _view_ops():
+    ts = rng.permutation(ws)
+    i, r = np.minimum(ts, ws), np.maximum(ts, ws)
+    # at w = 0.512 the lambda = 20 conorm's one-interval starts at the point below
+    pairs = [*_view_ops(), (make_norm("schweizer_sklar", 50.0), make_conorm("schweizer_sklar", 20.0))]
+    for T, S in pairs:
         one, zero = one_interval(S, ws), zero_interval(T, ws)
         inter = one.intersect(zero)
+        lo, hi = np.broadcast_to(one.lower, ws.shape), np.broadcast_to(zero.upper, ws.shape)
+        at_ends = S.evaluator(lo, ws), T.evaluator(hi, ws)
+        at_ts = S.evaluator(ts, ws), T.evaluator(ts, ws)
+        res = residual_array(S, i, r)
         for k, w in enumerate(ws.tolist()):
             i1, i0 = one_interval(S, w), zero_interval(T, w)
             for vec, iv in ((one, i1), (zero, i0), (inter, i1.intersect(i0))):
                 got = tuple(np.asarray(getattr(vec, f))[k].item() for f in FIELDS)
                 assert got == tuple(getattr(iv, f) for f in FIELDS), (T, S, w)
             assert inter.is_singleton[k] == i1.intersect(i0).is_singleton
+            t = ts[k].item()
+            assert (S(i1.lower, w), T(i0.upper, w)) == (at_ends[0][k], at_ends[1][k]), (T, S, w)
+            assert (S(t, w), T(t, w)) == (at_ts[0][k], at_ts[1][k]), (T, S, t, w)
+            assert residual(S, i[k].item(), r[k].item()).value == res[k], (S, i[k], r[k])
+    S20 = make_conorm("schweizer_sklar", 20.0)
+    assert S20(2.9333681039744874e-08, 0.512) == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from fuzzdec import (
     restricted_decomposability,
     strong_region,
     t_transitive_closure,
-    transitivity_preserves_verdict,
     weak_region,
     zero_interval,
 )
@@ -225,7 +224,7 @@ def test_any_connectedness_passes_for_continuous_conorms():
 
 
 # ---------------------------------------------------------------------------
-# transitive closure and verdict preservation
+# transitive closure
 
 
 def test_transitive_closure_properties():
@@ -240,18 +239,6 @@ def test_transitive_closure_properties():
             assert is_t_transitive(closed, T)
             again = t_transitive_closure(closed, T)
             np.testing.assert_allclose(again.degrees, closed.degrees, atol=1e-9)
-
-
-def test_transitivity_never_changes_the_verdict():
-    v = transitivity_preserves_verdict(make_norm("min"), make_conorm("prob"), samples=15)
-    assert v.verdict is Verdict.UNKNOWN_SAMPLED
-    v = transitivity_preserves_verdict(make_norm("product"), make_conorm("max"), samples=15)
-    assert v.verdict is Verdict.UNKNOWN_SAMPLED
-    # nonexistence survives the restriction: a min-transitive relation with
-    # an interior asymmetric pair still fails under the drastic sum
-    v = transitivity_preserves_verdict(make_norm("min"), make_conorm("drastic"), samples=15)
-    assert v.verdict is Verdict.UNKNOWN_SAMPLED
-    assert "nonexistence" in v.detail
 
 
 def test_two_element_interior_witness_is_min_transitive():
