@@ -67,6 +67,6 @@ print("  (drastic, lukasiewicz)     ->",
 print()
 
 print("Full regenerated rule table (0 mismatches expected):")
-cells = generate_table2(seed=0)
+cells = generate_table2()
 print(render_table(cells))
 print(f"{len(diff_against_reference(cells, 2))} mismatches against the reference")

@@ -1,8 +1,10 @@
 """Command-line surface.
 
 Exit codes: 0 for success / a holding verdict, 1 for a failing verdict
-(witness printed), 2 for usage or parse errors.  Randomised subroutines
-take --seed, 0 by default; identical seeds give identical reports.
+(witness printed), 2 for usage or parse errors.  `audit` samples FP6
+quadruples above 21 elements and takes --seed for that, 0 by default;
+identical seeds give identical reports.  `tables --seed` is accepted and
+range-checked but has no effect: no rule check is sampled.
 """
 
 from __future__ import annotations
@@ -136,7 +138,7 @@ def _table_operator(path: str, kind: Kind) -> BinaryOp:
 def _cmd_decompose(args) -> int:
     R = load_relation(args.relation)
     S = _load_op(args.conorm, Kind.CONORM)
-    T = parse_op_spec(args.norm, Kind.NORM) if args.norm else None
+    T = _load_op(args.norm, Kind.NORM) if args.norm else None
     mode = "strong" if T is not None else "weak"
     if T is not None:
         d = strong_decompose(R, T, S)
@@ -157,7 +159,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_audit(args) -> int:
     R = load_relation(args.relation)
     S = _load_op(args.conorm, Kind.CONORM)
-    T = parse_op_spec(args.norm, Kind.NORM) if args.norm else None
+    T = _load_op(args.norm, Kind.NORM) if args.norm else None
     d = strong_decompose(R, T, S) if T is not None else canonical_decompose(R, S)
     report = audit_fp(triplet_from_decomposition(R, d), seed=_seed(args))
     print(f"# preference audit of the canonical decomposition under {S.display_name}")
@@ -167,8 +169,8 @@ def _cmd_audit(args) -> int:
 
 def _cmd_classify(args) -> int:
     S = _load_op(args.conorm, Kind.CONORM)
-    T = parse_op_spec(args.norm, Kind.NORM) if args.norm else None
-    result = classify_rule(S, T, samples=args.samples, seed=_seed(args))
+    T = _load_op(args.norm, Kind.NORM) if args.norm else None
+    result = classify_rule(S, T)
     kind = "strong" if T is not None else "weak"
     print(f"# {kind} decomposition rule for {S.display_name}"
           + (f" with {T.display_name}" if T else ""))
@@ -192,7 +194,7 @@ def _cmd_check_norm(args) -> int:
 
 def _cmd_divisors(args) -> int:
     S = _load_op(args.conorm, Kind.CONORM) if args.conorm else None
-    T = parse_op_spec(args.norm, Kind.NORM) if args.norm else None
+    T = _load_op(args.norm, Kind.NORM) if args.norm else None
     if S is None and T is None:
         print("error: give at least one of --conorm / --norm", file=sys.stderr)
         return USAGE_ERROR
@@ -216,7 +218,7 @@ def _cmd_divisors(args) -> int:
 
 def _cmd_region(args) -> int:
     S = _load_op(args.conorm, Kind.CONORM)
-    T = parse_op_spec(args.norm, Kind.NORM) if args.norm else None
+    T = _load_op(args.norm, Kind.NORM) if args.norm else None
     res = 1.0 / args.resolution
     grid = weak_region(S, res) if T is None else strong_region(T, S, res)
     grid.save_csv(args.out)
@@ -232,7 +234,7 @@ def _cmd_region(args) -> int:
 def _cmd_restricted(args) -> int:
     S_prime = _load_op(args.connected_by, Kind.CONORM)
     S = _load_op(args.conorm, Kind.CONORM)
-    T = parse_op_spec(args.norm, Kind.NORM) if args.norm else None
+    T = _load_op(args.norm, Kind.NORM) if args.norm else None
     verdict = restricted_decomposability(S_prime, S, T, 1.0 / args.resolution)
     print(
         f"# do all {S_prime.display_name}-connected relations decompose under "
@@ -243,10 +245,8 @@ def _cmd_restricted(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    if args.which == 1:
-        cells = generate_table1()
-    else:
-        cells = generate_table2(seed=_seed(args))
+    _seed(args)  # range-checked only: nothing in the tables is sampled
+    cells = generate_table1() if args.which == 1 else generate_table2()
     print(render_table(cells, args.format), end="")
     mismatches = diff_against_reference(cells, args.which)
     print(f"{len(mismatches)} mismatches against the reference table")
@@ -254,7 +254,7 @@ def _cmd_tables(args) -> int:
         print(f"  {m}")
     if args.which == 2 and args.speculate:
         print("# oracle evidence for open cells (NOT authoritative):")
-        for line in oracle_evidence_for_open_cells(samples=args.samples, seed=_seed(args)):
+        for line in oracle_evidence_for_open_cells():
             print(f"  {line}")
     return OK if not mismatches else FAIL
 
@@ -267,9 +267,6 @@ def build_parser() -> _Parser:
     p = _Parser(prog="fuzzdec", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_seed(sp):
-        sp.add_argument("--seed", type=int, default=0, help="seed for randomised subroutines")
-
     sp = sub.add_parser("decompose", help="decompose a relation file")
     sp.add_argument("--relation", required=True)
     sp.add_argument("--conorm", required=True)
@@ -280,15 +277,13 @@ def build_parser() -> _Parser:
     sp.add_argument("--relation", required=True)
     sp.add_argument("--conorm", required=True)
     sp.add_argument("--norm")
-    add_seed(sp)
+    sp.add_argument("--seed", type=int, default=0, help="seed of the FP6 sample above 21 elements")
     sp.set_defaults(fn=_cmd_audit)
 
     sp = sub.add_parser("classify", help="classify the canonical decomposition rule")
     sp.add_argument("--conorm", required=True)
     sp.add_argument("--norm")
-    sp.add_argument("--samples", type=_positive_int, default=25)
     sp.add_argument("--speculate", action="store_true")
-    add_seed(sp)
     sp.set_defaults(fn=_cmd_classify)
 
     sp = sub.add_parser("check-norm", help="check the defining axioms of an operator")
@@ -321,8 +316,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--which", type=int, choices=[1, 2], required=True)
     sp.add_argument("--format", choices=["text", "csv"], default="text")
     sp.add_argument("--speculate", action="store_true")
-    sp.add_argument("--samples", type=_positive_int, default=12)
-    add_seed(sp)
+    sp.add_argument("--seed", type=int, default=0, help="accepted and range-checked; has no effect")
     sp.set_defaults(fn=_cmd_tables)
 
     return p

@@ -13,6 +13,18 @@ A triplet (R, P, I) is a fuzzy preference when
 Every weak or strong decomposition delivers FP1, FP2, FP3, FP5, FP6 and the
 forward half of FP4; the backward half can fail for non-canonical
 decompositions unless the conorm rises strictly near zero.
+
+The canonical rule yields FP1-FP6 on every relation in real arithmetic:
+its outputs satisfy all six axioms whenever R = S(P, I) holds exactly and
+S is monotone.  Floats can break R = S(P, I) where the residual is not
+attained, so `classify_rule` runs the rule on `GRID_RELATION`,
+R(x_a, x_b) = b/20 over 21 labels.  The canonical P and I of a cell depend
+only on the pair i = min(R(x,y), R(y,x)) <= r = R(x,y), and this relation
+holds every such pair of the 1/20 grid exactly once on and above its
+diagonal (cells a < b give i < r, the diagonal gives i = r).  FP1-FP6 look
+only at single cells and at pairs of cells, and `audit_fp` checks FP6 on
+every pair of its 441 cells, so a pass on it is a pass on every relation
+whose degrees lie on the 1/20 grid.
 """
 
 from __future__ import annotations
@@ -35,6 +47,7 @@ from .decompose import (
     Decomposition,
     DecompositionError,
     Mode,
+    _grid_values,
     canonical_decompose,
     strong_decompose,
 )
@@ -44,7 +57,6 @@ from .relations import (
     FuzzyRelation,
     _first_cell,
     asymmetry_violation,
-    sample_relations,
     symmetry_violation,
 )
 from .verdicts import Verdict
@@ -107,7 +119,7 @@ def audit_fp(
     seed: int = 0,
 ) -> FPReport:
     """Audit all six axioms.  FP1-FP5 are exhaustive over ordered pairs.
-    FP6 is exhaustive over quadruples for universes of at most 6 elements
+    FP6 is exhaustive over quadruples for universes of at most 21 elements
     and falls back to seeded random sampling above that; a sampled pass
     records the sample size and the seed.
 
@@ -130,19 +142,26 @@ def audit_fp(
     )
 
     i_flat, p_flat, r_flat = I.ravel(), P.ravel(), R.ravel()
-    if n <= 6:  # every pair of cells, row-major
-        a, b = np.divmod(np.arange(n**4), n * n)
+    exhaustive = n <= 21  # covers GRID_RELATION; the pair mask is built in row blocks
+    if exhaustive:  # every pair of cells, row-major
+        pair = _first_cell(
+            n * n,
+            lambda s: (i_flat[s, None] <= i_flat)
+            & (p_flat[s, None] <= p_flat)
+            & (r_flat[s, None] > r_flat + EPSILON),
+        )
     else:
         rng = np.random.default_rng(seed)
         a = rng.integers(0, n * n, size=fp6_sample)
         b = rng.integers(0, n * n, size=fp6_sample)
-    viol = (i_flat[a] <= i_flat[b]) & (p_flat[a] <= p_flat[b]) & (r_flat[a] > r_flat[b] + EPSILON)
-    if viol.any():
-        k = int(np.argmax(viol))
-        witness = (labels[a[k] // n], labels[a[k] % n], labels[b[k] // n], labels[b[k] % n])
-        out["FP6"] = AxiomVerdict(False, witness)
+        viol = (i_flat[a] <= i_flat[b]) & (p_flat[a] <= p_flat[b]) & (r_flat[a] > r_flat[b] + EPSILON)
+        hits = np.flatnonzero(viol)
+        pair = (int(a[hits[0]]), int(b[hits[0]])) if hits.size else None
+    if pair is not None:
+        a, b = pair
+        out["FP6"] = AxiomVerdict(False, (labels[a // n], labels[a % n], labels[b // n], labels[b % n]))
     else:
-        out["FP6"] = AxiomVerdict(True, None, None if n <= 6 else (fp6_sample, seed))
+        out["FP6"] = AxiomVerdict(True, None, None if exhaustive else (fp6_sample, seed))
     return FPReport(out)
 
 
@@ -253,6 +272,10 @@ def mj_counterexample(
 # rule classification
 
 
+# R(x_a, x_b) = b/20: every pair i <= r of the 1/20 grid (module docstring)
+GRID_RELATION = FuzzyRelation(tuple(f"x{a}" for a in range(21)), np.tile(_grid_values(0.05), (21, 1)))
+
+
 class RuleClass(Enum):
     NOT_COMPATIBLE = "not-compatible"
     COMPATIBLE = "compatible"
@@ -274,27 +297,19 @@ class RuleClassification:
         return text
 
 
-def classify_rule(
-    S: BinaryOp,
-    T: Optional[BinaryOp] = None,
-    samples: int = 25,
-    seed: int = 0,
-) -> RuleClassification:
+def classify_rule(S: BinaryOp, T: Optional[BinaryOp] = None) -> RuleClassification:
     """Classify the canonical rule for S (weak) or (T, S) (strong).
 
     NOT_COMPATIBLE when decompositions can fail to exist, the canonical rule
-    fails on a sampled relation or some sampled canonical output fails the
-    preference audit; INDUCED when additionally
+    fails on `GRID_RELATION` or its output there fails the preference
+    audit; INDUCED when additionally
     no second preference-inducing decomposition can exist (collapse forces
     absorption for weak rules, uniqueness for strong ones); COMPATIBLE in
     between; UNDETERMINED for the open cells of the reference classification
-    and for custom operators whose checks stay sampled.  ``samples`` (the
-    number of sampled relations) must be at least 1.
+    and for custom operators whose inducement or uniqueness stays undecided.
     """
 
-    if samples < 1:
-        raise ValueError(f"classify_rule needs at least one sampled relation, got samples={samples}")
-    computed = _classify_computed(S, T, samples, seed)
+    computed = _classify_computed(S, T)
     if open_cell(T, S):
         return RuleClassification(
             RuleClass.UNDETERMINED,
@@ -305,9 +320,7 @@ def classify_rule(
     return computed
 
 
-def _classify_computed(
-    S: BinaryOp, T: Optional[BinaryOp], samples: int, seed: int
-) -> RuleClassification:
+def _classify_computed(S: BinaryOp, T: Optional[BinaryOp]) -> RuleClassification:
     if T is None:
         exist = check_first_coordinate_continuity(S)
         if exist.verdict is Verdict.FAILS:
@@ -326,25 +339,23 @@ def _classify_computed(
                 exist.witness,
             )
 
-    rule = make_rule(S, T)
-    for R in sample_relations(samples, size=3, grid_step=0.05, seed=seed, reflexive=False):
-        try:
-            d = rule(R)
-        except DecompositionError as exc:
-            # e.g. drastic x Schweizer-Sklar at lambda near 0: the pair exists
-            # in real arithmetic but no float P satisfies S(P,I) = 1, T(P,I) = 0
-            return RuleClassification(
-                RuleClass.NOT_COMPATIBLE,
-                f"the canonical rule fails on a sampled relation: {exc}",
-            )
-        report = audit_fp(triplet_from_decomposition(R, d))
-        if not report.overall:
-            axiom = report.failed_axioms()[0]
-            return RuleClassification(
-                RuleClass.NOT_COMPATIBLE,
-                f"canonical output violates {axiom} on a sampled relation",
-                report.verdicts[axiom].witness,
-            )
+    try:
+        d = make_rule(S, T)(GRID_RELATION)
+    except DecompositionError as exc:
+        # e.g. drastic x Schweizer-Sklar at lambda near 0: the pair exists
+        # in real arithmetic but no float P satisfies S(P,I) = 1, T(P,I) = 0
+        return RuleClassification(
+            RuleClass.NOT_COMPATIBLE,
+            f"the canonical rule fails in float arithmetic on the 1/20-grid relation: {exc}",
+        )
+    report = audit_fp(triplet_from_decomposition(GRID_RELATION, d))
+    if not report.overall:
+        axiom = report.failed_axioms()[0]
+        return RuleClassification(
+            RuleClass.NOT_COMPATIBLE,
+            f"canonical output violates {axiom} on the 1/20-grid relation",
+            report.verdicts[axiom].witness,
+        )
 
     if T is None:
         collapse = check_collapse_implies_absorption(S)
@@ -364,7 +375,7 @@ def _classify_computed(
             )
         return RuleClassification(
             RuleClass.UNDETERMINED,
-            "compatible on samples; inducement undecided for a custom conorm",
+            "compatible on the 1/20-grid relation; inducement undecided for a custom conorm",
         )
 
     unique = strong_uniqueness(T, S)
@@ -381,5 +392,5 @@ def _classify_computed(
         )
     return RuleClassification(
         RuleClass.UNDETERMINED,
-        "compatible on samples; uniqueness undecided",
+        "compatible on the 1/20-grid relation; uniqueness undecided",
     )

@@ -82,7 +82,7 @@ def open_cell(T, S) -> bool:
     """Whether the rule of conorm S, with norm T (None for the weak row),
     lies in a regime whose status the reference classification leaves open.
     These are reported UNDETERMINED and never resolved, even though the
-    sampling oracles often suggest an answer."""
+    computed checks of classify_rule often suggest an answer."""
 
     if not S.is_builtin or (T is not None and not T.is_builtin):
         return False

@@ -40,10 +40,6 @@ class RegionGrid:
         if self.membership.shape != (n, n) or self.axis.shape != (n,):
             raise ValueError("membership must be square and match the axis")
 
-    @property
-    def cells_per_axis(self) -> int:
-        return self.axis.size
-
     def member(self, a: float, b: float) -> bool:
         i = int(np.argmin(np.abs(self.axis - a)))
         j = int(np.argmin(np.abs(self.axis - b)))

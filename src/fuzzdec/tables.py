@@ -170,16 +170,16 @@ def _engine_table1(T: Optional[BinaryOp], S: BinaryOp) -> Table1Verdict:
     return Table1Verdict.EXISTS
 
 
-def _engine_table2(T: Optional[BinaryOp], S: BinaryOp, seed: int) -> Table2Verdict:
-    verdict = classify_rule(S, T, samples=12, seed=seed).verdict
+def _engine_table2(T: Optional[BinaryOp], S: BinaryOp) -> Table2Verdict:
+    verdict = classify_rule(S, T).verdict
     # a rule class has the value of its table verdict, but for not-compatible (none)
     if verdict is RuleClass.NOT_COMPATIBLE:
         return Table2Verdict.NOT_EXISTS
     return Table2Verdict(verdict.value)
 
 
-def _generate(which: int, lambda_samples: Sequence[float], seed: int) -> List[TableCell]:
-    engine = _engine_table1 if which == 1 else (lambda T, S: _engine_table2(T, S, seed))
+def _generate(which: int, lambda_samples: Sequence[float]) -> List[TableCell]:
+    engine = _engine_table1 if which == 1 else _engine_table2
     cells: List[TableCell] = []
     for row in ROWS:
         for col in CONORM_FAMILIES:
@@ -198,14 +198,12 @@ def generate_table1(lambda_samples: Sequence[float] = DEFAULT_LAMBDA_SAMPLES) ->
     """Existence/uniqueness verdicts computed from the divisor-interval and
     strictness machinery, one cell per (norm family, conorm family) plus a
     weak-decomposition row."""
-    return _generate(1, lambda_samples, seed=0)
+    return _generate(1, lambda_samples)
 
 
-def generate_table2(
-    lambda_samples: Sequence[float] = DEFAULT_LAMBDA_SAMPLES, seed: int = 0
-) -> List[TableCell]:
+def generate_table2(lambda_samples: Sequence[float] = DEFAULT_LAMBDA_SAMPLES) -> List[TableCell]:
     """Rule-classification verdicts computed by classify_rule."""
-    return _generate(2, lambda_samples, seed=seed)
+    return _generate(2, lambda_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -262,19 +260,15 @@ def _row_label(row: str) -> str:
     return NORM_LABELS[row]
 
 
-def oracle_evidence_for_open_cells(
-    lambda_samples: Sequence[float] = DEFAULT_LAMBDA_SAMPLES,
-    samples: int = 12,
-    seed: int = 0,
-) -> List[str]:
-    """What the sampling oracles would say about the open cells of the rule
-    table, each at the first sample of its regime.  Informational only: the
-    open cells stay undetermined."""
+def oracle_evidence_for_open_cells(lambda_samples: Sequence[float] = DEFAULT_LAMBDA_SAMPLES) -> List[str]:
+    """What the computed checks of classify_rule say about the open cells of
+    the rule table, each at the first lambda sample of its regime.
+    Informational only: the open cells stay undetermined."""
 
     lines = []
     for row, col, label in OPEN_CELLS:
         T, S = _ops_for(row, col, _lambdas(row, col, label, lambda_samples)[0])
-        info = classify_rule(S, T, samples=samples, seed=seed)
+        info = classify_rule(S, T)
         says = (info.oracle_verdict or info.verdict).value
         where = f"({_row_label(row)}, {CONORM_LABELS[col]})" + (f" [{label}]" if label else "")
         lines.append(f"{where}: oracle says {says}")

@@ -70,9 +70,9 @@ def test_audit_subcommand(showcase_file, capsys):
 
 
 def test_audit_labels_a_sampled_fp6_pass(tmp_path, capsys):
-    n = 8
+    n = 22
     m = np.random.default_rng(8).integers(0, 21, (n, n)) / 20
-    path = tmp_path / "r8.rel"
+    path = tmp_path / "r22.rel"
     path.write_text(format_relation(FuzzyRelation(tuple(f"x{k}" for k in range(n)), m)))
     code, out, _ = run(capsys, "audit", "--relation", str(path), "--conorm", "prob", "--seed", "3")
     assert code == 0
@@ -112,6 +112,16 @@ def test_check_norm_custom_table_violation(tmp_path, capsys):
     )
     assert code == 1
     assert "FAILS" in out and "witness" in out
+
+
+def test_custom_table_norm_is_loaded_as_a_norm(tmp_path, capsys):
+    # the Lukasiewicz norm as a table; --norm reads custom tables like --conorm
+    table = tmp_path / "lukasiewicz.op"
+    rows = (" ".join(str(max(0.0, i / 4 + j / 4 - 1)) for j in range(5)) for i in range(5))
+    table.write_text("fuzzop v1\ngrid 4\n" + "\n".join(rows) + "\n")
+    code, out, err = run(capsys, "classify", "--conorm", "max", "--norm", f"custom:table={table}")
+    assert (code, err) == (1, "")
+    assert out.startswith("# strong decomposition rule for Maximum with custom norm\nnot-compatible: ")
 
 
 def test_check_norm_builtin_holds(capsys):
@@ -187,12 +197,6 @@ def test_usage_and_parse_errors(tmp_path, capsys):
     assert code == 2
     code, _, _ = run(capsys, "nonsense")
     assert code == 2
-
-
-def test_seed_determinism(capsys):
-    a = run(capsys, "classify", "--conorm", "lukasiewicz", "--seed", "7")
-    b = run(capsys, "classify", "--conorm", "lukasiewicz", "--seed", "7")
-    assert a == b
 
 
 @pytest.mark.parametrize(
@@ -290,22 +294,8 @@ def test_fuzzed_table_files_never_raise(text):
     assert (code == 2) == err.getvalue().startswith("error: ")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("classify", "--conorm", "lukasiewicz", "--samples", "0"),
-        ("classify", "--conorm", "lukasiewicz", "--samples", "-5"),
-        ("tables", "--which", "2", "--speculate", "--samples", "0"),
-    ],
-)
-def test_zero_evidence_samples_exit_2(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err == f"error: argument --samples: must be a positive integer, got '{argv[-1]}'\n"
-
-
 def test_negative_seed_flag_is_named(capsys):
-    code, out, err = run(capsys, "classify", "--conorm", "lukasiewicz", "--seed", "-1")
+    code, out, err = run(capsys, "tables", "--which", "2", "--seed", "-1")
     assert (code, out) == (2, "")
     assert err == "error: --seed must be a non-negative integer, got -1\n"
 

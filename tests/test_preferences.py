@@ -22,6 +22,7 @@ from fuzzdec import (
     triplet_from_decomposition,
     verify_weak,
 )
+from fuzzdec.preferences import GRID_RELATION, _classify_computed
 
 
 def two_rel(r_xy, r_yx, diag=1.0):
@@ -92,13 +93,13 @@ def test_audit_rejects_universe_mismatch():
 
 def test_sampled_fp6_pass_is_labelled():
     rng = np.random.default_rng(8)
-    R = FuzzyRelation(tuple(f"v{k}" for k in range(8)), rng.integers(0, 21, (8, 8)) / 20)
+    R = FuzzyRelation(tuple(f"v{k}" for k in range(22)), rng.integers(0, 21, (22, 22)) / 20)
     report = audit_fp(triplet_from_decomposition(R, canonical_decompose(R, make_conorm("prob"))), seed=5)
     assert str(report.verdicts["FP6"]) == "pass (sampled: 100000 quadruples, seed 5)"
     assert report.overall and str(report).endswith("\nFP6: pass (sampled: 100000 quadruples, seed 5)\noverall: pass")
 
 
-@pytest.mark.parametrize("n", [1, 6])
+@pytest.mark.parametrize("n", [1, 6, 21])
 def test_exhaustive_fp6_report_is_unlabelled(n):
     rng = np.random.default_rng(n)
     R = FuzzyRelation(tuple(f"v{k}" for k in range(n)), rng.integers(0, 21, (n, n)) / 20)
@@ -108,8 +109,8 @@ def test_exhaustive_fp6_report_is_unlabelled(n):
 
 def test_fp6_sampled_path_agrees_on_large_universe():
     rng = np.random.default_rng(2)
-    m = rng.uniform(size=(7, 7))
-    R = FuzzyRelation(tuple(f"v{k}" for k in range(7)), m)
+    m = rng.uniform(size=(22, 22))
+    R = FuzzyRelation(tuple(f"v{k}" for k in range(22)), m)
     d = canonical_decompose(R, make_conorm("prob"))
     report = audit_fp(triplet_from_decomposition(R, d), fp6_sample=20000, seed=4)
     assert report.verdicts["FP6"].passed
@@ -248,15 +249,35 @@ def test_classify_open_cells_stay_undetermined():
 
 @pytest.mark.parametrize("lam", [0.05, 0.1, 0.2, 0.22])
 def test_drastic_schweizer_sklar_classifies_at_small_lambda(lam):
-    # existence holds there, so every sampled relation is strongly decomposed
-    c = classify_rule(make_conorm("schweizer_sklar", lam), make_norm("drastic"))
+    # existence holds there; at lambda = 0.05 no float P < 1 has S(P, 0.05) = 1,
+    # so the grid cell (i, r) = (0.05, 1) breaks T(P, I) = 0 in floats
+    S, T = make_conorm("schweizer_sklar", lam), make_norm("drastic")
+    c = classify_rule(S, T)
     assert c.verdict is RuleClass.UNDETERMINED
-    assert c.oracle_verdict is RuleClass.COMPATIBLE
+    if lam != 0.05:
+        assert c.oracle_verdict is RuleClass.COMPATIBLE
+    else:
+        assert c.oracle_verdict is RuleClass.NOT_COMPATIBLE
+        reason = _classify_computed(S, T).reason
+        assert "in float arithmetic" in reason and reason.endswith("T(1,0.05) = 0.05 != 0 at (x1,x20)")
+
+
+def test_grid_relation_holds_each_grid_pair_once():
+    # cells on and above the diagonal carry each (i, r), i <= r, of the 1/20
+    # grid exactly once; cells below it repeat diagonal pairs
+    g = np.arange(21) / 20
+    m = GRID_RELATION.degrees
+    i = np.minimum(m, m.T)
+    upper = np.triu_indices(21)
+    assert sorted(zip(i[upper].tolist(), m[upper].tolist())) == [
+        (g[a], g[b]) for a in range(21) for b in range(a, 21)
+    ]
+    assert (i == m)[np.tril_indices(21)].all()
 
 
 def test_classify_reports_a_canonical_rule_that_fails_in_floats():
     # at lambda = 0.001 no float P < 1 has S(P, 0.45) = 1, so the canonical
-    # pair of a sampled relation breaks T(P, I) = 0 under the drastic norm
+    # pair of a grid cell breaks T(P, I) = 0 under the drastic norm
     S, T = make_conorm("schweizer_sklar", 0.001), make_norm("drastic")
     c = classify_rule(S, T)
     assert c.verdict is RuleClass.UNDETERMINED
@@ -266,13 +287,3 @@ def test_classify_reports_a_canonical_rule_that_fails_in_floats():
         make_rule(S, T)(R)
 
 
-def test_classify_is_seed_deterministic():
-    a = classify_rule(make_conorm("lukasiewicz"), samples=10, seed=3)
-    b = classify_rule(make_conorm("lukasiewicz"), samples=10, seed=3)
-    assert a == b
-
-
-@pytest.mark.parametrize("samples", [0, -5])
-def test_classify_rule_refuses_zero_evidence(samples):
-    with pytest.raises(ValueError, match="at least one sampled relation"):
-        classify_rule(make_conorm("lukasiewicz"), samples=samples)
