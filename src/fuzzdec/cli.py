@@ -10,7 +10,6 @@ range-checked but has no effect: no rule check is sampled.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -37,7 +36,7 @@ from .preferences import (
     triplet_from_decomposition,
 )
 from .regions import restricted_decomposability, strong_region, weak_region
-from .relations import RelationParseError, format_relation, load_relation
+from .relations import RelationParseError, content_lines, format_relation, load_relation, read_degrees
 from .tables import (
     diff_against_reference,
     generate_table1,
@@ -83,36 +82,25 @@ def _table_operator(path: str, kind: Kind) -> BinaryOp:
     """Load a custom operator from a value table over a uniform grid.
 
     Format: first line ``fuzzop v1``, second line ``grid <n>``, then
-    (n+1) rows of (n+1) values giving f(i/n, j/n); evaluation is bilinear
+    (n+1) rows of (n+1) degrees in [0,1] giving f(i/n, j/n), read and
+    reported like the matrix of a relation file; evaluation is bilinear
     interpolation between grid nodes.
     """
 
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.split("#", 1)[0].strip() for ln in fh.read().splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines or lines[0] != "fuzzop v1":
-        raise ValueError(f"{path}: expected header 'fuzzop v1'")
-    head = lines[1].split() if len(lines) > 1 else []
-    if len(head) != 2 or head[0] != "grid":
-        raise ValueError(f"{path}: expected 'grid <n>' on the second line")
-    n = int(head[1]) if head[1].isdecimal() else 0
-    if n < 1:
-        raise ValueError(f"{path}: grid size must be a positive integer, got {head[1]!r}")
-    rows = lines[2:]
-    if len(rows) != n + 1:
-        raise ValueError(f"{path}: expected {n + 1} rows, found {len(rows)}")
-    mat = np.zeros((n + 1, n + 1))
-    for r, row_text in enumerate(rows):
-        cells = row_text.split()
-        if len(cells) != n + 1:
-            raise ValueError(f"{path}: row {r + 1} has {len(cells)} entries, expected {n + 1}")
-        for c, cell in enumerate(cells):
-            try:
-                mat[r, c] = float(cell)
-            except ValueError:
-                raise ValueError(f"{path}: row {r + 1}, column {c + 1}: not a number: {cell!r}") from None
-            if not math.isfinite(mat[r, c]):
-                raise ValueError(f"{path}: row {r + 1}, column {c + 1}: not a finite number: {cell!r}")
+        lines = content_lines(fh)
+        if next(lines, (None, None))[1] != "fuzzop v1":
+            raise ValueError(f"{path}: expected header 'fuzzop v1'")
+        head = next(lines, (None, ""))[1].split()
+        if len(head) != 2 or head[0] != "grid":
+            raise ValueError(f"{path}: expected 'grid <n>' on the second line")
+        n = int(head[1]) if head[1].isdecimal() else 0
+        if n < 1:
+            raise ValueError(f"{path}: grid size must be a positive integer, got {head[1]!r}")
+        try:
+            mat = read_degrees(lines, n + 1, n + 1)
+        except RelationParseError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def fn(x, y):
         xi = np.clip(np.asarray(x, dtype=float), 0.0, 1.0) * n
@@ -330,9 +318,6 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.fn(args)
-    except RelationParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except (ValueError, OSError, DecompositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -10,6 +10,7 @@ operator evaluations (transitivity, connectedness) allow the package-wide
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -217,35 +218,33 @@ def crisp_decompose(R: FuzzyRelation) -> Tuple[FuzzyRelation, FuzzyRelation]:
 #
 # '#' starts a comment; blank lines are ignored.  Degrees are written with
 # 17 significant digits so emitted files re-parse to bit-identical matrices.
-# A degree is ASCII without '_': the further spellings Python's float()
-# accepts ('0.0_5', full-width digits) are rejected.
+# Degrees are read by numpy's text reader one row block at a time; it accepts
+# exactly the spellings of Python's float() that are ASCII without '_', so
+# the further ones float() takes ('0.0_5', full-width digits) are rejected.
 #
-# Degrees elicited on a finite scale repeat, so both directions convert each
-# distinct value once through a per-call memo while rows are mostly repeats,
-# and fall back to converting every cell once a row is mostly new values.
+# Degrees elicited on a finite scale repeat, so writing formats each distinct
+# value once through a per-call memo while rows are mostly repeats, and falls
+# back to formatting every cell once a row is mostly new values.
 
 _MEMO_ENTRIES = 4096
 
 
 class _Memo(dict):
-    """Results of ``convert``, at most ``_MEMO_ENTRIES`` of them."""
+    """``%.17g`` texts of floats, at most ``_MEMO_ENTRIES`` of them."""
 
-    def __init__(self, convert: Callable):
-        super().__init__()
-        self.convert = convert
-        self.misses = 0
+    misses = 0
 
     def __missing__(self, key):
         self.misses += 1
-        value = self.convert(key)
+        text = "%.17g" % key
         if len(self) < _MEMO_ENTRIES:
-            self[key] = value
-        return value
+            self[key] = text
+        return text
 
-    def row(self, items: Sequence) -> Tuple[list, bool]:
-        """Convert one row; the flag says whether at most half of it was new."""
+    def row(self, values: Sequence[float]) -> Tuple[list, bool]:
+        """Format one row; the flag says whether at most half of it was new."""
         before = self.misses
-        out = list(map(self.__getitem__, items))
+        out = list(map(self.__getitem__, values))
         return out, 2 * (self.misses - before) <= len(out)
 
 
@@ -257,7 +256,7 @@ def _lines(R: FuzzyRelation) -> Iterator[str]:
     row_format = " ".join(["%.17g"] * R.size) + "\n"
     # -0.0 == 0.0 as a key, so a memo would print -0 as 0
     signed = _first_cell(R.size, lambda s: np.signbit(m[s]))
-    memo = None if signed is not None else _Memo("%.17g".__mod__)
+    memo = None if signed is not None else _Memo()
     for row in m:
         if memo is None:
             yield row_format % tuple(row.tolist())
@@ -272,77 +271,87 @@ def format_relation(R: FuzzyRelation) -> str:
     return "".join(_lines(R))
 
 
-def _degree(cell: str) -> float:
-    if "_" in cell or not cell.isascii():
-        raise ValueError(cell)
-    return float(cell)
+def content_lines(source: Union[str, Iterable[str]]) -> Iterator[Tuple[int, str]]:
+    """(line number, text) of each line of ``source`` (one string, or an
+    iterable of lines such as an open file, which streams) that is not blank
+    once its '#' comment and surrounding whitespace are stripped."""
+    if isinstance(source, str):
+        source = source.splitlines()
+    # a blank line splits into no parts, but still counts
+    numbered = enumerate((part for chunk in source for part in chunk.splitlines() or [""]), start=1)
+    return ((idx, s) for idx, line in numbered if (s := line.split("#", 1)[0].strip()))
+
+
+def read_degrees(lines: Iterator[Tuple[int, str]], rows: int, cols: int) -> np.ndarray:
+    """The rows x cols matrix of degrees in [0,1] that the remaining
+    ``content_lines`` hold, one matrix row per line.
+
+    Each row block of at most ``_BLOCK_CELLS`` cells is read by one
+    ``np.loadtxt``, and nothing rows x cols in size is allocated before the
+    rows have arrived.  Errors come in line order: the first offending row
+    length or cell in row-major order, then the row count."""
+    mat = np.empty((0, cols))
+    for s in _row_blocks(rows, cols):
+        block = list(islice(lines, s.stop - s.start))
+        if block:
+            degrees = _read_block(block, s.start, cols)
+            # mat grows in place (no view of it exists): no second copy is made
+            mat.resize((s.start + len(block), cols), refcheck=False)
+            mat[s.start:] = degrees
+        if len(block) < s.stop - s.start:
+            break
+    found = len(mat) + sum(1 for _ in lines)  # rows past the last are only counted
+    if found != rows:
+        raise RelationParseError(f"expected {rows} matrix rows, found {found}")
+    return mat
+
+
+def _read_block(block: List[Tuple[int, str]], first_row: int, cols: int) -> np.ndarray:
+    """The degrees on ``block``'s lines, rows ``first_row + 1, ...`` of the
+    matrix.  A block the reader rejects is walked cell by cell, each cell
+    judged by the same reader, to name its first offending cell."""
+    try:
+        mat = np.loadtxt([text for _, text in block], ndmin=2, comments=None)
+        if mat.shape[1] == cols and ((mat >= 0.0) & (mat <= 1.0)).all():  # NaN fails too
+            return mat
+    except ValueError:
+        pass
+    for r, (lineno, text) in enumerate(block, start=first_row + 1):
+        cells = text.split()  # numpy's reader splits on the same whitespace
+        if len(cells) != cols:
+            raise RelationParseError(f"line {lineno}: row {r} has {len(cells)} entries, expected {cols}")
+        for c, cell in enumerate(cells, start=1):
+            where = f"line {lineno}: row {r}, column {c}"
+            try:
+                v = float(np.loadtxt([cell], comments=None))
+            except ValueError:
+                raise RelationParseError(f"{where}: not a number: {cell!r}") from None
+            if not 0.0 <= v <= 1.0:
+                raise RelationParseError(f"{where}: degree {v!r} outside [0,1]")
+    last = first_row + len(block)
+    raise RelationParseError(f"line {block[0][0]}: rows {first_row + 1} to {last} do not read as a matrix")
 
 
 def parse_relation(source: Union[str, Iterable[str]]) -> FuzzyRelation:
     """Parse a relation file given as one string or as an iterable of lines
     (an open file streams: no copy of the whole text is made)."""
-    if isinstance(source, str):
-        source = source.splitlines()
-    numbered = enumerate((part for chunk in source for part in chunk.splitlines()), start=1)
-    lines = ((idx, s) for idx, line in numbered if (s := line.split("#", 1)[0].strip()))
+    lines = content_lines(source)
     lineno, header = next(lines, (None, None))
     if header is None:
         raise RelationParseError("empty relation file")
     if header != FILE_HEADER:
-        raise RelationParseError(
-            f"line {lineno}: expected header {FILE_HEADER!r}, got {header!r}"
-        )
+        raise RelationParseError(f"line {lineno}: expected header {FILE_HEADER!r}, got {header!r}")
     lineno, uline = next(lines, (None, None))
     if uline is None:
         raise RelationParseError("missing universe line")
     parts = uline.split()
     if parts[0] != "universe" or len(parts) < 2:
-        raise RelationParseError(
-            f"line {lineno}: expected 'universe <label> ...', got {uline!r}"
-        )
+        raise RelationParseError(f"line {lineno}: expected 'universe <label> ...', got {uline!r}")
     labels = parts[1:]
     n = len(labels)
     if len(set(labels)) != n:
         raise RelationParseError(f"line {lineno}: duplicate universe labels")
-    mat = np.zeros((n, n))
-    memo: Optional[_Memo] = _Memo(float)
-    rows = 0  # rows past the n-th are only counted
-    for lineno, row_text in lines:
-        rows += 1
-        if rows > n:
-            continue
-        r, cells = rows - 1, row_text.split()
-        if len(cells) != n:
-            raise RelationParseError(
-                f"line {lineno}: row {r + 1} has {len(cells)} entries, expected {n}"
-            )
-        if row_text.isascii() and "_" not in row_text:
-            try:
-                if memo is None:
-                    mat[r] = list(map(float, cells))
-                else:
-                    mat[r], mostly_hits = memo.row(cells)
-                    if not mostly_hits:
-                        memo = None
-                if ((mat[r] >= 0.0) & (mat[r] <= 1.0)).all():  # NaN fails too
-                    continue
-            except ValueError:
-                pass
-        for c, cell in enumerate(cells):  # name the row's first offending cell
-            try:
-                v = _degree(cell)
-            except ValueError:
-                raise RelationParseError(
-                    f"line {lineno}: row {r + 1}, column {c + 1}: not a number: {cell!r}"
-                ) from None
-            if not 0.0 <= v <= 1.0:
-                raise RelationParseError(
-                    f"line {lineno}: row {r + 1}, column {c + 1}: degree {v!r} outside [0,1]"
-                )
-            mat[r, c] = v
-    if rows != n:
-        raise RelationParseError(f"expected {n} matrix rows, found {rows}")
-    return FuzzyRelation._adopt(tuple(labels), mat)
+    return FuzzyRelation._adopt(tuple(labels), read_degrees(lines, n, n))
 
 
 def load_relation(path) -> FuzzyRelation:

@@ -242,14 +242,64 @@ def test_messages_print_plain_floats(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "cell, problem",
-    [("x", "not a number: 'x'"), ("nan", "not a finite number: 'nan'"), ("-inf", "not a finite number: '-inf'")],
+    [
+        ("x", "not a number: 'x'"),
+        ("nan", "degree nan outside [0,1]"),
+        ("-inf", "degree -inf outside [0,1]"),
+        ("0_1", "not a number: '0_1'"),
+        ("1.5", "degree 1.5 outside [0,1]"),
+        ("\uff11", "not a number: '\uff11'"),
+    ],
 )
 def test_table_cell_errors_name_file_row_and_column(tmp_path, capsys, cell, problem):
     table = tmp_path / "bad.op"
-    table.write_text(f"fuzzop v1\ngrid 1\n0 {cell}\n1 1\n")
+    table.write_text(f"fuzzop v1\ngrid 1\n0 {cell}\n1 1\n", encoding="utf-8")
     code, out, err = run(capsys, "check-norm", "--op", f"custom:table={table}", "--kind", "norm")
     assert (code, out) == (2, "")
-    assert err == f"error: {table}: row 1, column 2: {problem}\n"
+    assert err == f"error: {table}: line 3: row 1, column 2: {problem}\n"
+
+
+def test_table_values_above_one_are_refused_by_region(tmp_path, capsys):
+    table = tmp_path / "above.op"
+    table.write_text("fuzzop v1\ngrid 1\n0 1.5\n1 1\n")
+    out_csv = tmp_path / "region.csv"
+    code, out, err = run(capsys, "region", "--conorm", f"custom:table={table}", "--resolution", "4",
+                         "--out", str(out_csv))
+    assert (code, out) == (2, "") and not out_csv.exists()
+    assert err == f"error: {table}: line 3: row 1, column 2: degree 1.5 outside [0,1]\n"
+
+
+@pytest.mark.parametrize(
+    "rows, problem",
+    [
+        (["0 0", "0 0"], "line 3: row 1 has 2 entries, expected 100001"),
+        (["0 " * 100001] * 2, "expected 100001 matrix rows, found 2"),
+    ],
+    ids=["short-rows", "two-rows"],
+)
+def test_short_table_on_a_huge_grid_exits_2(tmp_path, capsys, rows, problem):
+    # nothing (n+1) x (n+1) in size is allocated before the rows arrive
+    table = tmp_path / "huge.op"
+    table.write_text("fuzzop v1\ngrid 100000\n" + "\n".join(rows) + "\n")
+    code, out, err = run(capsys, "check-norm", "--op", f"custom:table={table}", "--kind", "norm")
+    assert (code, out) == (2, "")
+    assert err == f"error: {table}: {problem}\n"
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [
+        ("0", "line 3: row 1 has 1 entries, expected 100000"),
+        (" ".join(["0"] * 100000), "expected 100000 matrix rows, found 1"),
+    ],
+    ids=["short-row", "one-row"],
+)
+def test_short_relation_on_a_huge_universe_exits_2(tmp_path, capsys, row, problem):
+    rel = tmp_path / "huge.rel"
+    rel.write_text("fuzzrel v1\nuniverse " + " ".join(f"a{k}" for k in range(100000)) + f"\n{row}\n")
+    code, out, err = run(capsys, "audit", "--relation", str(rel), "--conorm", "max")
+    assert (code, out) == (2, "")
+    assert err == f"error: {problem}\n"
 
 
 def test_check_norm_rejects_nan_output(monkeypatch, capsys):

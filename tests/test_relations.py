@@ -1,9 +1,11 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fuzzdec import relations
 from fuzzdec import (
     FuzzyRelation,
     RelationParseError,
@@ -184,7 +186,7 @@ def test_round_trip_is_bit_identical(values):
 
 
 def reference_parse(text):
-    """The per-token reader the memoised one must match bit for bit."""
+    """The per-token reader that parsing must match bit for bit."""
     rows = text.splitlines()[2:]
     return np.array([[float(token) for token in row.split()] for row in rows])
 
@@ -273,6 +275,92 @@ def test_parse_reports_first_offending_cell_in_row_major_order(cells, first):
     text = f"fuzzrel v1\nuniverse a b c d\n0 0 0 0\n{cells}\n0 nope 2 nan\n0 0 0 0\n"
     with pytest.raises(RelationParseError, match="row 2, " + first):
         parse_relation(text)
+
+
+def single_token(tok):
+    return "#" not in tok and tok.split() == [tok] and tok.splitlines() == [tok]
+
+
+DEGREE_TOKENS = st.one_of(
+    st.text(max_size=8),
+    st.from_regex(r"[+-]?[0-9_]{0,4}\.?[0-9_]{0,4}([eE][+-]?[0-9]{1,3})?", fullmatch=True),
+    st.floats(allow_nan=True).map(repr),
+    st.sampled_from(
+        ["0_1", "１", "０.５", "1e-320", "-0", "+.5", "5.", "infinity", "-nan", "0x1p-1", "1e", "1d0", "1j"]
+    ),
+).filter(single_token)
+
+
+@given(DEGREE_TOKENS)
+@settings(max_examples=400, deadline=None)
+def test_a_cell_reads_as_its_ascii_float_without_underscores(tok):
+    """The reader's grammar: Python's float() on ASCII without '_', bit for bit."""
+    try:
+        expected = float(tok) if tok.isascii() and "_" not in tok else None
+    except ValueError:
+        expected = None
+    text = f"fuzzrel v1\nuniverse a\n{tok}\n"
+    if expected is not None and 0.0 <= expected <= 1.0:
+        parsed = parse_relation(text).degrees
+        assert parsed.tobytes() == np.float64(expected).tobytes()
+    else:
+        problem = "not a number: " + repr(tok) if expected is None else f"degree {expected!r} outside"
+        with pytest.raises(RelationParseError, match=re.escape("line 3: row 1, column 1: " + problem)):
+            parse_relation(text)
+
+
+@pytest.mark.parametrize("sep", ["\t", "\x1f", "\xa0", "　"])
+def test_cells_split_on_the_whitespace_of_str_split(sep):
+    row = sep.join(["0.25", "1", "0"])
+    R = parse_relation(f"fuzzrel v1\nuniverse a b c\n{row}\n1 1 1\n0 0 0\n")
+    assert R.degrees[0].tolist() == [0.25, 1.0, 0.0]
+    with pytest.raises(RelationParseError, match="line 3: row 1 has 3 entries, expected 2"):
+        parse_relation(f"fuzzrel v1\nuniverse a b\n{row}\n1 1\n")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [(0, -1, "2"), (1, 0, "x")],  # the last cell before a block boundary and the first after it
+        [(1, 0, "x"), (1, 5, "2")],
+        [(1, 7, "nan"), (1, 8, "x"), (2, 0, "x")],
+    ],
+)
+def test_first_bad_cell_is_named_across_a_block_boundary(bad):
+    n = 300
+    rows = relations._BLOCK_CELLS // n  # rows per block: rows - 1 and rows straddle the first boundary
+    cells = np.full((n, n), "0.5", dtype=object)
+    for dr, c, value in bad:
+        cells[rows - 1 + dr, c % n] = value
+    lines, where = ["# head", "", "fuzzrel v1", "universe " + " ".join(f"x{k}" for k in range(n))], {}
+    for r in range(n):
+        if r % 7 == 3:
+            lines += ["   # a comment", ""]
+        lines.append(" ".join(cells[r]) + ("  # trailing" if r % 5 == 0 else ""))
+        where[r] = len(lines)
+    dr, c, value = bad[0]
+    r, c = rows - 1 + dr, c % n
+    problem = "not a number: 'x'" if value == "x" else f"degree {float(value)!r} outside [0,1]"
+    message = f"line {where[r]}: row {r + 1}, column {c + 1}: {problem}"
+    for source in ("\n".join(lines), iter(lines)):
+        with pytest.raises(RelationParseError, match=re.escape(message) + "$"):
+            parse_relation(source)
+
+
+def test_a_block_rejected_without_a_bad_cell_is_not_returned(monkeypatch):
+    # a reader that refuses every block of two or more lines: the walk finds
+    # no bad cell, so the block raises rather than leaving its rows unread
+    loadtxt = np.loadtxt
+
+    def one_line_reader(lines, **kw):
+        if len(lines) > 1:
+            raise ValueError("refused")
+        return loadtxt(lines, **kw)
+
+    monkeypatch.setattr(np, "loadtxt", one_line_reader)
+    with pytest.raises(RelationParseError, match=r"^line 3: rows 1 to 2 do not read as a matrix$"):
+        parse_relation("fuzzrel v1\nuniverse a b\n0 1\n1 0\n")
+    assert parse_relation("fuzzrel v1\nuniverse a\n0.5\n").degrees.tolist() == [[0.5]]
 
 
 def test_parse_errors_identify_position():
