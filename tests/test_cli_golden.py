@@ -6,18 +6,23 @@
 ``DEFAULT_LAMBDA_SAMPLES`` (Hamacher only lambda >= 0), ``divisors`` and
 strong ``classify`` for every (norm, conorm) pair of those operators whose
 lambdas agree, ``tables --which 1|2 --format text|csv`` and the oracle
-evidence for the open cells, ``tables --which 2 --speculate``, and weak and
+evidence for the open cells, ``tables --which 2 --speculate``, weak and
 strong ``decompose`` and ``audit`` on the relation files of ``RELATIONS``
-(named relative to ``tests/data``).  Re-record it with
+(named relative to ``tests/data``), weak and strong ``region`` rasters (with
+the SHA-256 of the CSV bytes written) and weak and strong ``restricted``
+checks under each of ``CONNECTORS``, all at resolution 1/120.  Re-record it
+with
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
 """
 
 import ast
 import contextlib
+import hashlib
 import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 from fuzzdec import Kind, parse_op_spec
@@ -31,6 +36,14 @@ GOLDEN = DATA / "cli_golden.json"
 # one grid-valued and one continuous relation, each holding -0.0 and a subnormal
 RELATIONS = ("grid5.rel", "continuous5.rel")
 PLAIN = ("minimum", "product", "lukasiewicz", "drastic", "ordinal_sum")
+CSV = "region.csv"  # the --out of a region command, written to a temporary directory
+WEAK_CONORMS = ("drastic", "prob", "schweizer_sklar:lambda=-1")
+STRONG_PAIRS = (
+    ("lukasiewicz", "lukasiewicz"), ("drastic", "lukasiewicz"), ("product", "prob"),
+    ("minimum", "max"), ("drastic", "drastic"),
+    ("schweizer_sklar:lambda=0.5", "schweizer_sklar:lambda=0.5"),
+)
+CONNECTORS = ("max", "lukasiewicz", "drastic", "ordinal_sum")
 
 
 def operators():
@@ -68,14 +81,27 @@ def commands():
         for cmd in ("decompose", "audit"):
             out.append([cmd, "--relation", name, "--conorm", "product"])
             out.append([cmd, "--relation", name, "--conorm", "lukasiewicz", "--norm", "lukasiewicz"])
+    ops = [["--conorm", s] for s in WEAK_CONORMS] + [["--conorm", s, "--norm", t] for t, s in STRONG_PAIRS]
+    for op in ops:
+        out.append(["region", *op, "--resolution", "120", "--out", CSV])
+    for conn in CONNECTORS:
+        for op in ops:
+            out.append(["restricted", "--connected-by", conn, *op, "--resolution", "120"])
     return out
 
 
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main([str(DATA / a) if a in RELATIONS else a for a in argv])
-    return {"argv": list(argv), "rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = Path(tmp) / CSV
+        paths = {**{name: str(DATA / name) for name in RELATIONS}, CSV: str(csv)}
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([paths.get(a, a) for a in argv])
+        entry = {"argv": list(argv), "rc": rc, "stdout": out.getvalue().replace(str(csv), CSV),
+                 "stderr": err.getvalue()}
+        if CSV in argv:
+            entry["csv_sha256"] = hashlib.sha256(csv.read_bytes()).hexdigest()
+    return entry
 
 
 def test_cli_output_matches_the_recording():
