@@ -10,6 +10,7 @@ range-checked but has no effect: no rule check is sampled.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -36,7 +37,14 @@ from .preferences import (
     triplet_from_decomposition,
 )
 from .regions import restricted_decomposability, strong_region, weak_region
-from .relations import RelationParseError, content_lines, format_relation, load_relation, read_degrees
+from .relations import (
+    RelationParseError,
+    content_lines,
+    format_relation,
+    load_relation,
+    not_utf8,
+    read_degrees,
+)
 from .tables import (
     diff_against_reference,
     generate_table1,
@@ -88,19 +96,21 @@ def _table_operator(path: str, kind: Kind) -> BinaryOp:
     """
 
     with open(path, "r", encoding="utf-8") as fh:
-        lines = content_lines(fh)
-        if next(lines, (None, None))[1] != "fuzzop v1":
-            raise ValueError(f"{path}: expected header 'fuzzop v1'")
-        head = next(lines, (None, ""))[1].split()
-        if len(head) != 2 or head[0] != "grid":
-            raise ValueError(f"{path}: expected 'grid <n>' on the second line")
-        n = int(head[1]) if head[1].isdecimal() else 0
-        if n < 1:
-            raise ValueError(f"{path}: grid size must be a positive integer, got {head[1]!r}")
         try:
+            lines = content_lines(fh)
+            if next(lines, (None, None))[1] != "fuzzop v1":
+                raise ValueError(f"{path}: expected header 'fuzzop v1'")
+            head = next(lines, (None, ""))[1].split()
+            if len(head) != 2 or head[0] != "grid":
+                raise ValueError(f"{path}: expected 'grid <n>' on the second line")
+            n = int(head[1]) if head[1].isdecimal() else 0
+            if n < 1:
+                raise ValueError(f"{path}: grid size must be a positive integer, got {head[1]!r}")
             mat = read_degrees(lines, n + 1, n + 1)
         except RelationParseError as exc:
             raise ValueError(f"{path}: {exc}") from None
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
 
     def fn(x, y):
         xi = np.clip(np.asarray(x, dtype=float), 0.0, 1.0) * n
@@ -226,7 +236,7 @@ def _cmd_restricted(args) -> int:
     verdict = restricted_decomposability(S_prime, S, T, 1.0 / args.resolution)
     print(
         f"# do all {S_prime.display_name}-connected relations decompose under "
-        f"{S.display_name}" + (f" / {args.norm}" if args.norm else "") + "?"
+        f"{S.display_name}" + (f" / {T.display_name}" if T else "") + "?"
     )
     print(verdict)
     return FAIL if verdict.verdict is Verdict.FAILS else OK
@@ -251,7 +261,10 @@ def _cmd_tables(args) -> int:
 # argument wiring
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser of every subcommand, built once per process: parsing keeps
+    no state in it, and ``main`` may run many times in one process."""
     p = _Parser(prog="fuzzdec", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

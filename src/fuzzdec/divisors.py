@@ -170,7 +170,7 @@ def _witness(T: BinaryOp, S: BinaryOp, unique: bool):
                 w = float(ws[hits[0]])
                 if ws.size > 1:  # the message shows the intervals at w alone
                     one, zero = one_interval(S, w), zero_interval(T, w)
-                return (w,), f"at w={w:g}: one-interval {one} and zero-interval {zero} are disjoint"
+                return (w,), f"at w={w!r}: one-interval {one} and zero-interval {zero} are disjoint"
             continue
         t1, t2 = (np.atleast_1d(t) for t in inter.two_points())
         for k in np.flatnonzero(~np.isnan(t1)).tolist():

@@ -16,14 +16,14 @@ relation above a relation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .operators import EPSILON, BinaryOp, Kind
 from .decompose import residual_array
 from .divisors import intersection
-from .relations import FuzzyRelation, _first_cell, _row_blocks, sup_t_compose
+from .relations import FuzzyRelation, _row_blocks, sup_t_compose
 from .verdicts import TriState, fails, holds
 
 
@@ -64,12 +64,24 @@ class RegionGrid:
             fh.write(self.to_csv())
 
 
-def _rasterise(ax: np.ndarray, cell_test) -> np.ndarray:
-    """Membership over ax x ax, one row block at a time: ``cell_test(i, r)``
-    gets the smaller and the larger coordinate of each cell in the block."""
-    member = np.empty((ax.size, ax.size), dtype=bool)
+def _raster_blocks(ax: np.ndarray, cell_test, member: np.ndarray) -> Iterator[slice]:
+    """Fill ``member`` (ax x ax) one row block at a time and yield each block's
+    rows once they are final.  ``cell_test(i, r)`` gets the smaller and the
+    larger coordinate of each cell, so membership is symmetric: a block is
+    evaluated from its first row's diagonal on and written with its
+    transpose, and the columns before it come from earlier transposes."""
     for s in _row_blocks(ax.size, ax.size):
-        member[s] = cell_test(np.minimum(ax[s, None], ax), np.maximum(ax[s, None], ax))
+        a, b = ax[s, None], ax[s.start:]
+        block = cell_test(np.minimum(a, b), np.maximum(a, b))
+        member[s.start:, s] = block.T
+        member[s, s.start:] = block
+        yield s
+
+
+def _rasterise(ax: np.ndarray, cell_test) -> np.ndarray:
+    member = np.empty((ax.size, ax.size), dtype=bool)
+    for _ in _raster_blocks(ax, cell_test, member):
+        pass
     return member
 
 
@@ -96,10 +108,25 @@ def weak_region(S: BinaryOp, resolution: float = 1 / 200) -> RegionGrid:
     in the first coordinate this is all of the square.
     """
 
-    if S.kind is not Kind.CONORM:
-        raise ValueError("weak_region expects a conorm")
+    test = _cell_test(S)
     ax = _axis(resolution)
-    return RegionGrid(resolution, ax, _rasterise(ax, lambda i, r: _weakly_decomposable(S, i, r)))
+    return RegionGrid(resolution, ax, _rasterise(ax, test))
+
+
+def _strongly_decomposable(T: BinaryOp, S: BinaryOp, i, r) -> np.ndarray:
+    """Elementwise: whether the value pair (i <= r) admits a strong
+    decomposition under (T,S).  On the r = 1 edge (the only axis value
+    within EPSILON of 1 is 1 itself) the divisor-interval intersection
+    decides, which catches attaining values the unattained residual misses
+    for discontinuous conorms; the (1,1) corner is on the diagonal."""
+    res = residual_array(S, i, r)
+    recon = np.asarray(S.evaluator(res, i), dtype=float)
+    tval = np.asarray(T.evaluator(res, i), dtype=float)
+    member = (r <= i + EPSILON) | ((np.abs(recon - r) <= EPSILON) & (tval <= EPSILON))
+    edge = (r == 1.0) & (i < 1.0)
+    if edge.any():
+        member[edge] = ~intersection(T, S, i[edge]).empty
+    return member
 
 
 def strong_region(T: BinaryOp, S: BinaryOp, resolution: float = 1 / 200) -> RegionGrid:
@@ -109,27 +136,21 @@ def strong_region(T: BinaryOp, S: BinaryOp, resolution: float = 1 / 200) -> Regi
     residual is the only candidate that can also vanish under T.
     """
 
+    test = _cell_test(S, T)
+    ax = _axis(resolution)
+    return RegionGrid(resolution, ax, _rasterise(ax, test))
+
+
+def _cell_test(S: BinaryOp, T: Optional[BinaryOp] = None):
+    """``cell_test(i, r)`` of the weak region of S (T None) or of the strong
+    region of (T,S), once the operator kinds are checked."""
+    if T is None:
+        if S.kind is not Kind.CONORM:
+            raise ValueError("weak_region expects a conorm")
+        return lambda i, r: _weakly_decomposable(S, i, r)
     if T.kind is not Kind.NORM or S.kind is not Kind.CONORM:
         raise ValueError("strong_region expects (norm, conorm)")
-
-    def test(i_m, r_m):
-        res = residual_array(S, i_m, r_m)
-        recon = np.asarray(S.evaluator(res, i_m), dtype=float)
-        tval = np.asarray(T.evaluator(res, i_m), dtype=float)
-        return (r_m <= i_m + EPSILON) | ((np.abs(recon - r_m) <= EPSILON) & (tval <= EPSILON))
-
-    ax = _axis(resolution)
-    member = _rasterise(ax, test)
-
-    # r = 1 edge, the last row and column (ax[-1] = 1 is the only axis value
-    # within EPSILON of 1): check the divisor intervals, which catch attaining
-    # values the unattained residual misses for discontinuous conorms
-    nonempty = ~intersection(T, S, ax).empty
-    member[-1, :] = nonempty
-    member[:, -1] = nonempty
-    # the diagonal always decomposes via t = 0 (the edge overwrote its corner)
-    member[-1, -1] = True
-    return RegionGrid(resolution, ax, member)
+    return lambda i, r: _strongly_decomposable(T, S, i, r)
 
 
 def pair_weakly_decomposable(S: BinaryOp, a: float, b: float) -> bool:
@@ -144,24 +165,27 @@ def restricted_decomposability(
 ) -> TriState:
     """Whether every value pair allowed by S'-connectedness lies in the
     (weak or strong) decomposability region: connected relations all
-    decompose exactly when {S'(a,b) = 1} sits inside the region."""
+    decompose exactly when {S'(a,b) = 1} sits inside the region.
+
+    The region is rasterised block by block and the check stops at the
+    first block holding an escaping cell; a block's rows are complete when
+    it is checked, so the witness is the row-major first escaping cell."""
 
     if S_prime.kind is not Kind.CONORM:
         raise ValueError("the connecting operator must be a conorm")
-    region = weak_region(S, resolution) if T is None else strong_region(T, S, resolution)
-    ax, member = region.axis, region.membership
-
-    def escaping(s):
-        return (np.asarray(S_prime.evaluator(ax[s, None], ax), dtype=float) >= 1.0 - EPSILON) & ~member[s]
-
-    bad = _first_cell(ax.size, escaping)
-    if bad is not None:
-        i, j = bad
-        return fails(
-            (float(ax[i]), float(ax[j])),
-            f"pair ({ax[i]:g},{ax[j]:g}) is {S_prime.display_name}-connected "
-            "but not decomposable",
-        )
+    test = _cell_test(S, T)
+    ax = _axis(resolution)
+    member = np.empty((ax.size, ax.size), dtype=bool)
+    for s in _raster_blocks(ax, test, member):
+        connected = np.asarray(S_prime.evaluator(ax[s, None], ax), dtype=float) >= 1.0 - EPSILON
+        hits = np.argwhere(connected & ~member[s])
+        if hits.size:
+            i, j = s.start + int(hits[0, 0]), int(hits[0, 1])
+            return fails(
+                (float(ax[i]), float(ax[j])),
+                f"pair ({float(ax[i])!r},{float(ax[j])!r}) is {S_prime.display_name}-connected "
+                "but not decomposable",
+            )
     return holds("every connected value pair is decomposable at this resolution")
 
 

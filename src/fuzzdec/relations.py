@@ -356,7 +356,25 @@ def parse_relation(source: Union[str, Iterable[str]]) -> FuzzyRelation:
 
 def load_relation(path) -> FuzzyRelation:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_relation(fh)
+        try:
+            return parse_relation(fh)
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
+
+
+def not_utf8(path) -> RelationParseError:
+    """The error for a file that does not decode as UTF-8, naming the file and
+    its first line that does not (the decoder's own position counts from the
+    start of a read chunk)."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return RelationParseError(
+                    f"{path}: line {lineno}: byte {exc.start + 1} (0x{raw[exc.start]:02x}) is not UTF-8 text"
+                )
+    return RelationParseError(f"{path}: not UTF-8 text")
 
 
 def save_relation(R: FuzzyRelation, path) -> None:

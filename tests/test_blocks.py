@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import fuzzdec.decompose as decompose_module
+import fuzzdec.regions as regions_module
 import fuzzdec.relations as relations_module
 from fuzzdec import (
     Decomposition,
@@ -41,6 +42,7 @@ from fuzzdec import (
     weak_region,
 )
 from fuzzdec.decompose import residual_array
+from fuzzdec.divisors import intersection
 from fuzzdec.operators import EPSILON
 
 BLOCK = relations_module._BLOCK_CELLS
@@ -120,6 +122,10 @@ def ref_rasters(T, S, cells):
     weak = (r_m <= i_m + EPSILON) | (r_m >= 1.0 - EPSILON) | (np.abs(recon - r_m) <= EPSILON)
     tval = np.asarray(T.evaluator(res, i_m), dtype=float)
     strong = (r_m <= i_m + EPSILON) | ((np.abs(recon - r_m) <= EPSILON) & (tval <= EPSILON))
+    # the r = 1 edge, the last row and column, from the divisor intervals at
+    # the other coordinate; the (1,1) corner is on the diagonal
+    strong[-1, :] = strong[:, -1] = ~intersection(T, S, ax).empty
+    strong[-1, -1] = True
     return ax, A, B, weak, strong
 
 
@@ -337,6 +343,15 @@ def test_fp_witnesses_match_whole_array(n, block):
 # region rasters and the connectedness mask
 
 
+def capped_sum():
+    return make_custom(lambda x, y: np.minimum(x + y, 1.0), Kind.CONORM)
+
+
+def skewed_connector():
+    # not commutative: S'(a,b) = 1 from a + 2b >= 1 on
+    return make_custom(lambda x, y: np.minimum(x + 2.0 * y, 1.0), Kind.CONORM)
+
+
 @pytest.mark.parametrize("cells", [2, SIDE, SIDE + 1, 300])
 @pytest.mark.parametrize(
     "norm, conorm",
@@ -346,20 +361,38 @@ def test_fp_witnesses_match_whole_array(n, block):
      (("hamacher", 2.0), ("hamacher", 2.0))],
 )
 def test_rasters_match_whole_array(cells, norm, conorm, block):
-    T, S = make_norm(*norm), make_conorm(*conorm)
+    check_rasters(make_norm(*norm), make_conorm(*conorm), cells)
+
+
+@pytest.mark.parametrize("cells", [2, 41])
+def test_custom_conorm_rasters_match_whole_array(cells, block):
+    # a custom conorm's residual is bisected; 41 cells span many tiny blocks
+    check_rasters(make_norm("lukasiewicz"), capped_sum(), cells)
+
+
+def check_rasters(T, S, cells):
     ax, A, B, weak, strong = ref_rasters(T, S, cells)
     assert np.array_equal(weak_region(S, 1 / (cells - 1)).membership, weak)
-    grid = strong_region(T, S, 1 / (cells - 1))
-    inner = np.s_[:-1, :-1]  # the r = 1 edge comes from the divisor intervals
-    assert np.array_equal(grid.membership[inner], strong[inner])
-    for conn in ("lukasiewicz", "drastic", "ordinal_sum"):
-        S_prime = make_conorm(conn)
+    assert np.array_equal(strong_region(T, S, 1 / (cells - 1)).membership, strong)
+    for S_prime in (*map(make_conorm, ("lukasiewicz", "drastic", "ordinal_sum")), skewed_connector()):
+        # the connectedness mask over the whole square, S' need not commute
         connected = np.asarray(S_prime.evaluator(A, B), dtype=float) >= 1.0 - EPSILON
-        cell = first(connected & ~grid.membership)
-        got = restricted_decomposability(S_prime, S, T, 1 / (cells - 1))
-        assert got.passed == (cell is None)
-        if cell is not None:
-            assert got.witness == (ax[cell[0]], ax[cell[1]])
+        for norm_op, member in ((None, weak), (T, strong)):
+            cell = first(connected & ~member)
+            got = restricted_decomposability(S_prime, S, norm_op, 1 / (cells - 1))
+            assert got.passed == (cell is None)
+            if cell is not None:
+                assert got.witness == (ax[cell[0]], ax[cell[1]])
+
+
+def test_restricted_stops_at_the_first_escaping_block(monkeypatch):
+    # Lukasiewicz-connected pairs escape the drastic sum's weak region in the
+    # first row block (the row-major first is (1/n, 1 - 1/n)); 1/2000 has 64
+    calls = []
+    cell_test = regions_module._weakly_decomposable
+    monkeypatch.setattr(regions_module, "_weakly_decomposable", lambda *a: calls.append(a) or cell_test(*a))
+    got = restricted_decomposability(make_conorm("lukasiewicz"), make_conorm("drastic"), None, 1 / 2000)
+    assert got.witness == (1 / 2000, 1999 / 2000) and len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

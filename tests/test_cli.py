@@ -355,3 +355,35 @@ def test_bad_grid_step_is_named(capsys, step):
     code, out, err = run(capsys, "check-norm", "--op", "minimum", "--kind", "norm", "--grid-step", step)
     assert (code, out) == (2, "")
     assert err == f"error: grid step must lie in (0, 1], got {float(step):g}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, body",
+    [
+        (["audit", "--conorm", "max", "--relation"], b"fuzzrel v1\nuniverse a b\n1 0.5\n0.5 1 # caf\xe9\n"),
+        (["check-norm", "--kind", "norm", "--op"], b"fuzzop v1\ngrid 1\n0 0\n0 1 \xe9\n"),
+    ],
+    ids=["relation", "table"],
+)
+def test_non_utf8_files_name_the_file_and_line(tmp_path, capsys, argv, body):
+    path = tmp_path / "latin1"
+    path.write_bytes(body)
+    arg = str(path) if argv[0] == "audit" else f"custom:table={path}"
+    code, out, err = run(capsys, *argv, arg)
+    assert (code, out) == (2, "")
+    column = body.splitlines()[3].index(b"\xe9") + 1
+    assert err == f"error: {path}: line 4: byte {column} (0xe9) is not UTF-8 text\n"
+
+
+def test_the_cached_parser_answers_like_fresh_ones(capsys):
+    # main builds its parser once per process; a call that exits 2 leaves no
+    # state behind for the next call
+    calls = (["restricted", "--connected-by", "max", "--conorm", "drastic", "--resolution", "0"],
+             ["restricted", "--connected-by", "lukasiewicz", "--conorm", "drastic", "--resolution", "20"])
+    cached = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert cached == fresh and [c[0] for c in cached] == [2, 1]
+    assert cli.build_parser() is cli.build_parser()

@@ -271,6 +271,21 @@ def test_uniqueness_witness_is_printed_in_full():
     assert t1 != t2 and f"at w={w!r} both t={t1!r} and t={t2!r} decompose" in v.detail
 
 
+def test_existence_witness_is_printed_in_full():
+    # the capped sum up to w = 0.7, the probabilistic sum above: the first
+    # disjoint sweep probe is the grid value 0.7000000000000001, which :g
+    # printed as 0.7, where the intervals meet
+    def conorm(x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        return np.where(y <= 0.7, np.minimum(1.0, x + y), np.where(x >= 1.0, 1.0, x + y - x * y))
+
+    T = make_norm("lukasiewicz")
+    v = strong_existence(T, make_custom(conorm, Kind.CONORM))
+    (w,) = v.witness
+    assert v.verdict is Verdict.FAILS and w != 0.7
+    assert v.detail.startswith(f"at w={w!r}: one-interval ")
+
+
 def test_ss_lambda_regimes_against_interval_math():
     SL = make_conorm("lukasiewicz")
     for lam, expect in ((0.5, Verdict.FAILS), (1.0, Verdict.HOLDS), (2.0, Verdict.HOLDS)):
