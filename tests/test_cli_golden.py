@@ -10,10 +10,13 @@ evidence for the open cells, ``tables --which 2 --speculate``, weak and
 strong ``decompose`` and ``audit`` on the relation files of ``RELATIONS``
 (named relative to ``tests/data``), weak and strong ``region`` rasters (with
 the SHA-256 of the CSV bytes written) and weak and strong ``restricted``
-checks under each of ``CONNECTORS``, all at resolution 1/120.  Re-record it
-with
+checks under each of ``CONNECTORS``, all at resolution 1/120, and
+``check-norm``, ``divisors``, ``classify`` and ``restricted`` for the table
+operator ``TABLE`` (``custom:table=``).  Re-record it with
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
+
+which prints, per subcommand, how many entries changed and the argv of each.
 """
 
 import ast
@@ -25,8 +28,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from fuzzdec import Kind, parse_op_spec
-from fuzzdec.cli import main
+from fuzzdec import Kind
+from fuzzdec.cli import _load_op, main
 from fuzzdec.divisors import intersection
 from fuzzdec.operators import format_lambda
 from fuzzdec.tables import DEFAULT_LAMBDA_SAMPLES
@@ -37,6 +40,9 @@ GOLDEN = DATA / "cli_golden.json"
 RELATIONS = ("grid5.rel", "continuous5.rel")
 PLAIN = ("minimum", "product", "lukasiewicz", "drastic", "ordinal_sum")
 CSV = "region.csv"  # the --out of a region command, written to a temporary directory
+TABLE = "custom:table=luk4.op"  # a table operator, its file named relative to tests/data
+# the argv words that name a file in tests/data, and the path each stands for
+PATHS = {**{name: str(DATA / name) for name in RELATIONS}, TABLE: "custom:table=" + str(DATA / "luk4.op")}
 WEAK_CONORMS = ("drastic", "prob", "schweizer_sklar:lambda=-1")
 STRONG_PAIRS = (
     ("lukasiewicz", "lukasiewicz"), ("drastic", "lukasiewicz"), ("product", "prob"),
@@ -87,6 +93,18 @@ def commands():
     for conn in CONNECTORS:
         for op in ops:
             out.append(["restricted", "--connected-by", conn, *op, "--resolution", "120"])
+    for kind in ("norm", "conorm"):
+        out.append(["check-norm", "--op", TABLE, "--kind", kind])
+    out += [
+        ["divisors", "--conorm", TABLE, "--w", "0.5"],
+        ["divisors", "--norm", "lukasiewicz", "--conorm", TABLE],
+        ["classify", "--conorm", TABLE],
+        ["classify", "--norm", "lukasiewicz", "--conorm", TABLE],
+    ]
+    for conn in ("max", "lukasiewicz"):
+        out.append(["restricted", "--connected-by", conn, "--conorm", TABLE, "--resolution", "120"])
+    out.append(["restricted", "--connected-by", "max", "--conorm", TABLE, "--norm", "lukasiewicz",
+                "--resolution", "120"])
     return out
 
 
@@ -94,7 +112,7 @@ def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         csv = Path(tmp) / CSV
-        paths = {**{name: str(DATA / name) for name in RELATIONS}, CSV: str(csv)}
+        paths = {**PATHS, CSV: str(csv)}
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = main([paths.get(a, a) for a in argv])
         entry = {"argv": list(argv), "rc": rc, "stdout": out.getvalue().replace(str(csv), CSV),
@@ -118,7 +136,7 @@ def test_recorded_divisor_witnesses_replay():
         argv = entry["argv"]
         if argv[0] != "divisors" or "--w" in argv:
             continue
-        T, S = parse_op_spec(argv[2], Kind.NORM), parse_op_spec(argv[4], Kind.CONORM)
+        T, S = (_load_op(PATHS.get(argv[k], argv[k]), kind) for k, kind in ((2, Kind.NORM), (4, Kind.CONORM)))
         for line in entry["stdout"].splitlines():
             if "witness=" not in line or "discontinuous" in line:
                 continue
@@ -130,13 +148,21 @@ def test_recorded_divisor_witnesses_replay():
                 w, t1, t2 = witness
                 assert t1 != t2 and all(S(t, w) == 1.0 and T(t, w) == 0.0 for t in (t1, t2)), line
             replayed += 1
-    assert replayed == 275
+    assert replayed == 277
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_cli_golden.py --record")
+    old = {json.dumps(e["argv"]): e for e in json.loads(GOLDEN.read_text(encoding="utf-8"))} if GOLDEN.exists() else {}
     entries = [run(argv) for argv in commands()]
-    GOLDEN.parent.mkdir(exist_ok=True)
+    changed = {}
+    for e in entries:
+        if old.get(json.dumps(e["argv"])) != e:
+            changed.setdefault(e["argv"][0], []).append(e["argv"])
     GOLDEN.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(entries)} entries to {GOLDEN}")
+    for cmd, argvs in changed.items():
+        print(f"{cmd}: {len(argvs)} changed or new")
+        for argv in argvs:
+            print("  " + " ".join(argv))
