@@ -59,7 +59,7 @@ print(header)
 
 
 def short(v):
-    return {Verdict.HOLDS: "yes", Verdict.FAILS: "NO", Verdict.UNKNOWN_SAMPLED: "n/a"}[v.verdict]
+    return {Verdict.HOLDS: "yes", Verdict.FAILS: "NO", Verdict.UNKNOWN: "n/a"}[v.verdict]
 
 
 for family, lam in CONORMS:

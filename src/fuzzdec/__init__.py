@@ -24,9 +24,11 @@ from .divisors import (
     DegreeInterval,
     bisection_one_interval,
     bisection_zero_interval,
+    existence,
     one_interval,
     strong_existence,
     strong_uniqueness,
+    uniqueness,
     zero_interval,
 )
 from .relations import (
@@ -36,14 +38,11 @@ from .relations import (
     format_relation,
     is_asymmetric,
     is_crisp,
-    is_reflexive,
     is_s_connected,
     is_symmetric,
     is_t_transitive,
     load_relation,
     parse_relation,
-    relation_from_dict,
-    sample_relations,
     save_relation,
 )
 from .decompose import (
@@ -62,7 +61,6 @@ from .decompose import (
     verify_weak,
 )
 from .preferences import (
-    AxiomVerdict,
     DecompositionRule,
     FPReport,
     PreferenceTriplet,
@@ -77,7 +75,6 @@ from .preferences import (
 )
 from .regions import (
     RegionGrid,
-    pair_weakly_decomposable,
     restricted_decomposability,
     strong_region,
     t_transitive_closure,

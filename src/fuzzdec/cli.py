@@ -1,10 +1,15 @@
 """Command-line surface.
 
-Exit codes: 0 for success / a holding verdict, 1 for a failing verdict
-(witness printed), 2 for usage or parse errors.  `audit` samples FP6
-quadruples above 21 elements and takes --seed for that, 0 by default;
-identical seeds give identical reports.  `tables --seed` is accepted and
-range-checked but has no effect: no rule check is sampled.
+Verdicts print as HOLDS (proven), FAILS with a witness that reproduces the
+failure, or UNKNOWN (a sweep or a sample passed; the detail names which).
+Exit codes: 0 for success, HOLDS or UNKNOWN, 1 for FAILS (witness
+printed), 2 for usage or parse errors.  `restricted` is HOLDS only when
+proven: by existence for every relation, or for a weak check by a
+connector that reaches 1 only on pairs (i, 1); a clean raster alone is
+UNKNOWN.  `audit` samples FP6 quadruples above 21 elements and takes
+--seed for that, 0 by default; identical seeds give identical reports, and
+a sampled FP6 pass prints as a pass naming its sample.  `tables --seed` is
+accepted and range-checked but has no effect: no rule check is sampled.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .operators import (
     make_custom,
     parse_op_spec,
 )
-from .divisors import intersection, one_interval, strong_existence, strong_uniqueness, zero_interval
+from .divisors import existence, intersection, one_interval, uniqueness, zero_interval
 from .decompose import (
     DecompositionError,
     canonical_decompose,
@@ -205,8 +210,8 @@ def _cmd_divisors(args) -> int:
         if S is not None and T is not None:
             print(f"intersection at w={args.w:g}: {intersection(T, S, args.w)}")
     if S is not None and T is not None:
-        exist = strong_existence(T, S)
-        uniq = strong_uniqueness(T, S)
+        exist = existence(S, T)
+        uniq = uniqueness(S, T)
         print(f"strong existence for every relation: {exist}")
         print(f"strong uniqueness for every relation: {uniq}")
         if exist.verdict is Verdict.FAILS or uniq.verdict is Verdict.FAILS:

@@ -19,8 +19,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .operators import EPSILON, BinaryOp, Kind, check_first_coordinate_continuity
-from .divisors import _bisect, strong_existence
+from .operators import EPSILON, BinaryOp, Kind
+from .divisors import _bisect, existence
 from .relations import FuzzyRelation, _first_cell, _row_blocks, asymmetry_violation, symmetry_violation
 from .verdicts import TriState, Verdict, fails, holds
 
@@ -111,16 +111,14 @@ def indifference_part(R: FuzzyRelation) -> FuzzyRelation:
 
 
 def canonical_decompose(R: FuzzyRelation, S: BinaryOp) -> Decomposition:
-    """I = min(R, R^t); P = pointwise residual.  Requires a conorm that is
-    continuous in the first coordinate (otherwise some relations have no
-    decomposition at all, and this one would not reconstruct)."""
+    """I = min(R, R^t); P = pointwise residual.  Refuses where weak
+    `existence` FAILS, for a conorm discontinuous in the first coordinate
+    (some relations have no decomposition at all then, and this one would
+    not reconstruct)."""
 
-    cont = check_first_coordinate_continuity(S)
-    if cont.verdict is Verdict.FAILS:
-        raise DecompositionError(
-            f"{S.display_name} is not continuous in the first coordinate; "
-            f"decomposition can fail: {cont.detail}"
-        )
+    exist = existence(S)
+    if exist.verdict is Verdict.FAILS:
+        raise DecompositionError(f"no weak decomposition under {S.display_name}: {exist.detail}")
     m = R.degrees
     i_mat, p_mat = np.empty_like(m), np.empty_like(m)
     for s in _row_blocks(R.size, R.size):
@@ -145,11 +143,12 @@ def canonical_decompose(R: FuzzyRelation, S: BinaryOp) -> Decomposition:
 
 def strong_decompose(R: FuzzyRelation, T: BinaryOp, S: BinaryOp) -> Decomposition:
     """Canonical decomposition re-verified against the norm condition
-    T(P, I) = 0.  Requires the (T,S) existence certificate; even with it the
-    check can fail where the divisor intervals meet only between two floats
-    (drastic x Schweizer-Sklar at lambda near 0 has P = 1 where I > 0)."""
+    T(P, I) = 0.  Refuses where strong `existence` FAILS; even where it
+    holds the check can fail where the divisor intervals meet only between
+    two floats (drastic x Schweizer-Sklar at lambda near 0 has P = 1 where
+    I > 0)."""
 
-    exist = strong_existence(T, S)
+    exist = existence(S, T)
     if exist.verdict is Verdict.FAILS:
         raise DecompositionError(
             f"no strong decomposition under ({T.display_name}, {S.display_name}): {exist.detail}"

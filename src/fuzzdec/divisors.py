@@ -5,17 +5,26 @@ norm T the zero-interval is {t : T(t,w) = 0}.  Monotonicity makes both sets
 intervals, always containing 1 (resp. 0).  Every fuzzy relation decomposes
 strongly with respect to (T,S) exactly when S is continuous in the first
 coordinate and the two intervals intersect for every w; the decomposition is
-unique exactly when every intersection is a singleton.
+unique exactly when every intersection is a singleton.  `existence` and
+`uniqueness` decide these two characterisations, and their weak
+counterparts, for every caller.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
 from .families import DegreeInterval
-from .operators import BinaryOp, Kind, _as_grid, check_first_coordinate_continuity
+from .operators import (
+    BinaryOp,
+    Kind,
+    _as_grid,
+    check_first_coordinate_continuity,
+    check_strictly_increasing_first,
+)
 from .verdicts import TriState, Verdict, fails, holds, unknown
 
 BISECTION_STEPS = 60
@@ -155,6 +164,13 @@ def _probes(T: BinaryOp, S: BinaryOp):
     yield rest[rest != 0.5]
 
 
+def _probed(T: BinaryOp, S: BinaryOp) -> str:
+    """The w that `_probes` covers, as an UNKNOWN verdict names them."""
+    if _pair_is_analytic(T, S):
+        return f"w = 0.5 and {_CLASSIFIED_PROBES.size} dyadic w toward 0 and 1"
+    return f"w = 0.5 and the {_as_grid(1e-3, T, S).size}-point grid of step 0.001"
+
+
 def _witness(T: BinaryOp, S: BinaryOp, unique: bool):
     """(witness, detail) at the first probe that disproves existence, (w,)
     with disjoint intervals, or uniqueness, (w, t1, t2) with S(t, w) = 1 and
@@ -188,18 +204,17 @@ def strong_existence(T: BinaryOp, S: BinaryOp) -> TriState:
 
     if T.kind is not Kind.NORM or S.kind is not Kind.CONORM:
         raise ValueError("strong_existence expects (norm, conorm)")
-    cont = check_first_coordinate_continuity(S)
+    cont = existence(S)
     if cont.verdict is Verdict.FAILS:
-        return fails(cont.witness, f"conorm discontinuous in the first coordinate: {cont.detail}")
+        return cont
 
     if _pair_is_analytic(T, S) and _analytic_nonempty_all_w(T, S):
         return holds("divisor intervals intersect for every w")
     found = _witness(T, S, unique=False)
     if found is not None:
         return fails(*found)
-    if cont.verdict is Verdict.UNKNOWN_SAMPLED:
-        return unknown("grid sweep passed; conorm continuity only sampled")
-    return unknown("grid sweep passed; pair not analytically classified")
+    why = cont.detail if cont.verdict is Verdict.UNKNOWN else "pair not analytically classified"
+    return unknown(f"divisor intervals intersect at {_probed(T, S)}; {why}")
 
 
 def strong_uniqueness(T: BinaryOp, S: BinaryOp) -> TriState:
@@ -214,5 +229,40 @@ def strong_uniqueness(T: BinaryOp, S: BinaryOp) -> TriState:
         return holds("intersection is the singleton {1-w} for every w")
     found = _witness(T, S, unique=True)
     if found is None:
-        return unknown("no probed w shows two points that decompose the pair")
+        return unknown(f"no w among {_probed(T, S)} shows two points that decompose the pair")
     return fails(*found)
+
+
+# ---------------------------------------------------------------------------
+# the paper's two characterisations, weak (T None) and strong
+
+
+def existence(S: BinaryOp, T: Optional[BinaryOp] = None) -> TriState:
+    """Whether every fuzzy relation decomposes weakly under the conorm S
+    (T None), or strongly under (T,S).  Weakly exactly when S is continuous
+    in the first coordinate; strongly when, besides, the divisor intervals
+    meet for every w (`strong_existence`)."""
+
+    if T is not None:
+        return strong_existence(T, S)
+    if S.kind is not Kind.CONORM:
+        raise ValueError("existence expects a conorm")
+    cont = check_first_coordinate_continuity(S)
+    if cont.verdict is Verdict.FAILS:
+        return fails(cont.witness, f"conorm discontinuous in the first coordinate: {cont.detail}")
+    return cont
+
+
+def uniqueness(S: BinaryOp, T: Optional[BinaryOp] = None) -> TriState:
+    """Whether every fuzzy relation decomposes in exactly one way, weakly
+    under S (T None) or strongly under (T,S): existence, and then S strictly
+    increasing in the first coordinate (weak) or every divisor-interval
+    intersection a singleton (strong, `strong_uniqueness`)."""
+
+    if T is not None:
+        return strong_uniqueness(T, S)
+    exist = existence(S)
+    if exist.verdict is Verdict.FAILS:
+        return exist
+    # strictness HOLDS only for a built-in conorm, whose existence is then proven
+    return check_strictly_increasing_first(S)

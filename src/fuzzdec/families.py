@@ -37,6 +37,12 @@ def _plain(x):
     return x.item() if x.ndim == 0 else x
 
 
+def _shortest(x: float) -> str:
+    """The shortest text that reads back as x, without a trailing '.0'."""
+    text = repr(float(x))
+    return text[:-2] if text.endswith(".0") else text
+
+
 @dataclass(frozen=True)
 class DegreeInterval:
     """A sub-interval of [0,1] with individually open or closed endpoints.
@@ -80,10 +86,6 @@ class DegreeInterval:
     def singleton(value: float) -> "DegreeInterval":
         return DegreeInterval(value, value, True, True)
 
-    @staticmethod
-    def void() -> "DegreeInterval":
-        return DegreeInterval(0.0, 0.0, False, False, empty=True)
-
     def contains(self, t):
         above = (t > self.lower) | (self.lower_closed & (t == self.lower))
         below = (t < self.upper) | (self.upper_closed & (t == self.upper))
@@ -118,11 +120,12 @@ class DegreeInterval:
     def __str__(self) -> str:
         if self.empty:
             return "{}"
+        lo, hi = (_shortest(v) for v in (self.lower, self.upper))
         if self.is_singleton:
-            return f"{{{self.lower:g}}}"
+            return f"{{{lo}}}"
         lb = "[" if self.lower_closed else "("
         rb = "]" if self.upper_closed else ")"
-        return f"{lb}{self.lower:g}, {self.upper:g}{rb}"
+        return f"{lb}{lo}, {hi}{rb}"
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ one record per family, in `families`.
 
 Universally quantified properties (continuity, strictness, ...) carry
 analytically known verdicts for built-in families; user-supplied operators
-are swept on a finite grid and can at best earn an UNKNOWN_SAMPLED verdict.
+are swept on a finite grid and can at best earn an UNKNOWN verdict, whose
+detail names the grid.
 """
 
 from __future__ import annotations
@@ -219,7 +220,7 @@ def check_norm_axioms(op: BinaryOp, grid: float = 0.01) -> TriState:
 
     Built-in families pass by construction; the sweep is still run and a
     failure would expose an implementation bug.  Custom operators that pass
-    the sweep earn UNKNOWN_SAMPLED, never HOLDS.
+    the sweep earn UNKNOWN, never HOLDS.
     """
 
     g = _as_grid(grid, op)
@@ -293,7 +294,10 @@ def check_norm_axioms(op: BinaryOp, grid: float = 0.01) -> TriState:
 
     if op.is_builtin:
         return holds("axioms certified for the built-in family; grid sweep agrees")
-    return unknown("grid sweep passed; axioms not certified for a custom operator")
+    return unknown(
+        f"no violation on the {g.size}-point grid of step {grid:g} (associativity on {ga.size} points); "
+        "axioms not certified for a custom operator"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +342,7 @@ def check_first_coordinate_continuity(op: BinaryOp, resolution: float = 1e-3) ->
                 (float(grid[k]), float(grid[k + 1]), float(w)),
                 f"jump of {jumps[k]:g} across adjacent grid points",
             )
-    return unknown("no jump found at the sampled resolution")
+    return unknown(f"no jump above {jump_tol:g} on {grid.size} points of t at each of {ws.size} w")
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +378,7 @@ def check_strictly_increasing_first(op: BinaryOp, resolution: float = 1e-3) -> T
                 (float(inner[k]), float(inner[k + 1]), float(w)),
                 "no increase across adjacent grid points",
             )
-    return unknown("strictly increasing at the sampled resolution")
+    return unknown(f"strictly increasing on {inner.size} points of t at each of {ws.size} w")
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +399,10 @@ def check_collapse_implies_absorption(op: BinaryOp, resolution: float = 0.01) ->
             return holds(f"collapses of {op.display_name} only happen at the absorbed value")
         witness = op.record.collapse
     else:
-        witness = find_collapse_witness(op, max(resolution, 0.005))
+        step = max(resolution, 0.005)
+        witness = find_collapse_witness(op, step)
         if witness is None:
-            return unknown("no collapse above the absorbed value at the sampled resolution")
+            return unknown(f"no collapse above the absorbed value on the grid of step {step:g} in t, s and w")
     w, t, s = witness
     return fails(
         (w, t, s),
@@ -449,4 +454,4 @@ def check_strict_near_zero(op: BinaryOp, resolution: float = 1e-3) -> TriState:
         # a flat stretch starting at t=0 refutes the claim outright
         if abs(op(0.0, w) - op(step, w)) <= 1e-15:
             return fails((float(w), 0.0, step), "section is flat on an initial segment")
-    return unknown("no initial flatness found at the sampled resolution")
+    return unknown(f"no flat section on [0, {step:g}] at each of {ws.size} w")

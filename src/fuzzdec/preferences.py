@@ -35,14 +35,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .operators import (
-    EPSILON,
-    BinaryOp,
-    Kind,
-    check_collapse_implies_absorption,
-    check_first_coordinate_continuity,
-    make_conorm,
-)
+from .operators import EPSILON, BinaryOp, Kind, check_collapse_implies_absorption, make_conorm
 from .decompose import (
     Decomposition,
     DecompositionError,
@@ -51,7 +44,7 @@ from .decompose import (
     canonical_decompose,
     strong_decompose,
 )
-from .divisors import strong_existence, strong_uniqueness
+from .divisors import existence, uniqueness
 from .reference import open_cell
 from .relations import (
     FuzzyRelation,
@@ -59,7 +52,7 @@ from .relations import (
     asymmetry_violation,
     symmetry_violation,
 )
-from .verdicts import Verdict
+from .verdicts import TriState, Verdict, fails, holds, unknown
 
 FP_AXIOMS = ("FP1", "FP2", "FP3", "FP4", "FP5", "FP6")
 
@@ -83,22 +76,12 @@ def triplet_from_decomposition(R: FuzzyRelation, D: Decomposition) -> Preference
 
 
 @dataclass(frozen=True)
-class AxiomVerdict:
-    passed: bool
-    witness: Optional[tuple] = None
-    sampled: Optional[Tuple[int, int]] = None  # (quadruples, seed) behind a sampled FP6 pass
-
-    def __str__(self) -> str:
-        if not self.passed:
-            return f"fail (witness {self.witness})"
-        if self.sampled is not None:
-            return "pass (sampled: %d quadruples, seed %d)" % self.sampled
-        return "pass"
-
-
-@dataclass(frozen=True)
 class FPReport:
-    verdicts: Dict[str, AxiomVerdict]
+    """The verdict of each axiom: HOLDS when checked exhaustively, FAILS
+    with the universe labels of the first failing cells, UNKNOWN for a
+    sampled FP6 pass (the detail names the sample)."""
+
+    verdicts: Dict[str, TriState]
 
     @property
     def overall(self) -> bool:
@@ -108,9 +91,15 @@ class FPReport:
         return tuple(k for k in FP_AXIOMS if not self.verdicts[k].passed)
 
     def __str__(self) -> str:
-        lines = [f"{k}: {self.verdicts[k]}" for k in FP_AXIOMS]
+        lines = [f"{k}: {_fp_text(self.verdicts[k])}" for k in FP_AXIOMS]
         lines.append(f"overall: {'pass' if self.overall else 'fail'}")
         return "\n".join(lines)
+
+
+def _fp_text(v: TriState) -> str:
+    if v.verdict is Verdict.FAILS:
+        return f"fail (witness {v.witness})"
+    return "pass" + (f" ({v.detail})" if v.verdict is Verdict.UNKNOWN else "")
 
 
 def audit_fp(
@@ -120,8 +109,8 @@ def audit_fp(
 ) -> FPReport:
     """Audit all six axioms.  FP1-FP5 are exhaustive over ordered pairs.
     FP6 is exhaustive over quadruples for universes of at most 21 elements
-    and falls back to seeded random sampling above that; a sampled pass
-    records the sample size and the seed.
+    and falls back to seeded random sampling above that; a sampled pass is
+    UNKNOWN and names the sample size and the seed.
 
     Strict comparisons are exact; tolerant comparisons get the package
     epsilon.  Witnesses are the lexicographically first failing tuple in
@@ -131,7 +120,7 @@ def audit_fp(
     R, P, I = t.weak.degrees, t.strict.degrees, t.indifference.degrees
     labels = t.weak.universe
     n = len(labels)
-    out: Dict[str, AxiomVerdict] = {}
+    out: Dict[str, TriState] = {}
 
     out["FP1"] = _pair_verdict(labels, asymmetry_violation(P))
     out["FP2"] = _pair_verdict(labels, symmetry_violation(I))
@@ -159,16 +148,16 @@ def audit_fp(
         pair = (int(a[hits[0]]), int(b[hits[0]])) if hits.size else None
     if pair is not None:
         a, b = pair
-        out["FP6"] = AxiomVerdict(False, (labels[a // n], labels[a % n], labels[b // n], labels[b % n]))
+        out["FP6"] = fails((labels[a // n], labels[a % n], labels[b // n], labels[b % n]))
     else:
-        out["FP6"] = AxiomVerdict(True, None, None if exhaustive else (fp6_sample, seed))
+        out["FP6"] = holds() if exhaustive else unknown(f"sampled: {fp6_sample} quadruples, seed {seed}")
     return FPReport(out)
 
 
-def _pair_verdict(labels, cell: Optional[Tuple[int, int]]) -> AxiomVerdict:
+def _pair_verdict(labels, cell: Optional[Tuple[int, int]]) -> TriState:
     if cell is None:
-        return AxiomVerdict(True, None)
-    return AxiomVerdict(False, (labels[cell[0]], labels[cell[1]]))
+        return holds()
+    return fails((labels[cell[0]], labels[cell[1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -190,15 +179,12 @@ class DecompositionRule:
 
 
 def make_rule(S: BinaryOp, T: Optional[BinaryOp] = None) -> DecompositionRule:
-    """The canonical rule R |-> (residual P, min I).  Raises when the conorm
-    is discontinuous in the first coordinate (no rule can exist then)."""
+    """The canonical rule R |-> (residual P, min I).  Raises where
+    `existence` FAILS (no rule can exist then)."""
 
-    cont = check_first_coordinate_continuity(S)
-    if cont.verdict is Verdict.FAILS:
-        raise DecompositionError(
-            f"{S.display_name} is discontinuous in the first coordinate; "
-            "it admits no decomposition rule"
-        )
+    exist = existence(S, T)
+    if exist.verdict is Verdict.FAILS:
+        raise DecompositionError(f"no decomposition rule exists: {exist.detail}")
     if T is None:
         fn = lambda R: canonical_decompose(R, S)
         name = f"canonical[{S.spec_string()}]"
@@ -321,23 +307,13 @@ def classify_rule(S: BinaryOp, T: Optional[BinaryOp] = None) -> RuleClassificati
 
 
 def _classify_computed(S: BinaryOp, T: Optional[BinaryOp]) -> RuleClassification:
-    if T is None:
-        exist = check_first_coordinate_continuity(S)
-        if exist.verdict is Verdict.FAILS:
-            return RuleClassification(
-                RuleClass.NOT_COMPATIBLE,
-                "weak decompositions do not always exist (conorm discontinuous "
-                "in the first coordinate)",
-                exist.witness,
-            )
-    else:
-        exist = strong_existence(T, S)
-        if exist.verdict is Verdict.FAILS:
-            return RuleClassification(
-                RuleClass.NOT_COMPATIBLE,
-                f"strong decompositions do not always exist: {exist.detail}",
-                exist.witness,
-            )
+    exist = existence(S, T)
+    if exist.verdict is Verdict.FAILS:
+        return RuleClassification(
+            RuleClass.NOT_COMPATIBLE,
+            f"{'weak' if T is None else 'strong'} decompositions do not always exist: {exist.detail}",
+            exist.witness,
+        )
 
     try:
         d = make_rule(S, T)(GRID_RELATION)
@@ -378,7 +354,7 @@ def _classify_computed(S: BinaryOp, T: Optional[BinaryOp]) -> RuleClassification
             "compatible on the 1/20-grid relation; inducement undecided for a custom conorm",
         )
 
-    unique = strong_uniqueness(T, S)
+    unique = uniqueness(S, T)
     if unique.verdict is Verdict.HOLDS:
         return RuleClassification(
             RuleClass.INDUCED,

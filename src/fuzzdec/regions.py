@@ -22,9 +22,9 @@ import numpy as np
 
 from .operators import EPSILON, BinaryOp, Kind
 from .decompose import residual_array
-from .divisors import intersection
+from .divisors import existence, intersection
 from .relations import FuzzyRelation, _row_blocks, sup_t_compose
-from .verdicts import TriState, fails, holds
+from .verdicts import TriState, Verdict, fails, holds, unknown
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,6 @@ class RegionGrid:
         n = self.membership.shape[0]
         if self.membership.shape != (n, n) or self.axis.shape != (n,):
             raise ValueError("membership must be square and match the axis")
-
-    def member(self, a: float, b: float) -> bool:
-        i = int(np.argmin(np.abs(self.axis - a)))
-        j = int(np.argmin(np.abs(self.axis - b)))
-        return bool(self.membership[i, j])
-
-    def is_symmetric(self) -> bool:
-        return bool(np.array_equal(self.membership, self.membership.T))
 
     def to_csv(self) -> str:
         """``a,b,member`` lines, ``a`` outer, values to 17 significant digits."""
@@ -153,10 +145,6 @@ def _cell_test(S: BinaryOp, T: Optional[BinaryOp] = None):
     return lambda i, r: _strongly_decomposable(T, S, i, r)
 
 
-def pair_weakly_decomposable(S: BinaryOp, a: float, b: float) -> bool:
-    return bool(_weakly_decomposable(S, np.asarray(min(a, b), float), np.asarray(max(a, b), float)))
-
-
 def restricted_decomposability(
     S_prime: BinaryOp,
     S: BinaryOp,
@@ -169,7 +157,12 @@ def restricted_decomposability(
 
     The region is rasterised block by block and the check stops at the
     first block holding an escaping cell; a block's rows are complete when
-    it is checked, so the witness is the row-major first escaping cell."""
+    it is checked, so the witness is the row-major first escaping cell.
+    A clean raster proves nothing between its grid points: it is HOLDS only
+    when `existence` HOLDS (every relation decomposes), or for a weak check
+    under a built-in S' whose one-interval is {1} (exponent 0), which
+    connects only pairs (i, 1), each decomposed weakly by t = 1; otherwise
+    it is UNKNOWN."""
 
     if S_prime.kind is not Kind.CONORM:
         raise ValueError("the connecting operator must be a conorm")
@@ -186,7 +179,16 @@ def restricted_decomposability(
                 f"pair ({float(ax[i])!r},{float(ax[j])!r}) is {S_prime.display_name}-connected "
                 "but not decomposable",
             )
-    return holds("every connected value pair is decomposable at this resolution")
+    exist = existence(S, T)
+    if exist.verdict is Verdict.HOLDS:
+        return holds(f"every relation decomposes: {exist.detail}")
+    if T is None and S_prime.is_builtin and S_prime.record.exponent == 0.0:
+        return holds(
+            f"{S_prime.display_name} connects only pairs (i, 1), and t = 1 decomposes each weakly"
+        )
+    return unknown(
+        f"no connected value pair escapes the region on the {ax.size}x{ax.size} grid of step 1/{ax.size - 1}"
+    )
 
 
 # ---------------------------------------------------------------------------

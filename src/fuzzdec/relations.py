@@ -96,37 +96,6 @@ class FuzzyRelation:
         return format_relation(self)
 
 
-def relation_from_dict(universe: Sequence[str], entries: dict, default: float = 0.0) -> FuzzyRelation:
-    """Convenience constructor: entries maps (x, y) label pairs to degrees."""
-    labels = list(universe)
-    n = len(labels)
-    mat = np.full((n, n), float(default))
-    for (x, y), v in entries.items():
-        mat[labels.index(x), labels.index(y)] = v
-    return FuzzyRelation(tuple(labels), mat)
-
-
-def sample_relations(
-    count: int,
-    size: int = 3,
-    grid_step: float = 0.05,
-    seed: int = 0,
-    reflexive: bool = False,
-) -> List[FuzzyRelation]:
-    """Seeded random relations with degrees on a uniform grid."""
-
-    rng = np.random.default_rng(seed)
-    levels = round(1.0 / grid_step)
-    labels = tuple(f"x{k}" for k in range(size))
-    out = []
-    for _ in range(count):
-        m = rng.integers(0, levels + 1, size=(size, size)) / levels
-        if reflexive:
-            np.fill_diagonal(m, 1.0)
-        out.append(FuzzyRelation(labels, m))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # predicates
 
@@ -148,10 +117,6 @@ def is_symmetric(R: FuzzyRelation) -> bool:
 def is_asymmetric(R: FuzzyRelation) -> bool:
     """R(x,y) > 0 forces R(y,x) = 0 (and hence a zero diagonal)."""
     return asymmetry_violation(R.degrees) is None
-
-
-def is_reflexive(R: FuzzyRelation) -> bool:
-    return bool(np.all(np.diag(R.degrees) == 1.0))
 
 
 def is_crisp(R: FuzzyRelation) -> bool:
@@ -179,7 +144,8 @@ def sup_t_compose(m: np.ndarray, T: BinaryOp) -> np.ndarray:
 
 def is_s_connected(R: FuzzyRelation, S: BinaryOp) -> bool:
     """S(R(x,y), R(y,x)) = 1 for every pair (including x = y), within
-    tolerance."""
+    tolerance: the S-connectedness whose value pairs
+    `regions.restricted_decomposability` checks."""
     if S.kind is not Kind.CONORM:
         raise ValueError("connectedness expects a conorm")
     m = R.degrees

@@ -20,15 +20,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .divisors import strong_existence, strong_uniqueness
+from .divisors import existence, uniqueness
 from .families import PARAMETRIC
-from .operators import (
-    BinaryOp,
-    check_first_coordinate_continuity,
-    check_strictly_increasing_first,
-    make_conorm,
-    make_norm,
-)
+from .operators import BinaryOp, make_conorm, make_norm
 from .preferences import RuleClass, classify_rule
 from .reference import CELLS, WEAK_ROW, in_regime
 from .verdicts import Verdict
@@ -157,15 +151,9 @@ def _summarise(row, col, label, verdicts):
 
 
 def _engine_table1(T: Optional[BinaryOp], S: BinaryOp) -> Table1Verdict:
-    if T is None:
-        if check_first_coordinate_continuity(S).verdict is Verdict.FAILS:
-            return Table1Verdict.NOT_EXISTS
-        if check_strictly_increasing_first(S).verdict is Verdict.HOLDS:
-            return Table1Verdict.EXISTS_UNIQUE
-        return Table1Verdict.EXISTS
-    if strong_existence(T, S).verdict is not Verdict.HOLDS:
+    if existence(S, T).verdict is not Verdict.HOLDS:
         return Table1Verdict.NOT_EXISTS
-    if strong_uniqueness(T, S).verdict is Verdict.HOLDS:
+    if uniqueness(S, T).verdict is Verdict.HOLDS:
         return Table1Verdict.EXISTS_UNIQUE
     return Table1Verdict.EXISTS
 
@@ -195,8 +183,8 @@ def _generate(which: int, lambda_samples: Sequence[float]) -> List[TableCell]:
 
 
 def generate_table1(lambda_samples: Sequence[float] = DEFAULT_LAMBDA_SAMPLES) -> List[TableCell]:
-    """Existence/uniqueness verdicts computed from the divisor-interval and
-    strictness machinery, one cell per (norm family, conorm family) plus a
+    """Existence/uniqueness verdicts computed by `divisors.existence` and
+    `divisors.uniqueness`, one cell per (norm family, conorm family) plus a
     weak-decomposition row."""
     return _generate(1, lambda_samples)
 

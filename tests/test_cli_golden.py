@@ -154,7 +154,7 @@ def test_recorded_divisor_witnesses_replay():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_cli_golden.py --record")
-    old = {json.dumps(e["argv"]): e for e in json.loads(GOLDEN.read_text(encoding="utf-8"))} if GOLDEN.exists() else {}
+    old = {json.dumps(e["argv"]): e for e in json.loads(GOLDEN.read_text(encoding="utf-8"))}
     entries = [run(argv) for argv in commands()]
     changed = {}
     for e in entries:

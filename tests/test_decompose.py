@@ -13,7 +13,6 @@ from fuzzdec import (
     indifference_part,
     make_conorm,
     make_norm,
-    relation_from_dict,
     residual,
     residual_array,
     strong_decompose,
@@ -35,10 +34,7 @@ CONTINUOUS_CONORMS = [
 
 
 def two_rel(r_xy, r_yx, diag=1.0):
-    return relation_from_dict(
-        ["x", "y"],
-        {("x", "x"): diag, ("y", "y"): diag, ("x", "y"): r_xy, ("y", "x"): r_yx},
-    )
+    return FuzzyRelation(("x", "y"), np.array([[diag, r_xy], [r_yx, diag]], dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +187,7 @@ def test_canonical_refuses_discontinuous_conorms():
 
 
 def test_indifference_is_pointwise_minimum():
-    R = relation_from_dict(
-        "abc",
-        {("a", "b"): 0.7, ("b", "a"): 0.2, ("a", "c"): 0.4, ("c", "a"): 0.9},
-    )
+    R = FuzzyRelation(tuple("abc"), np.array([[0, 0.7, 0.4], [0.2, 0, 0], [0.9, 0, 0]]))
     I = indifference_part(R)
     np.testing.assert_array_equal(I.degrees, np.minimum(R.degrees, R.degrees.T))
 
@@ -338,15 +331,7 @@ def test_enumeration_uniqueness_matches_strictness():
     # a relation whose residuals land on the grid so the oracle can see it
     # (0.8 over 0.5 has residual 0.5 under the probabilistic sum, 0.5 under
     # Hamacher(2) via 0.3/0.6, 0.75 under Schweizer-Sklar(-1))
-    R = relation_from_dict(
-        "abc",
-        {
-            ("a", "a"): 1, ("b", "b"): 1, ("c", "c"): 1,
-            ("a", "b"): 0.8, ("b", "a"): 0.5,
-            ("a", "c"): 1.0, ("c", "a"): 0.5,
-            ("b", "c"): 0.5, ("c", "b"): 0.5,
-        },
-    )
+    R = FuzzyRelation(tuple("abc"), np.array([[1, 0.8, 1.0], [0.5, 1, 0.5], [0.5, 0.5, 1]]))
     for S in (
         make_conorm("prob"),
         make_conorm("hamacher", 2.0),

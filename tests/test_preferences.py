@@ -16,8 +16,6 @@ from fuzzdec import (
     make_norm,
     make_rule,
     mj_counterexample,
-    relation_from_dict,
-    sample_relations,
     tie_strict_max_decomposition,
     triplet_from_decomposition,
     verify_weak,
@@ -26,10 +24,17 @@ from fuzzdec.preferences import GRID_RELATION, _classify_computed
 
 
 def two_rel(r_xy, r_yx, diag=1.0):
-    return relation_from_dict(
-        ["x", "y"],
-        {("x", "x"): diag, ("y", "y"): diag, ("x", "y"): r_xy, ("y", "x"): r_yx},
-    )
+    return FuzzyRelation(("x", "y"), np.array([[diag, r_xy], [r_yx, diag]], dtype=float))
+
+
+def grid_relations(count, size, steps, seed, reflexive=False):
+    """Seeded random relations with degrees k/steps."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m = rng.integers(0, steps + 1, size=(size, size)) / steps
+        if reflexive:
+            np.fill_diagonal(m, 1.0)
+        yield FuzzyRelation(tuple(f"x{k}" for k in range(size)), m)
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +44,7 @@ def two_rel(r_xy, r_yx, diag=1.0):
 def test_canonical_outputs_pass_all_axioms():
     for family, lam in (("product", None), ("minimum", None), ("lukasiewicz", None)):
         S = make_conorm(family, lam)
-        for R in sample_relations(30, size=3, grid_step=0.05, seed=5):
+        for R in grid_relations(30, size=3, steps=20, seed=5):
             d = canonical_decompose(R, S)
             report = audit_fp(triplet_from_decomposition(R, d))
             assert report.overall, (family, report.failed_axioms())
@@ -86,7 +91,7 @@ def test_audit_witnesses_are_lexicographically_first():
 
 def test_audit_rejects_universe_mismatch():
     R = two_rel(1, 0.5)
-    other = relation_from_dict(["p", "q"], {})
+    other = FuzzyRelation(("p", "q"), np.zeros((2, 2)))
     with pytest.raises(ValueError):
         PreferenceTripletShim(R, other, other)
 
@@ -95,7 +100,7 @@ def test_sampled_fp6_pass_is_labelled():
     rng = np.random.default_rng(8)
     R = FuzzyRelation(tuple(f"v{k}" for k in range(22)), rng.integers(0, 21, (22, 22)) / 20)
     report = audit_fp(triplet_from_decomposition(R, canonical_decompose(R, make_conorm("prob"))), seed=5)
-    assert str(report.verdicts["FP6"]) == "pass (sampled: 100000 quadruples, seed 5)"
+    assert str(report.verdicts["FP6"]) == "UNKNOWN -- sampled: 100000 quadruples, seed 5"
     assert report.overall and str(report).endswith("\nFP6: pass (sampled: 100000 quadruples, seed 5)\noverall: pass")
 
 
@@ -120,7 +125,7 @@ def test_every_weak_decomposition_satisfies_the_unconditional_axioms():
     # FP1, FP2, FP3, FP5, FP6 and the forward half of FP4 hold for any weak
     # decomposition, canonical or not: check the enumerated ones
     S = make_conorm("lukasiewicz")
-    for R in sample_relations(10, size=2, grid_step=0.25, seed=9, reflexive=True):
+    for R in grid_relations(10, size=2, steps=4, seed=9, reflexive=True):
         for d in enumerate_decompositions(R, S, grid_step=0.05):
             rep = audit_fp(triplet_from_decomposition(R, d))
             for axiom in ("FP1", "FP2", "FP3", "FP5", "FP6"):
@@ -194,7 +199,7 @@ def test_mj_counterexample_rejects_nonwitnesses():
 def test_unique_preference_decomposition_under_max():
     # among all enumerated weak decompositions under the maximum, exactly
     # the canonical one forms a preference
-    for R in sample_relations(15, size=3, grid_step=0.05, seed=21):
+    for R in grid_relations(15, size=3, steps=20, seed=21):
         ds = enumerate_decompositions(R, make_conorm("max"), grid_step=0.05)
         passing = [d for d in ds if audit_fp(triplet_from_decomposition(R, d)).overall]
         assert len(passing) == 1

@@ -10,22 +10,32 @@ from fuzzdec import (
     FuzzyRelation,
     Kind,
     RegionGrid,
-    Verdict,
     is_t_transitive,
     make_conorm,
     make_custom,
     make_norm,
     one_interval,
     parse_op_spec,
-    pair_weakly_decomposable,
     restricted_decomposability,
     strong_region,
     t_transitive_closure,
     weak_region,
     zero_interval,
 )
+from fuzzdec.regions import _weakly_decomposable
 
 RES = 1 / 50  # fast grids for unit tests; the acceptance suite runs 1/200
+
+
+def weakly_decomposable(S, a, b):
+    """The weak cell test on the one value pair (a, b)."""
+    return bool(_weakly_decomposable(S, np.asarray(min(a, b), float), np.asarray(max(a, b), float)))
+
+
+def member(grid, a, b):
+    """The raster cell nearest to (a, b)."""
+    i, j = (int(np.argmin(np.abs(grid.axis - v))) for v in (a, b))
+    return bool(grid.membership[i, j])
 
 
 def shape_masks(axis):
@@ -55,7 +65,7 @@ def test_weak_region_drastic_is_frame_plus_diagonal():
 def test_weak_region_symmetric_and_diagonal_invariants():
     for spec, lam in (("drastic", None), ("schweizer_sklar", math.inf), ("max", None)):
         grid = weak_region(make_conorm(spec, lam), RES)
-        assert grid.is_symmetric()
+        assert np.array_equal(grid.membership, grid.membership.T)
         assert np.diag(grid.membership).all()  # (c,c) reconstructs with t = 0
 
 
@@ -64,7 +74,7 @@ def test_pair_decomposability_matches_region():
     grid = weak_region(S, RES)
     for a in (0.0, 0.1, 0.5, 1.0):
         for b in (0.0, 0.3, 0.5, 1.0):
-            assert grid.member(a, b) == pair_weakly_decomposable(S, a, b)
+            assert member(grid, a, b) == weakly_decomposable(S, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +102,8 @@ def test_strong_region_lukasiewicz_probabilistic_curve():
 
 def test_strong_region_minimum_maximum_point():
     grid = strong_region(make_norm("min"), make_conorm("max"), RES)
-    assert not grid.member(1.0, 0.5)
-    assert grid.member(0.5, 0.5) and grid.member(1.0, 0.0)
+    assert not member(grid, 1.0, 0.5)
+    assert member(grid, 0.5, 0.5) and member(grid, 1.0, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -205,22 +215,33 @@ def test_save_csv_writes_to_csv(tmp_path):
 
 
 def test_max_connected_relations_decompose_under_drastic():
-    verdict = restricted_decomposability(make_conorm("max"), make_conorm("drastic"))
-    assert verdict.verdict is Verdict.HOLDS
+    # proven by the connector: the maximum reaches 1 only on pairs (i, 1)
+    verdict = restricted_decomposability(make_conorm("max"), make_conorm("drastic"), None, RES)
+    assert str(verdict) == "HOLDS -- Maximum connects only pairs (i, 1), and t = 1 decomposes each weakly"
 
 
 def test_lukasiewicz_connected_relations_can_fail_under_drastic():
-    verdict = restricted_decomposability(make_conorm("lukasiewicz"), make_conorm("drastic"))
-    assert verdict.verdict is Verdict.FAILS
+    verdict = restricted_decomposability(make_conorm("lukasiewicz"), make_conorm("drastic"), None, RES)
+    assert str(verdict) == (
+        "FAILS witness=(0.02, 0.98) -- pair (0.02,0.98) is Lukasiewicz conorm-connected but not decomposable"
+    )
     a, b = verdict.witness
     SL, SD = make_conorm("lukasiewicz"), make_conorm("drastic")
     assert SL(a, b) == 1.0
-    assert not pair_weakly_decomposable(SD, a, b)
+    assert not weakly_decomposable(SD, a, b)
 
 
 def test_any_connectedness_passes_for_continuous_conorms():
-    verdict = restricted_decomposability(make_conorm("lukasiewicz"), make_conorm("prob"))
-    assert verdict.verdict is Verdict.HOLDS
+    # proven by existence: every relation decomposes under the conorm
+    verdict = restricted_decomposability(make_conorm("lukasiewicz"), make_conorm("prob"), None, RES)
+    assert str(verdict) == "HOLDS -- every relation decomposes: Probabilistic sum is continuous on [0,1]^2"
+
+
+def test_a_clean_raster_alone_is_unknown():
+    # strong drastic pair: existence FAILS (discontinuous conorm), and the
+    # connector proves nothing for a strong check
+    verdict = restricted_decomposability(make_conorm("max"), make_conorm("drastic"), make_norm("drastic"), RES)
+    assert str(verdict) == "UNKNOWN -- no connected value pair escapes the region on the 51x51 grid of step 1/50"
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +265,7 @@ def test_transitive_closure_properties():
 def test_two_element_interior_witness_is_min_transitive():
     R = FuzzyRelation(("x", "y"), np.array([[1.0, 0.6], [0.5, 1.0]]))
     assert is_t_transitive(R, make_norm("min"))
-    assert not pair_weakly_decomposable(make_conorm("drastic"), 0.6, 0.5)
+    assert not weakly_decomposable(make_conorm("drastic"), 0.6, 0.5)
 
 
 def test_resolution_guard():

@@ -13,7 +13,6 @@ from fuzzdec import (
     format_relation,
     is_asymmetric,
     is_crisp,
-    is_reflexive,
     is_s_connected,
     is_symmetric,
     is_t_transitive,
@@ -21,7 +20,6 @@ from fuzzdec import (
     make_conorm,
     make_norm,
     parse_relation,
-    relation_from_dict,
     save_relation,
 )
 
@@ -78,9 +76,7 @@ def test_symmetric_and_asymmetric_only_for_zero():
 def test_transitivity():
     Tmin = make_norm("min")
     assert is_t_transitive(rel(np.full((3, 3), 0.4)), Tmin)
-    bad = relation_from_dict(
-        "xyz", {("x", "y"): 1, ("y", "z"): 1, ("x", "z"): 0.3}
-    )
+    bad = rel([[0, 1, 0.3], [0, 0, 1], [0, 0, 0]])
     assert not is_t_transitive(bad, Tmin)
     # crisp total preorder stays transitive under the product norm
     preorder = rel([[1, 1, 1], [0, 1, 1], [0, 0, 1]])
@@ -100,11 +96,10 @@ def test_connectedness():
     assert is_s_connected(rel([[1, 1], [0.2, 1]]), make_conorm("max"))
 
 
-def test_crispness_and_reflexivity():
+def test_crispness():
     assert is_crisp(rel(np.ones((2, 2))))
     assert not is_crisp(rel(np.full((2, 2), 0.5)))
     assert is_crisp(rel([[0, 1], [1, 0]]))
-    assert is_reflexive(rel([[1, 0.2], [0.9, 1]]))
 
 
 def test_crisp_decompose_examples():
