@@ -194,17 +194,23 @@ def _pinned(formula, absorbing: float):
     """Evaluator computing ``formula`` off the boundary of the square (on
     `lifted` operands) and the boundary rows exactly: a norm (absorbing 0) has
     T(x,0) = 0 and T(x,1) = x, a conorm (absorbing 1) has S(x,1) = 1 and
-    S(x,0) = x."""
+    S(x,0) = x.  The formula runs on the whole block (elementwise, so each
+    cell rounds as alone); only the cells outside (0,1)^2 are rewritten, 0
+    where no boundary rule applies."""
     identity = 1.0 - absorbing
 
     def ev(x, y):
-        inside = (x > 0) & (y > 0) & (x < 1) & (y < 1)
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         with np.errstate(all="ignore"):
-            val = lifted(formula, np.where(inside, x, 0.5), np.where(inside, y, 0.5))
-        out = np.where(inside, np.clip(val, 0.0, 1.0), 0.0)
-        out = np.where((x == absorbing) | (y == absorbing), absorbing, out)
-        out = np.where(x == identity, y, out)
-        return np.where(y == identity, np.where(x == identity, identity, x), out)
+            out = lifted(formula, x, y)
+        np.clip(out, 0.0, 1.0, out=out)
+        edge = ~((x > 0) & (y > 0) & (x < 1) & (y < 1))
+        if edge.any():
+            x, y = np.broadcast_to(x, out.shape)[edge], np.broadcast_to(y, out.shape)[edge]
+            val = np.where((x == absorbing) | (y == absorbing), absorbing, 0.0)
+            val = np.where(x == identity, y, val)
+            out[edge] = np.where(y == identity, np.where(x == identity, identity, x), val)
+        return out
 
     return ev
 
@@ -245,17 +251,42 @@ def _least_addend(i, r):
     real infimum; the float sum reaches r from up to half the float gap below
     r, so r - i can lie above the least such t (at i one float below r, the
     sum already rounds to r at t = half that gap).  The start r - i - gap/2
-    is exact for i >= r/2; a step or two down or up ends the walk."""
-    t = np.maximum((r - i) - 0.5 * (r - np.nextafter(r, 0.0)), 0.0)
-    over = (t > 0.0) & (np.nextafter(t, 0.0) + i >= r)
-    while over.any():
-        t = np.where(over, np.nextafter(t, 0.0), t)
-        over = (t > 0.0) & (np.nextafter(t, 0.0) + i >= r)
-    short = t + i < r
-    while short.any():
-        t = np.where(short, np.nextafter(t, 1.0), t)
+    is exact for i >= r/2; a step or two down or up ends the walk.  A step
+    moves only the cells still walking, through t's bit pattern.  The walk
+    works in place: each new block-sized array costs page faults as well as
+    arithmetic."""
+
+    def walk(i, r):
+        # the gap below r, from the bits of |r| (-0.0's own bits step to a NaN)
+        gap = np.abs(r)
+        below = gap.view(np.int64) - 1
+        np.maximum(below, 0, out=below)
+        gap -= below.view(np.float64)
+        gap *= 0.5
+        t = r - i
+        t -= gap
+        np.maximum(t, 0.0, out=t)
+        bits = t.view(np.int64)
+        over = _reaches_below(bits, i, r)
+        while over.any():
+            bits -= over
+            over &= _reaches_below(bits, i, r)
         short = t + i < r
-    return t
+        while short.any():
+            bits += short
+            short &= t + i < r
+        return t
+
+    return lifted(walk, i, r)
+
+
+def _reaches_below(bits, i, r):
+    """Whether the float below t (t >= 0, given by its bits) still reaches r
+    when added to i."""
+    below = bits - 1
+    sums = below.view(np.float64)
+    sums += i
+    return (sums >= r) & (bits > 0)
 
 
 MINIMUM = Family(

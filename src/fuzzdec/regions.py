@@ -16,6 +16,7 @@ relation above a relation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
 import numpy as np
@@ -40,20 +41,36 @@ class RegionGrid:
         if self.membership.shape != (n, n) or self.axis.shape != (n,):
             raise ValueError("membership must be square and match the axis")
 
-    def to_csv(self) -> str:
-        """``a,b,member`` lines, ``a`` outer, values to 17 significant digits."""
+    @cached_property
+    def _csv_parts(self):
+        """The axis texts and the ``b,0``/``b,1`` line tails, once per grid."""
         values = [f"{v:.17g}" for v in self.axis.tolist()]
+        all_members = [f"{b},1\n" for b in values]
         tail0 = np.array([f"{b},0\n" for b in values], dtype=object)
-        tail1 = np.array([f"{b},1\n" for b in values], dtype=object)
-        rows = ["a,b,member\n"]
-        for a, member_row in zip(values, self.membership):
+        return values, tail0, np.array(all_members, dtype=object), all_members
+
+    def to_csv(self, rows: slice = slice(0, None)) -> str:
+        """``a,b,member`` lines of the grid rows in ``rows`` (all by default),
+        ``a`` outer, values to 17 significant digits; the header line only
+        when the slice starts at row 0."""
+        values, tail0, tail1, all_members = self._csv_parts
+        lines = ["a,b,member\n"] if rows.indices(len(values))[0] == 0 else []
+        member = self.membership[rows]
+        for a, member_row, full in zip(values[rows], member, member.all(axis=1).tolist()):
             head = a + ","
-            rows.append(head + head.join(np.where(member_row, tail1, tail0).tolist()))
-        return "".join(rows)
+            tails = all_members if full else np.where(member_row, tail1, tail0).tolist()
+            lines += (head, head.join(tails))
+        return "".join(lines)
 
     def save_csv(self, path) -> None:
+        """Write `to_csv` one row block at a time, so no text the size of the
+        file is ever built.  `_row_blocks` sizes a block for 64K float cells,
+        and a CSV line holds about 4 times a float cell's bytes: ``4 * n``
+        cells per row give blocks of about 16K lines (0.7 MB of text)."""
+        n = self.axis.size
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv())
+            for s in _row_blocks(n, 4 * n):
+                fh.write(self.to_csv(s))
 
 
 def _raster_blocks(ax: np.ndarray, cell_test, member: np.ndarray) -> Iterator[slice]:
@@ -171,9 +188,10 @@ def restricted_decomposability(
     member = np.empty((ax.size, ax.size), dtype=bool)
     for s in _raster_blocks(ax, test, member):
         connected = np.asarray(S_prime.evaluator(ax[s, None], ax), dtype=float) >= 1.0 - EPSILON
-        hits = np.argwhere(connected & ~member[s])
-        if hits.size:
-            i, j = s.start + int(hits[0, 0]), int(hits[0, 1])
+        escaping = connected & ~member[s]
+        if escaping.any():
+            i, j = np.argwhere(escaping)[0]
+            i, j = s.start + int(i), int(j)
             return fails(
                 (float(ax[i]), float(ax[j])),
                 f"pair ({float(ax[i])!r},{float(ax[j])!r}) is {S_prime.display_name}-connected "

@@ -19,6 +19,7 @@ from fuzzdec import (
     verify_strong,
     verify_weak,
 )
+from fuzzdec.families import _least_addend
 
 CONTINUOUS_CONORMS = [
     ("minimum", None),
@@ -151,6 +152,52 @@ def test_adding_residual_is_the_least_float_that_reconstructs(family):
     below = np.nextafter(p, 0.0)
     assert ((p == 0.0) | (S(below, i) < r)).all()
     assert (np.abs(p - (r - i)) <= np.spacing(r)).all()  # the closed form, to a float
+
+
+def nextafter_least_addend(i, r):
+    """The whole-block `np.nextafter` walk that `_least_addend` replaced: the
+    oracle it must match bit for bit."""
+    t = np.maximum((r - i) - 0.5 * (r - np.nextafter(r, 0.0)), 0.0)
+    over = (t > 0.0) & (np.nextafter(t, 0.0) + i >= r)
+    while over.any():
+        t = np.where(over, np.nextafter(t, 0.0), t)
+        over = (t > 0.0) & (np.nextafter(t, 0.0) + i >= r)
+    short = t + i < r
+    while short.any():
+        t = np.where(short, np.nextafter(t, 1.0), t)
+        short = t + i < r
+    return t
+
+
+EDGE_DEGREES = [-0.0, 0.0, 5e-324, 1e-300, 0.1, 0.5, 1 - 2**-53, 1.0]
+unit_floats = st.one_of(st.sampled_from(EDGE_DEGREES), st.floats(0.0, 1.0))
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), (got, want)
+
+
+@given(
+    st.lists(st.tuples(unit_floats, unit_floats, st.sampled_from([0, 1, 2])), min_size=1, max_size=8)
+)
+@settings(max_examples=300, deadline=None)
+@example([(-0.0, -0.0, 0), (0.0, -0.0, 0), (-0.0, 5e-324, 0), (0.0, 5e-324, 0), (0.5, 1.0, 0)])
+@example([(1 - 2**-53, 1.0, 0), (0.3, 1.0, 1), (0.25, 0.5, 2), (5e-324, 1e-300, 1)])
+def test_least_addend_matches_the_nextafter_walk(cells):
+    # each cell is (i, r, how): i as drawn, i one float below r, or i = r / 2
+    i = np.array([c[0] for c in cells])
+    r = np.array([c[1] for c in cells])
+    how = np.array([c[2] for c in cells])
+    i = np.where(how == 1, np.nextafter(r, -1.0), np.where(how == 2, r / 2, i))
+    assert_same_bits(_least_addend(i, r), nextafter_least_addend(i, r))
+    for a, b in zip(i, r):  # 0-d inputs
+        assert_same_bits(_least_addend(np.float64(a), np.float64(b)), nextafter_least_addend(a, b))
+    # broadcast shapes: a column of i against a row of r
+    assert_same_bits(
+        _least_addend(i[:, None], r[None, :]), nextafter_least_addend(i[:, None], r[None, :])
+    )
 
 
 # ---------------------------------------------------------------------------

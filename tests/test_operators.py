@@ -20,6 +20,7 @@ from fuzzdec import (
     make_norm,
     parse_op_spec,
 )
+from fuzzdec import families
 
 BUILTIN_SPECS = [
     ("minimum", None),
@@ -98,6 +99,53 @@ def test_make_family_deterministic():
     g = degree_grid(0.01)
     xx, yy = np.meshgrid(g, g, indexing="ij")
     np.testing.assert_array_equal(a.evaluator(xx, yy), b.evaluator(xx, yy))
+
+
+def where_chain_pinned(formula, absorbing):
+    """The `families._pinned` that masked the operands and ran the whole
+    where-chain on every cell: the oracle the current one must match bit for
+    bit."""
+    identity = 1.0 - absorbing
+
+    def ev(x, y):
+        inside = (x > 0) & (y > 0) & (x < 1) & (y < 1)
+        with np.errstate(all="ignore"):
+            val = families.lifted(formula, np.where(inside, x, 0.5), np.where(inside, y, 0.5))
+        out = np.where(inside, np.clip(val, 0.0, 1.0), 0.0)
+        out = np.where((x == absorbing) | (y == absorbing), absorbing, out)
+        out = np.where(x == identity, y, out)
+        return np.where(y == identity, np.where(x == identity, identity, x), out)
+
+    return ev
+
+
+# boundary rows, the floats next to them, out-of-range values, NaN and +-inf
+PINNED_PROBES = np.array(
+    [-0.0, 0.0, 5e-324, 0.25, 0.5, 0.7, 1 - 2**-53, 1.0, -0.5, 1.5, np.nan, np.inf, -np.inf]
+)
+
+
+@pytest.mark.parametrize(
+    "family,lam",
+    [("schweizer_sklar", lam) for lam in (-3.0, -1.0, -0.5, 0.5, 1.0, 2.0, 5.0, 50.0)]
+    + [("hamacher", lam) for lam in (0.0, 0.5, 2.0, 10.0)],
+)
+def test_pinned_evaluators_match_the_where_chain(family, lam, monkeypatch):
+    record = families.PARAMETRIC[family](lam)
+    monkeypatch.setattr(families, "_pinned", where_chain_pinned)
+    oracle = families.PARAMETRIC[family](lam)
+    probes = np.concatenate([PINNED_PROBES, degree_grid(0.01)])
+    xx, yy = np.meshgrid(probes, probes, indexing="ij")
+    for got_ev, want_ev in ((record.norm, oracle.norm), (record.conorm, oracle.conorm)):
+        for x, y in ((xx, yy), (probes[:, None], probes[None, :])):
+            got, want = got_ev(x, y), want_ev(x, y)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for x in PINNED_PROBES:  # 0-d operands
+            for y in PINNED_PROBES:
+                got, want = got_ev(np.float64(x), np.float64(y)), want_ev(np.float64(x), np.float64(y))
+                assert np.asarray(got).shape == np.asarray(want).shape == ()
+                assert np.asarray(got).view(np.int64) == np.asarray(want).view(np.int64), (x, y)
 
 
 def test_parse_op_spec():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -199,8 +200,27 @@ def test_region_csv_matches_per_cell_reference():
     axis = np.array([0.0, 5e-324, 0.1, 1 / 3, 1 - 2**-53, 1.0])
     member = np.random.default_rng(3).random((6, 6)) < 0.5
     grids.append(RegionGrid(0.2, axis, member))
+    # all-member, empty and mixed rows
+    member = np.ones((6, 6), dtype=bool)
+    member[2] = False
+    member[4, ::2] = False
+    grids += [
+        RegionGrid(0.2, axis, member),
+        RegionGrid(0.2, axis, np.ones((6, 6), dtype=bool)),
+        RegionGrid(0.2, axis, np.zeros((6, 6), dtype=bool)),
+    ]
+    rng = np.random.default_rng(5)
     for grid in grids:
-        assert grid.to_csv() == reference_csv(grid)
+        text = reference_csv(grid)
+        assert grid.to_csv() == text
+        # any partition of the rows concatenates to the whole file
+        n = grid.axis.size
+        for _ in range(4):
+            cuts = np.unique([0, *rng.integers(0, n + 1, size=rng.integers(0, 5)), n]).tolist()
+            parts = [grid.to_csv(slice(lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
+            assert "".join(parts) == text
+            assert all(p.startswith("a,b,member\n") == (lo == 0) for p, lo in zip(parts, cuts))
+        assert "".join(grid.to_csv(slice(k, k + 1)) for k in range(n)) == text
 
 
 def test_save_csv_writes_to_csv(tmp_path):
@@ -208,6 +228,22 @@ def test_save_csv_writes_to_csv(tmp_path):
     path = tmp_path / "region.csv"
     grid.save_csv(path)
     assert path.read_bytes() == reference_csv(grid).encode("utf-8")
+
+
+def test_save_csv_memory_is_bounded_by_one_row_block(tmp_path):
+    # the 1/2000 CSV is about 150 MB; a whole-file text took 288 MB at its peak
+    grid = strong_region(make_norm("lukasiewicz"), make_conorm("lukasiewicz"), 1 / 2000)
+    path = tmp_path / "region.csv"
+    tracemalloc.start()
+    try:
+        grid.save_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    with open(path, "rb") as fh:
+        assert fh.readline() == b"a,b,member\n"
+    assert path.stat().st_size == 150_511_229
 
 
 # ---------------------------------------------------------------------------
