@@ -244,6 +244,7 @@ def test_save_csv_memory_is_bounded_by_one_row_block(tmp_path):
     with open(path, "rb") as fh:
         assert fh.readline() == b"a,b,member\n"
     assert path.stat().st_size == 150_511_229
+    path.unlink()  # pytest keeps recent temporary directories
 
 
 # ---------------------------------------------------------------------------
