@@ -36,8 +36,12 @@ from fuzzdec.tables import DEFAULT_LAMBDA_SAMPLES
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "cli_golden.json"
-# one grid-valued and one continuous relation, each holding -0.0 and a subnormal
-RELATIONS = ("grid5.rel", "continuous5.rel")
+# one grid-valued and one continuous relation, each holding -0.0 and a subnormal;
+# then relations over 91 labels, large enough that the text of each spans
+# several row blocks: continuous degrees (with e-notation, -0.0, subnormals
+# and 1 - 2**-53), 1/20-grid degrees written with %.17g, and a file with
+# comments, blank lines and tab separators
+RELATIONS = ("grid5.rel", "continuous5.rel", "continuous91.rel", "grid91.rel", "comments91.rel")
 PLAIN = ("minimum", "product", "lukasiewicz", "drastic", "ordinal_sum")
 CSV = "region.csv"  # the --out of a region command, written to a temporary directory
 TABLE = "custom:table=luk4.op"  # a table operator, its file named relative to tests/data
