@@ -32,7 +32,6 @@ from .decompose import (
     DecompositionError,
     canonical_decompose,
     strong_decompose,
-    verify_strong,
     verify_weak,
 )
 from .preferences import (
@@ -49,6 +48,7 @@ from .relations import (
     load_relation,
     not_utf8,
     read_degrees,
+    text_rows,
 )
 from .tables import (
     diff_against_reference,
@@ -145,16 +145,16 @@ def _cmd_decompose(args) -> int:
     mode = "strong" if T is not None else "weak"
     if T is not None:
         d = strong_decompose(R, T, S)
-        check = verify_strong(R, d, T)
+        check = d.verification
     else:
         d = canonical_decompose(R, S)
         check = verify_weak(R, d)
     print(f"# canonical {mode} decomposition under {S.display_name}"
           + (f" / {T.display_name}" if T is not None else ""))
-    print("# strict part P")
-    print(format_relation(d.strict), end="")
-    print("# indifference part I")
-    print(format_relation(d.indifference), end="")
+    for title, part in (("# strict part P", d.strict), ("# indifference part I", d.indifference)):
+        print(title)
+        for rows in text_rows(part):
+            print(format_relation(part, rows), end="")
     print(f"# verification: {check}")
     return OK if check.verdict is Verdict.HOLDS else FAIL
 

@@ -13,7 +13,7 @@ the closed forms.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import List, Optional, Tuple
 
@@ -57,6 +57,8 @@ class Decomposition:
     conorm: BinaryOp
     norm: Optional[BinaryOp] = None
     mode: Mode = Mode.WEAK
+    # the verdict of the check that accepted the decomposition, where one did
+    verification: Optional[TriState] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.mode is Mode.STRONG and self.norm is None:
@@ -146,7 +148,7 @@ def strong_decompose(R: FuzzyRelation, T: BinaryOp, S: BinaryOp) -> Decompositio
     T(P, I) = 0.  Refuses where strong `existence` FAILS; even where it
     holds the check can fail where the divisor intervals meet only between
     two floats (drastic x Schweizer-Sklar at lambda near 0 has P = 1 where
-    I > 0)."""
+    I > 0).  The result carries the check's verdict as ``verification``."""
 
     exist = existence(S, T)
     if exist.verdict is Verdict.FAILS:
@@ -158,7 +160,7 @@ def strong_decompose(R: FuzzyRelation, T: BinaryOp, S: BinaryOp) -> Decompositio
     check = verify_strong(R, d, T)
     if check.verdict is Verdict.FAILS:
         raise DecompositionError(f"canonical pair fails the norm condition: {check.detail}")
-    return d
+    return replace(d, verification=check)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ operator evaluations (transitivity, connectedness) allow the package-wide
 
 from __future__ import annotations
 
+import functools
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -24,10 +26,11 @@ FILE_HEADER = "fuzzrel v1"
 _BLOCK_CELLS = 1 << 16
 
 
-def _row_blocks(rows: int, cells_per_row: int) -> Iterator[slice]:
+def _row_blocks(rows: int, cells_per_row: int, cap: Optional[int] = None) -> Iterator[slice]:
     """Consecutive row slices covering ``range(rows)``, each spanning at most
-    ``_BLOCK_CELLS`` cells of ``cells_per_row`` per row (at least one row)."""
-    step = max(1, _BLOCK_CELLS // max(1, cells_per_row))
+    ``cap`` (by default ``_BLOCK_CELLS``) cells of ``cells_per_row`` per row
+    (at least one row)."""
+    step = max(1, (cap or _BLOCK_CELLS) // max(1, cells_per_row))
     for lo in range(0, rows, step):
         yield slice(lo, min(lo + step, rows))
 
@@ -182,89 +185,279 @@ def crisp_decompose(R: FuzzyRelation) -> Tuple[FuzzyRelation, FuzzyRelation]:
 #   <row of n degrees>
 #   ... (n rows, row-major, whitespace separated)
 #
-# '#' starts a comment; blank lines are ignored.  Degrees are written with
-# 17 significant digits so emitted files re-parse to bit-identical matrices.
-# Degrees are read by numpy's text reader one row block at a time; it accepts
-# exactly the spellings of Python's float() that are ASCII without '_', so
-# the further ones float() takes ('0.0_5', full-width digits) are rejected.
+# '#' starts a comment; blank lines are ignored.  Degrees are written as
+# "%.17g" (17 significant digits, one space apart) so emitted files re-parse
+# to bit-identical matrices.  Any degree is read as Python's float() reads
+# its ASCII spelling without '_'; further spellings float() takes ('0.0_5',
+# full-width digits) are rejected.
 #
-# Degrees elicited on a finite scale repeat, so writing formats each distinct
-# value once through a per-call memo while rows are mostly repeats, and falls
-# back to formatting every cell once a row is mostly new values.
+# Text is converted by numpy kernels, each equal to the per-value conversion
+# it replaces, in text blocks of at most ``_TEXT_CELLS`` cells:
+#
+# - writing: a degree in [1e-3, 1) is printed from its 17 significant digits,
+#   x * 10**(16 - q) rounded half to even from Dekker's exact product, through
+#   4-digit tables, a trailing-zero cut and one Boolean compress of a block of
+#   fixed-width cells; 0 and 1 are written directly and every other degree
+#   (below 1e-3, -0.0, subnormal) by "%.17g" itself.  A block whose degrees
+#   mostly repeat (a finite scale) formats each distinct bit pattern once.
+# - reading: a block of plain decimals (tokens 0, 1 or [01].d{1,19}, one
+#   space apart, one row a line) is read as integers F by numpy's integer
+#   text reader and rounded as F / 10**k by an exact double-double quotient
+#   (Clinger's condition: the quotient is decided unless it lies within
+#   2**-40 ulp of a rounding midpoint).  A token it cannot decide (an
+#   e-notation or 20-digit spelling, or a near-midpoint quotient) is read by
+#   float(); any other block is read by np.loadtxt, whose grammar is
+#   float()'s on ASCII without '_', and a block it rejects is walked cell by
+#   cell to name its first offending cell.
 
-_MEMO_ENTRIES = 4096
-
-
-class _Memo(dict):
-    """``%.17g`` texts of floats, at most ``_MEMO_ENTRIES`` of them."""
-
-    misses = 0
-
-    def __missing__(self, key):
-        self.misses += 1
-        text = "%.17g" % key
-        if len(self) < _MEMO_ENTRIES:
-            self[key] = text
-        return text
-
-    def row(self, values: Sequence[float]) -> Tuple[list, bool]:
-        """Format one row; the flag says whether at most half of it was new."""
-        before = self.misses
-        out = list(map(self.__getitem__, values))
-        return out, 2 * (self.misses - before) <= len(out)
-
-
-def _lines(R: FuzzyRelation) -> Iterator[str]:
-    """The file text of R, one newline-terminated line at a time."""
-    yield FILE_HEADER + "\n"
-    yield "universe " + " ".join(R.universe) + "\n"
-    m = R.degrees
-    row_format = " ".join(["%.17g"] * R.size) + "\n"
-    # -0.0 == 0.0 as a key, so a memo would print -0 as 0
-    signed = _first_cell(R.size, lambda s: np.signbit(m[s]))
-    memo = None if signed is not None else _Memo()
-    for row in m:
-        if memo is None:
-            yield row_format % tuple(row.tolist())
-            continue
-        texts, mostly_hits = memo.row(row.tolist())
-        yield " ".join(texts) + "\n"
-        if not mostly_hits:
-            memo = None
+_TEXT_CELLS = 1 << 12
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant for float64
+_POW10 = 10.0 ** np.arange(23)  # exact up to 10**22
+_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)  # their 26-bit halves
+_POW10_LO = _POW10 - _POW10_HI
 
 
-def format_relation(R: FuzzyRelation) -> str:
-    return "".join(_lines(R))
+def _times_power(a: np.ndarray, k: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(p, e) with p the float product a * 10**k and p + e = a * 10**k
+    exactly: Dekker's two-product, computed in place where it can be."""
+    b = np.take(_POW10, k)
+    bh = np.take(_POW10_HI, k)
+    bl = np.take(_POW10_LO, k)
+    p = a * b
+    ah = _SPLIT * a
+    al = ah - a
+    ah -= al
+    np.subtract(a, ah, out=al)
+    e = ah * bh
+    e -= p
+    e += np.multiply(ah, bl, out=ah)
+    e += np.multiply(al, bh, out=bh)
+    e += np.multiply(al, bl, out=bl)
+    return p, e
 
 
-def content_lines(source: Union[str, Iterable[str]]) -> Iterator[Tuple[int, str]]:
-    """(line number, text) of each line of ``source`` (one string, or an
-    iterable of lines such as an open file, which streams) that is not blank
-    once its '#' comment and surrounding whitespace are stripped."""
-    if isinstance(source, str):
-        source = source.splitlines()
-    # a blank line splits into no parts, but still counts
-    numbered = enumerate((part for chunk in source for part in chunk.splitlines() or [""]), start=1)
-    return ((idx, s) for idx, line in numbered if (s := line.split("#", 1)[0].strip()))
+# A written cell is 24 bytes: its separator, then either the digits of a
+# degree in [1e-3, 1) ("0." and z < 3 zeros ending at byte 7 with the leading
+# digit, then four 4-digit groups) or another text from byte 1.
+_CELL = 24
 
 
-def read_degrees(lines: Iterator[Tuple[int, str]], rows: int, cols: int) -> np.ndarray:
+@functools.cache
+def _text_tables():
+    """The writer's lookup tables, built on first use: the 4 ASCII digits of
+    each g < 10**4 as one uint32; the trailing zeros of those digits (4 for
+    0); cell bytes 0-7 as one uint64 (a space, then "0." with z zeros and the
+    leading digit d at index 10 * z + d, "0" and "1" at 30 and 31); and the
+    bytes a cell keeps as 3 uint64s (its separator and [5 - z, 24 - t) for t
+    trailing zeros at index 17 * z + t, bytes 0-1 at 51)."""
+    g = np.arange(10**4)[:, None]
+    places = 10 ** np.arange(3, -1, -1)
+    digits = (g // places % 10 + 48).astype(np.uint8)
+    zeros = (g % (10 * places[::-1]) == 0).sum(axis=1)
+    z, lead = np.divmod(np.arange(30), 10)
+    heads = np.full((32, 8), 32, np.uint8)
+    heads[:30] = np.where(np.arange(8) >= 5 - z[:, None], 48, 32)
+    heads[np.arange(30), 6 - z] = 46
+    heads[:30, 7] = 48 + lead
+    heads[30:, 1] = (48, 49)
+    z, t = np.divmod(np.arange(51), 17)
+    cell = np.arange(_CELL)
+    keeps = np.zeros((52, _CELL), bool)
+    keeps[:51] = (cell >= 5 - z[:, None]) & (cell < _CELL - t[:, None])
+    keeps[51, 1] = True
+    keeps[:, 0] = True
+    return digits.view(np.uint32).ravel(), zeros, heads.view(np.uint64).ravel(), keeps.view(np.uint64)
+
+
+def _digits17(x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """x * 10**(16 - q) rounded half to even, from its exact value.  Where
+    that is at least 2**53 the float product p is an even integer, so the
+    rounding of p + e is p plus the rounding of e."""
+    p, e = _times_power(x, 16 - q)
+    return p.astype(np.int64) + np.rint(e, out=e).astype(np.int64)
+
+
+def _cells(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``_CELL``-byte cells of the degrees x (each separated by a space)
+    and the bytes each keeps."""
+    digits, zeros, heads, keeps = _text_tables()
+    # digits of every cell as if it were in [1e-3, 1); the rest are replaced
+    xc = np.clip(x, 1e-3, 1.0 - 2.0**-53)
+    q = np.floor(np.log10(xc)).astype(np.intp)
+    n = _digits17(xc, q)
+    # log10 may miss the decimal exponent by one, and rounding may carry into
+    # the next: either way n falls outside 17 digits
+    off = np.flatnonzero((n < 10**16) | (n >= 10**17))
+    if off.size:
+        q[off] += np.where(n[off] < 10**16, -1, 1)
+        n[off] = _digits17(xc[off], q[off])
+    hi = n // 10**8
+    lo = n - hi * 10**8
+    lead = hi // 10**8
+    hi -= lead * 10**8
+    groups = (hi // 10**4, hi % 10**4, lo // 10**4, lo % 10**4)
+    trailing = np.take(zeros, groups[3])
+    more = np.flatnonzero(groups[3] == 0)
+    for g in groups[2::-1]:
+        if not more.size:
+            break
+        gm = g[more]
+        trailing[more] += np.take(zeros, gm)
+        more = more[gm == 0]
+    z = -1 - q
+    head = z * 10 + lead
+    keep = z * 17 + trailing
+    zero = (x == 0.0) & ~np.signbit(x)
+    unit = x == 1.0
+    head[zero] = 30
+    head[unit] = 31
+    keep[zero | unit] = 51
+    buf = np.empty((x.size, _CELL), np.uint8)
+    words = buf.view(np.uint32)
+    buf.view(np.uint64)[:, 0] = np.take(heads, head)
+    for k, g in enumerate(groups, start=2):
+        words[:, k] = np.take(digits, g)
+    mask = np.empty((x.size, 3), np.uint64)
+    for k in range(3):
+        mask[:, k] = np.take(keeps[:, k], keep)
+    mask = mask.view(bool)
+    for k in np.flatnonzero((x < 1e-3) & ~zero).tolist():
+        text = b"%.17g" % x[k]
+        buf[k, 1:1 + len(text)] = np.frombuffer(text, np.uint8)
+        mask[k] = False
+        mask[k, :1 + len(text)] = True
+    return buf, mask
+
+
+def _format_rows(m: np.ndarray) -> str:
+    """The lines of the rows of m, formatted as one block."""
+    x = np.ascontiguousarray(m).ravel()
+    bits = x.view(np.uint64)  # -0.0 and 0.0 stay apart
+    sample = bits[:: max(1, x.size // 64)]
+    if 2 * np.unique(sample).size <= sample.size:  # mostly repeats: format each value once
+        values, index = np.unique(bits, return_inverse=True)
+        buf, mask = _cells(values.view(np.float64))
+        buf = np.take(buf.view(np.uint64), index, axis=0).view(np.uint8)
+        mask = np.take(mask.view(np.uint64), index, axis=0).view(bool)
+    else:
+        buf, mask = _cells(x)
+    buf[:: m.shape[1], 0] = 10  # each row's first separator ends the row before
+    return buf[mask][1:].tobytes().decode("ascii") + "\n"
+
+
+def text_rows(R: FuzzyRelation) -> Iterator[slice]:
+    """Row slices of R, each at most one text block, whose ``format_relation``
+    texts make up R's file text in order (the first one also when R is
+    empty)."""
+    return _row_blocks(max(R.size, 1), R.size, _TEXT_CELLS)
+
+
+def format_relation(R: FuzzyRelation, rows: slice = slice(0, None)) -> str:
+    """The file text of R's rows ``rows`` (a slice with step 1), with the
+    header and ``universe`` lines in front where the slice starts at row 0, so
+    the texts of consecutive slices join to the whole file."""
+    start, stop, _ = rows.indices(R.size)
+    m = R.degrees[start:stop]
+    head = FILE_HEADER + "\nuniverse " + " ".join(R.universe) + "\n" if start == 0 else ""
+    return head + "".join(_format_rows(m[s]) for s in _row_blocks(len(m), R.size, _TEXT_CELLS))
+
+
+def save_relation(R: FuzzyRelation, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for rows in text_rows(R):
+            fh.write(format_relation(R, rows))
+
+
+class _Lines:
+    """The numbered lines of a relation file or operator table: one string,
+    or an iterable of lines such as an open file, which streams.  Iterating
+    gives (line number, text) of each line that is not blank once its '#'
+    comment and surrounding whitespace are stripped; ``rows`` takes the next
+    lines of a matrix as one block."""
+
+    def __init__(self, source: Union[str, Iterable[str]]):
+        if isinstance(source, str):
+            source = source.splitlines(keepends=True)
+        self._chunks = iter(source)
+        self._parts = deque()  # lines of chunks already taken, not yet numbered
+        self.lineno = 0
+
+    def __iter__(self) -> "_Lines":
+        return self
+
+    def __next__(self) -> Tuple[int, str]:
+        while True:
+            while not self._parts:
+                # a blank line splits into no parts, but still counts
+                self._parts.extend(next(self._chunks).splitlines() or [""])
+            self.lineno += 1
+            text = self._parts.popleft().split("#", 1)[0].strip()
+            if text:
+                return self.lineno, text
+
+    def rows(self, count: int) -> "_Block":
+        """The next ``count`` lines that are not blank (fewer at the end).
+        Where the next ``count`` chunks of the source are each one plain
+        line (see ``_plain``), they pass as they are."""
+        if not self._parts:
+            chunks = list(islice(self._chunks, count))
+            if _plain(chunks):
+                first = self.lineno + 1
+                self.lineno += len(chunks)
+                return _Block(chunks, range(first, self.lineno + 1), plain=True)
+            self._parts.extend(part for chunk in chunks for part in chunk.splitlines() or [""])
+        numbered = list(islice(self, count))
+        return _Block([text for _, text in numbered], [lineno for lineno, _ in numbered])
+
+
+def _plain(chunks: List[str]) -> bool:
+    """Whether each chunk is one ASCII line with no '#' and something besides
+    whitespace, ending in a newline (the last one may instead end the
+    source): such a chunk is its own content line, and numpy's reader splits
+    it into the cells ``str.split`` makes."""
+    text = "".join(chunks)
+    if not text.isascii() or any(c in text for c in "#\r\x0b\x0c\x1c\x1d\x1e"):
+        return False
+    last = len(chunks) - 1
+    for k, chunk in enumerate(chunks):
+        end = chunk.find("\n")
+        if not chunk or chunk.isspace() or (end != len(chunk) - 1 and not (k == last and end < 0)):
+            return False
+    return True
+
+
+@dataclass
+class _Block:
+    """Lines of matrix rows: their texts (each as ``str.split`` splits it into
+    cells), their line numbers, and whether they are plain lines."""
+
+    texts: List[str]
+    numbers: Sequence[int]
+    plain: bool = False
+
+
+def content_lines(source: Union[str, Iterable[str]]) -> "_Lines":
+    """The numbered content lines of ``source``; see ``_Lines``."""
+    return _Lines(source)
+
+
+def read_degrees(lines: "_Lines", rows: int, cols: int) -> np.ndarray:
     """The rows x cols matrix of degrees in [0,1] that the remaining
-    ``content_lines`` hold, one matrix row per line.
+    ``lines`` hold, one matrix row per line.
 
-    Each row block of at most ``_BLOCK_CELLS`` cells is read by one
-    ``np.loadtxt``, and nothing rows x cols in size is allocated before the
-    rows have arrived.  Errors come in line order: the first offending row
-    length or cell in row-major order, then the row count."""
+    Each row block of at most ``_BLOCK_CELLS`` cells is read at once, and
+    nothing rows x cols in size is allocated before the rows have arrived.
+    Errors come in line order: the first offending row length or cell in
+    row-major order, then the row count."""
     mat = np.empty((0, cols))
     for s in _row_blocks(rows, cols):
-        block = list(islice(lines, s.stop - s.start))
-        if block:
+        block = lines.rows(s.stop - s.start)
+        if block.texts:
             degrees = _read_block(block, s.start, cols)
             # mat grows in place (no view of it exists): no second copy is made
-            mat.resize((s.start + len(block), cols), refcheck=False)
+            mat.resize((s.start + len(block.texts), cols), refcheck=False)
             mat[s.start:] = degrees
-        if len(block) < s.stop - s.start:
+        if len(block.texts) < s.stop - s.start:
             break
     found = len(mat) + sum(1 for _ in lines)  # rows past the last are only counted
     if found != rows:
@@ -272,17 +465,21 @@ def read_degrees(lines: Iterator[Tuple[int, str]], rows: int, cols: int) -> np.n
     return mat
 
 
-def _read_block(block: List[Tuple[int, str]], first_row: int, cols: int) -> np.ndarray:
+def _read_block(block: _Block, first_row: int, cols: int) -> np.ndarray:
     """The degrees on ``block``'s lines, rows ``first_row + 1, ...`` of the
     matrix.  A block the reader rejects is walked cell by cell, each cell
     judged by the same reader, to name its first offending cell."""
+    if block.plain:
+        mat = _read_decimals(block.texts, cols)
+        if mat is not None:
+            return mat
     try:
-        mat = np.loadtxt([text for _, text in block], ndmin=2, comments=None)
-        if mat.shape[1] == cols and ((mat >= 0.0) & (mat <= 1.0)).all():  # NaN fails too
+        mat = np.loadtxt(block.texts, ndmin=2, comments=None)
+        if mat.shape == (len(block.texts), cols) and ((mat >= 0.0) & (mat <= 1.0)).all():  # NaN fails too
             return mat
     except ValueError:
         pass
-    for r, (lineno, text) in enumerate(block, start=first_row + 1):
+    for r, (lineno, text) in enumerate(zip(block.numbers, block.texts), start=first_row + 1):
         cells = text.split()  # numpy's reader splits on the same whitespace
         if len(cells) != cols:
             raise RelationParseError(f"line {lineno}: row {r} has {len(cells)} entries, expected {cols}")
@@ -294,8 +491,113 @@ def _read_block(block: List[Tuple[int, str]], first_row: int, cols: int) -> np.n
                 raise RelationParseError(f"{where}: not a number: {cell!r}") from None
             if not 0.0 <= v <= 1.0:
                 raise RelationParseError(f"{where}: degree {v!r} outside [0,1]")
-    last = first_row + len(block)
-    raise RelationParseError(f"line {block[0][0]}: rows {first_row + 1} to {last} do not read as a matrix")
+    last = first_row + len(block.texts)
+    raise RelationParseError(f"line {block.numbers[0]}: rows {first_row + 1} to {last} do not read as a matrix")
+
+
+def _read_decimals(lines: List[str], cols: int) -> Optional[np.ndarray]:
+    """The degrees of plain lines read by ``_decimals`` one text block at a
+    time, or None where it refuses a block."""
+    step = max(1, _TEXT_CELLS // cols)
+    parts = []
+    for lo in range(0, len(lines), step):
+        part = _decimals("".join(lines[lo:lo + step]), min(step, len(lines) - lo), cols)
+        if part is None:
+            return None
+        parts.append(part)
+    return np.concatenate(parts) if len(parts) > 1 else parts[0]
+
+
+def _decimals(text: str, rows: int, cols: int) -> Optional[np.ndarray]:
+    """The rows x cols degrees of ``text``, or None: where a row has another
+    shape, the tokens average under 10 bytes (short ones read faster as
+    floats), more than 1 in 16 is not a plain decimal, or a degree is not a
+    number in [0,1]."""
+    if not text.endswith("\n"):
+        text += "\n"
+    n = rows * cols
+    if len(text) < 10 * n:
+        return None
+    b = np.frombuffer(text.encode("ascii"), np.uint8)
+    ends = np.flatnonzero(b <= 32)  # the space or newline after each token
+    if ends.size != n:
+        return None
+    seps = np.take(b, ends).reshape(rows, cols)
+    if not ((seps[:, -1] == 10).all() and (seps[:, :-1] == 32).all()):
+        return None
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    np.add(ends[:-1], 1, out=starts[1:])
+    length = ends - starts
+    if length.min() < 1:
+        return None
+    lead = np.take(b, starts)
+    dotted = np.take(b, starts + 1) == 46
+    plain = (lead - np.uint8(48) <= 1) & np.where(dotted, (length >= 3) & (length <= 21), length == 1)
+    if any(c in text for c in "eE+-"):  # e-notation (or a sign) leaves its token to float()
+        plain[np.searchsorted(ends, np.flatnonzero((b == 101) | (b == 69) | (b == 43) | (b == 45)))] = False
+    other = np.flatnonzero(~plain)
+    dots = np.flatnonzero(dotted & plain)
+    if other.size > n // 16:
+        return None
+    # each plain token as one integer: its lead digit and point become spaces
+    digits = bytearray(b)
+    view = np.frombuffer(digits, np.uint8)
+    for i in other.tolist():
+        view[starts[i]:ends[i]] = 48
+    view[starts[dots]] = 32
+    view[starts[dots] + 1] = 32
+    try:  # numpy's integer reader refuses every byte a plain token may not hold
+        ints = np.fromstring(bytes(digits), dtype=np.uint64, sep=" ")
+    except ValueError:
+        return None
+    if ints.size != n:
+        return None
+    whole = np.take(lead, dots) == 49
+    fractions = np.take(ints, dots)
+    if fractions[whole].any():
+        return None
+    values = (lead == 49).astype(float)
+    degrees, undecided = _quotients(fractions, np.take(length, dots) - 2)
+    values[dots] = degrees + whole
+    for i in np.concatenate([other, dots[undecided]]).tolist():
+        try:
+            v = float(text[starts[i]:ends[i]])
+        except ValueError:
+            return None
+        if not 0.0 <= v <= 1.0:
+            return None
+        values[i] = v
+    return values.reshape(rows, cols)
+
+
+def _quotients(F: np.ndarray, k: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """F / 10**k rounded to the nearest float (ties to even) for F < 2**64
+    and k <= 19, and where that rounding is not decided.
+
+    The double-double quotient q1 + q2 is within about 2**-100 of F / 10**k
+    relative; its rounded sum x is the correctly rounded quotient unless the
+    sum lies within 2**-40 ulp of a midpoint between two floats."""
+    fh = F.astype(float)
+    fl = (F - fh.astype(np.uint64)).view(np.int64).astype(float)  # F = fh + fl exactly
+    d = np.take(_POW10, k)
+    q1 = fh / d
+    p, e = _times_power(q1, k)
+    q2 = fh - p
+    q2 -= e
+    q2 += fl
+    q2 /= d
+    x = q1 + q2
+    err = q1 - x
+    err += q2
+    np.abs(err, out=err)
+    # a midpoint lies 2**-53 times the power of two at or below x from x
+    # (2**-54 below a power of two, where the ulp halves)
+    scale = (x.view(np.uint64) & np.uint64(0x7FF0000000000000)).view(float)
+    half = scale * 2.0**-53
+    undecided = np.abs(err - half) < scale * 2.0**-92
+    undecided |= np.abs(err - half * 0.5) < scale * 2.0**-93
+    return x, undecided
 
 
 def parse_relation(source: Union[str, Iterable[str]]) -> FuzzyRelation:
@@ -341,8 +643,3 @@ def not_utf8(path) -> RelationParseError:
                     f"{path}: line {lineno}: byte {exc.start + 1} (0x{raw[exc.start]:02x}) is not UTF-8 text"
                 )
     return RelationParseError(f"{path}: not UTF-8 text")
-
-
-def save_relation(R: FuzzyRelation, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_lines(R))

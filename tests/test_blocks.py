@@ -9,6 +9,8 @@ block, and sizes that leave a partial last block; the module constant is
 also shrunk to a few cells so small matrices span many blocks.
 """
 
+import contextlib
+import os
 import tracemalloc
 
 import numpy as np
@@ -34,6 +36,7 @@ from fuzzdec import (
     make_custom,
     make_norm,
     restricted_decomposability,
+    save_relation,
     strong_region,
     t_transitive_closure,
     triplet_from_decomposition,
@@ -41,6 +44,7 @@ from fuzzdec import (
     verify_weak,
     weak_region,
 )
+from fuzzdec.cli import main
 from fuzzdec.decompose import residual_array
 from fuzzdec.divisors import intersection
 from fuzzdec.operators import EPSILON
@@ -420,6 +424,19 @@ def test_decompose_and_audit_memory_is_bounded():
     S = make_conorm("hamacher", 2.0)
     peak = peak_bytes(lambda: audit_fp(triplet_from_decomposition(R, canonical_decompose(R, S))))
     assert peak < 5 * n * n * 8
+
+
+@pytest.mark.parametrize("grid", [False, True])
+def test_decompose_command_memory_is_bounded(tmp_path, grid):
+    # the relation, its two parts and one row block of text and temporaries;
+    # printing each part whole held its ~15 MB of text and a list of its lines
+    n = 1000
+    path = tmp_path / "r.rel"
+    save_relation(random_relation(np.random.default_rng(3), n, grid), path)
+    argv = ["decompose", "--relation", str(path), "--conorm", "lukasiewicz", "--norm", "lukasiewicz"]
+    with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+        peak = peak_bytes(lambda: main(argv))
+    assert peak < 4 * n * n * 8
 
 
 def test_weak_region_memory_is_bounded():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzdec import cli, make_custom
+from fuzzdec import cli, decompose, make_custom
 from fuzzdec.cli import main
 from fuzzdec.relations import FuzzyRelation, format_relation, parse_relation
 
@@ -61,6 +61,16 @@ def test_decompose_strong_mode(showcase_file, capsys):
     )
     assert code == 0
     assert "strong decomposition verified" in out
+
+
+def test_strong_decompose_is_verified_once(showcase_file, capsys, monkeypatch):
+    calls = []
+    verify_strong = decompose.verify_strong
+    monkeypatch.setattr(decompose, "verify_strong", lambda *args: calls.append(args) or verify_strong(*args))
+    argv = ["decompose", "--relation", showcase_file, "--conorm", "lukasiewicz", "--norm", "lukasiewicz"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and len(calls) == 1
+    assert out.endswith("# verification: HOLDS -- strong decomposition verified\n")
 
 
 def test_audit_subcommand(showcase_file, capsys):
