@@ -42,8 +42,8 @@ from .preferences import (
 )
 from .regions import restricted_decomposability, strong_region, weak_region
 from .relations import (
+    ContentLines,
     RelationParseError,
-    content_lines,
     format_relation,
     load_relation,
     not_utf8,
@@ -102,7 +102,7 @@ def _table_operator(path: str, kind: Kind) -> BinaryOp:
 
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            lines = content_lines(fh)
+            lines = ContentLines(fh)
             if next(lines, (None, None))[1] != "fuzzop v1":
                 raise ValueError(f"{path}: expected header 'fuzzop v1'")
             head = next(lines, (None, ""))[1].split()

@@ -368,7 +368,7 @@ def save_relation(R: FuzzyRelation, path) -> None:
             fh.write(format_relation(R, rows))
 
 
-class _Lines:
+class ContentLines:
     """The numbered lines of a relation file or operator table: one string,
     or an iterable of lines such as an open file, which streams.  Iterating
     gives (line number, text) of each line that is not blank once its '#'
@@ -382,7 +382,7 @@ class _Lines:
         self._parts = deque()  # lines of chunks already taken, not yet numbered
         self.lineno = 0
 
-    def __iter__(self) -> "_Lines":
+    def __iter__(self) -> "ContentLines":
         return self
 
     def __next__(self) -> Tuple[int, str]:
@@ -436,12 +436,7 @@ class _Block:
     plain: bool = False
 
 
-def content_lines(source: Union[str, Iterable[str]]) -> "_Lines":
-    """The numbered content lines of ``source``; see ``_Lines``."""
-    return _Lines(source)
-
-
-def read_degrees(lines: "_Lines", rows: int, cols: int) -> np.ndarray:
+def read_degrees(lines: ContentLines, rows: int, cols: int) -> np.ndarray:
     """The rows x cols matrix of degrees in [0,1] that the remaining
     ``lines`` hold, one matrix row per line.
 
@@ -603,7 +598,7 @@ def _quotients(F: np.ndarray, k: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def parse_relation(source: Union[str, Iterable[str]]) -> FuzzyRelation:
     """Parse a relation file given as one string or as an iterable of lines
     (an open file streams: no copy of the whole text is made)."""
-    lines = content_lines(source)
+    lines = ContentLines(source)
     lineno, header = next(lines, (None, None))
     if header is None:
         raise RelationParseError("empty relation file")
