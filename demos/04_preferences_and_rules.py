@@ -52,8 +52,8 @@ print("  P(a,b) =", d1.strict.value("a", "b"), "or", d2.strict.value("a", "b"),
       audit_fp(triplet_from_decomposition(R, d1)).overall,
       audit_fp(triplet_from_decomposition(R, d2)).overall)
 print("  maximum admits no such witness on a 1/100 sweep:",
-      find_collapse_witness(make_conorm("max"), 0.01))
-print("  probabilistic sum neither:", find_collapse_witness(make_conorm("prob"), 0.01))
+      find_collapse_witness(make_conorm("max")))
+print("  probabilistic sum neither:", find_collapse_witness(make_conorm("prob")))
 print()
 
 print("Rule classification (weak):")

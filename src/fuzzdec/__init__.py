@@ -48,7 +48,6 @@ from .relations import (
 from .decompose import (
     Decomposition,
     DecompositionError,
-    Mode,
     ResidualValue,
     bisection_residual,
     canonical_decompose,
@@ -61,7 +60,6 @@ from .decompose import (
     verify_weak,
 )
 from .preferences import (
-    DecompositionRule,
     FPReport,
     PreferenceTriplet,
     RuleClass,

@@ -10,6 +10,10 @@ UNKNOWN.  `audit` samples FP6 quadruples above 21 elements and takes
 --seed for that, 0 by default; identical seeds give identical reports, and
 a sampled FP6 pass prints as a pass naming its sample.  `tables --seed` is
 accepted and range-checked but has no effect: no rule check is sampled.
+`check-norm --grid-step` lies in [1/2000, 1], the finest grid `region` and
+`restricted` take too.  `divisors` prints the one- or zero-interval at --w
+of each operator given, and with both --conorm and --norm also strong
+existence and uniqueness; one operator alone needs --w.
 """
 
 from __future__ import annotations
@@ -200,6 +204,9 @@ def _cmd_divisors(args) -> int:
     T = _load_op(args.norm, Kind.NORM) if args.norm else None
     if S is None and T is None:
         print("error: give at least one of --conorm / --norm", file=sys.stderr)
+        return USAGE_ERROR
+    if (S is None or T is None) and args.w is None:
+        print(f"error: --{'conorm' if T is None else 'norm'} alone needs --w", file=sys.stderr)
         return USAGE_ERROR
     rc = OK
     if args.w is not None:

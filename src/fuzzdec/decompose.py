@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -23,11 +22,6 @@ from .operators import EPSILON, BinaryOp, Kind
 from .divisors import _bisect, existence
 from .relations import FuzzyRelation, _first_cell, _row_blocks, asymmetry_violation, symmetry_violation
 from .verdicts import TriState, Verdict, fails, holds
-
-
-class Mode(Enum):
-    STRONG = "strong"
-    WEAK = "weak"
 
 
 class DecompositionError(ValueError):
@@ -52,17 +46,14 @@ class ResidualValue:
 
 @dataclass(frozen=True)
 class Decomposition:
+    """P and I under the conorm; strong exactly when ``norm`` is set."""
+
     strict: FuzzyRelation
     indifference: FuzzyRelation
     conorm: BinaryOp
     norm: Optional[BinaryOp] = None
-    mode: Mode = Mode.WEAK
     # the verdict of the check that accepted the decomposition, where one did
     verification: Optional[TriState] = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if self.mode is Mode.STRONG and self.norm is None:
-            raise ValueError("a strong decomposition must reference its norm")
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +129,6 @@ def canonical_decompose(R: FuzzyRelation, S: BinaryOp) -> Decomposition:
         strict=FuzzyRelation._adopt(R.universe, p_mat),
         indifference=FuzzyRelation._adopt(R.universe, i_mat),
         conorm=S,
-        norm=None,
-        mode=Mode.WEAK,
     )
 
 
@@ -156,7 +145,7 @@ def strong_decompose(R: FuzzyRelation, T: BinaryOp, S: BinaryOp) -> Decompositio
             f"no strong decomposition under ({T.display_name}, {S.display_name}): {exist.detail}"
         )
     weak = canonical_decompose(R, S)
-    d = Decomposition(weak.strict, weak.indifference, S, T, Mode.STRONG)
+    d = Decomposition(weak.strict, weak.indifference, S, T)
     check = verify_strong(R, d, T)
     if check.verdict is Verdict.FAILS:
         raise DecompositionError(f"canonical pair fails the norm condition: {check.detail}")
@@ -237,13 +226,15 @@ def _grid_values(grid_step: float) -> np.ndarray:
     return np.arange(n + 1) / n
 
 
+_MAX_CANDIDATES = 500_000
+
+
 def enumerate_decompositions(
     R: FuzzyRelation,
     S: BinaryOp,
     T: Optional[BinaryOp] = None,
     grid_step: float = 0.01,
     search_indifference: bool = False,
-    max_results: int = 500_000,
 ) -> List[Decomposition]:
     """All grid-valued decompositions of R with respect to S (and T when a
     strong decomposition is requested).
@@ -319,10 +310,8 @@ def enumerate_decompositions(
     total = 1
     for opts in diag_choices + pair_choices:
         total *= len(opts)
-        if total > max_results:
-            raise ValueError(
-                f"combinatorial bound exceeded: more than {max_results} candidates"
-            )
+        if total > _MAX_CANDIDATES:
+            raise ValueError(f"combinatorial bound exceeded: more than {_MAX_CANDIDATES} candidates")
     if total == 0:
         return []
 
@@ -337,13 +326,7 @@ def enumerate_decompositions(
                 I[a, b] = I[b, a] = i
                 P[a, b] = p_ab
                 P[b, a] = p_ba
-            d = Decomposition(
-                FuzzyRelation(R.universe, P),
-                FuzzyRelation(R.universe, I),
-                S,
-                T,
-                Mode.STRONG if T is not None else Mode.WEAK,
-            )
+            d = Decomposition(FuzzyRelation(R.universe, P), FuzzyRelation(R.universe, I), S, T)
             if verify_weak(R, d).verdict is not Verdict.HOLDS:
                 continue
             if T is not None and verify_strong(R, d, T).verdict is not Verdict.HOLDS:

@@ -29,6 +29,12 @@ from .verdicts import TriState, fails, holds, unknown
 # Absolute tolerance for comparisons between membership degrees.
 EPSILON = 1e-9
 
+# The sweeps that check a custom operator: t on a 1e-3 grid at each of 101
+# values of w, and (t, s, w) on a 0.01 grid for collapses.
+_T_STEP = 1e-3
+_W_STEP = 0.01
+_COLLAPSE_STEP = 0.01
+
 
 class Kind(Enum):
     NORM = "norm"
@@ -223,6 +229,8 @@ def check_norm_axioms(op: BinaryOp, grid: float = 0.01) -> TriState:
     the sweep earn UNKNOWN, never HOLDS.
     """
 
+    if 0.0 < grid < 1.0 / 2000.0:  # the (0, 1] range check of `degree_grid` names the rest
+        raise ValueError(f"grid step below 1/2000 is not supported, got {grid:g}")
     g = _as_grid(grid, op)
     zeros = np.zeros_like(g)
     ones = np.ones_like(g)
@@ -304,7 +312,7 @@ def check_norm_axioms(op: BinaryOp, grid: float = 0.01) -> TriState:
 # first-coordinate continuity
 
 
-def check_first_coordinate_continuity(op: BinaryOp, resolution: float = 1e-3) -> TriState:
+def check_first_coordinate_continuity(op: BinaryOp) -> TriState:
     """Continuity of t -> op(t, w) for every fixed w.
 
     For commutative monotone operators separate continuity in one coordinate
@@ -313,16 +321,14 @@ def check_first_coordinate_continuity(op: BinaryOp, resolution: float = 1e-3) ->
     the first-coordinate check is exposed.
     """
 
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
     if op.is_builtin:
         if op.record.continuous:
             return holds(f"{op.display_name} is continuous on [0,1]^2")
         w = 0.5
         if op.kind is Kind.CONORM:
-            t0, t1 = 0.0, min(resolution, 1e-3)
+            t0, t1 = 0.0, _T_STEP
         else:
-            t1, t0 = 1.0, 1.0 - min(resolution, 1e-3)
+            t1, t0 = 1.0, 1.0 - _T_STEP
         v0, v1 = op(t0, w), op(t1, w)
         return fails(
             (t0, t1, w),
@@ -330,31 +336,28 @@ def check_first_coordinate_continuity(op: BinaryOp, resolution: float = 1e-3) ->
         )
 
     # sampled scan for custom operators: flag jumps much larger than the step
-    grid = degree_grid(resolution)
-    ws = degree_grid(max(resolution, 0.01))
-    jump_tol = max(0.05, 20.0 * resolution)
+    grid = degree_grid(_T_STEP)
+    ws = degree_grid(_W_STEP)
     for w in ws:
         vals = np.asarray(op.evaluator(grid, np.full_like(grid, w)), dtype=float)
         jumps = np.abs(np.diff(vals))
         k = int(np.argmax(jumps))
-        if jumps[k] > jump_tol:
+        if jumps[k] > 0.05:
             return fails(
                 (float(grid[k]), float(grid[k + 1]), float(w)),
                 f"jump of {jumps[k]:g} across adjacent grid points",
             )
-    return unknown(f"no jump above {jump_tol:g} on {grid.size} points of t at each of {ws.size} w")
+    return unknown(f"no jump above 0.05 on {grid.size} points of t at each of {ws.size} w")
 
 
 # ---------------------------------------------------------------------------
 # strict increasingness in the first coordinate
 
 
-def check_strictly_increasing_first(op: BinaryOp, resolution: float = 1e-3) -> TriState:
+def check_strictly_increasing_first(op: BinaryOp) -> TriState:
     """Strict increase of t -> op(t,w): on [0,1) with w < 1 for conorms, on
     (0,1] with w > 0 for norms (the only strictness a t-operator can have)."""
 
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
     if op.is_builtin:
         witness = op.record.strict_conorm if op.kind is Kind.CONORM else op.record.strict_norm
         if witness is None:
@@ -365,9 +368,9 @@ def check_strictly_increasing_first(op: BinaryOp, resolution: float = 1e-3) -> T
             f"op({t:g},{w:g}) = op({s:g},{w:g}) = {op(t, w):g}",
         )
 
-    grid = degree_grid(resolution)
+    grid = degree_grid(_T_STEP)
     inner = grid[grid < 1.0] if op.kind is Kind.CONORM else grid[grid > 0.0]
-    ws = degree_grid(max(resolution, 0.01))
+    ws = degree_grid(_W_STEP)
     ws = ws[ws < 1.0] if op.kind is Kind.CONORM else ws[ws > 0.0]
     for w in ws:
         vals = np.asarray(op.evaluator(inner, np.full_like(inner, w)), dtype=float)
@@ -385,7 +388,7 @@ def check_strictly_increasing_first(op: BinaryOp, resolution: float = 1e-3) -> T
 # collapse-implies-absorption (the uniqueness hypothesis for rule inducement)
 
 
-def check_collapse_implies_absorption(op: BinaryOp, resolution: float = 0.01) -> TriState:
+def check_collapse_implies_absorption(op: BinaryOp) -> TriState:
     """Whether S(t,w) = S(s,w) with t != s forces S(t,w) = w.
 
     Strictly increasing conorms satisfy this vacuously; the maximum satisfies
@@ -399,10 +402,9 @@ def check_collapse_implies_absorption(op: BinaryOp, resolution: float = 0.01) ->
             return holds(f"collapses of {op.display_name} only happen at the absorbed value")
         witness = op.record.collapse
     else:
-        step = max(resolution, 0.005)
-        witness = find_collapse_witness(op, step)
+        witness = find_collapse_witness(op)
         if witness is None:
-            return unknown(f"no collapse above the absorbed value on the grid of step {step:g} in t, s and w")
+            return unknown(f"no collapse above the absorbed value on the grid of step {_COLLAPSE_STEP:g} in t, s and w")
     w, t, s = witness
     return fails(
         (w, t, s),
@@ -410,11 +412,11 @@ def check_collapse_implies_absorption(op: BinaryOp, resolution: float = 0.01) ->
     )
 
 
-def find_collapse_witness(S: BinaryOp, step: float = 0.01) -> Optional[Tuple[float, float, float]]:
+def find_collapse_witness(S: BinaryOp) -> Optional[Tuple[float, float, float]]:
     """Grid sweep for (w, t, s) with S(t,w) = S(s,w) > w and t != s; None if
     the precondition is unsatisfiable on the grid."""
 
-    g = degree_grid(step, ())
+    g = degree_grid(_COLLAPSE_STEP)
     T_, S_, W = np.meshgrid(g, g, g, indexing="ij")
     vt = np.asarray(S.evaluator(T_, W), dtype=float)
     vs = np.asarray(S.evaluator(S_, W), dtype=float)
@@ -430,14 +432,12 @@ def find_collapse_witness(S: BinaryOp, step: float = 0.01) -> Optional[Tuple[flo
 # equivalence in decomposed preferences)
 
 
-def check_strict_near_zero(op: BinaryOp, resolution: float = 1e-3) -> TriState:
+def check_strict_near_zero(op: BinaryOp) -> TriState:
     """Whether for every w in [0,1) the section t -> S(t,w) is strictly
     increasing on some [0, eps]."""
 
     if op.kind is not Kind.CONORM:
         raise ValueError("strict-near-zero is a conorm property")
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
     if op.is_builtin:
         if op.record.flat_near_zero is None:
             return holds(f"{op.display_name} rises strictly from t=0 for every w < 1")
@@ -447,11 +447,10 @@ def check_strict_near_zero(op: BinaryOp, resolution: float = 1e-3) -> TriState:
             f"S({t:g},{w:g}) = {op(t, w):g} and S({s:g},{w:g}) = {op(s, w):g}: flat near 0",
         )
 
-    ws = degree_grid(max(resolution, 0.01))
+    ws = degree_grid(_W_STEP)
     ws = ws[ws < 1.0]
-    step = min(resolution, 0.01)
     for w in ws:
         # a flat stretch starting at t=0 refutes the claim outright
-        if abs(op(0.0, w) - op(step, w)) <= 1e-15:
-            return fails((float(w), 0.0, step), "section is flat on an initial segment")
-    return unknown(f"no flat section on [0, {step:g}] at each of {ws.size} w")
+        if abs(op(0.0, w) - op(_T_STEP, w)) <= 1e-15:
+            return fails((float(w), 0.0, _T_STEP), "section is flat on an initial segment")
+    return unknown(f"no flat section on [0, {_T_STEP:g}] at each of {ws.size} w")

@@ -29,7 +29,7 @@ whose degrees lie on the 1/20 grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, Optional, Tuple
 
@@ -39,7 +39,6 @@ from .operators import EPSILON, BinaryOp, Kind, check_collapse_implies_absorptio
 from .decompose import (
     Decomposition,
     DecompositionError,
-    Mode,
     _grid_values,
     canonical_decompose,
     strong_decompose,
@@ -55,6 +54,9 @@ from .relations import (
 from .verdicts import TriState, Verdict, fails, holds, unknown
 
 FP_AXIOMS = ("FP1", "FP2", "FP3", "FP4", "FP5", "FP6")
+
+# quadruples of the FP6 sample above 21 elements
+_FP6_SAMPLE = 100_000
 
 
 @dataclass(frozen=True)
@@ -102,11 +104,7 @@ def _fp_text(v: TriState) -> str:
     return "pass" + (f" ({v.detail})" if v.verdict is Verdict.UNKNOWN else "")
 
 
-def audit_fp(
-    t: PreferenceTriplet,
-    fp6_sample: int = 100_000,
-    seed: int = 0,
-) -> FPReport:
+def audit_fp(t: PreferenceTriplet, seed: int = 0) -> FPReport:
     """Audit all six axioms.  FP1-FP5 are exhaustive over ordered pairs.
     FP6 is exhaustive over quadruples for universes of at most 21 elements
     and falls back to seeded random sampling above that; a sampled pass is
@@ -141,8 +139,8 @@ def audit_fp(
         )
     else:
         rng = np.random.default_rng(seed)
-        a = rng.integers(0, n * n, size=fp6_sample)
-        b = rng.integers(0, n * n, size=fp6_sample)
+        a = rng.integers(0, n * n, size=_FP6_SAMPLE)
+        b = rng.integers(0, n * n, size=_FP6_SAMPLE)
         viol = (i_flat[a] <= i_flat[b]) & (p_flat[a] <= p_flat[b]) & (r_flat[a] > r_flat[b] + EPSILON)
         hits = np.flatnonzero(viol)
         pair = (int(a[hits[0]]), int(b[hits[0]])) if hits.size else None
@@ -150,7 +148,7 @@ def audit_fp(
         a, b = pair
         out["FP6"] = fails((labels[a // n], labels[a % n], labels[b // n], labels[b % n]))
     else:
-        out["FP6"] = holds() if exhaustive else unknown(f"sampled: {fp6_sample} quadruples, seed {seed}")
+        out["FP6"] = holds() if exhaustive else unknown(f"sampled: {_FP6_SAMPLE} quadruples, seed {seed}")
     return FPReport(out)
 
 
@@ -164,34 +162,17 @@ def _pair_verdict(labels, cell: Optional[Tuple[int, int]]) -> TriState:
 # decomposition rules
 
 
-@dataclass(frozen=True)
-class DecompositionRule:
-    """A map sending each relation to a (P, I) pair meant to make
-    (R, P, I) a fuzzy preference."""
-
-    name: str
-    conorm: BinaryOp
-    norm: Optional[BinaryOp]
-    apply: Callable[[FuzzyRelation], Decomposition] = field(compare=False)
-
-    def __call__(self, R: FuzzyRelation) -> Decomposition:
-        return self.apply(R)
-
-
-def make_rule(S: BinaryOp, T: Optional[BinaryOp] = None) -> DecompositionRule:
-    """The canonical rule R |-> (residual P, min I).  Raises where
-    `existence` FAILS (no rule can exist then)."""
+def make_rule(S: BinaryOp, T: Optional[BinaryOp] = None) -> Callable[[FuzzyRelation], Decomposition]:
+    """The canonical rule R |-> (residual P, min I), a map sending each
+    relation to a (P, I) pair meant to make (R, P, I) a fuzzy preference.
+    Raises where `existence` FAILS (no rule can exist then)."""
 
     exist = existence(S, T)
     if exist.verdict is Verdict.FAILS:
         raise DecompositionError(f"no decomposition rule exists: {exist.detail}")
     if T is None:
-        fn = lambda R: canonical_decompose(R, S)
-        name = f"canonical[{S.spec_string()}]"
-    else:
-        fn = lambda R: strong_decompose(R, T, S)
-        name = f"canonical[{T.spec_string()},{S.spec_string()}]"
-    return DecompositionRule(name, S, T, fn)
+        return lambda R: canonical_decompose(R, S)
+    return lambda R: strong_decompose(R, T, S)
 
 
 def tie_strict_max_decomposition(R: FuzzyRelation) -> Decomposition:
@@ -206,13 +187,7 @@ def tie_strict_max_decomposition(R: FuzzyRelation) -> Decomposition:
     m = R.degrees
     P = np.where((m > m.T) | np.triu((m == m.T) & (m < 1.0), 1), m, 0.0)
     I = np.minimum(m, m.T)
-    return Decomposition(
-        FuzzyRelation(R.universe, P),
-        FuzzyRelation(R.universe, I),
-        make_conorm("minimum"),
-        None,
-        Mode.WEAK,
-    )
+    return Decomposition(FuzzyRelation(R.universe, P), FuzzyRelation(R.universe, I), make_conorm("minimum"))
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +222,7 @@ def mj_counterexample(
     def decomp(p_ab: float) -> Decomposition:
         P = np.zeros((2, 2))
         P[0, 1] = p_ab
-        return Decomposition(
-            FuzzyRelation(universe, P), FuzzyRelation(universe, I), S, None, Mode.WEAK
-        )
+        return Decomposition(FuzzyRelation(universe, P), FuzzyRelation(universe, I), S)
 
     return R, decomp(t), decomp(s)
 
@@ -315,8 +288,8 @@ def _classify_computed(S: BinaryOp, T: Optional[BinaryOp]) -> RuleClassification
             exist.witness,
         )
 
-    try:
-        d = make_rule(S, T)(GRID_RELATION)
+    try:  # existence is checked above; `make_rule` would ask it once more
+        d = canonical_decompose(GRID_RELATION, S) if T is None else strong_decompose(GRID_RELATION, T, S)
     except DecompositionError as exc:
         # e.g. drastic x Schweizer-Sklar at lambda near 0: the pair exists
         # in real arithmetic but no float P satisfies S(P,I) = 1, T(P,I) = 0

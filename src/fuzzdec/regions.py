@@ -32,7 +32,6 @@ from .verdicts import TriState, Verdict, fails, holds, unknown
 class RegionGrid:
     """Boolean rasterisation of a decomposability region over [0,1]^2."""
 
-    resolution: float
     axis: np.ndarray
     membership: np.ndarray
 
@@ -119,7 +118,7 @@ def weak_region(S: BinaryOp, resolution: float = 1 / 200) -> RegionGrid:
 
     test = _cell_test(S)
     ax = _axis(resolution)
-    return RegionGrid(resolution, ax, _rasterise(ax, test))
+    return RegionGrid(ax, _rasterise(ax, test))
 
 
 def _strongly_decomposable(T: BinaryOp, S: BinaryOp, i, r) -> np.ndarray:
@@ -147,7 +146,7 @@ def strong_region(T: BinaryOp, S: BinaryOp, resolution: float = 1 / 200) -> Regi
 
     test = _cell_test(S, T)
     ax = _axis(resolution)
-    return RegionGrid(resolution, ax, _rasterise(ax, test))
+    return RegionGrid(ax, _rasterise(ax, test))
 
 
 def _cell_test(S: BinaryOp, T: Optional[BinaryOp] = None):

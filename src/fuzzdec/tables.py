@@ -48,7 +48,7 @@ NORM_LABELS = {
 }
 ROWS = NORM_FAMILIES + (WEAK_ROW,)
 
-DEFAULT_LAMBDA_SAMPLES = (-math.inf, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, math.inf)
+LAMBDA_SAMPLES = (-math.inf, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, math.inf)
 
 
 class Table1Verdict(Enum):
@@ -182,16 +182,16 @@ def _generate(which: int, lambda_samples: Sequence[float]) -> List[TableCell]:
     return cells
 
 
-def generate_table1(lambda_samples: Sequence[float] = DEFAULT_LAMBDA_SAMPLES) -> List[TableCell]:
+def generate_table1() -> List[TableCell]:
     """Existence/uniqueness verdicts computed by `divisors.existence` and
     `divisors.uniqueness`, one cell per (norm family, conorm family) plus a
     weak-decomposition row."""
-    return _generate(1, lambda_samples)
+    return _generate(1, LAMBDA_SAMPLES)
 
 
-def generate_table2(lambda_samples: Sequence[float] = DEFAULT_LAMBDA_SAMPLES) -> List[TableCell]:
+def generate_table2() -> List[TableCell]:
     """Rule-classification verdicts computed by classify_rule."""
-    return _generate(2, lambda_samples)
+    return _generate(2, LAMBDA_SAMPLES)
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +248,14 @@ def _row_label(row: str) -> str:
     return NORM_LABELS[row]
 
 
-def oracle_evidence_for_open_cells(lambda_samples: Sequence[float] = DEFAULT_LAMBDA_SAMPLES) -> List[str]:
+def oracle_evidence_for_open_cells() -> List[str]:
     """What the computed checks of classify_rule say about the open cells of
     the rule table, each at the first lambda sample of its regime.
     Informational only: the open cells stay undetermined."""
 
     lines = []
     for row, col, label in OPEN_CELLS:
-        T, S = _ops_for(row, col, _lambdas(row, col, label, lambda_samples)[0])
+        T, S = _ops_for(row, col, _lambdas(row, col, label, LAMBDA_SAMPLES)[0])
         info = classify_rule(S, T)
         says = (info.oracle_verdict or info.verdict).value
         where = f"({_row_label(row)}, {CONORM_LABELS[col]})" + (f" [{label}]" if label else "")

@@ -172,8 +172,8 @@ def test_criterion_6_collapse_witness_suite():
         )
         ok = ok and distinct and valid
     unsat = (
-        find_collapse_witness(make_conorm("max"), 0.01) is None
-        and find_collapse_witness(make_conorm("prob"), 0.01) is None
+        find_collapse_witness(make_conorm("max")) is None
+        and find_collapse_witness(make_conorm("prob")) is None
     )
     report(
         "criterion 6: collapse witnesses give two valid preferences; "

@@ -24,7 +24,6 @@ from fuzzdec import (
     DecompositionError,
     FuzzyRelation,
     Kind,
-    Mode,
     PreferenceTriplet,
     audit_fp,
     canonical_decompose,
@@ -271,7 +270,7 @@ def tampered(R, S, n, rng):
     cells = rng.integers(0, n, size=(3, 2))
     for a, b in cells:
         P[a, b] = P[b, a] = 0.25 if a != b else 0.5
-    return Decomposition(FuzzyRelation(R.universe, P), d.indifference, S, None, Mode.WEAK)
+    return Decomposition(FuzzyRelation(R.universe, P), d.indifference, S)
 
 
 @pytest.mark.parametrize("n", [3, 40, SIDE + 1])
@@ -291,7 +290,7 @@ def test_verification_witnesses_match_whole_array(n, block):
 
     # asymmetric again, but no longer reconstructing R
     P2 = np.zeros_like(P)
-    d2 = Decomposition(FuzzyRelation(R.universe, P2), d.indifference, S, T, Mode.STRONG)
+    d2 = Decomposition(FuzzyRelation(R.universe, P2), d.indifference, S, T)
     recon = np.asarray(S.evaluator(P2, I), dtype=float)
     a, b = first(np.abs(recon - m) > EPSILON)
     got = verify_strong(R, d2, T)
@@ -300,7 +299,7 @@ def test_verification_witnesses_match_whole_array(n, block):
     # reconstructing under the maximum, with T(P, I) > 0 somewhere
     S_max, T_prod = make_conorm("minimum"), make_norm("product")
     d3 = canonical_decompose(R, S_max)
-    d3 = Decomposition(d3.strict, d3.indifference, S_max, T_prod, Mode.STRONG)
+    d3 = Decomposition(d3.strict, d3.indifference, S_max, T_prod)
     P3, I3 = d3.strict.degrees, d3.indifference.degrees
     tvals = np.asarray(T_prod.evaluator(P3, I3), dtype=float)
     a, b = first(tvals > EPSILON)

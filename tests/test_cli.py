@@ -360,11 +360,21 @@ def test_negative_seed_flag_is_named(capsys):
     assert err == "error: --seed must be a non-negative integer, got -1\n"
 
 
-@pytest.mark.parametrize("step", ["nan", "inf", "5", "0"])
+@pytest.mark.parametrize("step", ["nan", "inf", "5", "0", "1e-6", "0.0004999"])
 def test_bad_grid_step_is_named(capsys, step):
+    # below the floor the sweep grid would not fit in memory (1e-6: 10^12 cells)
+    why = "below 1/2000 is not supported" if 0 < float(step) < 1 / 2000 else "must lie in (0, 1]"
     code, out, err = run(capsys, "check-norm", "--op", "minimum", "--kind", "norm", "--grid-step", step)
     assert (code, out) == (2, "")
-    assert err == f"error: grid step must lie in (0, 1], got {float(step):g}\n"
+    assert err == f"error: grid step {why}, got {float(step):g}\n"
+
+
+@pytest.mark.parametrize("flag, op", [("--conorm", "lukasiewicz"), ("--norm", "minimum")])
+def test_divisors_with_one_operator_needs_w(capsys, flag, op):
+    code, out, err = run(capsys, "divisors", flag, op)
+    assert (code, out, err) == (2, "", f"error: {flag} alone needs --w\n")
+    code, out, err = run(capsys, "divisors", flag, op, "--w", "0.5")
+    assert code == 0 and out.count("-interval of ") == 1 and err == ""
 
 
 @pytest.mark.parametrize(

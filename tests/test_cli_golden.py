@@ -3,7 +3,7 @@
 ``tests/data/cli_golden.json`` holds the exit code, stdout and stderr of
 ``check-norm`` (both kinds), ``divisors --w 0.5`` (each side) and weak
 ``classify`` for every built-in family at each lambda of
-``DEFAULT_LAMBDA_SAMPLES`` (Hamacher only lambda >= 0), ``divisors`` and
+``LAMBDA_SAMPLES`` (Hamacher only lambda >= 0), ``divisors`` and
 strong ``classify`` for every (norm, conorm) pair of those operators whose
 lambdas agree, ``tables --which 1|2 --format text|csv`` and the oracle
 evidence for the open cells, ``tables --which 2 --speculate``, weak and
@@ -32,7 +32,7 @@ from fuzzdec import Kind
 from fuzzdec.cli import _load_op, main
 from fuzzdec.divisors import intersection
 from fuzzdec.operators import format_lambda
-from fuzzdec.tables import DEFAULT_LAMBDA_SAMPLES
+from fuzzdec.tables import LAMBDA_SAMPLES
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "cli_golden.json"
@@ -60,8 +60,8 @@ def operators():
     """(spec, lambda or None) for every built-in operator the file covers."""
     ops = [(name, None) for name in PLAIN]
     for family, lams in (
-        ("schweizer_sklar", DEFAULT_LAMBDA_SAMPLES),
-        ("hamacher", [lam for lam in DEFAULT_LAMBDA_SAMPLES if lam >= 0.0]),
+        ("schweizer_sklar", LAMBDA_SAMPLES),
+        ("hamacher", [lam for lam in LAMBDA_SAMPLES if lam >= 0.0]),
     ):
         ops += [(f"{family}:lambda={format_lambda(lam)}", lam) for lam in lams]
     return ops

@@ -222,9 +222,9 @@ def test_ordinal_sum_symmetric_pair_has_zero_canonical_strict_part():
     assert d.strict.value("x", "y") == 0.0
     # yet a different weak decomposition of the same relation places 0.5
     alt = FuzzyRelation(("x", "y"), np.array([[0.0, 0.5], [0.0, 0.0]]))
-    from fuzzdec import Decomposition, Mode
+    from fuzzdec import Decomposition
 
-    d_alt = Decomposition(alt, d.indifference, make_conorm("ordinal_sum"), None, Mode.WEAK)
+    d_alt = Decomposition(alt, d.indifference, make_conorm("ordinal_sum"))
     assert verify_weak(R, d_alt).verdict is Verdict.HOLDS
 
 
@@ -267,9 +267,9 @@ def test_verify_strong_rejects_overlapping_parts():
 def test_verify_strong_accepts_crisp_split():
     R = two_rel(1.0, 0.0)
     P, I = crisp_decompose(R)
-    from fuzzdec import Decomposition, Mode
+    from fuzzdec import Decomposition
 
-    d = Decomposition(P, I, make_conorm("max"), make_norm("min"), Mode.STRONG)
+    d = Decomposition(P, I, make_conorm("max"), make_norm("min"))
     assert verify_strong(R, d, make_norm("min")).verdict is Verdict.HOLDS
 
 
@@ -285,14 +285,14 @@ def test_verify_weak_flags_unit_indifference_with_positive_strict():
     R = two_rel(1.0, 1.0)
     P = FuzzyRelation(("x", "y"), np.array([[0.0, 0.5], [0.0, 0.0]]))
     I = FuzzyRelation(("x", "y"), np.ones((2, 2)))
-    from fuzzdec import Decomposition, Mode
+    from fuzzdec import Decomposition
 
-    d = Decomposition(P, I, make_conorm("max"), None, Mode.WEAK)
+    d = Decomposition(P, I, make_conorm("max"))
     v = verify_weak(R, d)
     assert v.verdict is Verdict.FAILS and "I = 1" in v.detail
 
     zero = FuzzyRelation(("x", "y"), np.zeros((2, 2)))
-    d0 = Decomposition(zero, zero, make_conorm("max"), None, Mode.WEAK)
+    d0 = Decomposition(zero, zero, make_conorm("max"))
     assert verify_weak(FuzzyRelation(("x", "y"), np.zeros((2, 2))), d0).verdict is Verdict.HOLDS
 
 

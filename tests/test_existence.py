@@ -23,7 +23,7 @@ from fuzzdec import (
 )
 from fuzzdec.divisors import existence, uniqueness
 from fuzzdec.preferences import _classify_computed
-from fuzzdec.tables import DEFAULT_LAMBDA_SAMPLES, REFERENCE_TABLE1, Table1Verdict, _lambdas, _ops_for
+from fuzzdec.tables import LAMBDA_SAMPLES, REFERENCE_TABLE1, Table1Verdict, _lambdas, _ops_for
 
 GOLDEN_REGIONS = Path(__file__).resolve().parents[1] / "perfbench" / "golden_regions.json"
 
@@ -31,7 +31,7 @@ GOLDEN_REGIONS = Path(__file__).resolve().parents[1] / "perfbench" / "golden_reg
 def _regimes():
     for (row, col), entries in REFERENCE_TABLE1.items():
         for label, expected in entries:
-            for lam in _lambdas(row, col, label, DEFAULT_LAMBDA_SAMPLES):
+            for lam in _lambdas(row, col, label, LAMBDA_SAMPLES):
                 yield pytest.param(row, col, lam, expected, id=f"{row}-{col}-{label or 'all'}-{lam}")
 
 

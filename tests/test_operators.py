@@ -263,10 +263,10 @@ def test_continuity_sampled_custom():
     step = make_custom(
         lambda x, y: np.where(np.asarray(x) + np.asarray(y) > 0, 1.0, 0.0), Kind.CONORM
     )
-    assert check_first_coordinate_continuity(step, 0.01).verdict is Verdict.FAILS
+    assert check_first_coordinate_continuity(step).verdict is Verdict.FAILS
     smooth = make_custom(lambda x, y: np.minimum(np.asarray(x) + np.asarray(y), 1.0), Kind.CONORM)
-    assert str(check_first_coordinate_continuity(smooth, 0.01)) == (
-        "UNKNOWN -- no jump above 0.2 on 101 points of t at each of 101 w"
+    assert str(check_first_coordinate_continuity(smooth)) == (
+        "UNKNOWN -- no jump above 0.05 on 1001 points of t at each of 101 w"
     )
 
 
@@ -332,7 +332,7 @@ def test_collapse_absorption_grid_oracle_agrees():
         "luk": (lambda x, y: np.minimum(np.asarray(x) + np.asarray(y), 1.0), Verdict.FAILS),
     }
     for name, (fn, expect) in probe.items():
-        verdict = check_collapse_implies_absorption(make_custom(fn, Kind.CONORM), 0.05)
+        verdict = check_collapse_implies_absorption(make_custom(fn, Kind.CONORM))
         assert verdict.verdict is expect, name
 
 

@@ -20,6 +20,8 @@ from fuzzdec import (
     triplet_from_decomposition,
     verify_weak,
 )
+from fuzzdec import divisors
+from fuzzdec.divisors import strong_existence
 from fuzzdec.preferences import GRID_RELATION, _classify_computed
 
 
@@ -117,7 +119,7 @@ def test_fp6_sampled_path_agrees_on_large_universe():
     m = rng.uniform(size=(22, 22))
     R = FuzzyRelation(tuple(f"v{k}" for k in range(22)), m)
     d = canonical_decompose(R, make_conorm("prob"))
-    report = audit_fp(triplet_from_decomposition(R, d), fp6_sample=20000, seed=4)
+    report = audit_fp(triplet_from_decomposition(R, d), seed=4)
     assert report.verdicts["FP6"].passed
 
 
@@ -159,12 +161,12 @@ def test_make_rule_refuses_discontinuous_conorm():
 
 
 def test_collapse_witness_sweep():
-    assert find_collapse_witness(make_conorm("max"), 0.01) is None
-    assert find_collapse_witness(make_conorm("prob"), 0.01) is None
-    w, t, s = find_collapse_witness(make_conorm("lukasiewicz"), 0.01)
+    assert find_collapse_witness(make_conorm("max")) is None
+    assert find_collapse_witness(make_conorm("prob")) is None
+    w, t, s = find_collapse_witness(make_conorm("lukasiewicz"))
     SL = make_conorm("lukasiewicz")
     assert SL(t, w) == SL(s, w) > w
-    w, t, s = find_collapse_witness(make_conorm("ordinal_sum"), 0.01)
+    w, t, s = find_collapse_witness(make_conorm("ordinal_sum"))
     SO = make_conorm("ordinal_sum")
     assert SO(t, w) == SO(s, w) > w
 
@@ -238,6 +240,28 @@ def test_classify_strong_rules():
         classify_rule(make_conorm("max"), make_norm("min")).verdict
         is RuleClass.NOT_COMPATIBLE
     )
+
+
+@pytest.mark.parametrize(
+    "norm, conorm",
+    [
+        (("lukasiewicz",), ("lukasiewicz",)),
+        (("lukasiewicz",), ("schweizer_sklar", 2.0)),
+        (("drastic",), ("lukasiewicz",)),
+    ],
+)
+def test_strong_classification_asks_strong_existence_three_times(monkeypatch, norm, conorm):
+    # its own existence check, the strong decomposition of GRID_RELATION and uniqueness
+    calls = []
+
+    def counted(T, S):
+        calls.append((T, S))
+        return strong_existence(T, S)
+
+    monkeypatch.setattr(divisors, "strong_existence", counted)
+    T, S = make_norm(*norm), make_conorm(*conorm)
+    assert _classify_computed(S, T).verdict is not RuleClass.NOT_COMPATIBLE
+    assert calls == [(T, S)] * 3
 
 
 def test_classify_open_cells_stay_undetermined():

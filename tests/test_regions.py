@@ -199,15 +199,15 @@ def test_region_csv_matches_per_cell_reference():
     # an irregular axis with edge values, and a random membership
     axis = np.array([0.0, 5e-324, 0.1, 1 / 3, 1 - 2**-53, 1.0])
     member = np.random.default_rng(3).random((6, 6)) < 0.5
-    grids.append(RegionGrid(0.2, axis, member))
+    grids.append(RegionGrid(axis, member))
     # all-member, empty and mixed rows
     member = np.ones((6, 6), dtype=bool)
     member[2] = False
     member[4, ::2] = False
     grids += [
-        RegionGrid(0.2, axis, member),
-        RegionGrid(0.2, axis, np.ones((6, 6), dtype=bool)),
-        RegionGrid(0.2, axis, np.zeros((6, 6), dtype=bool)),
+        RegionGrid(axis, member),
+        RegionGrid(axis, np.ones((6, 6), dtype=bool)),
+        RegionGrid(axis, np.zeros((6, 6), dtype=bool)),
     ]
     rng = np.random.default_rng(5)
     for grid in grids:

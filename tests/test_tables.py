@@ -17,7 +17,7 @@ from fuzzdec import (
 from fuzzdec.divisors import strong_existence
 from fuzzdec.operators import check_collapse_implies_absorption
 from fuzzdec.tables import (
-    DEFAULT_LAMBDA_SAMPLES,
+    LAMBDA_SAMPLES,
     REFERENCE_TABLE1,
     REFERENCE_TABLE2,
     RegimeConsistencyError,
@@ -122,7 +122,7 @@ def test_unique_cells_with_absorbing_collapse_are_induced():
             t2 = dict(REFERENCE_TABLE2[(row, col)])[label]
             if t2 is Table2Verdict.UNDETERMINED:
                 continue
-            lam = tables._lambdas(row, col, label, DEFAULT_LAMBDA_SAMPLES)[0]
+            lam = tables._lambdas(row, col, label, LAMBDA_SAMPLES)[0]
             _, S = tables._ops_for(row, col, lam)
             if check_collapse_implies_absorption(S).verdict is Verdict.HOLDS:
                 assert t2 is Table2Verdict.INDUCED_RULE, (row, col, label)
@@ -131,14 +131,14 @@ def test_unique_cells_with_absorbing_collapse_are_induced():
 
 
 def test_uncovered_regime_raises():
-    with pytest.raises(ValueError):
-        generate_table1(lambda_samples=(-1.0, 2.0))  # nothing hits lambda=1
+    with pytest.raises(ValueError, match="do not cover regime 'lambda=1'"):
+        tables._lambdas("lukasiewicz", "schweizer_sklar", "lambda=1", (-1.0, 2.0))  # nothing hits lambda=1
 
 
 def test_table1_holds_with_a_small_positive_lambda():
     # drastic x Schweizer-Sklar at lambda = 0.1: the float one-interval at
     # w = 0.001 rounds to {1}, but the analytic verdict (existence) decides
-    cells = generate_table1(DEFAULT_LAMBDA_SAMPLES + (0.1,))
+    cells = tables._generate(1, LAMBDA_SAMPLES + (0.1,))
     assert diff_against_reference(cells, 1) == []
 
 
