@@ -35,10 +35,15 @@ for spec in ("max", "lukasiewicz", "prob"):
     print(" ", verify_weak(R, d))
 print()
 
-print("The residual behind those numbers: inf{t : S(t, i) >= r}")
-print("  max:        ", residual(make_conorm("max"), 0.5, 1.0))
-print("  Lukasiewicz:", residual(make_conorm("lukasiewicz"), 0.3, 0.8), " (r - i)")
-print("  probabilistic:", residual(make_conorm("prob"), 0.5, 0.75), " ((r-i)/(1-i))")
+print("The residual behind those numbers, P = inf{t : S(t, i) >= r}, reconstructs r:")
+for spec, i, r, formula in (
+    ("max", 0.5, 1.0, "r"),
+    ("lukasiewicz", 0.3, 0.8, "r - i"),
+    ("prob", 0.5, 0.75, "(r-i)/(1-i)"),
+):
+    S = make_conorm(spec)
+    p = residual(S, i, r)
+    print(f"  {S.display_name}, i = {i:g}, r = {r:g}: P = {formula} = {p:g}, S(P, i) = {S(p, i):g}")
 print()
 
 print("Strong decompositions additionally need T(P, I) = 0:")

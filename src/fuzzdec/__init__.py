@@ -36,10 +36,8 @@ from .relations import (
     RelationParseError,
     crisp_decompose,
     format_relation,
-    is_asymmetric,
     is_crisp,
     is_s_connected,
-    is_symmetric,
     is_t_transitive,
     load_relation,
     parse_relation,
@@ -48,11 +46,9 @@ from .relations import (
 from .decompose import (
     Decomposition,
     DecompositionError,
-    ResidualValue,
     bisection_residual,
     canonical_decompose,
     enumerate_decompositions,
-    indifference_part,
     residual,
     residual_array,
     strong_decompose,
@@ -66,7 +62,6 @@ from .preferences import (
     RuleClassification,
     audit_fp,
     classify_rule,
-    make_rule,
     mj_counterexample,
     tie_strict_max_decomposition,
     triplet_from_decomposition,
@@ -79,8 +74,6 @@ from .regions import (
     weak_region,
 )
 from .tables import (
-    Table1Verdict,
-    Table2Verdict,
     TableCell,
     diff_against_reference,
     generate_table1,

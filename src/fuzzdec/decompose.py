@@ -20,28 +20,12 @@ import numpy as np
 
 from .operators import EPSILON, BinaryOp, Kind
 from .divisors import _bisect, existence
-from .relations import FuzzyRelation, _first_cell, _row_blocks, asymmetry_violation, symmetry_violation
-from .verdicts import TriState, Verdict, fails, holds
+from .relations import FuzzyRelation, asymmetry_violation, symmetry_violation
+from .verdicts import TriState, Verdict, _first_cell, _row_blocks, fails, holds
 
 
 class DecompositionError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class ResidualValue:
-    """Infimum of the reconstructing values, with an attainment flag.
-
-    The infimum can fail to be a minimum only for conorms that are
-    discontinuous in the first coordinate; the flag is the difference
-    between a decomposition and a near-miss.
-    """
-
-    value: float
-    attained: bool
-
-    def __float__(self) -> float:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -80,27 +64,20 @@ def bisection_residual(S: BinaryOp, i, r):
     return float(hi) if hi.ndim == 0 else hi
 
 
-def residual(S: BinaryOp, i: float, r: float) -> ResidualValue:
-    """inf{t in [0,1] : S(t, i) >= r} together with whether the infimum
-    itself reconstructs (S(inf, i) >= r)."""
+def residual(S: BinaryOp, i: float, r: float) -> float:
+    """inf{t in [0,1] : S(t, i) >= r} for one pair of degrees.  For a conorm
+    discontinuous in its first coordinate the infimum need not reconstruct:
+    S(inf, i) can fall short of r."""
 
     if S.kind is not Kind.CONORM:
         raise ValueError("residual expects a conorm")
     if not (0.0 <= i <= 1.0 and 0.0 <= r <= 1.0):
         raise ValueError("degrees must lie in [0,1]")
-    v = float(residual_array(S, i, r))
-    attained = S(v, i) >= r - EPSILON
-    return ResidualValue(v, bool(attained))
+    return float(residual_array(S, i, r))
 
 
 # ---------------------------------------------------------------------------
 # canonical decomposition
-
-
-def indifference_part(R: FuzzyRelation) -> FuzzyRelation:
-    """Pointwise minimum of R and its transpose: the only symmetric component
-    any reconstruction can have."""
-    return FuzzyRelation._adopt(R.universe, np.minimum(R.degrees, R.degrees.T))
 
 
 def canonical_decompose(R: FuzzyRelation, S: BinaryOp) -> Decomposition:

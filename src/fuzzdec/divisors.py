@@ -34,13 +34,19 @@ BISECTION_STEPS = 60
 # closed forms
 
 
+def _check_w(w) -> None:
+    w = np.asarray(w, dtype=float)
+    bad = ~((0.0 <= w) & (w <= 1.0))  # NaN fails this too
+    if bad.any():
+        raise ValueError(f"w must lie in [0,1], got {float(w[bad][0])!r}")
+
+
 def one_interval(S: BinaryOp, w) -> DegreeInterval:
     """{t in [0,1] : S(t, w) = 1} for a conorm S, entry by entry for an array of w."""
 
     if S.kind is not Kind.CONORM:
         raise ValueError("one_interval expects a conorm")
-    if not ((0.0 <= np.asarray(w)) & (np.asarray(w) <= 1.0)).all():  # NaN fails this too
-        raise ValueError("w must lie in [0,1]")
+    _check_w(w)
     if not S.is_builtin:
         return bisection_one_interval(S, w)
     return S.record.one_interval(w)
@@ -51,8 +57,7 @@ def zero_interval(T: BinaryOp, w) -> DegreeInterval:
 
     if T.kind is not Kind.NORM:
         raise ValueError("zero_interval expects a norm")
-    if not ((0.0 <= np.asarray(w)) & (np.asarray(w) <= 1.0)).all():  # NaN fails this too
-        raise ValueError("w must lie in [0,1]")
+    _check_w(w)
     if not T.is_builtin:
         return bisection_zero_interval(T, w)
     return T.record.zero_interval(w)

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Optional, Tuple
 import numpy as np
 
 from .families import FAMILIES, PARAMETRIC, Family, lifted, resolve
-from .verdicts import TriState, fails, holds, unknown
+from .verdicts import TriState, _row_blocks, fails, holds, unknown
 
 # Absolute tolerance for comparisons between membership degrees.
 EPSILON = 1e-9
@@ -89,11 +89,6 @@ class BinaryOp:
         lam = self.parameter
         suffix = "" if lam is None else f"(lambda={format_lambda(lam)})"
         return self.record.names[self.kind is Kind.CONORM] + suffix
-
-    def spec_string(self) -> str:
-        if self.parameter is None:
-            return self.family
-        return f"{self.family}:lambda={format_lambda(self.parameter)}"
 
 
 def format_lambda(lam: float) -> str:
@@ -260,27 +255,33 @@ def check_norm_axioms(op: BinaryOp, grid: float = 0.01) -> TriState:
                 f"boundary {label} violated: got {float(got[k])!r}",
             )
 
-    xx, yy = np.meshgrid(g, g, indexing="ij")
-    fwd = np.asarray(op.evaluator(xx, yy), dtype=float)
-
-    rng = np.abs(fwd - np.clip(fwd, 0.0, 1.0)) > 0
-    if rng.any():
-        i, j = np.argwhere(rng)[0]
-        return fails((float(g[i]), float(g[j])), "output escapes [0,1]")
-
-    bwd = np.asarray(op.evaluator(yy, xx), dtype=float)
-    comm_bad = np.abs(fwd - bwd) > EPSILON
-    if comm_bad.any():
-        i, j = np.argwhere(comm_bad)[0]
-        return fails((float(g[i]), float(g[j])), "commutativity violated")
-
-    mono_bad = np.diff(fwd, axis=0) < -EPSILON
-    if mono_bad.any():
-        i, j = np.argwhere(mono_bad)[0]
-        return fails(
-            (float(g[i]), float(g[i + 1]), float(g[j])),
-            "monotonicity violated in the first argument",
-        )
+    # range, commutativity, then monotonicity in the first argument, each
+    # reported at its row-major first violation; S(x, y) is built one row
+    # block of x at a time, and a block stops the sweep once it escapes [0,1]
+    first = [None, None, None]
+    above = None
+    for s in _row_blocks(g.size, g.size):
+        xx, yy = np.meshgrid(g[s], g, indexing="ij")
+        fwd = np.asarray(op.evaluator(xx, yy), dtype=float)
+        bwd = np.asarray(op.evaluator(yy, xx), dtype=float)
+        # each row's step down from the row above it (the first row's from itself)
+        steps = np.diff(np.vstack([fwd[:1] if above is None else above, fwd]), axis=0)
+        masks = (np.abs(fwd - np.clip(fwd, 0.0, 1.0)) > 0, np.abs(fwd - bwd) > EPSILON, steps < -EPSILON)
+        for k, mask in enumerate(masks):
+            if first[k] is None and mask.any():
+                a, b = np.argwhere(mask)[0]
+                first[k] = (s.start + int(a), int(b))
+        if first[0] is not None:
+            break
+        above = fwd[-1:]
+    rng, comm, mono = first
+    if rng is not None:
+        return fails((g[rng[0]], g[rng[1]]), "output escapes [0,1]")
+    if comm is not None:
+        return fails((g[comm[0]], g[comm[1]]), "commutativity violated")
+    if mono is not None:
+        i, j = mono
+        return fails((g[i - 1], g[i], g[j]), "monotonicity violated in the first argument")
 
     # associativity on a thinner grid: the full grid cubed is wasteful
     ga = g if g.size <= 51 else g[:: max(1, g.size // 50)]

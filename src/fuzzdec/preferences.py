@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -45,13 +45,8 @@ from .decompose import (
 )
 from .divisors import existence, uniqueness
 from .reference import open_cell
-from .relations import (
-    FuzzyRelation,
-    _first_cell,
-    asymmetry_violation,
-    symmetry_violation,
-)
-from .verdicts import TriState, Verdict, fails, holds, unknown
+from .relations import FuzzyRelation, asymmetry_violation, symmetry_violation
+from .verdicts import TriState, Verdict, _first_cell, fails, holds, unknown
 
 FP_AXIOMS = ("FP1", "FP2", "FP3", "FP4", "FP5", "FP6")
 
@@ -160,19 +155,6 @@ def _pair_verdict(labels, cell: Optional[Tuple[int, int]]) -> TriState:
 
 # ---------------------------------------------------------------------------
 # decomposition rules
-
-
-def make_rule(S: BinaryOp, T: Optional[BinaryOp] = None) -> Callable[[FuzzyRelation], Decomposition]:
-    """The canonical rule R |-> (residual P, min I), a map sending each
-    relation to a (P, I) pair meant to make (R, P, I) a fuzzy preference.
-    Raises where `existence` FAILS (no rule can exist then)."""
-
-    exist = existence(S, T)
-    if exist.verdict is Verdict.FAILS:
-        raise DecompositionError(f"no decomposition rule exists: {exist.detail}")
-    if T is None:
-        return lambda R: canonical_decompose(R, S)
-    return lambda R: strong_decompose(R, T, S)
 
 
 def tie_strict_max_decomposition(R: FuzzyRelation) -> Decomposition:
@@ -288,7 +270,7 @@ def _classify_computed(S: BinaryOp, T: Optional[BinaryOp]) -> RuleClassification
             exist.witness,
         )
 
-    try:  # existence is checked above; `make_rule` would ask it once more
+    try:
         d = canonical_decompose(GRID_RELATION, S) if T is None else strong_decompose(GRID_RELATION, T, S)
     except DecompositionError as exc:
         # e.g. drastic x Schweizer-Sklar at lambda near 0: the pair exists

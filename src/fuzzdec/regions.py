@@ -24,8 +24,8 @@ import numpy as np
 from .operators import EPSILON, BinaryOp, Kind
 from .decompose import residual_array
 from .divisors import existence, intersection
-from .relations import FuzzyRelation, _row_blocks, sup_t_compose
-from .verdicts import TriState, Verdict, fails, holds, unknown
+from .relations import FuzzyRelation, sup_t_compose
+from .verdicts import TriState, Verdict, _row_blocks, fails, holds, unknown
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,8 @@ def _rasterise(ax: np.ndarray, cell_test) -> np.ndarray:
 
 def _axis(resolution: float) -> np.ndarray:
     if resolution < 1.0 / 2000.0:
-        raise ValueError("resolution below 1/2000 is not supported")
+        got = f"1/{1.0 / resolution:.15g}" if resolution > 0 else repr(resolution)
+        raise ValueError(f"resolution below 1/2000 is not supported, got {got}")
     n = round(1.0 / resolution)
     return np.linspace(0.0, 1.0, n + 1)
 

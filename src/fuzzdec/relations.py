@@ -13,37 +13,14 @@ import functools
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .operators import EPSILON, BinaryOp, Kind
+from .verdicts import _first_cell, _row_blocks
 
 FILE_HEADER = "fuzzrel v1"
-
-# Whole-matrix work runs in row blocks of at most this many cells (or one row,
-# where a row alone is larger), so no temporary outgrows one block.
-_BLOCK_CELLS = 1 << 16
-
-
-def _row_blocks(rows: int, cells_per_row: int, cap: Optional[int] = None) -> Iterator[slice]:
-    """Consecutive row slices covering ``range(rows)``, each spanning at most
-    ``cap`` (by default ``_BLOCK_CELLS``) cells of ``cells_per_row`` per row
-    (at least one row)."""
-    step = max(1, (cap or _BLOCK_CELLS) // max(1, cells_per_row))
-    for lo in range(0, rows, step):
-        yield slice(lo, min(lo + step, rows))
-
-
-def _first_cell(n: int, mask_of: Callable[[slice], np.ndarray]) -> Optional[Tuple[int, int]]:
-    """Row-major first True cell of the n x n mask that ``mask_of`` builds one
-    row block at a time, or None.  No block after the first hit is built."""
-    for rows in _row_blocks(n, n):
-        mask = mask_of(rows)
-        if mask.any():
-            a, b = np.argwhere(mask)[0]
-            return (rows.start + int(a), int(b))
-    return None
 
 
 class RelationParseError(ValueError):
@@ -111,15 +88,6 @@ def asymmetry_violation(m: np.ndarray) -> Optional[Tuple[int, int]]:
 def symmetry_violation(m: np.ndarray) -> Optional[Tuple[int, int]]:
     """Row-major first (x, y) with m(x,y) != m(y,x), or None."""
     return _first_cell(m.shape[0], lambda s: m[s] != m[:, s].T)
-
-
-def is_symmetric(R: FuzzyRelation) -> bool:
-    return symmetry_violation(R.degrees) is None
-
-
-def is_asymmetric(R: FuzzyRelation) -> bool:
-    """R(x,y) > 0 forces R(y,x) = 0 (and hence a zero diagonal)."""
-    return asymmetry_violation(R.degrees) is None
 
 
 def is_crisp(R: FuzzyRelation) -> bool:
@@ -440,7 +408,7 @@ def read_degrees(lines: ContentLines, rows: int, cols: int) -> np.ndarray:
     """The rows x cols matrix of degrees in [0,1] that the remaining
     ``lines`` hold, one matrix row per line.
 
-    Each row block of at most ``_BLOCK_CELLS`` cells is read at once, and
+    Each row block of at most ``verdicts._BLOCK_CELLS`` cells is read at once, and
     nothing rows x cols in size is allocated before the rows have arrived.
     Errors come in line order: the first offending row length or cell in
     row-major order, then the row count."""

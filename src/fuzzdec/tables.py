@@ -9,16 +9,15 @@ open.  Parametric families are summarised per lambda regime; a regime whose
 samples disagree raises instead of summarising.
 
 The declaration both tables are checked against, `CELLS`, lives in
-`reference`; the reference tables, the regimes the generators sample and
-the open cells are read off it here.
+`reference`; the words of both tables, the regimes the generators sample
+and the open cells are read off it here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .divisors import existence, uniqueness
 from .families import PARAMETRIC
@@ -51,19 +50,6 @@ ROWS = NORM_FAMILIES + (WEAK_ROW,)
 LAMBDA_SAMPLES = (-math.inf, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, math.inf)
 
 
-class Table1Verdict(Enum):
-    NOT_EXISTS = "none"
-    EXISTS = "exists"
-    EXISTS_UNIQUE = "unique"
-
-
-class Table2Verdict(Enum):
-    NOT_EXISTS = "none"
-    COMPATIBLE_RULE = "compatible"
-    INDUCED_RULE = "induced"
-    UNDETERMINED = "undetermined"
-
-
 # The lambdas a Hamacher row or column is sampled at.  The family takes
 # lambda >= 0; its row stops short of +inf, where the norm is the drastic
 # one and the row would repeat the drastic row.
@@ -71,26 +57,17 @@ _ROW_SCOPE = {"hamacher": "0<=lambda<+inf"}
 _COL_SCOPE = {"hamacher": "0<=lambda"}
 
 def _declared(row: str, col: str) -> Tuple[Tuple[str, str, str], ...]:
+    """(regime label, table-1 word, table-2 word) of each regime of a cell."""
     return CELLS.get((row, col), (("", "none", "none"),))
 
-
-def _reference(verdict: type, k: int) -> Dict[Tuple[str, str], Tuple[Tuple[str, Enum], ...]]:
-    return {
-        (row, col): tuple((entry[0], verdict(entry[k])) for entry in _declared(row, col))
-        for row in ROWS
-        for col in CONORM_FAMILIES
-    }
-
-
-REFERENCE_TABLE1 = _reference(Table1Verdict, 1)
-REFERENCE_TABLE2 = _reference(Table2Verdict, 2)
 
 # (row, col, regime label) of each regime whose rule the reference leaves open
 OPEN_CELLS: Tuple[Tuple[str, str, str], ...] = tuple(
     (row, col, label)
-    for (row, col), entries in REFERENCE_TABLE2.items()
-    for label, verdict in entries
-    if verdict is Table2Verdict.UNDETERMINED
+    for row in ROWS
+    for col in CONORM_FAMILIES
+    for label, _, rule in _declared(row, col)
+    if rule == "undetermined"
 )
 
 
@@ -98,9 +75,9 @@ OPEN_CELLS: Tuple[Tuple[str, str, str], ...] = tuple(
 class TableCell:
     row: str
     col: str
-    entries: Tuple[Tuple[str, Enum], ...]  # (regime label, verdict)
+    entries: Tuple[Tuple[str, str], ...]  # (regime label, word)
 
-    def verdict_for(self, label: str = "") -> Enum:
+    def verdict_for(self, label: str = "") -> str:
         for lab, v in self.entries:
             if lab == label:
                 return v
@@ -108,8 +85,8 @@ class TableCell:
 
     def render(self) -> str:
         if len(self.entries) == 1 and self.entries[0][0] == "":
-            return self.entries[0][1].value
-        return "; ".join(f"{lab}: {v.value}" for lab, v in self.entries)
+            return self.entries[0][1]
+        return "; ".join(f"{lab}: {v}" for lab, v in self.entries)
 
 
 def _lambdas(row: str, col: str, label: str, lambda_samples: Sequence[float]) -> List[Optional[float]]:
@@ -141,7 +118,7 @@ def _summarise(row, col, label, verdicts):
     distinct = set(verdicts)
     if len(distinct) != 1:
         raise RegimeConsistencyError(
-            f"cell ({row}, {col}) regime {label!r}: mixed verdicts {sorted(v.value for v in distinct)}"
+            f"cell ({row}, {col}) regime {label!r}: mixed verdicts {sorted(distinct)}"
         )
     return next(iter(distinct))
 
@@ -150,20 +127,20 @@ def _summarise(row, col, label, verdicts):
 # engine verdicts
 
 
-def _engine_table1(T: Optional[BinaryOp], S: BinaryOp) -> Table1Verdict:
+def _engine_table1(T: Optional[BinaryOp], S: BinaryOp) -> str:
     if existence(S, T).verdict is not Verdict.HOLDS:
-        return Table1Verdict.NOT_EXISTS
+        return "none"
     if uniqueness(S, T).verdict is Verdict.HOLDS:
-        return Table1Verdict.EXISTS_UNIQUE
-    return Table1Verdict.EXISTS
+        return "unique"
+    return "exists"
 
 
-def _engine_table2(T: Optional[BinaryOp], S: BinaryOp) -> Table2Verdict:
+def _engine_table2(T: Optional[BinaryOp], S: BinaryOp) -> str:
     verdict = classify_rule(S, T).verdict
-    # a rule class has the value of its table verdict, but for not-compatible (none)
+    # a rule class is worded as in the table, but for not-compatible (none)
     if verdict is RuleClass.NOT_COMPATIBLE:
-        return Table2Verdict.NOT_EXISTS
-    return Table2Verdict(verdict.value)
+        return "none"
+    return verdict.value
 
 
 def _generate(which: int, lambda_samples: Sequence[float]) -> List[TableCell]:
@@ -203,21 +180,20 @@ class TableMismatch:
     row: str
     col: str
     regime: str
-    expected: Enum
-    got: Enum
+    expected: str
+    got: str
 
     def __str__(self) -> str:
         where = f"({self.row}, {self.col})" + (f" [{self.regime}]" if self.regime else "")
-        return f"{where}: expected {self.expected.value}, got {self.got.value}"
+        return f"{where}: expected {self.expected}, got {self.got}"
 
 
 def diff_against_reference(cells: List[TableCell], which: int) -> List[TableMismatch]:
-    ref = REFERENCE_TABLE1 if which == 1 else REFERENCE_TABLE2
     return [
-        TableMismatch(cell.row, cell.col, label, expected, got)
+        TableMismatch(cell.row, cell.col, entry[0], entry[which], got)
         for cell in cells
-        for label, expected in ref[(cell.row, cell.col)]
-        if (got := cell.verdict_for(label)) is not expected
+        for entry in _declared(cell.row, cell.col)
+        if (got := cell.verdict_for(entry[0])) != entry[which]
     ]
 
 
@@ -228,7 +204,7 @@ def render_table(cells: List[TableCell], fmt: str = "text") -> str:
         for row in ROWS:
             for col in CONORM_FAMILIES:
                 for label, v in by_pos[(row, col)].entries:
-                    lines.append(f"{_row_label(row)},{CONORM_LABELS[col]},{label},{v.value}")
+                    lines.append(f"{_row_label(row)},{CONORM_LABELS[col]},{label},{v}")
         return "\n".join(lines) + "\n"
     header = ["T \\ S"] + [CONORM_LABELS[c] for c in CONORM_FAMILIES]
     table_rows = [header]

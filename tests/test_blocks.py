@@ -1,7 +1,7 @@
 """Row-blocked array pipelines against whole-matrix references.
 
-Closure, decomposition, verification, the FP1-FP5 audit and the region
-rasters work one row block at a time.  Each test below recomputes the same
+Closure, decomposition, verification, the FP1-FP5 audit, the region
+rasters and the operator axiom sweep work one row block at a time.  Each test below recomputes the same
 result with the whole-matrix numpy expression and requires bit-identical
 arrays and the same witness (the first offending pair in row-major order).
 Sizes cover one element, one block exactly, just below and just above a
@@ -12,13 +12,15 @@ also shrunk to a few cells so small matrices span many blocks.
 import contextlib
 import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fuzzdec.decompose as decompose_module
+import fuzzdec.operators as operators_module
 import fuzzdec.regions as regions_module
-import fuzzdec.relations as relations_module
+import fuzzdec.verdicts as verdicts_module
 from fuzzdec import (
     Decomposition,
     DecompositionError,
@@ -26,10 +28,10 @@ from fuzzdec import (
     Kind,
     PreferenceTriplet,
     audit_fp,
+    Verdict,
     canonical_decompose,
-    is_asymmetric,
+    check_norm_axioms,
     is_s_connected,
-    is_symmetric,
     is_t_transitive,
     make_conorm,
     make_custom,
@@ -47,8 +49,10 @@ from fuzzdec.cli import main
 from fuzzdec.decompose import residual_array
 from fuzzdec.divisors import intersection
 from fuzzdec.operators import EPSILON
+from fuzzdec.relations import asymmetry_violation, symmetry_violation
 
-BLOCK = relations_module._BLOCK_CELLS
+BLOCK = verdicts_module._BLOCK_CELLS
+LUK4 = Path(__file__).resolve().parent / "data" / "luk4.op"
 SIDE = int(BLOCK ** 0.5)  # an n x n matrix with n <= SIDE is a single block
 
 
@@ -79,8 +83,8 @@ def block(request, monkeypatch):
     """The real block size, and two tiny ones that split small matrices into
     many blocks (7 does not divide any size used below)."""
     if request.param is not None:
-        monkeypatch.setattr(relations_module, "_BLOCK_CELLS", request.param)
-    return relations_module._BLOCK_CELLS
+        monkeypatch.setattr(verdicts_module, "_BLOCK_CELLS", request.param)
+    return verdicts_module._BLOCK_CELLS
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +142,7 @@ def ref_rasters(T, S, cells):
 
 @pytest.mark.parametrize("rows, per_row", [(1, 1), (0, 5), (10, 3), (257, 256), (3, 10**6)])
 def test_row_blocks_partition_rows_within_the_cap(rows, per_row):
-    blocks = list(relations_module._row_blocks(rows, per_row))
+    blocks = list(verdicts_module._row_blocks(rows, per_row))
     covered = [r for s in blocks for r in range(s.start, s.stop)]
     assert covered == list(range(rows))
     for s in blocks:
@@ -238,14 +242,14 @@ def test_unattained_residual_names_the_first_pair_in_row_major_order(n, cells, b
 
 
 def test_a_hit_in_the_first_block_builds_no_later_block(monkeypatch):
-    monkeypatch.setattr(relations_module, "_BLOCK_CELLS", 7)  # one row per block at n = 12
+    monkeypatch.setattr(verdicts_module, "_BLOCK_CELLS", 7)  # one row per block at n = 12
     n, built = 12, []
 
     def mask_of(rows):
         built.append(rows)
         return np.ones((rows.stop - rows.start, n), dtype=bool)
 
-    assert relations_module._first_cell(n, mask_of) == (0, 0)
+    assert verdicts_module._first_cell(n, mask_of) == (0, 0)
     assert len(built) == 1
 
     m = np.full((n, n), 0.25)
@@ -286,7 +290,7 @@ def test_verification_witnesses_match_whole_array(n, block):
     a, b = first((P > 0.0) & (P.T > 0.0))
     got = verify_weak(R, d)
     assert got.witness == (P[a, b], P[b, a]) and f"at (x{a},x{b})" in got.detail
-    assert not is_asymmetric(d.strict) and is_symmetric(d.indifference)
+    assert asymmetry_violation(P) is not None and symmetry_violation(I) is None
 
     # asymmetric again, but no longer reconstructing R
     P2 = np.zeros_like(P)
@@ -399,6 +403,61 @@ def test_restricted_stops_at_the_first_escaping_block(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the operator axiom sweep
+
+
+def dented_max(dents):
+    """The maximum, with delta added on the box of half-width 0.025 around
+    (x, y) for each (x, y, delta) of ``dents``."""
+
+    def fn(x, y):
+        out = np.maximum(x, y)
+        for px, py, delta in dents:
+            out = np.where((np.abs(x - px) < 0.025) & (np.abs(y - py) < 0.025), out + delta, out)
+        return out
+
+    return make_custom(fn, Kind.CONORM)
+
+
+def ref_axiom_witness(op, g):
+    X, Y = np.meshgrid(g, g, indexing="ij")
+    fwd = np.asarray(op.evaluator(X, Y), dtype=float)
+    bwd = np.asarray(op.evaluator(Y, X), dtype=float)
+    for mask, what in (
+        (np.abs(fwd - np.clip(fwd, 0.0, 1.0)) > 0, "output escapes [0,1]"),
+        (np.abs(fwd - bwd) > EPSILON, "commutativity violated"),
+    ):
+        if (cell := first(mask)) is not None:
+            return (g[cell[0]], g[cell[1]]), what
+    cell = first(np.diff(fwd, axis=0) < -EPSILON)
+    if cell is not None:
+        return (g[cell[0]], g[cell[0] + 1], g[cell[1]]), "monotonicity violated in the first argument"
+    return None, None
+
+
+@pytest.mark.parametrize(
+    "dents",
+    [
+        [(0.2, 0.6, 0.1), (0.8, 0.3, 2.0)],  # a range escape below an earlier commutativity one
+        [(0.6, 0.2, 0.1), (0.7, 0.9, -0.5)],
+        [(0.6, 0.4, -0.2), (0.4, 0.6, -0.2)],  # symmetric: monotonicity only
+        [(0.3, 0.5, -0.2), (0.5, 0.3, -0.2), (0.9, 0.6, 0.05)],  # commutativity below monotonicity
+        [],
+    ],
+    ids=["range", "commutativity", "monotonicity", "commutativity-later", "none"],
+)
+def test_axiom_sweep_witnesses_match_whole_grid(dents, block):
+    # at step 1/200 the 201-point grid is one row a block under the tiny sizes
+    op = dented_max(dents)
+    witness, what = ref_axiom_witness(op, operators_module._as_grid(0.005, op))
+    got = check_norm_axioms(op, 0.005)
+    if what is None:
+        assert got.verdict is Verdict.UNKNOWN
+    else:
+        assert (got.witness, got.detail) == (witness, what)
+
+
+# ---------------------------------------------------------------------------
 # memory bounds
 
 
@@ -436,6 +495,16 @@ def test_decompose_command_memory_is_bounded(tmp_path, grid):
     with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
         peak = peak_bytes(lambda: main(argv))
     assert peak < 4 * n * n * 8
+
+
+def test_axiom_sweep_memory_is_bounded():
+    # sweeping the whole grid held the 2001 x 2001 arguments, both orders of
+    # S(x, y) and their temporaries at once: 402 MB for this table
+    n = 2001
+    argv = ["check-norm", "--op", f"custom:table={LUK4}", "--kind", "conorm", "--grid-step", "0.0005"]
+    with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+        peak = peak_bytes(lambda: main(argv))
+    assert peak < n * n * 8 / 2
 
 
 def test_weak_region_memory_is_bounded():

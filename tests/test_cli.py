@@ -369,6 +369,23 @@ def test_bad_grid_step_is_named(capsys, step):
     assert err == f"error: grid step {why}, got {float(step):g}\n"
 
 
+OUT_OF_RANGE = [
+    *((f"divisors {op} --w {w}", f"w must lie in [0,1], got {float(w)!r}")
+      for op in ("--conorm lukasiewicz", "--norm minimum") for w in ("nan", "2", "-0.5", "inf")),
+    ("region --conorm lukasiewicz --resolution 3000 --out {out}", "resolution below 1/2000 is not supported, got 1/3000"),
+    ("restricted --connected-by max --conorm lukasiewicz --resolution 2001",
+     "resolution below 1/2000 is not supported, got 1/2001"),
+]
+
+
+@pytest.mark.parametrize("argv, message", OUT_OF_RANGE, ids=[argv for argv, _ in OUT_OF_RANGE])
+def test_out_of_range_values_are_named(tmp_path, capsys, argv, message):
+    out_path = tmp_path / "r.csv"
+    code, out, err = run(capsys, *argv.format(out=out_path).split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("flag, op", [("--conorm", "lukasiewicz"), ("--norm", "minimum")])
 def test_divisors_with_one_operator_needs_w(capsys, flag, op):
     code, out, err = run(capsys, "divisors", flag, op)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fuzzdec import (
+    EPSILON,
     DecompositionError,
     FuzzyRelation,
     Verdict,
@@ -10,7 +11,6 @@ from fuzzdec import (
     canonical_decompose,
     crisp_decompose,
     enumerate_decompositions,
-    indifference_part,
     make_conorm,
     make_norm,
     residual,
@@ -43,13 +43,13 @@ def two_rel(r_xy, r_yx, diag=1.0):
 
 
 def test_residual_point_values():
-    assert residual(make_conorm("max"), 0.5, 1.0).value == 1.0
-    assert residual(make_conorm("lukasiewicz"), 0.3, 0.8).value == pytest.approx(0.5, abs=1e-12)
-    assert residual(make_conorm("prob"), 0.5, 0.75).value == pytest.approx(0.5, abs=1e-12)
+    assert residual(make_conorm("max"), 0.5, 1.0) == 1.0
+    assert residual(make_conorm("lukasiewicz"), 0.3, 0.8) == pytest.approx(0.5, abs=1e-12)
+    assert residual(make_conorm("prob"), 0.5, 0.75) == pytest.approx(0.5, abs=1e-12)
     for family, lam in CONTINUOUS_CONORMS:
         S = make_conorm(family, lam)
-        assert residual(S, 0.4, 0.4).value == 0.0  # t = 0 always reconstructs i = r
-        assert residual(S, 0.9, 0.2).value == 0.0  # i > r likewise
+        assert residual(S, 0.4, 0.4) == 0.0  # t = 0 always reconstructs i = r
+        assert residual(S, 0.9, 0.2) == 0.0  # i > r likewise
 
 
 def test_residual_is_attained_for_continuous_conorms():
@@ -60,13 +60,14 @@ def test_residual_is_attained_for_continuous_conorms():
             a, b = rng.uniform(size=2)
             i, r = min(a, b), max(a, b)
             res = residual(S, i, r)
-            assert res.attained
-            assert abs(S(res.value, i) - r) <= 1e-9
+            assert S(res, i) >= r - EPSILON
+            assert abs(S(res, i) - r) <= 1e-9
 
 
 def test_residual_unattained_for_drastic():
-    res = residual(make_conorm("drastic"), 0.3, 0.7)
-    assert res.value == 0.0 and not res.attained
+    S = make_conorm("drastic")
+    res = residual(S, 0.3, 0.7)
+    assert res == 0.0 and not S(res, 0.3) >= 0.7 - EPSILON
 
 
 @pytest.mark.parametrize("lam", [1.5, 2.0, 3.0, 5.0, 10.0])
@@ -116,7 +117,7 @@ def test_residual_minimality_against_bisection_oracle():
         for _ in range(100):
             a, b = rng.uniform(size=2)
             i, r = min(a, b), max(a, b)
-            closed = residual(S, i, r).value
+            closed = residual(S, i, r)
             assert abs(closed - bisection_residual(S, i, r)) <= 1e-7
 
 
@@ -130,7 +131,7 @@ def test_residual_minimality_against_bisection_oracle():
 def test_residual_infimum_property(i, r):
     # nothing below the residual reconstructs; the residual itself does
     S = make_conorm("lukasiewicz")
-    v = residual(S, i, r).value
+    v = residual(S, i, r)
     assert S(v, i) >= r - 1e-9
     if v > 0:
         below = v - min(1e-6, v / 2) if v / 2 > 0 else 0.0
@@ -235,7 +236,7 @@ def test_canonical_refuses_discontinuous_conorms():
 
 def test_indifference_is_pointwise_minimum():
     R = FuzzyRelation(tuple("abc"), np.array([[0, 0.7, 0.4], [0.2, 0, 0], [0.9, 0, 0]]))
-    I = indifference_part(R)
+    I = canonical_decompose(R, make_conorm("max")).indifference
     np.testing.assert_array_equal(I.degrees, np.minimum(R.degrees, R.degrees.T))
 
 

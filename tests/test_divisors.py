@@ -213,7 +213,7 @@ def test_array_intervals_match_the_single_w_view():
             t = ts[k].item()
             assert (S(i1.lower, w), T(i0.upper, w)) == (at_ends[0][k], at_ends[1][k]), (T, S, w)
             assert (S(t, w), T(t, w)) == (at_ts[0][k], at_ts[1][k]), (T, S, t, w)
-            assert residual(S, i[k].item(), r[k].item()).value == res[k], (S, i[k], r[k])
+            assert residual(S, i[k].item(), r[k].item()) == res[k], (S, i[k], r[k])
     S20 = make_conorm("schweizer_sklar", 20.0)
     assert S20(2.9333681039744874e-08, 0.512) == 1.0
 

@@ -17,33 +17,33 @@ from fuzzdec import (
     canonical_decompose,
     make_custom,
     make_norm,
-    make_rule,
     parse_op_spec,
     strong_decompose,
 )
 from fuzzdec.divisors import existence, uniqueness
 from fuzzdec.preferences import _classify_computed
-from fuzzdec.tables import LAMBDA_SAMPLES, REFERENCE_TABLE1, Table1Verdict, _lambdas, _ops_for
+from fuzzdec.tables import CONORM_FAMILIES, LAMBDA_SAMPLES, ROWS, _declared, _lambdas, _ops_for
 
 GOLDEN_REGIONS = Path(__file__).resolve().parents[1] / "perfbench" / "golden_regions.json"
 
 
 def _regimes():
-    for (row, col), entries in REFERENCE_TABLE1.items():
-        for label, expected in entries:
-            for lam in _lambdas(row, col, label, LAMBDA_SAMPLES):
-                yield pytest.param(row, col, lam, expected, id=f"{row}-{col}-{label or 'all'}-{lam}")
+    for row in ROWS:
+        for col in CONORM_FAMILIES:
+            for label, expected, _ in _declared(row, col):
+                for lam in _lambdas(row, col, label, LAMBDA_SAMPLES):
+                    yield pytest.param(row, col, lam, expected, id=f"{row}-{col}-{label or 'all'}-{lam}")
 
 
 @pytest.mark.parametrize("row, col, lam, expected", _regimes())
 def test_existence_and_uniqueness_reproduce_table1(row, col, lam, expected):
     T, S = _ops_for(row, col, lam)
     exist, unique = existence(S, T), uniqueness(S, T)
-    if expected is Table1Verdict.NOT_EXISTS:
+    if expected == "none":
         assert exist.verdict is Verdict.FAILS and unique == exist
     else:
         assert exist.verdict is Verdict.HOLDS
-        want = Verdict.HOLDS if expected is Table1Verdict.EXISTS_UNIQUE else Verdict.FAILS
+        want = Verdict.HOLDS if expected == "unique" else Verdict.FAILS
         assert unique.verdict is want
 
 
@@ -90,7 +90,6 @@ def test_callers_refuse_exactly_where_existence_fails(T, S):
     computed = _classify_computed(S, T)
     refused = f"{kind} decompositions do not always exist: {exist.detail}"
     assert (computed.verdict is RuleClass.NOT_COMPATIBLE and computed.reason == refused) == fails
-    assert _refusal(lambda: make_rule(S, T)) == (f"no decomposition rule exists: {exist.detail}" if fails else None)
     decompose = (lambda: canonical_decompose(R, S)) if T is None else (lambda: strong_decompose(R, T, S))
     got = _refusal(decompose)
     assert got.endswith(exist.detail) if fails else got is None

@@ -14,8 +14,8 @@ from fuzzdec import (
     find_collapse_witness,
     make_conorm,
     make_norm,
-    make_rule,
     mj_counterexample,
+    strong_decompose,
     tie_strict_max_decomposition,
     triplet_from_decomposition,
     verify_weak,
@@ -141,19 +141,20 @@ def test_every_weak_decomposition_satisfies_the_unconditional_axioms():
 # rules
 
 
-def test_make_rule_reproduces_known_formulas():
+def test_canonical_rule_reproduces_known_formulas():
     R = two_rel(0.8, 0.3)
-    max_rule = make_rule(make_conorm("max"))
-    assert max_rule(R).strict.value("x", "y") == 0.8
-    luk_rule = make_rule(make_conorm("lukasiewicz"))
-    assert luk_rule(R).strict.value("x", "y") == pytest.approx(0.5, abs=1e-12)
-    prob_rule = make_rule(make_conorm("prob"))
-    assert prob_rule(R).strict.value("x", "y") == pytest.approx(0.5 / 0.7, abs=1e-12)
+
+    def strict(spec):
+        return canonical_decompose(R, make_conorm(spec)).strict.value("x", "y")
+
+    assert strict("max") == 0.8
+    assert strict("lukasiewicz") == pytest.approx(0.5, abs=1e-12)
+    assert strict("prob") == pytest.approx(0.5 / 0.7, abs=1e-12)
 
 
-def test_make_rule_refuses_discontinuous_conorm():
+def test_canonical_rule_refuses_discontinuous_conorm():
     with pytest.raises(DecompositionError):
-        make_rule(make_conorm("drastic"))
+        canonical_decompose(two_rel(0.8, 0.3), make_conorm("drastic"))
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +314,6 @@ def test_classify_reports_a_canonical_rule_that_fails_in_floats():
     assert c.oracle_verdict is RuleClass.NOT_COMPATIBLE
     R = FuzzyRelation(("a", "b"), np.array([[1.0, 1.0], [0.45, 1.0]]))
     with pytest.raises(DecompositionError, match=r"^canonical pair fails the norm condition: T\(1,0.45\)"):
-        make_rule(S, T)(R)
+        strong_decompose(R, T, S)
 
 

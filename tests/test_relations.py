@@ -5,16 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fuzzdec import relations
+from fuzzdec import verdicts
 from fuzzdec import (
     FuzzyRelation,
     RelationParseError,
     crisp_decompose,
     format_relation,
-    is_asymmetric,
     is_crisp,
     is_s_connected,
-    is_symmetric,
     is_t_transitive,
     load_relation,
     make_conorm,
@@ -22,6 +20,7 @@ from fuzzdec import (
     parse_relation,
     save_relation,
 )
+from fuzzdec.relations import asymmetry_violation, symmetry_violation
 
 
 def rel(matrix, labels=None):
@@ -48,16 +47,16 @@ def test_construction_names_a_nan_degree():
 
 
 def test_symmetry():
-    assert is_symmetric(rel([[1, 0.5], [0.5, 1]]))
-    assert not is_symmetric(rel([[1, 1], [0.5, 1]]))
-    assert is_symmetric(rel(np.zeros((3, 3))))
+    assert symmetry_violation(rel([[1, 0.5], [0.5, 1]]).degrees) is None
+    assert symmetry_violation(rel([[1, 1], [0.5, 1]]).degrees) is not None
+    assert symmetry_violation(rel(np.zeros((3, 3))).degrees) is None
 
 
 def test_asymmetry():
-    assert is_asymmetric(rel([[0, 1], [0, 0]]))
-    assert not is_asymmetric(rel([[0, 0.5], [0.1, 0]]))
-    assert is_asymmetric(rel(np.zeros((2, 2))))
-    assert not is_asymmetric(rel([[0.2, 0], [0, 0]]))  # positive diagonal
+    assert asymmetry_violation(rel([[0, 1], [0, 0]]).degrees) is None
+    assert asymmetry_violation(rel([[0, 0.5], [0.1, 0]]).degrees) is not None
+    assert asymmetry_violation(rel(np.zeros((2, 2))).degrees) is None
+    assert asymmetry_violation(rel([[0.2, 0], [0, 0]]).degrees) is not None  # positive diagonal
 
 
 def test_symmetric_and_asymmetric_only_for_zero():
@@ -68,7 +67,7 @@ def test_symmetric_and_asymmetric_only_for_zero():
             rel([[0, 0.3], [0.3, 0]]),
             rel([[0, 0.3], [0, 0]]),
         )
-        if is_symmetric(R) and is_asymmetric(R)
+        if symmetry_violation(R.degrees) is None and asymmetry_violation(R.degrees) is None
     ]
     assert len(both) == 1 and not both[0].degrees.any()
 
@@ -124,7 +123,7 @@ def test_crisp_decompose_partition():
         m = np.array([(bits >> k) & 1 for k in range(9)], dtype=float).reshape(3, 3)
         R = rel(m)
         P, I = crisp_decompose(R)
-        assert is_asymmetric(P) and is_symmetric(I)
+        assert asymmetry_violation(P.degrees) is None and symmetry_violation(I.degrees) is None
         np.testing.assert_array_equal(np.minimum(P.degrees, I.degrees), np.zeros((3, 3)))
         np.testing.assert_array_equal(np.maximum(P.degrees, I.degrees), m)
 
@@ -323,7 +322,7 @@ def test_cells_split_on_the_whitespace_of_str_split(sep):
 )
 def test_first_bad_cell_is_named_across_a_block_boundary(bad):
     n = 300
-    rows = relations._BLOCK_CELLS // n  # rows per block: rows - 1 and rows straddle the first boundary
+    rows = verdicts._BLOCK_CELLS // n  # rows per block: rows - 1 and rows straddle the first boundary
     cells = np.full((n, n), "0.5", dtype=object)
     for dr, c, value in bad:
         cells[rows - 1 + dr, c % n] = value

@@ -2,8 +2,6 @@ import pytest
 
 from fuzzdec import (
     RuleClass,
-    Table1Verdict,
-    Table2Verdict,
     check_strictly_increasing_first,
     classify_rule,
     diff_against_reference,
@@ -17,10 +15,11 @@ from fuzzdec import (
 from fuzzdec.divisors import strong_existence
 from fuzzdec.operators import check_collapse_implies_absorption
 from fuzzdec.tables import (
+    CONORM_FAMILIES,
     LAMBDA_SAMPLES,
-    REFERENCE_TABLE1,
-    REFERENCE_TABLE2,
+    ROWS,
     RegimeConsistencyError,
+    _declared,
     oracle_evidence_for_open_cells,
 )
 from fuzzdec.verdicts import Verdict
@@ -48,12 +47,12 @@ def test_table1_matches_reference(table1):
 
 
 def test_table1_spot_cells(table1):
-    assert cell(table1, "lukasiewicz", "lukasiewicz").verdict_for() is Table1Verdict.EXISTS_UNIQUE
+    assert cell(table1, "lukasiewicz", "lukasiewicz").verdict_for() == "unique"
     for col in ("drastic", "minimum", "lukasiewicz", "product", "schweizer_sklar", "hamacher"):
-        assert cell(table1, "minimum", col).verdict_for() is Table1Verdict.NOT_EXISTS
+        assert cell(table1, "minimum", col).verdict_for() == "none"
     weak_ss = cell(table1, "weak", "schweizer_sklar")
-    assert weak_ss.verdict_for("-inf<lambda<=0") is Table1Verdict.EXISTS_UNIQUE
-    assert weak_ss.verdict_for("lambda=+inf") is Table1Verdict.NOT_EXISTS
+    assert weak_ss.verdict_for("-inf<lambda<=0") == "unique"
+    assert weak_ss.verdict_for("lambda=+inf") == "none"
 
 
 def test_table1_repaired_cell_backed_by_direct_witness(table1):
@@ -61,8 +60,8 @@ def test_table1_repaired_cell_backed_by_direct_witness(table1):
     # for lambda > 1 and fail to exist for 0 < lambda < 1 (the reference
     # listing transposed these two regimes against its own interval math)
     c = cell(table1, "lukasiewicz", "schweizer_sklar")
-    assert c.verdict_for("1<lambda<+inf") is Table1Verdict.EXISTS
-    assert c.verdict_for("0<lambda<1") is Table1Verdict.NOT_EXISTS
+    assert c.verdict_for("1<lambda<+inf") == "exists"
+    assert c.verdict_for("0<lambda<1") == "none"
     # direct witness for lambda = 2, value pair (1, 0.25): t = 0.5 works
     S = make_conorm("schweizer_sklar", 2.0)
     T = make_norm("lukasiewicz")
@@ -79,22 +78,17 @@ def test_table2_matches_reference(table2):
 def test_table2_repaired_cell_backed_by_direct_witness(table2):
     # the weak Schweizer-Sklar rule on -inf < lambda <= 0: the reference
     # listing says none, but these conorms rise strictly and induce their rule
-    assert cell(table2, "weak", "schweizer_sklar").verdict_for("-inf<lambda<=0") is (
-        Table2Verdict.INDUCED_RULE
-    )
+    assert cell(table2, "weak", "schweizer_sklar").verdict_for("-inf<lambda<=0") == "induced"
     S = make_conorm("schweizer_sklar", -1.0)
     assert check_strictly_increasing_first(S).verdict is Verdict.HOLDS
     assert classify_rule(S).verdict is RuleClass.INDUCED
 
 
 def test_table2_spot_cells(table2):
-    assert cell(table2, "weak", "minimum").verdict_for() is Table2Verdict.INDUCED_RULE
-    assert cell(table2, "drastic", "lukasiewicz").verdict_for() is Table2Verdict.COMPATIBLE_RULE
-    assert (
-        cell(table2, "weak", "schweizer_sklar").verdict_for("0<lambda<+inf")
-        is Table2Verdict.UNDETERMINED
-    )
-    assert cell(table2, "lukasiewicz", "lukasiewicz").verdict_for() is Table2Verdict.INDUCED_RULE
+    assert cell(table2, "weak", "minimum").verdict_for() == "induced"
+    assert cell(table2, "drastic", "lukasiewicz").verdict_for() == "compatible"
+    assert cell(table2, "weak", "schweizer_sklar").verdict_for("0<lambda<+inf") == "undetermined"
+    assert cell(table2, "lukasiewicz", "lukasiewicz").verdict_for() == "induced"
 
 
 def test_table2_open_cells_all_undetermined(table2):
@@ -107,7 +101,7 @@ def test_table2_open_cells_all_undetermined(table2):
         ("weak", "schweizer_sklar", "0<lambda<+inf"),
     ]
     for row, col, regime in open_cells:
-        assert cell(table2, row, col).verdict_for(regime) is Table2Verdict.UNDETERMINED
+        assert cell(table2, row, col).verdict_for(regime) == "undetermined"
 
 
 def test_unique_cells_with_absorbing_collapse_are_induced():
@@ -115,18 +109,16 @@ def test_unique_cells_with_absorbing_collapse_are_induced():
     # collapses appears as an induced rule wherever the reference decides it;
     # each regime is represented by its first default lambda sample
     checked = 0
-    for (row, col), entries in REFERENCE_TABLE1.items():
-        for label, verdict in entries:
-            if verdict is not Table1Verdict.EXISTS_UNIQUE:
-                continue
-            t2 = dict(REFERENCE_TABLE2[(row, col)])[label]
-            if t2 is Table2Verdict.UNDETERMINED:
-                continue
-            lam = tables._lambdas(row, col, label, LAMBDA_SAMPLES)[0]
-            _, S = tables._ops_for(row, col, lam)
-            if check_collapse_implies_absorption(S).verdict is Verdict.HOLDS:
-                assert t2 is Table2Verdict.INDUCED_RULE, (row, col, label)
-            checked += 1
+    for row in ROWS:
+        for col in CONORM_FAMILIES:
+            for label, verdict, t2 in _declared(row, col):
+                if verdict != "unique" or t2 == "undetermined":
+                    continue
+                lam = tables._lambdas(row, col, label, LAMBDA_SAMPLES)[0]
+                _, S = tables._ops_for(row, col, lam)
+                if check_collapse_implies_absorption(S).verdict is Verdict.HOLDS:
+                    assert t2 == "induced", (row, col, label)
+                checked += 1
     assert checked >= 5
 
 
