@@ -37,7 +37,6 @@ from .relations import (
     crisp_decompose,
     format_relation,
     is_crisp,
-    is_s_connected,
     is_t_transitive,
     load_relation,
     parse_relation,
@@ -48,7 +47,6 @@ from .decompose import (
     DecompositionError,
     bisection_residual,
     canonical_decompose,
-    enumerate_decompositions,
     residual,
     residual_array,
     strong_decompose,

@@ -126,12 +126,14 @@ def _pair_is_analytic(T: BinaryOp, S: BinaryOp) -> bool:
 
     Covers every pair of built-in operators except Schweizer-Sklar norm
     against Schweizer-Sklar conorm with two different finite positive
-    parameters (not a classified pairing; swept instead)."""
+    parameters, the smaller below 1 (not a classified pairing; swept
+    instead)."""
 
     if not (T.is_builtin and S.is_builtin):
         return False
     both_lambda = T.record.exponent_is_lambda and S.record.exponent_is_lambda
-    return not (both_lambda and T.parameter != S.parameter)
+    mixed = both_lambda and T.parameter != S.parameter
+    return not (mixed and min(T.record.exponent, S.record.exponent) < 1.0)
 
 
 def _analytic_nonempty_all_w(T: BinaryOp, S: BinaryOp) -> bool:
@@ -140,9 +142,13 @@ def _analytic_nonempty_all_w(T: BinaryOp, S: BinaryOp) -> bool:
     At w = 0 the zero-interval is all of [0,1]; at w = 1 the one-interval is
     all of [0,1] and 0 always lies in the zero-interval: only interior w can
     fail.  A point interval ({0} or {1}) never meets the other one there; a
-    drastic interval ([0,1) or (0,1]) always does; two power intervals of
-    the classified pairs (one exponent 1, or both equal) meet for every w
-    iff w^p + (1-w)^p <= 1 on (0,1), i.e. p >= 1.
+    drastic interval ([0,1) or (0,1]) always does.  Power intervals
+    [0, f_p(w)] and [1 - f_q(1-w), 1], f_p(w) = (1 - w^p)^(1/p), meet iff
+    f_p(w) + f_q(1-w) >= 1.  For p >= 1, f_p >= f_1 (l^p norms fall as p
+    grows; Hardy, Littlewood and Polya, *Inequalities*, 1934), so
+    min(p, q) >= 1 gives f_p(w) + f_q(1-w) >= (1-w) + w = 1; for p < 1,
+    f_p < f_1 on (0,1), so the classified pairs with min(p, q) < 1 (one
+    exponent 1, or both equal) fail.
     """
 
     p, q = T.record.exponent, S.record.exponent

@@ -144,7 +144,7 @@ class Family:
     # conorm, for the families whose closed form needs a float correction
     residual: Callable
     exponent: float
-    # p = lambda: pairs of two such records at different lambdas are not classified
+    # p = lambda: two such records at different lambdas are classified only when both are >= 1
     exponent_is_lambda: bool = False
     continuous: bool = True
     strict_norm: Witness = None  # (t, s, w): T(t,w) = T(s,w) with w > 0

@@ -97,6 +97,8 @@ def _axis(resolution: float) -> np.ndarray:
     if resolution < 1.0 / 2000.0:
         got = f"1/{1.0 / resolution:.15g}" if resolution > 0 else repr(resolution)
         raise ValueError(f"resolution below 1/2000 is not supported, got {got}")
+    if not resolution <= 1.0:  # also NaN, which fails every comparison
+        raise ValueError(f"resolution must lie in [1/2000, 1], got {resolution!r}")
     n = round(1.0 / resolution)
     return np.linspace(0.0, 1.0, n + 1)
 

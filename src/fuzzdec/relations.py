@@ -2,9 +2,8 @@
 
 A relation is a square membership matrix over an ordered universe of labels;
 row index is the first argument.  Equality-style predicates (symmetry,
-crispness) compare stored degrees exactly, while predicates that involve
-operator evaluations (transitivity, connectedness) allow the package-wide
-1e-9 tolerance.
+crispness) compare stored degrees exactly, while transitivity, which
+evaluates a norm, allows the package-wide 1e-9 tolerance.
 """
 
 from __future__ import annotations
@@ -111,18 +110,6 @@ def sup_t_compose(m: np.ndarray, T: BinaryOp) -> np.ndarray:
     for s in _row_blocks(n, n * n):
         out[s] = np.asarray(T.evaluator(m[s, :, None], m[None, :, :]), dtype=float).max(axis=1)
     return out
-
-
-def is_s_connected(R: FuzzyRelation, S: BinaryOp) -> bool:
-    """S(R(x,y), R(y,x)) = 1 for every pair (including x = y), within
-    tolerance: the S-connectedness whose value pairs
-    `regions.restricted_decomposability` checks."""
-    if S.kind is not Kind.CONORM:
-        raise ValueError("connectedness expects a conorm")
-    m = R.degrees
-    return _first_cell(
-        R.size, lambda s: ~(np.asarray(S.evaluator(m[s], m[:, s].T), dtype=float) >= 1.0 - EPSILON)
-    ) is None
 
 
 # ---------------------------------------------------------------------------

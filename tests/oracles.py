@@ -1,0 +1,146 @@
+"""Brute-force oracles the tests check the library against.
+
+`enumerate_decompositions` lists every grid-valued decomposition of a small
+relation, the independent check of the analytic existence and uniqueness
+verdicts; `is_s_connected` is the paper's S-connectedness on one relation,
+the relation-level counterpart of the value pairs
+`regions.restricted_decomposability` checks.  No library code calls either.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import List, Optional, Tuple
+
+import numpy as np
+
+from fuzzdec import EPSILON, BinaryOp, FuzzyRelation, Kind, Verdict
+from fuzzdec.decompose import Decomposition, _grid_values, verify_strong, verify_weak
+from fuzzdec.verdicts import _first_cell
+
+_MAX_CANDIDATES = 500_000
+
+
+def enumerate_decompositions(
+    R: FuzzyRelation,
+    S: BinaryOp,
+    T: Optional[BinaryOp] = None,
+    grid_step: float = 0.01,
+    search_indifference: bool = False,
+) -> List[Decomposition]:
+    """All grid-valued decompositions of R with respect to S (and T when a
+    strong decomposition is requested).
+
+    By default the indifference part is pinned to min(R, R^t), which any
+    reconstruction forces anyway; ``search_indifference=True`` drops that
+    shortcut and brute-forces I as well, turning the enumeration into an
+    independent oracle for the pinning itself.  Candidates for P are searched
+    on every ordered pair subject to asymmetry.  Results are sorted
+    lexicographically by (P, I) matrices.
+    """
+
+    if grid_step < 0.01 - 1e-12:
+        raise ValueError("grid_step below 1/100 makes the search explode")
+    n = R.size
+    if n > 4:
+        raise ValueError("enumeration is meant for universes of at most 4 elements")
+    vals = _grid_values(grid_step)
+    m = R.degrees
+
+    def strict_candidates(i: float, r: float) -> np.ndarray:
+        """Grid values p with S(p, i) = r (and T(p, i) = 0 when strong)."""
+        col = np.full_like(vals, i)
+        ok = np.abs(np.asarray(S.evaluator(vals, col), dtype=float) - r) <= EPSILON
+        if T is not None:
+            ok &= np.asarray(T.evaluator(vals, col), dtype=float) <= EPSILON
+        return vals[ok]
+
+    def zero_works(i: float, r: float) -> bool:
+        if abs(S(0.0, i) - r) > EPSILON:
+            return False
+        return T is None or T(0.0, i) <= EPSILON
+
+    # diagonal: asymmetry forces P(x,x) = 0, so I(x,x) must reproduce R(x,x)
+    diag_choices: List[List[float]] = []
+    for k in range(n):
+        r = m[k, k]
+        if search_indifference:
+            opts = [float(v) for v in vals if zero_works(v, r)]
+        else:
+            opts = [float(r)] if zero_works(r, r) else []
+        diag_choices.append(opts)
+
+    # off-diagonal unordered pairs: candidates (i, p_xy, p_yx)
+    pair_index = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    pair_choices: List[List[Tuple[float, float, float]]] = []
+    for a, b in pair_index:
+        r_ab, r_ba = m[a, b], m[b, a]
+        i_options = (
+            [float(v) for v in vals]
+            if search_indifference
+            else [float(min(r_ab, r_ba))]
+        )
+        combos: List[Tuple[float, float, float]] = []
+        for i in i_options:
+            if i == 1.0:
+                # the weak condition pins both strict values to 0
+                if zero_works(1.0, r_ab) and zero_works(1.0, r_ba):
+                    combos.append((i, 0.0, 0.0))
+                continue
+            p_ab_opts = strict_candidates(i, r_ab)
+            p_ba_opts = strict_candidates(i, r_ba)
+            zero_ab = bool((p_ab_opts == 0.0).any())
+            zero_ba = bool((p_ba_opts == 0.0).any())
+            if zero_ba:
+                combos.extend((i, float(p), 0.0) for p in p_ab_opts if p > 0.0)
+            if zero_ab:
+                combos.extend((i, 0.0, float(q)) for q in p_ba_opts if q > 0.0)
+            if zero_ab and zero_ba:
+                combos.append((i, 0.0, 0.0))
+        pair_choices.append(combos)
+
+    total = 1
+    for opts in diag_choices + pair_choices:
+        total *= len(opts)
+        if total > _MAX_CANDIDATES:
+            raise ValueError(f"combinatorial bound exceeded: more than {_MAX_CANDIDATES} candidates")
+    if total == 0:
+        return []
+
+    results: List[Decomposition] = []
+    for diag in itertools.product(*diag_choices):
+        for assignment in itertools.product(*pair_choices):
+            P = np.zeros((n, n))
+            I = np.zeros((n, n))
+            for k in range(n):
+                I[k, k] = diag[k]
+            for (a, b), (i, p_ab, p_ba) in zip(pair_index, assignment):
+                I[a, b] = I[b, a] = i
+                P[a, b] = p_ab
+                P[b, a] = p_ba
+            d = Decomposition(FuzzyRelation(R.universe, P), FuzzyRelation(R.universe, I), S, T)
+            if verify_weak(R, d).verdict is not Verdict.HOLDS:
+                continue
+            if T is not None and verify_strong(R, d, T).verdict is not Verdict.HOLDS:
+                continue
+            results.append(d)
+
+    results.sort(
+        key=lambda d: (
+            tuple(d.strict.degrees.ravel()),
+            tuple(d.indifference.degrees.ravel()),
+        )
+    )
+    return results
+
+
+def is_s_connected(R: FuzzyRelation, S: BinaryOp) -> bool:
+    """S(R(x,y), R(y,x)) = 1 for every pair (including x = y), within
+    tolerance: the S-connectedness whose value pairs
+    `regions.restricted_decomposability` checks."""
+    if S.kind is not Kind.CONORM:
+        raise ValueError("connectedness expects a conorm")
+    m = R.degrees
+    return _first_cell(
+        R.size, lambda s: ~(np.asarray(S.evaluator(m[s], m[:, s].T), dtype=float) >= 1.0 - EPSILON)
+    ) is None

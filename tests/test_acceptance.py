@@ -14,7 +14,6 @@ from fuzzdec import (
     canonical_decompose,
     crisp_decompose,
     diff_against_reference,
-    enumerate_decompositions,
     find_collapse_witness,
     generate_table1,
     generate_table2,
@@ -35,6 +34,7 @@ from fuzzdec.divisors import (
     one_interval,
     zero_interval,
 )
+from oracles import enumerate_decompositions
 
 CONTINUOUS_CONORMS = [
     ("minimum", None),

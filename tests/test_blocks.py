@@ -31,7 +31,6 @@ from fuzzdec import (
     Verdict,
     canonical_decompose,
     check_norm_axioms,
-    is_s_connected,
     is_t_transitive,
     make_conorm,
     make_custom,
@@ -50,6 +49,7 @@ from fuzzdec.decompose import residual_array
 from fuzzdec.divisors import intersection
 from fuzzdec.operators import EPSILON
 from fuzzdec.relations import asymmetry_violation, symmetry_violation
+from oracles import is_s_connected
 
 BLOCK = verdicts_module._BLOCK_CELLS
 LUK4 = Path(__file__).resolve().parent / "data" / "luk4.op"

@@ -10,7 +10,6 @@ from fuzzdec import (
     bisection_residual,
     canonical_decompose,
     crisp_decompose,
-    enumerate_decompositions,
     make_conorm,
     make_norm,
     residual,
@@ -20,6 +19,7 @@ from fuzzdec import (
     verify_weak,
 )
 from fuzzdec.families import _least_addend
+from oracles import enumerate_decompositions
 
 CONTINUOUS_CONORMS = [
     ("minimum", None),

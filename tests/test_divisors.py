@@ -22,7 +22,7 @@ from fuzzdec import (
     strong_uniqueness,
     zero_interval,
 )
-from fuzzdec.divisors import _analytic_nonempty_all_w, _pair_is_analytic, intersection
+from fuzzdec.divisors import _CLASSIFIED_PROBES, _analytic_nonempty_all_w, _pair_is_analytic, intersection
 
 CONORMS = [
     ("minimum", None),
@@ -300,12 +300,40 @@ def test_ss_lambda_regimes_against_interval_math():
 
 def test_mixed_lambda_pairs_are_swept_not_certified():
     v = strong_existence(
-        make_norm("schweizer_sklar", 2.0), make_conorm("schweizer_sklar", 3.0)
+        make_norm("schweizer_sklar", 0.5), make_conorm("schweizer_sklar", 3.0)
     )
     assert str(v) == (
         "UNKNOWN -- divisor intervals intersect at w = 0.5 and the 1001-point grid of step 0.001; "
         "pair not analytically classified"
     )
+
+
+@pytest.mark.parametrize("lam_t, lam_s", [(2.0, 3.0), (3.0, 2.0), (1.5, 4.0)])
+def test_mixed_lambda_pairs_of_lambdas_at_least_one_hold(lam_t, lam_s):
+    T, S = make_norm("schweizer_sklar", lam_t), make_conorm("schweizer_sklar", lam_s)
+    assert str(strong_existence(T, S)) == "HOLDS -- divisor intervals intersect for every w"
+    v = strong_uniqueness(T, S)
+    assert v.verdict is Verdict.FAILS and v.witness[0] == 0.5
+
+
+def test_mixed_lambda_proof_holds_in_floats():
+    # the analytic HOLDS for min(lambda) >= 1 rests on real arithmetic: the
+    # float intervals must meet too, on the sweep grid, the classified
+    # probes and every dyadic w toward 1 and toward 0 through the subnormals
+    rng = np.random.default_rng(23)
+    lams = 1.0 + 10.0 ** rng.uniform(-9.0, 1.7, size=(300, 2))
+    lams[:20, 0] = 1.0 + 1e-9
+    lams[20:40, 1] = 1.0 + 1e-9
+    ws = np.concatenate(
+        [degree_grid(1e-3), _CLASSIFIED_PROBES, 1.0 - 2.0 ** -np.arange(1, 54), 2.0 ** -np.arange(1, 1075)]
+    )
+    assert ws[-1] == 5e-324
+    for lam_t, lam_s in lams.tolist():
+        assert lam_t != lam_s
+        T, S = make_norm("schweizer_sklar", lam_t), make_conorm("schweizer_sklar", lam_s)
+        assert strong_existence(T, S).verdict is Verdict.HOLDS, (lam_t, lam_s)
+        empty = intersection(T, S, ws).empty
+        assert not empty.any(), (lam_t, lam_s, ws[empty][:3])
 
 
 @pytest.mark.parametrize("lam", [0.05, 0.1, 0.2, 0.22])
@@ -344,7 +372,9 @@ def test_grid_sweep_agrees_with_the_analytic_verdicts():
             assert (not empty) is _analytic_nonempty_all_w(T, S), (T, S)
             if not empty and check_first_coordinate_continuity(S).verdict is Verdict.HOLDS:
                 assert (not multi) is (strong_uniqueness(T, S).verdict is Verdict.HOLDS), (T, S)
-    assert classified == 27 * 27 - 7 * 6  # all but the Schweizer-Sklar pairs of two lambdas in (0, +inf)
+    # all but the Schweizer-Sklar pairs of two lambdas in (0, +inf), the
+    # smaller below 1: 7 * 6 such pairs, less the 5 * 4 of two lambdas >= 1
+    assert classified == 27 * 27 - (7 * 6 - 5 * 4)
 
 
 PROPERTY_LAMBDAS = (-math.inf, -2.0, -1.0, -0.5, 0.0, 0.05, 0.22, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0, math.inf)

@@ -10,7 +10,6 @@ from fuzzdec import (
     canonical_decompose,
     classify_rule,
     crisp_decompose,
-    enumerate_decompositions,
     find_collapse_witness,
     make_conorm,
     make_norm,
@@ -23,6 +22,7 @@ from fuzzdec import (
 from fuzzdec import divisors
 from fuzzdec.divisors import strong_existence
 from fuzzdec.preferences import GRID_RELATION, _classify_computed
+from oracles import enumerate_decompositions
 
 
 def two_rel(r_xy, r_yx, diag=1.0):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -305,6 +306,19 @@ def test_two_element_interior_witness_is_min_transitive():
     assert not weakly_decomposable(make_conorm("drastic"), 0.6, 0.5)
 
 
-def test_resolution_guard():
-    with pytest.raises(ValueError):
-        weak_region(make_conorm("max"), 1 / 4000)
+REGION_CALLS = {
+    "weak": lambda res: weak_region(make_conorm("max"), res),
+    "strong": lambda res: strong_region(make_norm("min"), make_conorm("max"), res),
+    "restricted": lambda res: restricted_decomposability(make_conorm("max"), make_conorm("max"), None, res),
+}
+
+
+@pytest.mark.parametrize(
+    "resolution, named", [(math.nan, "nan"), (2.0, "2.0"), (math.inf, "inf"), (1 / 4000, "1/4000")]
+)
+@pytest.mark.parametrize("call", sorted(REGION_CALLS))
+def test_resolution_guard(call, resolution, named):
+    """Only a resolution in [1/2000, 1] rasterises; any other is refused by
+    name, never read as a 1 x 1 raster or passed on to numpy."""
+    with pytest.raises(ValueError, match=rf"resolution .*, got {re.escape(named)}$"):
+        REGION_CALLS[call](resolution)

@@ -12,7 +12,6 @@ from fuzzdec import (
     crisp_decompose,
     format_relation,
     is_crisp,
-    is_s_connected,
     is_t_transitive,
     load_relation,
     make_conorm,
@@ -21,6 +20,7 @@ from fuzzdec import (
     save_relation,
 )
 from fuzzdec.relations import asymmetry_violation, symmetry_violation
+from oracles import is_s_connected
 
 
 def rel(matrix, labels=None):
