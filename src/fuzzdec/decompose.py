@@ -190,9 +190,3 @@ def verify_strong(R: FuzzyRelation, D: Decomposition, T: BinaryOp) -> TriState:
             f"at ({R.universe[a]},{R.universe[b]})",
         )
     return holds("strong decomposition verified")
-
-
-def _grid_values(grid_step: float) -> np.ndarray:
-    # k/n by direct division: bit-identical to degrees built the same way
-    n = round(1.0 / grid_step)
-    return np.arange(n + 1) / n

@@ -124,16 +124,15 @@ def bisection_zero_interval(T: BinaryOp, w) -> DegreeInterval:
 def _pair_is_analytic(T: BinaryOp, S: BinaryOp) -> bool:
     """Whether the all-w verdicts for this (T,S) pair are analytically known.
 
-    Covers every pair of built-in operators except Schweizer-Sklar norm
-    against Schweizer-Sklar conorm with two different finite positive
-    parameters, the smaller below 1 (not a classified pairing; swept
-    instead)."""
+    Covers every pair of built-in operators except those whose exponents
+    are two different finite positive numbers, neither 1, the smaller below
+    1: a Schweizer-Sklar norm against a Schweizer-Sklar conorm at two such
+    lambdas (not a classified pairing; swept instead)."""
 
     if not (T.is_builtin and S.is_builtin):
         return False
-    both_lambda = T.record.exponent_is_lambda and S.record.exponent_is_lambda
-    mixed = both_lambda and T.parameter != S.parameter
-    return not (mixed and min(T.record.exponent, S.record.exponent) < 1.0)
+    p, q = T.record.exponent, S.record.exponent
+    return not (p != q and 0.0 < min(p, q) < 1.0 and max(p, q) not in (1.0, math.inf))
 
 
 def _analytic_nonempty_all_w(T: BinaryOp, S: BinaryOp) -> bool:

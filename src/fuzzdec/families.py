@@ -144,9 +144,7 @@ class Family:
     # conorm, for the families whose closed form needs a float correction
     residual: Callable
     exponent: float
-    # p = lambda: two such records at different lambdas are classified only when both are >= 1
-    exponent_is_lambda: bool = False
-    continuous: bool = True
+    jump: Witness = None  # (t0, t1, w): S(., w) jumps between t0 and t1; T at (1-t1, 1-t0, 1-w)
     strict_norm: Witness = None  # (t, s, w): T(t,w) = T(s,w) with w > 0
     strict_conorm: Witness = None  # (t, s, w): S(t,w) = S(s,w) with w < 1
     collapse: Witness = None  # (w, t, s): S(t,w) = S(s,w) > w
@@ -328,7 +326,7 @@ DRASTIC = Family(
     # for 0 < i < r the attaining set is (0,1]: infimum 0, not attained
     residual=lambda i, r, S: np.where(i == 0.0, r, 0.0),
     exponent=math.inf,
-    continuous=False,
+    jump=(0.0, 0.001, 0.5),
     strict_norm=(0.3, 0.4, 0.5),
     strict_conorm=(0.3, 0.4, 0.5),
     collapse=(0.5, 0.3, 0.4),
@@ -358,6 +356,32 @@ ORDINAL_SUM = Family(
 
 _SS_NAMES = ("Schweizer-Sklar norm", "Schweizer-Sklar conorm")
 _HAMACHER_NAMES = ("Hamacher norm", "Hamacher conorm")
+
+
+# 2^-k for k = 2 .. 1074: toward 0 down to the least float, toward 1 up to k = 53
+_DYADIC = 2.0 ** -np.arange(2, 1075)
+
+
+def _flat_thirds(op, interval, absorbing: float, probes) -> Tuple[float, float, float]:
+    """(t, s, w): the interior thirds t < s of the divisor interval
+    ``interval(w)`` at the first w, 0.5 and then each of ``probes``, where
+    both replay in floats: op(t, w) = op(s, w) = ``absorbing``.  At small
+    lambda the interval at w = 0.5 rounds to one float.  Where no probe
+    separates two of its points (lambda below about 0.019 for the conorm and
+    0.00093 for the norm), the thirds at w = 0.5 stay."""
+
+    def thirds(w):
+        iv = interval(w)
+        return iv.lower + (iv.upper - iv.lower) / 3, iv.lower + 2 * (iv.upper - iv.lower) / 3
+
+    t, s = thirds(0.5)  # one value alone first: far cheaper than the probe array
+    if t < s and (op(np.array([t, s]), 0.5) == absorbing).all():
+        return t, s, 0.5
+    ts, ss = thirds(probes)
+    ok = np.flatnonzero((ts < ss) & (op(ts, probes) == absorbing) & (op(ss, probes) == absorbing))
+    if not ok.size:
+        return t, s, 0.5
+    return float(ts[ok[0]]), float(ss[ok[0]]), float(probes[ok[0]])
 
 
 def _schweizer_sklar(lam: float) -> Family:
@@ -393,14 +417,13 @@ def _schweizer_sklar(lam: float) -> Family:
             p[edge] = _least_saturating(S, p[edge], np.broadcast_to(i, p.shape)[edge])
         return p
 
-    powered = replace(base, residual=residual, exponent=lam, exponent_is_lambda=True)
-    t0, z0 = powered.one_interval(0.5).lower, powered.zero_interval(0.5).upper
-    strict_conorm = (t0 + (1 - t0) / 3, t0 + 2 * (1 - t0) / 3, 0.5)
+    powered = replace(base, residual=residual, exponent=lam)
+    strict_conorm = _flat_thirds(powered.conorm, powered.one_interval, 1.0, 1.0 - _DYADIC[:52])
     return replace(
         powered,
-        strict_norm=(z0 / 3, 2 * z0 / 3, 0.5),
+        strict_norm=_flat_thirds(powered.norm, powered.zero_interval, 0.0, _DYADIC),
         strict_conorm=strict_conorm,
-        collapse=(0.5, *strict_conorm[:2]),
+        collapse=(strict_conorm[2], *strict_conorm[:2]),
     )
 
 

@@ -156,11 +156,10 @@ def make_custom(fn: Callable, kind: Kind) -> BinaryOp:
 
 def dual(op: BinaryOp) -> BinaryOp:
     """The De Morgan dual with respect to the standard negation 1-x."""
+    other = Kind.CONORM if op.kind is Kind.NORM else Kind.NORM
     if not op.is_builtin:
-        other = Kind.CONORM if op.kind is Kind.NORM else Kind.NORM
         inner = op.evaluator
         return make_custom(lambda x, y: 1.0 - inner(1.0 - np.asarray(x, float), 1.0 - np.asarray(y, float)), other)
-    other = Kind.CONORM if op.kind is Kind.NORM else Kind.NORM
     return make_family(op.family, other, op.parameter)
 
 
@@ -227,24 +226,15 @@ def check_norm_axioms(op: BinaryOp, grid: float = 0.01) -> TriState:
     if 0.0 < grid < 1.0 / 2000.0:  # the (0, 1] range check of `degree_grid` names the rest
         raise ValueError(f"grid step below 1/2000 is not supported, got {grid:g}")
     g = _as_grid(grid, op)
-    zeros = np.zeros_like(g)
-    ones = np.ones_like(g)
-
+    letter, e, a = ("T", 1, 0) if op.kind is Kind.NORM else ("S", 0, 1)
+    ident, absorb = np.full_like(g, e), np.full_like(g, a)
     # identity rows within EPSILON, absorbing rows exactly (divisor intervals are their level sets)
-    if op.kind is Kind.NORM:
-        pairs = [
-            (g, ones, g, EPSILON, "T(x,1) = x"),
-            (ones, g, g, EPSILON, "T(1,x) = x"),
-            (g, zeros, zeros, 0.0, "T(x,0) = 0"),
-            (zeros, g, zeros, 0.0, "T(0,x) = 0"),
-        ]
-    else:
-        pairs = [
-            (g, zeros, g, EPSILON, "S(x,0) = x"),
-            (zeros, g, g, EPSILON, "S(0,x) = x"),
-            (g, ones, ones, 0.0, "S(x,1) = 1"),
-            (ones, g, ones, 0.0, "S(1,x) = 1"),
-        ]
+    pairs = [
+        (g, ident, g, EPSILON, f"{letter}(x,{e}) = x"),
+        (ident, g, g, EPSILON, f"{letter}({e},x) = x"),
+        (g, absorb, absorb, 0.0, f"{letter}(x,{a}) = {a}"),
+        (absorb, g, absorb, 0.0, f"{letter}({a},x) = {a}"),
+    ]
     for xs, ys, want, tol, label in pairs:
         got = np.asarray(op.evaluator(xs, ys), dtype=float)
         bad = np.abs(got - want) > tol
@@ -323,13 +313,11 @@ def check_first_coordinate_continuity(op: BinaryOp) -> TriState:
     """
 
     if op.is_builtin:
-        if op.record.continuous:
+        if op.record.jump is None:
             return holds(f"{op.display_name} is continuous on [0,1]^2")
-        w = 0.5
-        if op.kind is Kind.CONORM:
-            t0, t1 = 0.0, _T_STEP
-        else:
-            t1, t0 = 1.0, 1.0 - _T_STEP
+        t0, t1, w = op.record.jump
+        if op.kind is Kind.NORM:
+            t0, t1, w = 1.0 - t1, 1.0 - t0, 1.0 - w
         v0, v1 = op(t0, w), op(t1, w)
         return fails(
             (t0, t1, w),

@@ -39,7 +39,6 @@ from .operators import EPSILON, BinaryOp, Kind, check_collapse_implies_absorptio
 from .decompose import (
     Decomposition,
     DecompositionError,
-    _grid_values,
     canonical_decompose,
     strong_decompose,
 )
@@ -214,7 +213,7 @@ def mj_counterexample(
 
 
 # R(x_a, x_b) = b/20: every pair i <= r of the 1/20 grid (module docstring)
-GRID_RELATION = FuzzyRelation(tuple(f"x{a}" for a in range(21)), np.tile(_grid_values(0.05), (21, 1)))
+GRID_RELATION = FuzzyRelation(tuple(f"x{a}" for a in range(21)), np.tile(np.arange(21) / 20, (21, 1)))
 
 
 class RuleClass(Enum):

@@ -86,13 +86,6 @@ def _raster_blocks(ax: np.ndarray, cell_test, member: np.ndarray) -> Iterator[sl
         yield s
 
 
-def _rasterise(ax: np.ndarray, cell_test) -> np.ndarray:
-    member = np.empty((ax.size, ax.size), dtype=bool)
-    for _ in _raster_blocks(ax, cell_test, member):
-        pass
-    return member
-
-
 def _axis(resolution: float) -> np.ndarray:
     if resolution < 1.0 / 2000.0:
         got = f"1/{1.0 / resolution:.15g}" if resolution > 0 else repr(resolution)
@@ -119,9 +112,7 @@ def weak_region(S: BinaryOp, resolution: float = 1 / 200) -> RegionGrid:
     in the first coordinate this is all of the square.
     """
 
-    test = _cell_test(S)
-    ax = _axis(resolution)
-    return RegionGrid(ax, _rasterise(ax, test))
+    return _region(resolution, S)
 
 
 def _strongly_decomposable(T: BinaryOp, S: BinaryOp, i, r) -> np.ndarray:
@@ -147,9 +138,7 @@ def strong_region(T: BinaryOp, S: BinaryOp, resolution: float = 1 / 200) -> Regi
     residual is the only candidate that can also vanish under T.
     """
 
-    test = _cell_test(S, T)
-    ax = _axis(resolution)
-    return RegionGrid(ax, _rasterise(ax, test))
+    return _region(resolution, S, T)
 
 
 def _cell_test(S: BinaryOp, T: Optional[BinaryOp] = None):
@@ -162,6 +151,16 @@ def _cell_test(S: BinaryOp, T: Optional[BinaryOp] = None):
     if T.kind is not Kind.NORM or S.kind is not Kind.CONORM:
         raise ValueError("strong_region expects (norm, conorm)")
     return lambda i, r: _strongly_decomposable(T, S, i, r)
+
+
+def _region(resolution: float, S: BinaryOp, T: Optional[BinaryOp] = None) -> RegionGrid:
+    """The weak region of S (T None) or the strong region of (T,S)."""
+    test = _cell_test(S, T)
+    ax = _axis(resolution)
+    member = np.empty((ax.size, ax.size), dtype=bool)
+    for _ in _raster_blocks(ax, test, member):
+        pass
+    return RegionGrid(ax, member)
 
 
 def restricted_decomposability(

@@ -313,11 +313,21 @@ def format_relation(R: FuzzyRelation, rows: slice = slice(0, None)) -> str:
     the texts of consecutive slices join to the whole file."""
     start, stop, _ = rows.indices(R.size)
     m = R.degrees[start:stop]
-    head = FILE_HEADER + "\nuniverse " + " ".join(R.universe) + "\n" if start == 0 else ""
+    head = _header(R) if start == 0 else ""
     return head + "".join(_format_rows(m[s]) for s in _row_blocks(len(m), R.size, _TEXT_CELLS))
 
 
+def _header(R: FuzzyRelation) -> str:
+    """The header and ``universe`` lines of R's file; ValueError naming the
+    first label that line cannot carry (empty, or holding whitespace or '#')."""
+    for label in R.universe:
+        if label.split() != [label] or "#" in label:
+            raise ValueError(f"universe label {label!r} cannot be written: it is empty or holds whitespace or '#'")
+    return FILE_HEADER + "\nuniverse " + " ".join(R.universe) + "\n"
+
+
 def save_relation(R: FuzzyRelation, path) -> None:
+    _header(R)  # a bad label raises before the file is opened
     with open(path, "w", encoding="utf-8") as fh:
         for rows in text_rows(R):
             fh.write(format_relation(R, rows))

@@ -26,7 +26,7 @@ from .preferences import RuleClass, classify_rule
 from .reference import CELLS, WEAK_ROW, in_regime
 from .verdicts import Verdict
 
-NORM_FAMILIES = ("drastic", "minimum", "lukasiewicz", "product", "schweizer_sklar", "hamacher")
+# the families of both the rows (norms) and the columns (conorms)
 CONORM_FAMILIES = ("drastic", "minimum", "lukasiewicz", "product", "schweizer_sklar", "hamacher")
 
 CONORM_LABELS = {
@@ -37,15 +37,8 @@ CONORM_LABELS = {
     "schweizer_sklar": "Schweizer-Sklar",
     "hamacher": "Hamacher",
 }
-NORM_LABELS = {
-    "drastic": "Drastic",
-    "minimum": "Minimum",
-    "lukasiewicz": "Lukasiewicz",
-    "product": "Product",
-    "schweizer_sklar": "Schweizer-Sklar",
-    "hamacher": "Hamacher",
-}
-ROWS = NORM_FAMILIES + (WEAK_ROW,)
+NORM_LABELS = {**CONORM_LABELS, "minimum": "Minimum", "product": "Product"}
+ROWS = CONORM_FAMILIES + (WEAK_ROW,)
 
 LAMBDA_SAMPLES = (-math.inf, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, math.inf)
 

@@ -15,10 +15,16 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from fuzzdec import EPSILON, BinaryOp, FuzzyRelation, Kind, Verdict
-from fuzzdec.decompose import Decomposition, _grid_values, verify_strong, verify_weak
+from fuzzdec.decompose import Decomposition, verify_strong, verify_weak
 from fuzzdec.verdicts import _first_cell
 
 _MAX_CANDIDATES = 500_000
+
+
+def _grid_values(grid_step: float) -> np.ndarray:
+    # k/n by direct division: bit-identical to degrees built the same way
+    n = round(1.0 / grid_step)
+    return np.arange(n + 1) / n
 
 
 def enumerate_decompositions(

@@ -9,17 +9,22 @@ from fuzzdec import (
     Verdict,
     bisection_one_interval,
     bisection_zero_interval,
+    check_collapse_implies_absorption,
     check_first_coordinate_continuity,
+    check_strict_near_zero,
+    check_strictly_increasing_first,
     degree_grid,
     make_conorm,
     make_custom,
     make_family,
     make_norm,
+    mj_counterexample,
     one_interval,
     residual,
     residual_array,
     strong_existence,
     strong_uniqueness,
+    verify_weak,
     zero_interval,
 )
 from fuzzdec.divisors import _CLASSIFIED_PROBES, _analytic_nonempty_all_w, _pair_is_analytic, intersection
@@ -372,9 +377,10 @@ def test_grid_sweep_agrees_with_the_analytic_verdicts():
             assert (not empty) is _analytic_nonempty_all_w(T, S), (T, S)
             if not empty and check_first_coordinate_continuity(S).verdict is Verdict.HOLDS:
                 assert (not multi) is (strong_uniqueness(T, S).verdict is Verdict.HOLDS), (T, S)
-    # all but the Schweizer-Sklar pairs of two lambdas in (0, +inf), the
-    # smaller below 1: 7 * 6 such pairs, less the 5 * 4 of two lambdas >= 1
-    assert classified == 27 * 27 - (7 * 6 - 5 * 4)
+    # all but the Schweizer-Sklar pairs of two lambdas in (0, +inf) other
+    # than 1, the smaller below 1: 6 * 5 such pairs, less the 4 * 3 of two
+    # lambdas > 1
+    assert classified == 27 * 27 - (6 * 5 - 4 * 3)
 
 
 PROPERTY_LAMBDAS = (-math.inf, -2.0, -1.0, -0.5, 0.0, 0.05, 0.22, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0, math.inf)
@@ -397,3 +403,37 @@ def test_every_witness_replays_in_floats():
             else:
                 w, t1, t2 = v.witness
                 assert t1 != t2 and all(S(t, w) == 1.0 and T(t, w) == 0.0 for t in (t1, t2)), (T, S, v)
+
+
+def test_every_property_witness_of_a_builtin_record_replays():
+    # each FAILS of the four property checks, on norms and conorms, shows
+    # t < s in floats: a jump across a gap of 0.001, a flat section, or a
+    # collapse above w that gives two weak decompositions of one relation
+    checked = 0
+    for op in builtin_ops(Kind.NORM, PROPERTY_LAMBDAS) + builtin_ops(Kind.CONORM, PROPERTY_LAMBDAS):
+        v = check_first_coordinate_continuity(op)
+        if v.verdict is Verdict.FAILS:
+            t, s, w = v.witness
+            assert t < s <= t + 1e-3 and abs(op(s, w) - op(t, w)) > 0.05, (op, v)
+            checked += 1
+        v = check_strictly_increasing_first(op)
+        if v.verdict is Verdict.FAILS:
+            t, s, w = v.witness
+            assert t < s and op(t, w) == op(s, w) and (w < 1.0 if op.kind is Kind.CONORM else w > 0.0), (op, v)
+            checked += 1
+        if op.kind is Kind.NORM:
+            continue
+        v = check_strict_near_zero(op)
+        if v.verdict is Verdict.FAILS:
+            w, t, s = v.witness
+            assert w < 1.0 and t < s and op(t, w) == op(s, w), (op, v)
+            checked += 1
+        v = check_collapse_implies_absorption(op)
+        if v.verdict is Verdict.FAILS:
+            w, t, s = v.witness
+            assert t < s and op(t, w) == op(s, w) > w, (op, v)
+            R, d1, d2 = mj_counterexample(op, w, t, s)
+            assert d1.strict.degrees.tobytes() != d2.strict.degrees.tobytes()
+            assert all(verify_weak(R, d).verdict is Verdict.HOLDS for d in (d1, d2)), (op, v)
+            checked += 1
+    assert checked == 64

@@ -136,6 +136,28 @@ def test_file_round_trip():
     np.testing.assert_array_equal(back.degrees, R.degrees)
 
 
+@pytest.mark.parametrize("label", ["", "a b", "a#x", "a\nb", "x\xa0"])
+def test_a_label_the_universe_line_cannot_carry_is_refused(tmp_path, label):
+    # each would read back as other labels, a short row or a duplicate
+    R = rel(np.eye(3), labels=("x", label, "c"))
+    with pytest.raises(ValueError, match=re.escape(repr(label))):
+        format_relation(R)
+    path = tmp_path / "r.rel"
+    with pytest.raises(ValueError, match=re.escape(repr(label))):
+        save_relation(R, path)
+    assert not path.exists()
+    # the rows after the first carry no universe line
+    assert format_relation(R, slice(1, None)) == "0 1 0\n0 0 1\n"
+
+
+def test_valid_labels_round_trip_bit_identically(tmp_path):
+    R = rel(np.random.default_rng(5).random((4, 4)), labels=("a", "é", "x-1", "Ω_2"))
+    path = tmp_path / "r.rel"
+    save_relation(R, path)
+    back = load_relation(path)
+    assert back.universe == R.universe and back.degrees.tobytes() == R.degrees.tobytes()
+
+
 EDGE_DEGREES = [0.0, 1.0, 5e-324, 1 - 2**-53, 0.1]
 
 

@@ -1,0 +1,61 @@
+"""Every function the benchmark traces exists in the package.
+
+`perfbench/tracing.py` wraps the functions of its ``TRACED`` table by module
+and attribute name, so a renamed function would be noticed only by a traced
+benchmark run.  Its tables are read with `ast`, without importing the
+benchmark.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+from fuzzdec.operators import BinaryOp
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+class _Inline(ast.NodeTransformer):
+    """Replaces each name by the constant assigned to it earlier."""
+
+    def __init__(self, constants):
+        self.constants = constants
+
+    def visit_Name(self, node):
+        return ast.Constant(self.constants[node.id])
+
+
+def tracing_constants() -> dict:
+    """The tracer's module-level assignments, each as its literal value."""
+    constants = {}
+    for node in ast.parse(TRACING.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+            constants[node.targets[0].id] = ast.literal_eval(_Inline(constants).visit(node.value))
+    return constants
+
+
+def resolve(module: str, dotted: str):
+    obj = importlib.import_module(module)
+    for attr in dotted.split("."):
+        obj = getattr(obj, attr)
+    return obj
+
+
+def test_every_traced_function_resolves_to_a_callable():
+    c = tracing_constants()
+    assert len(c["TRACED"]) >= 20
+    for prefix, module, attr, _ in c["TRACED"]:
+        assert module.startswith("fuzzdec."), prefix
+        assert callable(resolve(module, attr)), prefix
+    assert c["TO_CSV"] == "regions.RegionGrid.to_csv"
+    assert callable(resolve("fuzzdec.regions", "RegionGrid.to_csv"))
+    # the evaluator is wrapped on each operator as it is built
+    assert c["EVALUATOR"] == "operators.evaluator" and "evaluator" in BinaryOp.__dataclass_fields__
+
+
+def test_every_required_name_is_traced():
+    c = tracing_constants()
+    traced = {prefix for prefix, *_ in c["TRACED"]} | {c["TO_CSV"], c["EVALUATOR"]}
+    assert set(c["REQUIRED"]) == {"relations", "regions"}
+    for workload, names in c["REQUIRED"].items():
+        assert set(names) <= traced, (workload, set(names) - traced)
