@@ -51,7 +51,7 @@ print("  P(a,b) =", d1.strict.value("a", "b"), "or", d2.strict.value("a", "b"),
       "- both audit:",
       audit_fp(triplet_from_decomposition(R, d1)).overall,
       audit_fp(triplet_from_decomposition(R, d2)).overall)
-print("  maximum admits no such witness on a 1/100 sweep:",
+print("  maximum admits no such witness on the section grid (t step 1/1000, w step 1/100):",
       find_collapse_witness(make_conorm("max")))
 print("  probabilistic sum neither:", find_collapse_witness(make_conorm("prob")))
 print()

@@ -12,7 +12,6 @@ from .operators import (
     check_strict_near_zero,
     check_strictly_increasing_first,
     degree_grid,
-    dual,
     find_collapse_witness,
     make_conorm,
     make_custom,

@@ -24,6 +24,7 @@ import sys
 
 import numpy as np
 
+from .families import _shortest
 from .operators import (
     BinaryOp,
     Kind,
@@ -210,12 +211,13 @@ def _cmd_divisors(args) -> int:
         return USAGE_ERROR
     rc = OK
     if args.w is not None:
+        at = f"at w={_shortest(args.w)}"
         if S is not None:
-            print(f"one-interval of {S.display_name} at w={args.w:g}: {one_interval(S, args.w)}")
+            print(f"one-interval of {S.display_name} {at}: {one_interval(S, args.w)}")
         if T is not None:
-            print(f"zero-interval of {T.display_name} at w={args.w:g}: {zero_interval(T, args.w)}")
+            print(f"zero-interval of {T.display_name} {at}: {zero_interval(T, args.w)}")
         if S is not None and T is not None:
-            print(f"intersection at w={args.w:g}: {intersection(T, S, args.w)}")
+            print(f"intersection {at}: {intersection(T, S, args.w)}")
     if S is not None and T is not None:
         exist = existence(S, T)
         uniq = uniqueness(S, T)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .families import DegreeInterval
 from .operators import (
+    BISECTION_STEPS,
     BinaryOp,
     Kind,
     _as_grid,
@@ -26,8 +27,6 @@ from .operators import (
     check_strictly_increasing_first,
 )
 from .verdicts import TriState, Verdict, fails, holds, unknown
-
-BISECTION_STEPS = 60
 
 
 # ---------------------------------------------------------------------------

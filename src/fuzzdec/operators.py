@@ -23,17 +23,15 @@ from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
 
-from .families import FAMILIES, PARAMETRIC, Family, lifted, resolve
+from .families import FAMILIES, PARAMETRIC, Family, _shortest, lifted, resolve
 from .verdicts import TriState, _row_blocks, fails, holds, unknown
 
 # Absolute tolerance for comparisons between membership degrees.
 EPSILON = 1e-9
 
-# The sweeps that check a custom operator: t on a 1e-3 grid at each of 101
-# values of w, and (t, s, w) on a 0.01 grid for collapses.
-_T_STEP = 1e-3
-_W_STEP = 0.01
-_COLLAPSE_STEP = 0.01
+# Halvings of each bisection: of a divisor interval's end, or of a jump of a
+# custom operator's section.
+BISECTION_STEPS = 60
 
 
 class Kind(Enum):
@@ -96,7 +94,7 @@ def format_lambda(lam: float) -> str:
         return "+inf"
     if lam == -math.inf:
         return "-inf"
-    return f"{lam:g}"
+    return _shortest(lam)
 
 
 def canonical_family(name: str) -> str:
@@ -152,15 +150,6 @@ def make_custom(fn: Callable, kind: Kind) -> BinaryOp:
         return out
 
     return BinaryOp(kind, "custom", None, ev)
-
-
-def dual(op: BinaryOp) -> BinaryOp:
-    """The De Morgan dual with respect to the standard negation 1-x."""
-    other = Kind.CONORM if op.kind is Kind.NORM else Kind.NORM
-    if not op.is_builtin:
-        inner = op.evaluator
-        return make_custom(lambda x, y: 1.0 - inner(1.0 - np.asarray(x, float), 1.0 - np.asarray(y, float)), other)
-    return make_family(op.family, other, op.parameter)
 
 
 def parse_op_spec(spec: str, kind: Kind) -> BinaryOp:
@@ -300,7 +289,29 @@ def check_norm_axioms(op: BinaryOp, grid: float = 0.01) -> TriState:
 
 
 # ---------------------------------------------------------------------------
-# first-coordinate continuity
+# the four properties of the section t -> op(t, w): a built-in operator reads
+# each witness off its record, a custom one off one evaluation on the section
+# grid (t in steps of 1e-3 at each of 101 values of w)
+
+# degree_grid(1e-3) and degree_grid(0.01); its np.unique would import numpy.ma,
+# some 14 ms, into every start of the package
+_T = np.linspace(0.0, 1.0, 1001)
+_W = np.linspace(0.0, 1.0, 101)
+_JUMP = 0.05  # a rise above this across a step of t is a jump unless bisection shrinks it
+
+
+def _section(op: BinaryOp) -> np.ndarray:
+    """op(t, w) on the section grid, one row per w."""
+    tt, ww = np.meshgrid(_T, _W)
+    return np.asarray(op.evaluator(tt, ww), dtype=float)
+
+
+def _verdict(op: BinaryOp, witness, proven: str, swept: str, failure: Callable[..., str]) -> TriState:
+    """FAILS at ``witness``, worded by ``failure(*witness)``; without one, HOLDS
+    for a built-in operator (its record is proven), UNKNOWN for a custom one."""
+    if witness is None:
+        return holds(proven) if op.is_builtin else unknown(swept)
+    return fails(witness, failure(*witness))
 
 
 def check_first_coordinate_continuity(op: BinaryOp) -> TriState:
@@ -313,34 +324,40 @@ def check_first_coordinate_continuity(op: BinaryOp) -> TriState:
     """
 
     if op.is_builtin:
-        if op.record.jump is None:
-            return holds(f"{op.display_name} is continuous on [0,1]^2")
-        t0, t1, w = op.record.jump
-        if op.kind is Kind.NORM:
-            t0, t1, w = 1.0 - t1, 1.0 - t0, 1.0 - w
-        v0, v1 = op(t0, w), op(t1, w)
-        return fails(
-            (t0, t1, w),
-            f"jump from {v0:g} to {v1:g} across first-argument gap of {abs(t1 - t0):g}",
-        )
-
-    # sampled scan for custom operators: flag jumps much larger than the step
-    grid = degree_grid(_T_STEP)
-    ws = degree_grid(_W_STEP)
-    for w in ws:
-        vals = np.asarray(op.evaluator(grid, np.full_like(grid, w)), dtype=float)
-        jumps = np.abs(np.diff(vals))
-        k = int(np.argmax(jumps))
-        if jumps[k] > 0.05:
-            return fails(
-                (float(grid[k]), float(grid[k + 1]), float(w)),
-                f"jump of {jumps[k]:g} across adjacent grid points",
-            )
-    return unknown(f"no jump above 0.05 on {grid.size} points of t at each of {ws.size} w")
+        witness = op.record.jump
+        if witness is not None and op.kind is Kind.NORM:  # the conorm's jump, mirrored
+            witness = (1.0 - witness[1], 1.0 - witness[0], 1.0 - witness[2])
+    else:
+        witness = _jump(op)
+    return _verdict(
+        op, witness, f"{op.display_name} is continuous on [0,1]^2",
+        f"no jump above {_JUMP:g} on {_T.size} points of t at each of {_W.size} w",
+        lambda t0, t1, w: f"jump from {op(t0, w):g} to {op(t1, w):g} across first-argument gap of {abs(t1 - t0):g}",
+    )
 
 
-# ---------------------------------------------------------------------------
-# strict increasingness in the first coordinate
+def _jump(op: BinaryOp) -> Optional[Tuple[float, float, float]]:
+    """(t0, t1, w) across which a custom section jumps, or None.  Each step of
+    the section grid that rises by more than _JUMP is halved BISECTION_STEPS
+    times, keeping the half with the larger rise; the first w where a rise
+    stays above _JUMP gives its largest one."""
+    V = _section(op)
+    wi, ti = np.nonzero(np.abs(np.diff(V, axis=1)) > _JUMP)
+    if not wi.size:
+        return None
+    w, a, b, va, vb = _W[wi], _T[ti], _T[ti + 1], V[wi, ti], V[wi, ti + 1]
+    for _ in range(BISECTION_STEPS):
+        m = 0.5 * (a + b)
+        vm = np.asarray(op.evaluator(m, w), dtype=float)
+        left = np.abs(vm - va) >= np.abs(vb - vm)
+        a, va = np.where(left, a, m), np.where(left, va, vm)
+        b, vb = np.where(left, m, b), np.where(left, vm, vb)
+    rise = np.abs(vb - va)
+    jumps = rise > _JUMP
+    if not jumps.any():
+        return None
+    k = int(np.argmax(np.where(jumps & (wi == wi[jumps][0]), rise, -1.0)))
+    return (float(a[k]), float(b[k]), float(w[k]))
 
 
 def check_strictly_increasing_first(op: BinaryOp) -> TriState:
@@ -349,32 +366,19 @@ def check_strictly_increasing_first(op: BinaryOp) -> TriState:
 
     if op.is_builtin:
         witness = op.record.strict_conorm if op.kind is Kind.CONORM else op.record.strict_norm
-        if witness is None:
-            return holds(f"{op.display_name} is strictly increasing off its absorbing row")
-        t, s, w = witness
-        return fails(
-            (t, s, w),
-            f"op({t:g},{w:g}) = op({s:g},{w:g}) = {op(t, w):g}",
-        )
-
-    grid = degree_grid(_T_STEP)
-    inner = grid[grid < 1.0] if op.kind is Kind.CONORM else grid[grid > 0.0]
-    ws = degree_grid(_W_STEP)
-    ws = ws[ws < 1.0] if op.kind is Kind.CONORM else ws[ws > 0.0]
-    for w in ws:
-        vals = np.asarray(op.evaluator(inner, np.full_like(inner, w)), dtype=float)
-        flat = np.diff(vals) <= 0.0
-        if flat.any():
-            k = int(np.argmax(flat))
-            return fails(
-                (float(inner[k]), float(inner[k + 1]), float(w)),
-                "no increase across adjacent grid points",
-            )
-    return unknown(f"strictly increasing on {inner.size} points of t at each of {ws.size} w")
-
-
-# ---------------------------------------------------------------------------
-# collapse-implies-absorption (the uniqueness hypothesis for rule inducement)
+    else:
+        # the first step, in w then t, with no rise, leaving out the row w = a
+        # and the step that touches t = a (a = 1 for a conorm, 0 for a norm)
+        flat = np.diff(_section(op), axis=1) <= 0.0
+        a = -1 if op.kind is Kind.CONORM else 0
+        flat[a], flat[:, a] = False, False
+        i, k = np.unravel_index(np.argmax(flat), flat.shape)
+        witness = (float(_T[k]), float(_T[k + 1]), float(_W[i])) if flat[i, k] else None
+    return _verdict(
+        op, witness, f"{op.display_name} is strictly increasing off its absorbing row",
+        f"strictly increasing on {_T.size - 1} points of t at each of {_W.size - 1} w",
+        lambda t, s, w: "op({},{}) = {} and op({},{}) = {}".format(*map(_shortest, (t, w, op(t, w), s, w, op(s, w)))),
+    )
 
 
 def check_collapse_implies_absorption(op: BinaryOp) -> TriState:
@@ -386,60 +390,41 @@ def check_collapse_implies_absorption(op: BinaryOp) -> TriState:
 
     if op.kind is not Kind.CONORM:
         raise ValueError("collapse/absorption is a conorm property")
-    if op.is_builtin:
-        if op.record.collapse is None:
-            return holds(f"collapses of {op.display_name} only happen at the absorbed value")
-        witness = op.record.collapse
-    else:
-        witness = find_collapse_witness(op)
-        if witness is None:
-            return unknown(f"no collapse above the absorbed value on the grid of step {_COLLAPSE_STEP:g} in t, s and w")
-    w, t, s = witness
-    return fails(
-        (w, t, s),
-        f"S({t:g},{w:g}) = S({s:g},{w:g}) = {op(t, w):g} > {w:g}",
+    return _verdict(
+        op, op.record.collapse if op.is_builtin else find_collapse_witness(op),
+        f"collapses of {op.display_name} only happen at the absorbed value",
+        f"no collapse above the absorbed value across steps of {_T[1]:g} in t at each of {_W.size} w",
+        lambda w, t, s: "S({},{}) = S({},{}) = {} > {}".format(*map(_shortest, (t, w, s, w, op(t, w), w))),
     )
 
 
 def find_collapse_witness(S: BinaryOp) -> Optional[Tuple[float, float, float]]:
-    """Grid sweep for (w, t, s) with S(t,w) = S(s,w) > w and t != s; None if
-    the precondition is unsatisfiable on the grid."""
+    """(w, t, s) with S(t,w) = S(s,w) > w for adjacent t < s of the section
+    grid, the first in t; None if the section grid holds none.  For a
+    monotone S this finds every collapse between points of the 0.01 grid:
+    S(t,w) = S(s,w) > w there makes each step from t to s flat above w."""
 
-    g = degree_grid(_COLLAPSE_STEP)
-    T_, S_, W = np.meshgrid(g, g, g, indexing="ij")
-    vt = np.asarray(S.evaluator(T_, W), dtype=float)
-    vs = np.asarray(S.evaluator(S_, W), dtype=float)
-    bad = (T_ < S_) & (np.abs(vt - vs) <= EPSILON) & (vt > W + EPSILON)
-    if not bad.any():
-        return None
-    i, j, k = np.argwhere(bad)[0]
-    return (float(g[k]), float(g[i]), float(g[j]))
-
-
-# ---------------------------------------------------------------------------
-# strict increase near zero (the extra hypothesis for full strict-preference
-# equivalence in decomposed preferences)
+    V = _section(S)
+    hit = (np.abs(np.diff(V, axis=1)) <= EPSILON) & (V[:, :-1] > _W[:, None] + EPSILON)
+    k, i = np.unravel_index(np.argmax(hit.T), hit.T.shape)
+    return (float(_W[i]), float(_T[k]), float(_T[k + 1])) if hit[i, k] else None
 
 
 def check_strict_near_zero(op: BinaryOp) -> TriState:
     """Whether for every w in [0,1) the section t -> S(t,w) is strictly
-    increasing on some [0, eps]."""
+    increasing on some [0, eps] (the extra hypothesis for full
+    strict-preference equivalence in decomposed preferences)."""
 
     if op.kind is not Kind.CONORM:
         raise ValueError("strict-near-zero is a conorm property")
     if op.is_builtin:
-        if op.record.flat_near_zero is None:
-            return holds(f"{op.display_name} rises strictly from t=0 for every w < 1")
-        w, t, s = op.record.flat_near_zero
-        return fails(
-            (w, t, s),
-            f"S({t:g},{w:g}) = {op(t, w):g} and S({s:g},{w:g}) = {op(s, w):g}: flat near 0",
-        )
-
-    ws = degree_grid(_W_STEP)
-    ws = ws[ws < 1.0]
-    for w in ws:
-        # a flat stretch starting at t=0 refutes the claim outright
-        if abs(op(0.0, w) - op(_T_STEP, w)) <= 1e-15:
-            return fails((float(w), 0.0, _T_STEP), "section is flat on an initial segment")
-    return unknown(f"no flat section on [0, {_T_STEP:g}] at each of {ws.size} w")
+        witness = op.record.flat_near_zero
+    else:  # a flat stretch starting at t=0 refutes the claim outright
+        V = _section(op)
+        flat = np.flatnonzero(np.abs(V[:-1, 1] - V[:-1, 0]) <= 1e-15)
+        witness = (float(_W[flat[0]]), 0.0, float(_T[1])) if flat.size else None
+    return _verdict(
+        op, witness, f"{op.display_name} rises strictly from t=0 for every w < 1",
+        f"no flat section on [0, {_T[1]:g}] at each of {_W.size - 1} w",
+        lambda w, t, s: f"S({t:g},{w:g}) = {op(t, w):g} and S({s:g},{w:g}) = {op(s, w):g}: flat near 0",
+    )

@@ -237,6 +237,25 @@ class RuleClassification:
         return text
 
 
+# the rule class, and its reason per mode, for each verdict of the check that
+# decides inducement (`_classify_computed`)
+_RULE_CLASS = {
+    Verdict.HOLDS: RuleClass.INDUCED, Verdict.FAILS: RuleClass.COMPATIBLE, Verdict.UNKNOWN: RuleClass.UNDETERMINED
+}
+_WEAK_REASONS = {
+    Verdict.HOLDS: "canonical outputs are preferences and any collapse of the "
+    "conorm is absorbed, so no second preference-inducing decomposition exists",
+    Verdict.FAILS: "canonical outputs are preferences but a collapse witness "
+    "yields a second preference-inducing decomposition",
+    Verdict.UNKNOWN: "compatible on the 1/20-grid relation; inducement undecided for a custom conorm",
+}
+_STRONG_REASONS = {
+    Verdict.HOLDS: "the strong decomposition is unique outright",
+    Verdict.FAILS: "multiple strong decompositions exist and induce preferences",
+    Verdict.UNKNOWN: "compatible on the 1/20-grid relation; uniqueness undecided",
+}
+
+
 def classify_rule(S: BinaryOp, T: Optional[BinaryOp] = None) -> RuleClassification:
     """Classify the canonical rule for S (weak) or (T, S) (strong).
 
@@ -287,40 +306,8 @@ def _classify_computed(S: BinaryOp, T: Optional[BinaryOp]) -> RuleClassification
             report.verdicts[axiom].witness,
         )
 
-    if T is None:
-        collapse = check_collapse_implies_absorption(S)
-        if collapse.verdict is Verdict.HOLDS:
-            return RuleClassification(
-                RuleClass.INDUCED,
-                "canonical outputs are preferences and any collapse of the "
-                "conorm is absorbed, so no second preference-inducing "
-                "decomposition exists",
-            )
-        if collapse.verdict is Verdict.FAILS:
-            return RuleClassification(
-                RuleClass.COMPATIBLE,
-                "canonical outputs are preferences but a collapse witness "
-                "yields a second preference-inducing decomposition",
-                collapse.witness,
-            )
-        return RuleClassification(
-            RuleClass.UNDETERMINED,
-            "compatible on the 1/20-grid relation; inducement undecided for a custom conorm",
-        )
-
-    unique = uniqueness(S, T)
-    if unique.verdict is Verdict.HOLDS:
-        return RuleClassification(
-            RuleClass.INDUCED,
-            "the strong decomposition is unique outright",
-        )
-    if unique.verdict is Verdict.FAILS:
-        return RuleClassification(
-            RuleClass.COMPATIBLE,
-            "multiple strong decompositions exist and induce preferences",
-            unique.witness,
-        )
-    return RuleClassification(
-        RuleClass.UNDETERMINED,
-        "compatible on the 1/20-grid relation; uniqueness undecided",
-    )
+    # inducement (no second preference-inducing decomposition): collapse
+    # forces absorption (weak), or the decomposition is unique (strong)
+    decider = check_collapse_implies_absorption(S) if T is None else uniqueness(S, T)
+    reason = (_WEAK_REASONS if T is None else _STRONG_REASONS)[decider.verdict]
+    return RuleClassification(_RULE_CLASS[decider.verdict], reason, decider.witness)

@@ -302,9 +302,8 @@ def _format_rows(m: np.ndarray) -> str:
 
 def text_rows(R: FuzzyRelation) -> Iterator[slice]:
     """Row slices of R, each at most one text block, whose ``format_relation``
-    texts make up R's file text in order (the first one also when R is
-    empty)."""
-    return _row_blocks(max(R.size, 1), R.size, _TEXT_CELLS)
+    texts make up R's file text in order."""
+    return _row_blocks(R.size, R.size, _TEXT_CELLS)
 
 
 def format_relation(R: FuzzyRelation, rows: slice = slice(0, None)) -> str:
@@ -318,8 +317,11 @@ def format_relation(R: FuzzyRelation, rows: slice = slice(0, None)) -> str:
 
 
 def _header(R: FuzzyRelation) -> str:
-    """The header and ``universe`` lines of R's file; ValueError naming the
-    first label that line cannot carry (empty, or holding whitespace or '#')."""
+    """The header and ``universe`` lines of R's file; ValueError for an empty
+    universe, which no file can hold, or naming the first label that line
+    cannot carry (empty, or holding whitespace or '#')."""
+    if not R.universe:
+        raise ValueError("a relation over an empty universe cannot be written: its file would not parse")
     for label in R.universe:
         if label.split() != [label] or "#" in label:
             raise ValueError(f"universe label {label!r} cannot be written: it is empty or holds whitespace or '#'")
@@ -327,7 +329,7 @@ def _header(R: FuzzyRelation) -> str:
 
 
 def save_relation(R: FuzzyRelation, path) -> None:
-    _header(R)  # a bad label raises before the file is opened
+    _header(R)  # an empty universe or a bad label raises before the file is opened
     with open(path, "w", encoding="utf-8") as fh:
         for rows in text_rows(R):
             fh.write(format_relation(R, rows))

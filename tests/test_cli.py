@@ -150,6 +150,17 @@ def test_divisors_subcommand(capsys):
     assert "FAILS" in out
 
 
+def test_divisors_echoes_w_in_full(capsys):
+    # six significant digits would print w=0.123457, a different degree
+    code, out, _ = run(capsys, "divisors", "--conorm", "lukasiewicz", "--norm", "lukasiewicz", "--w", "0.1234567")
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()[:3]] == [
+        "one-interval of Lukasiewicz conorm at w=0.1234567",
+        "zero-interval of Lukasiewicz norm at w=0.1234567",
+        "intersection at w=0.1234567",
+    ]
+
+
 def test_region_subcommand(tmp_path, capsys):
     out_csv = tmp_path / "region.csv"
     code, out, _ = run(

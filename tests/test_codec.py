@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzdec import relations
-from fuzzdec.relations import FuzzyRelation, format_relation, parse_relation, text_rows
+from fuzzdec.relations import FuzzyRelation, format_relation, parse_relation, save_relation, text_rows
 
 ONE_BITS = 0x3FF0000000000000  # the bit pattern of 1.0: patterns up to it are the floats in [0, 1]
 KERNEL_BITS = int(np.float64(1e-3).view(np.uint64))  # the least degree the digit kernel writes
@@ -89,7 +89,7 @@ def test_writer_prints_bit_patterns_of_the_kernel_range_as_percent_17g(bits):
     assert format_both_ways(values)[0] == reference_lines(values)
 
 
-def test_row_slices_join_to_the_whole_text():
+def test_row_slices_join_to_the_whole_text(tmp_path):
     rng = np.random.default_rng(4)
     for n in (1, 2, 63, 64, 65, 130):
         R = FuzzyRelation(tuple(f"x{k}" for k in range(n)), rng.random((n, n)))
@@ -97,8 +97,13 @@ def test_row_slices_join_to_the_whole_text():
         assert "".join(format_relation(R, rows) for rows in text_rows(R)) == whole
         assert format_relation(R, slice(0, 1)) + format_relation(R, slice(1, None)) == whole
         assert all(s.stop - s.start <= max(1, relations._TEXT_CELLS // n) for s in text_rows(R))
-    assert list(text_rows(FuzzyRelation((), np.zeros((0, 0))))) == [slice(0, 1)]
-    assert format_relation(FuzzyRelation((), np.zeros((0, 0)))) == "fuzzrel v1\nuniverse \n"
+    # an empty universe has no file text: the parser refuses "universe" alone
+    empty = FuzzyRelation((), np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="empty universe"):
+        format_relation(empty)
+    with pytest.raises(ValueError, match="empty universe"):
+        save_relation(empty, tmp_path / "empty.rel")
+    assert not (tmp_path / "empty.rel").exists()
 
 
 # ---------------------------------------------------------------------------

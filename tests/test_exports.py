@@ -1,8 +1,10 @@
 """Every name the package exports has a user outside the tests.
 
-A name counts as used when it appears, other than on its own ``def`` or
-``class`` line, in a package module, a demo, the benchmark or the README.
-Code only the tests call belongs with the tests (`oracles`).
+A name counts as used when it is a name, an attribute or an imported name
+in the code of a package module, a demo or a benchmark script, or when it
+appears inside a code span or a code fence of the README.  Prose does not
+count, and neither does a name's own ``def`` or ``class``.  Code only the
+tests call belongs with the tests (`oracles`).
 """
 
 import ast
@@ -23,19 +25,24 @@ def exported_names():
     )
 
 
-def user_lines():
+def used_names():
     files = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    files += sorted((ROOT / "demos").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
-    files.append(ROOT / "README.md")
-    return [line for p in files for line in p.read_text(encoding="utf-8").splitlines()]
+    files += sorted((ROOT / "demos").rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    names = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update((node.name.rpartition(".")[2], node.asname))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for code in re.findall(r"```.*?```|`[^`\n]+`", readme, flags=re.S):
+        names.update(re.findall(r"\w+", code))
+    return names
 
 
 def test_every_export_has_a_user_outside_the_tests():
-    lines = user_lines()
-    unused = []
-    for name in exported_names():
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        own = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b")
-        if not any(word.search(line) and not own.match(line) for line in lines):
-            unused.append(name)
-    assert unused == []
+    used = used_names()
+    assert [name for name in exported_names() if name not in used] == []

@@ -13,14 +13,14 @@ from fuzzdec import (
     check_strict_near_zero,
     check_strictly_increasing_first,
     degree_grid,
-    dual,
     make_conorm,
     make_custom,
     make_family,
     make_norm,
     parse_op_spec,
 )
-from fuzzdec import families
+from fuzzdec import existence, families
+from fuzzdec.operators import format_lambda
 
 BUILTIN_SPECS = [
     ("minimum", None),
@@ -159,6 +159,21 @@ def test_parse_op_spec():
         parse_op_spec("schweizer_sklar:lambda=abc", Kind.NORM)
 
 
+def test_lambdas_and_witness_texts_print_each_float_in_full():
+    # six significant digits would name lambda = 1, a different Table-1 regime
+    assert make_conorm("schweizer_sklar", 1.0000001).display_name == "Schweizer-Sklar conorm(lambda=1.0000001)"
+    assert [format_lambda(lam) for lam in (math.inf, -math.inf, 1.0, -0.5)] == ["+inf", "-inf", "1", "-0.5"]
+    # ... and would print t = s for this t < s
+    S = make_conorm("schweizer_sklar", 0.05)
+    assert check_strictly_increasing_first(S).detail == "op(0.9999999999999999,0.96875) = 1 and op(1,0.96875) = 1"
+    assert check_collapse_implies_absorption(S).detail == "S(0.9999999999999999,0.96875) = S(1,0.96875) = 1 > 0.96875"
+    # a section that falls is not described as flat
+    dip = make_custom(lambda x, y: np.minimum(1.0, np.asarray(x) + y) - 0.25 * (np.asarray(x) > 0.5), Kind.CONORM)
+    assert str(check_strictly_increasing_first(dip)) == (
+        "FAILS witness=(0.5, 0.501, 0.0) -- op(0.5,0) = 0.5 and op(0.501,0) = 0.251"
+    )
+
+
 # ---------------------------------------------------------------------------
 # axioms and duality
 
@@ -179,7 +194,6 @@ def test_duality_on_grid(family, lam):
     lhs = np.asarray(S.evaluator(xx, yy), dtype=float)
     rhs = 1.0 - np.asarray(T.evaluator(1.0 - xx, 1.0 - yy), dtype=float)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
-    assert dual(T).kind is Kind.CONORM
 
 
 def test_ss_family_continuous_in_lambda_near_zero():
@@ -267,6 +281,21 @@ def test_continuity_sampled_custom():
     smooth = make_custom(lambda x, y: np.minimum(np.asarray(x) + np.asarray(y), 1.0), Kind.CONORM)
     assert str(check_first_coordinate_continuity(smooth)) == (
         "UNKNOWN -- no jump above 0.05 on 1001 points of t at each of 101 w"
+    )
+
+
+def test_a_steep_continuous_custom_section_is_no_jump():
+    # Schweizer-Sklar at lambda = 3 rises by 0.0586 across the grid step
+    # (0.556, 0.557) at w = 0.03; halving the step shrinks the rise
+    steep = make_custom(make_conorm("schweizer_sklar", 3.0).evaluator, Kind.CONORM)
+    assert str(check_first_coordinate_continuity(steep)) == (
+        "UNKNOWN -- no jump above 0.05 on 1001 points of t at each of 101 w"
+    )
+    assert existence(steep).verdict is Verdict.UNKNOWN
+    # a true jump stays one, across a gap bisection has narrowed
+    step = make_custom(lambda x, y: np.where(np.asarray(x) + np.asarray(y) > 0, 1.0, 0.0), Kind.CONORM)
+    assert str(check_first_coordinate_continuity(step)) == (
+        "FAILS witness=(0.0, 8.673617379884036e-22, 0.0) -- jump from 0 to 1 across first-argument gap of 8.67362e-22"
     )
 
 
