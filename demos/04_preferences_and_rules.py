@@ -11,6 +11,7 @@ condition S(t,w) = S(s,w) > w is the exact dividing line.
 import numpy as np
 
 from fuzzdec import (
+    Decomposition,
     FuzzyRelation,
     audit_fp,
     canonical_decompose,
@@ -22,7 +23,6 @@ from fuzzdec import (
     make_norm,
     mj_counterexample,
     render_table,
-    tie_strict_max_decomposition,
     triplet_from_decomposition,
     verify_weak,
 )
@@ -36,7 +36,13 @@ print("  audit:", "pass" if audit_fp(triplet_from_decomposition(tie, d)).overall
 print()
 
 print("A flawed variant promotes the tie into a strict preference:")
-d_bad = tie_strict_max_decomposition(tie)
+# the maximum rule, except that a symmetric pair below 1 also enters the
+# strict part (first direction in universe order, to keep P asymmetric)
+m = tie.degrees
+P_bad = np.where((m > m.T) | np.triu((m == m.T) & (m < 1.0), 1), m, 0.0)
+d_bad = Decomposition(
+    FuzzyRelation(tie.universe, P_bad), FuzzyRelation(tie.universe, np.minimum(m, m.T)), make_conorm("max")
+)
 print("  P(x,y) =", d_bad.strict.value("x", "y"))
 print("  still a weak decomposition:", verify_weak(tie, d_bad).verdict.value)
 rep = audit_fp(triplet_from_decomposition(tie, d_bad))

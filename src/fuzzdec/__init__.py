@@ -60,7 +60,6 @@ from .preferences import (
     audit_fp,
     classify_rule,
     mj_counterexample,
-    tie_strict_max_decomposition,
     triplet_from_decomposition,
 )
 from .regions import (

@@ -4,16 +4,18 @@ Verdicts print as HOLDS (proven), FAILS with a witness that reproduces the
 failure, or UNKNOWN (a sweep or a sample passed; the detail names which).
 Exit codes: 0 for success, HOLDS or UNKNOWN, 1 for FAILS (witness
 printed), 2 for usage or parse errors.  `restricted` is HOLDS only when
-proven: by existence for every relation, or for a weak check by a
-connector that reaches 1 only on pairs (i, 1); a clean raster alone is
-UNKNOWN.  `audit` samples FP6 quadruples above 21 elements and takes
---seed for that, 0 by default; identical seeds give identical reports, and
-a sampled FP6 pass prints as a pass naming its sample.  `tables --seed` is
-accepted and range-checked but has no effect: no rule check is sampled.
-`check-norm --grid-step` lies in [1/2000, 1], the finest grid `region` and
-`restricted` take too.  `divisors` prints the one- or zero-interval at --w
-of each operator given, and with both --conorm and --norm also strong
-existence and uniqueness; one operator alone needs --w.
+proven: by existence for every relation, or by a connector with exponent 0,
+which reaches 1 only on pairs (i, 1): always for a weak check, and for a
+strong one when the pair's divisor intervals meet at every w; a clean
+raster alone is UNKNOWN.  `audit` samples FP6 quadruples above 21
+elements and takes --seed for that, 0 by default; identical seeds give
+identical reports, and a sampled FP6 pass prints as a pass naming its
+sample.  `tables --seed` is accepted and range-checked but has no effect:
+no rule check is sampled.  `check-norm --grid-step` lies in [1/2000, 1],
+the finest grid `region` and `restricted` take too.  `divisors` prints the
+one- or zero-interval at --w of each operator given, and with both
+--conorm and --norm also strong existence and uniqueness; one operator
+alone needs --w.
 """
 
 from __future__ import annotations
@@ -143,44 +145,50 @@ def _table_operator(path: str, kind: Kind) -> BinaryOp:
 # subcommands
 
 
-def _cmd_decompose(args) -> int:
-    R = load_relation(args.relation)
-    S = _load_op(args.conorm, Kind.CONORM)
+def _operators(args) -> tuple:
+    """(S, T) of --conorm and --norm, None for one not given."""
+    S = _load_op(args.conorm, Kind.CONORM) if args.conorm else None
     T = _load_op(args.norm, Kind.NORM) if args.norm else None
-    mode = "strong" if T is not None else "weak"
-    if T is not None:
-        d = strong_decompose(R, T, S)
-        check = d.verification
-    else:
-        d = canonical_decompose(R, S)
-        check = verify_weak(R, d)
-    print(f"# canonical {mode} decomposition under {S.display_name}"
-          + (f" / {T.display_name}" if T is not None else ""))
+    return S, T
+
+
+def _title(S: BinaryOp, T) -> str:
+    return S.display_name + (f" / {T.display_name}" if T is not None else "")
+
+
+def _decomposed(args) -> tuple:
+    """The relation of --relation, its canonical decomposition (strong when
+    --norm is given) and the operators (S, T)."""
+    R = load_relation(args.relation)
+    S, T = _operators(args)
+    d = strong_decompose(R, T, S) if T is not None else canonical_decompose(R, S)
+    return R, d, S, T
+
+
+def _cmd_decompose(args) -> bool:
+    R, d, S, T = _decomposed(args)
+    check = d.verification if T is not None else verify_weak(R, d)
+    print(f"# canonical {'strong' if T is not None else 'weak'} decomposition under {_title(S, T)}")
     for title, part in (("# strict part P", d.strict), ("# indifference part I", d.indifference)):
         print(title)
         for rows in text_rows(part):
             print(format_relation(part, rows), end="")
     print(f"# verification: {check}")
-    return OK if check.verdict is Verdict.HOLDS else FAIL
+    return check.verdict is Verdict.HOLDS
 
 
-def _cmd_audit(args) -> int:
-    R = load_relation(args.relation)
-    S = _load_op(args.conorm, Kind.CONORM)
-    T = _load_op(args.norm, Kind.NORM) if args.norm else None
-    d = strong_decompose(R, T, S) if T is not None else canonical_decompose(R, S)
+def _cmd_audit(args) -> bool:
+    R, d, S, _ = _decomposed(args)
     report = audit_fp(triplet_from_decomposition(R, d), seed=_seed(args))
     print(f"# preference audit of the canonical decomposition under {S.display_name}")
     print(report)
-    return OK if report.overall else FAIL
+    return report.overall
 
 
-def _cmd_classify(args) -> int:
-    S = _load_op(args.conorm, Kind.CONORM)
-    T = _load_op(args.norm, Kind.NORM) if args.norm else None
+def _cmd_classify(args) -> bool:
+    S, T = _operators(args)
     result = classify_rule(S, T)
-    kind = "strong" if T is not None else "weak"
-    print(f"# {kind} decomposition rule for {S.display_name}"
+    print(f"# {'strong' if T is not None else 'weak'} decomposition rule for {S.display_name}"
           + (f" with {T.display_name}" if T else ""))
     print(result)
     if args.speculate and result.verdict is RuleClass.UNDETERMINED and result.oracle_verdict:
@@ -188,28 +196,23 @@ def _cmd_classify(args) -> int:
             "# oracle evidence (NOT authoritative; the reference classification "
             f"leaves this cell open): {result.oracle_verdict.value}"
         )
-    return FAIL if result.verdict is RuleClass.NOT_COMPATIBLE else OK
+    return result.verdict is not RuleClass.NOT_COMPATIBLE
 
 
-def _cmd_check_norm(args) -> int:
-    kind = Kind.NORM if args.kind == "norm" else Kind.CONORM
-    op = _load_op(args.op, kind)
+def _cmd_check_norm(args) -> bool:
+    op = _load_op(args.op, Kind.NORM if args.kind == "norm" else Kind.CONORM)
     verdict = check_norm_axioms(op, args.grid_step)
     print(f"# axiom check for {op.display_name} as a {args.kind}")
     print(verdict)
-    return FAIL if verdict.verdict is Verdict.FAILS else OK
+    return verdict.verdict is not Verdict.FAILS
 
 
-def _cmd_divisors(args) -> int:
-    S = _load_op(args.conorm, Kind.CONORM) if args.conorm else None
-    T = _load_op(args.norm, Kind.NORM) if args.norm else None
+def _cmd_divisors(args) -> bool:
+    S, T = _operators(args)
     if S is None and T is None:
-        print("error: give at least one of --conorm / --norm", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("give at least one of --conorm / --norm")
     if (S is None or T is None) and args.w is None:
-        print(f"error: --{'conorm' if T is None else 'norm'} alone needs --w", file=sys.stderr)
-        return USAGE_ERROR
-    rc = OK
+        raise ValueError(f"--{'conorm' if T is None else 'norm'} alone needs --w")
     if args.w is not None:
         at = f"at w={_shortest(args.w)}"
         if S is not None:
@@ -218,45 +221,34 @@ def _cmd_divisors(args) -> int:
             print(f"zero-interval of {T.display_name} {at}: {zero_interval(T, args.w)}")
         if S is not None and T is not None:
             print(f"intersection {at}: {intersection(T, S, args.w)}")
-    if S is not None and T is not None:
-        exist = existence(S, T)
-        uniq = uniqueness(S, T)
-        print(f"strong existence for every relation: {exist}")
-        print(f"strong uniqueness for every relation: {uniq}")
-        if exist.verdict is Verdict.FAILS or uniq.verdict is Verdict.FAILS:
-            rc = FAIL
-    return rc
+    verdicts = {"existence": existence(S, T), "uniqueness": uniqueness(S, T)} if S and T else {}
+    for what, verdict in verdicts.items():
+        print(f"strong {what} for every relation: {verdict}")
+    return all(v.verdict is not Verdict.FAILS for v in verdicts.values())
 
 
-def _cmd_region(args) -> int:
-    S = _load_op(args.conorm, Kind.CONORM)
-    T = _load_op(args.norm, Kind.NORM) if args.norm else None
+def _cmd_region(args) -> bool:
+    S, T = _operators(args)
     res = 1.0 / args.resolution
     grid = weak_region(S, res) if T is None else strong_region(T, S, res)
     grid.save_csv(args.out)
-    kind = "weak" if T is None else "strong"
     count = int(grid.membership.sum())
     total = grid.membership.size
-    print(f"# {kind} region for {S.display_name}"
-          + (f" / {T.display_name}" if T else ""))
+    print(f"# {'weak' if T is None else 'strong'} region for {_title(S, T)}")
     print(f"wrote {args.out}: {count}/{total} decomposable cells at resolution 1/{args.resolution}")
-    return OK
+    return True
 
 
-def _cmd_restricted(args) -> int:
+def _cmd_restricted(args) -> bool:
     S_prime = _load_op(args.connected_by, Kind.CONORM)
-    S = _load_op(args.conorm, Kind.CONORM)
-    T = _load_op(args.norm, Kind.NORM) if args.norm else None
+    S, T = _operators(args)
     verdict = restricted_decomposability(S_prime, S, T, 1.0 / args.resolution)
-    print(
-        f"# do all {S_prime.display_name}-connected relations decompose under "
-        f"{S.display_name}" + (f" / {T.display_name}" if T else "") + "?"
-    )
+    print(f"# do all {S_prime.display_name}-connected relations decompose under {_title(S, T)}?")
     print(verdict)
-    return FAIL if verdict.verdict is Verdict.FAILS else OK
+    return verdict.verdict is not Verdict.FAILS
 
 
-def _cmd_tables(args) -> int:
+def _cmd_tables(args) -> bool:
     _seed(args)  # range-checked only: nothing in the tables is sampled
     cells = generate_table1() if args.which == 1 else generate_table2()
     print(render_table(cells, args.format), end="")
@@ -268,11 +260,21 @@ def _cmd_tables(args) -> int:
         print("# oracle evidence for open cells (NOT authoritative):")
         for line in oracle_evidence_for_open_cells():
             print(f"  {line}")
-    return OK if not mismatches else FAIL
+    return not mismatches
 
 
 # ---------------------------------------------------------------------------
 # argument wiring
+
+
+def _operands(*first: str, conorm_required: bool = True) -> argparse.ArgumentParser:
+    """A parent parser for subcommands: the required options ``first``, then --conorm and --norm."""
+    p = argparse.ArgumentParser(add_help=False)
+    for flag in first:
+        p.add_argument(flag, required=True)
+    p.add_argument("--conorm", required=conorm_required)
+    p.add_argument("--norm")
+    return p
 
 
 @functools.cache
@@ -281,23 +283,16 @@ def build_parser() -> _Parser:
     no state in it, and ``main`` may run many times in one process."""
     p = _Parser(prog="fuzzdec", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
+    relation, pair = _operands("--relation"), _operands()
 
-    sp = sub.add_parser("decompose", help="decompose a relation file")
-    sp.add_argument("--relation", required=True)
-    sp.add_argument("--conorm", required=True)
-    sp.add_argument("--norm")
+    sp = sub.add_parser("decompose", help="decompose a relation file", parents=[relation])
     sp.set_defaults(fn=_cmd_decompose)
 
-    sp = sub.add_parser("audit", help="audit the canonical decomposition as a preference")
-    sp.add_argument("--relation", required=True)
-    sp.add_argument("--conorm", required=True)
-    sp.add_argument("--norm")
+    sp = sub.add_parser("audit", help="audit the canonical decomposition as a preference", parents=[relation])
     sp.add_argument("--seed", type=int, default=0, help="seed of the FP6 sample above 21 elements")
     sp.set_defaults(fn=_cmd_audit)
 
-    sp = sub.add_parser("classify", help="classify the canonical decomposition rule")
-    sp.add_argument("--conorm", required=True)
-    sp.add_argument("--norm")
+    sp = sub.add_parser("classify", help="classify the canonical decomposition rule", parents=[pair])
     sp.add_argument("--speculate", action="store_true")
     sp.set_defaults(fn=_cmd_classify)
 
@@ -307,23 +302,18 @@ def build_parser() -> _Parser:
     sp.add_argument("--grid-step", type=float, default=0.01, dest="grid_step")
     sp.set_defaults(fn=_cmd_check_norm)
 
-    sp = sub.add_parser("divisors", help="divisor intervals and existence/uniqueness")
-    sp.add_argument("--conorm")
-    sp.add_argument("--norm")
+    sp = sub.add_parser("divisors", help="divisor intervals and existence/uniqueness",
+                        parents=[_operands(conorm_required=False)])
     sp.add_argument("--w", type=float)
     sp.set_defaults(fn=_cmd_divisors)
 
-    sp = sub.add_parser("region", help="rasterise a decomposability region to CSV")
-    sp.add_argument("--conorm", required=True)
-    sp.add_argument("--norm")
+    sp = sub.add_parser("region", help="rasterise a decomposability region to CSV", parents=[pair])
     sp.add_argument("--resolution", type=_positive_int, default=200, help="cells per axis (1/n grid)")
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=_cmd_region)
 
-    sp = sub.add_parser("restricted", help="decomposability on connected relations")
-    sp.add_argument("--connected-by", required=True, dest="connected_by")
-    sp.add_argument("--conorm", required=True)
-    sp.add_argument("--norm")
+    sp = sub.add_parser("restricted", help="decomposability on connected relations",
+                        parents=[_operands("--connected-by")])
     sp.add_argument("--resolution", type=_positive_int, default=200)
     sp.set_defaults(fn=_cmd_restricted)
 
@@ -344,7 +334,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        return args.fn(args)
+        return OK if args.fn(args) else FAIL
     except (ValueError, OSError, DecompositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -13,7 +13,7 @@ counterparts, for every caller.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -120,39 +120,33 @@ def bisection_zero_interval(T: BinaryOp, w) -> DegreeInterval:
 # existence / uniqueness of strong decompositions
 
 
-def _pair_is_analytic(T: BinaryOp, S: BinaryOp) -> bool:
-    """Whether the all-w verdicts for this (T,S) pair are analytically known.
+def _classified(T: BinaryOp, S: BinaryOp) -> Optional[Tuple[bool, bool]]:
+    """(exists, unique) for a classified built-in pair: whether the divisor
+    intervals meet for every w, and whether they meet in one point for
+    every w.  None for a custom operator, and for a Schweizer-Sklar norm
+    against a Schweizer-Sklar conorm at two different lambdas, neither 1,
+    the smaller below 1 (not a classified pairing; swept instead).
 
-    Covers every pair of built-in operators except those whose exponents
-    are two different finite positive numbers, neither 1, the smaller below
-    1: a Schweizer-Sklar norm against a Schweizer-Sklar conorm at two such
-    lambdas (not a classified pairing; swept instead)."""
-
-    if not (T.is_builtin and S.is_builtin):
-        return False
-    p, q = T.record.exponent, S.record.exponent
-    return not (p != q and 0.0 < min(p, q) < 1.0 and max(p, q) not in (1.0, math.inf))
-
-
-def _analytic_nonempty_all_w(T: BinaryOp, S: BinaryOp) -> bool:
-    """`for all w: intersection nonempty` for an analytically classified pair.
-
-    At w = 0 the zero-interval is all of [0,1]; at w = 1 the one-interval is
-    all of [0,1] and 0 always lies in the zero-interval: only interior w can
-    fail.  A point interval ({0} or {1}) never meets the other one there; a
+    Both verdicts follow from the exponents p of T and q of S.  At w = 0 the
+    zero-interval is all of [0,1]; at w = 1 the one-interval is all of
+    [0,1] and 0 always lies in the zero-interval: only interior w can fail.
+    A point interval ({0} or {1}) never meets the other one there; a
     drastic interval ([0,1) or (0,1]) always does.  Power intervals
     [0, f_p(w)] and [1 - f_q(1-w), 1], f_p(w) = (1 - w^p)^(1/p), meet iff
     f_p(w) + f_q(1-w) >= 1.  For p >= 1, f_p >= f_1 (l^p norms fall as p
     grows; Hardy, Littlewood and Polya, *Inequalities*, 1934), so
-    min(p, q) >= 1 gives f_p(w) + f_q(1-w) >= (1-w) + w = 1; for p < 1,
-    f_p < f_1 on (0,1), so the classified pairs with min(p, q) < 1 (one
-    exponent 1, or both equal) fail.
+    min(p, q) >= 1 gives f_p(w) + f_q(1-w) >= (1-w) + w = 1, with equality
+    for every w only at p = q = 1, where the intersection is {1-w}; for
+    p < 1, f_p < f_1 on (0,1), so the classified pairs with min(p, q) < 1
+    (one exponent 1, or both equal) fail.
     """
 
+    if not (T.is_builtin and S.is_builtin):
+        return None
     p, q = T.record.exponent, S.record.exponent
-    if p == 0.0 or q == 0.0:
-        return False
-    return math.inf in (p, q) or min(p, q) >= 1.0
+    if p != q and 0.0 < min(p, q) < 1.0 and max(p, q) not in (1.0, math.inf):
+        return None
+    return 0.0 not in (p, q) and (math.inf in (p, q) or min(p, q) >= 1.0), p == q == 1.0
 
 
 def intersection(T: BinaryOp, S: BinaryOp, w) -> DegreeInterval:
@@ -164,28 +158,24 @@ def intersection(T: BinaryOp, S: BinaryOp, w) -> DegreeInterval:
 _CLASSIFIED_PROBES = np.concatenate([1.0 - 2.0 ** -np.arange(2, 53), 2.0 ** -np.arange(2, 53)])
 
 
-def _probes(T: BinaryOp, S: BinaryOp):
-    """The probe order: w = 0.5 alone (the single-w path is ~10x cheaper than
-    an array call, and it gives the most readable witness), then one array,
-    `_CLASSIFIED_PROBES` for a classified pair and the sweep grid otherwise."""
-    yield 0.5
-    rest = _CLASSIFIED_PROBES if _pair_is_analytic(T, S) else _as_grid(1e-3, T, S)
-    yield rest[rest != 0.5]
+def _probes(T: BinaryOp, S: BinaryOp) -> tuple:
+    """The w probed after w = 0.5 (the single-w path is ~10x cheaper than an
+    array call, and it gives the most readable witness), and how an UNKNOWN
+    verdict names all of them: `_CLASSIFIED_PROBES` for a classified pair,
+    the sweep grid otherwise."""
+    if _classified(T, S) is not None:
+        return _CLASSIFIED_PROBES, f"w = 0.5 and {_CLASSIFIED_PROBES.size} dyadic w toward 0 and 1"
+    grid = _as_grid(1e-3, T, S)
+    return grid[grid != 0.5], f"w = 0.5 and the {grid.size}-point grid of step 0.001"
 
 
-def _probed(T: BinaryOp, S: BinaryOp) -> str:
-    """The w that `_probes` covers, as an UNKNOWN verdict names them."""
-    if _pair_is_analytic(T, S):
-        return f"w = 0.5 and {_CLASSIFIED_PROBES.size} dyadic w toward 0 and 1"
-    return f"w = 0.5 and the {_as_grid(1e-3, T, S).size}-point grid of step 0.001"
-
-
-def _witness(T: BinaryOp, S: BinaryOp, unique: bool):
-    """(witness, detail) at the first probe that disproves existence, (w,)
-    with disjoint intervals, or uniqueness, (w, t1, t2) with S(t, w) = 1 and
-    T(t, w) = 0 for both t (a value rounds the same alone or in an array, so
-    the scalar replay sees what the probe array saw); None if no probe does."""
-    for ws in _probes(T, S):
+def _witness(T: BinaryOp, S: BinaryOp, probes: np.ndarray, unique: bool):
+    """(witness, detail) at the first w, 0.5 and then ``probes``, that
+    disproves existence, (w,) with disjoint intervals, or uniqueness,
+    (w, t1, t2) with S(t, w) = 1 and T(t, w) = 0 for both t (a value rounds
+    the same alone or in an array, so the scalar replay sees what the probe
+    array saw); None if no probe does."""
+    for ws in (0.5, probes):
         one, zero = one_interval(S, ws), zero_interval(T, ws)
         inter = one.intersect(zero)
         ws = np.atleast_1d(ws)
@@ -217,13 +207,14 @@ def strong_existence(T: BinaryOp, S: BinaryOp) -> TriState:
     if cont.verdict is Verdict.FAILS:
         return cont
 
-    if _pair_is_analytic(T, S) and _analytic_nonempty_all_w(T, S):
+    if (_classified(T, S) or (False, False))[0]:
         return holds("divisor intervals intersect for every w")
-    found = _witness(T, S, unique=False)
+    probes, probed = _probes(T, S)
+    found = _witness(T, S, probes, unique=False)
     if found is not None:
         return fails(*found)
     why = cont.detail if cont.verdict is Verdict.UNKNOWN else "pair not analytically classified"
-    return unknown(f"divisor intervals intersect at {_probed(T, S)}; {why}")
+    return unknown(f"divisor intervals intersect at {probed}; {why}")
 
 
 def strong_uniqueness(T: BinaryOp, S: BinaryOp) -> TriState:
@@ -232,13 +223,12 @@ def strong_uniqueness(T: BinaryOp, S: BinaryOp) -> TriState:
     exist = strong_existence(T, S)
     if exist.verdict is Verdict.FAILS:
         return exist
-    # proper intervals of a classified pair meet in a single point for every
-    # w only when both have exponent 1: the intersection is then {1-w}
-    if _pair_is_analytic(T, S) and T.record.exponent == S.record.exponent == 1.0:
+    if (_classified(T, S) or (False, False))[1]:
         return holds("intersection is the singleton {1-w} for every w")
-    found = _witness(T, S, unique=True)
+    probes, probed = _probes(T, S)
+    found = _witness(T, S, probes, unique=True)
     if found is None:
-        return unknown(f"no w among {_probed(T, S)} shows two points that decompose the pair")
+        return unknown(f"no w among {probed} shows two points that decompose the pair")
     return fails(*found)
 
 

@@ -118,6 +118,9 @@ class DegreeInterval:
         return _plain(np.where(none, np.nan, a)), _plain(np.where(none, np.nan, b))
 
     def __str__(self) -> str:
+        if np.ndim(self.empty):  # one text per entry, each as the scalar interval prints
+            entries = zip(*(np.ravel(getattr(self, n)).tolist() for n in self._FIELDS))
+            return "; ".join(str(DegreeInterval(*entry)) for entry in entries)
         if self.empty:
             return "{}"
         lo, hi = (_shortest(v) for v in (self.lower, self.upper))

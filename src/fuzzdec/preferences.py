@@ -35,7 +35,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .operators import EPSILON, BinaryOp, Kind, check_collapse_implies_absorption, make_conorm
+from .operators import EPSILON, BinaryOp, Kind, check_collapse_implies_absorption
 from .decompose import (
     Decomposition,
     DecompositionError,
@@ -150,25 +150,6 @@ def _pair_verdict(labels, cell: Optional[Tuple[int, int]]) -> TriState:
     if cell is None:
         return holds()
     return fails((labels[cell[0]], labels[cell[1]]))
-
-
-# ---------------------------------------------------------------------------
-# decomposition rules
-
-
-def tie_strict_max_decomposition(R: FuzzyRelation) -> Decomposition:
-    """A deliberately flawed variant of the maximum rule: besides the strict
-    winners it also promotes symmetric pairs below 1 into the strict part
-    (first direction in universe order, to keep P asymmetric).
-
-    Reconstructs under the maximum and satisfies every axiom except the
-    backward half of FP4.
-    """
-
-    m = R.degrees
-    P = np.where((m > m.T) | np.triu((m == m.T) & (m < 1.0), 1), m, 0.0)
-    I = np.minimum(m, m.T)
-    return Decomposition(FuzzyRelation(R.universe, P), FuzzyRelation(R.universe, I), make_conorm("minimum"))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 
 from .operators import EPSILON, BinaryOp, Kind
 from .decompose import residual_array
-from .divisors import existence, intersection
+from .divisors import _classified, existence, intersection
 from .relations import FuzzyRelation, sup_t_compose
 from .verdicts import TriState, Verdict, _row_blocks, fails, holds, unknown
 
@@ -177,10 +177,11 @@ def restricted_decomposability(
     first block holding an escaping cell; a block's rows are complete when
     it is checked, so the witness is the row-major first escaping cell.
     A clean raster proves nothing between its grid points: it is HOLDS only
-    when `existence` HOLDS (every relation decomposes), or for a weak check
-    under a built-in S' whose one-interval is {1} (exponent 0), which
-    connects only pairs (i, 1), each decomposed weakly by t = 1; otherwise
-    it is UNKNOWN."""
+    when `existence` HOLDS (every relation decomposes), or under a built-in
+    S' whose one-interval is {1} (exponent 0), which connects only pairs
+    (i, 1): each decomposes weakly by t = 1, and strongly iff the divisor
+    intervals meet at w = i, which `_classified` proves for every w of a
+    classified pair; otherwise it is UNKNOWN."""
 
     if S_prime.kind is not Kind.CONORM:
         raise ValueError("the connecting operator must be a conorm")
@@ -201,10 +202,12 @@ def restricted_decomposability(
     exist = existence(S, T)
     if exist.verdict is Verdict.HOLDS:
         return holds(f"every relation decomposes: {exist.detail}")
-    if T is None and S_prime.is_builtin and S_prime.record.exponent == 0.0:
-        return holds(
-            f"{S_prime.display_name} connects only pairs (i, 1), and t = 1 decomposes each weakly"
-        )
+    if S_prime.is_builtin and S_prime.record.exponent == 0.0:
+        ends = f"{S_prime.display_name} connects only pairs (i, 1), and "
+        if T is None:
+            return holds(ends + "t = 1 decomposes each weakly")
+        if (_classified(T, S) or (False, False))[0]:
+            return holds(ends + "the divisor intervals meet at every w")
     return unknown(
         f"no connected value pair escapes the region on the {ax.size}x{ax.size} grid of step 1/{ax.size - 1}"
     )

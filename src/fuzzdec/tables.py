@@ -225,8 +225,7 @@ def oracle_evidence_for_open_cells() -> List[str]:
     lines = []
     for row, col, label in OPEN_CELLS:
         T, S = _ops_for(row, col, _lambdas(row, col, label, LAMBDA_SAMPLES)[0])
-        info = classify_rule(S, T)
-        says = (info.oracle_verdict or info.verdict).value
+        says = classify_rule(S, T).oracle_verdict.value  # always set on an open built-in cell
         where = f"({_row_label(row)}, {CONORM_LABELS[col]})" + (f" [{label}]" if label else "")
         lines.append(f"{where}: oracle says {says}")
     return sorted(lines)

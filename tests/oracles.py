@@ -1,10 +1,12 @@
-"""Brute-force oracles the tests check the library against.
+"""Brute-force oracles and fixtures the tests check the library against.
 
 `enumerate_decompositions` lists every grid-valued decomposition of a small
 relation, the independent check of the analytic existence and uniqueness
 verdicts; `is_s_connected` is the paper's S-connectedness on one relation,
 the relation-level counterpart of the value pairs
-`regions.restricted_decomposability` checks.  No library code calls either.
+`regions.restricted_decomposability` checks; `tie_strict_max_decomposition`
+is a deliberately flawed rule that `audit_fp` must catch.  No library code
+calls any of them.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from fuzzdec import EPSILON, BinaryOp, FuzzyRelation, Kind, Verdict
+from fuzzdec import EPSILON, BinaryOp, FuzzyRelation, Kind, Verdict, make_conorm
 from fuzzdec.decompose import Decomposition, verify_strong, verify_weak
 from fuzzdec.verdicts import _first_cell
 
@@ -150,3 +152,18 @@ def is_s_connected(R: FuzzyRelation, S: BinaryOp) -> bool:
     return _first_cell(
         R.size, lambda s: ~(np.asarray(S.evaluator(m[s], m[:, s].T), dtype=float) >= 1.0 - EPSILON)
     ) is None
+
+
+def tie_strict_max_decomposition(R: FuzzyRelation) -> Decomposition:
+    """A deliberately flawed variant of the maximum rule: besides the strict
+    winners it also promotes symmetric pairs below 1 into the strict part
+    (first direction in universe order, to keep P asymmetric).
+
+    Reconstructs under the maximum and satisfies every axiom except the
+    backward half of FP4.
+    """
+
+    m = R.degrees
+    P = np.where((m > m.T) | np.triu((m == m.T) & (m < 1.0), 1), m, 0.0)
+    I = np.minimum(m, m.T)
+    return Decomposition(FuzzyRelation(R.universe, P), FuzzyRelation(R.universe, I), make_conorm("max"))

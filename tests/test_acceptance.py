@@ -23,7 +23,6 @@ from fuzzdec import (
     residual_array,
     restricted_decomposability,
     strong_region,
-    tie_strict_max_decomposition,
     triplet_from_decomposition,
     verify_weak,
     weak_region,
@@ -34,7 +33,7 @@ from fuzzdec.divisors import (
     one_interval,
     zero_interval,
 )
-from oracles import enumerate_decompositions
+from oracles import enumerate_decompositions, tie_strict_max_decomposition
 
 CONTINUOUS_CONORMS = [
     ("minimum", None),
@@ -176,7 +175,7 @@ def test_criterion_6_collapse_witness_suite():
     )
     report(
         "criterion 6: collapse witnesses give two valid preferences; "
-        "maximum and probabilistic sum admit none on a 1/100 sweep",
+        "maximum and probabilistic sum admit none on the section grid (t step 1e-3 by w step 0.01)",
         ok and unsat,
     )
 

@@ -397,6 +397,19 @@ def test_out_of_range_values_are_named(tmp_path, capsys, argv, message):
     assert not out_path.exists()
 
 
+def test_speculate_on_an_undecided_custom_conorm_prints_no_oracle_line(tmp_path, capsys):
+    # the maximum as a grid-4 table: compatible on the grid relation, but
+    # inducement stays undecided for a custom conorm, with no oracle verdict
+    table = tmp_path / "max4.op"
+    rows = (" ".join(str(max(i, j) / 4) for j in range(5)) for i in range(5))
+    table.write_text("fuzzop v1\ngrid 4\n" + "\n".join(rows) + "\n")
+    code, out, err = run(capsys, "classify", "--conorm", f"custom:table={table}", "--speculate")
+    assert (code, out, err) == (0, (
+        "# weak decomposition rule for custom conorm\n"
+        "undetermined: compatible on the 1/20-grid relation; inducement undecided for a custom conorm\n"
+    ), "")
+
+
 @pytest.mark.parametrize("flag, op", [("--conorm", "lukasiewicz"), ("--norm", "minimum")])
 def test_divisors_with_one_operator_needs_w(capsys, flag, op):
     code, out, err = run(capsys, "divisors", flag, op)

@@ -27,7 +27,7 @@ from fuzzdec import (
     verify_weak,
     zero_interval,
 )
-from fuzzdec.divisors import _CLASSIFIED_PROBES, _analytic_nonempty_all_w, _pair_is_analytic, intersection
+from fuzzdec.divisors import _CLASSIFIED_PROBES, _classified, intersection
 
 CONORMS = [
     ("minimum", None),
@@ -64,6 +64,18 @@ def test_array_interval_rejects_one_bad_entry():
         DegreeInterval(np.array([0.2, 0.5]), np.array([0.4, 0.5]), np.array([True, False]), True)
     # an empty entry's endpoints are not read
     DegreeInterval(np.array([0.0, 0.9]), np.array([1.0, 0.1]), empty=np.array([False, True]))
+
+
+def test_array_interval_prints_each_entry_as_its_scalar_text():
+    T, S = make_norm("lukasiewicz"), make_conorm("schweizer_sklar", 2.0)
+    ws = [0.0, 0.25, 0.5, 1.0]
+    texts = [str(intersection(T, S, w)) for w in ws]
+    assert str(intersection(T, S, np.array(ws))) == "; ".join(texts)
+    assert texts[1:3] == ["[0.3385621722338523, 0.75]", "[0.1339745962155614, 0.5]"]
+    SD = make_conorm("drastic")
+    drastic = "; ".join(str(one_interval(SD, w)) for w in ws)
+    assert str(one_interval(SD, np.array(ws))) == drastic == "{1}; (0, 1]; (0, 1]; [0, 1]"
+    assert str(intersection(make_norm("min"), make_conorm("max"), np.array([0.5, 1.0]))) == "{}; {0}"
 
 
 def test_array_intervals_compare_field_by_field():
@@ -369,12 +381,13 @@ def test_grid_sweep_agrees_with_the_analytic_verdicts():
     classified = 0
     for T in builtin_ops(Kind.NORM):
         for S in builtin_ops(Kind.CONORM):
-            if not _pair_is_analytic(T, S):
+            known = _classified(T, S)
+            if known is None:
                 continue
             classified += 1
             inter = intersection(T, S, grid)
             empty, multi = inter.empty.any(), (~inter.empty & ~inter.is_singleton).any()
-            assert (not empty) is _analytic_nonempty_all_w(T, S), (T, S)
+            assert (not empty) is known[0], (T, S)
             if not empty and check_first_coordinate_continuity(S).verdict is Verdict.HOLDS:
                 assert (not multi) is (strong_uniqueness(T, S).verdict is Verdict.HOLDS), (T, S)
     # all but the Schweizer-Sklar pairs of two lambdas in (0, +inf) other

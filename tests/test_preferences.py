@@ -15,14 +15,13 @@ from fuzzdec import (
     make_norm,
     mj_counterexample,
     strong_decompose,
-    tie_strict_max_decomposition,
     triplet_from_decomposition,
     verify_weak,
 )
 from fuzzdec import divisors
 from fuzzdec.divisors import strong_existence
 from fuzzdec.preferences import GRID_RELATION, _classify_computed
-from oracles import enumerate_decompositions
+from oracles import enumerate_decompositions, tie_strict_max_decomposition
 
 
 def two_rel(r_xy, r_yx, diag=1.0):

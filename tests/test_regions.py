@@ -12,6 +12,7 @@ from fuzzdec import (
     FuzzyRelation,
     Kind,
     RegionGrid,
+    Verdict,
     is_t_transitive,
     make_conorm,
     make_custom,
@@ -275,10 +276,24 @@ def test_any_connectedness_passes_for_continuous_conorms():
     assert str(verdict) == "HOLDS -- every relation decomposes: Probabilistic sum is continuous on [0,1]^2"
 
 
+def test_max_connected_relations_decompose_strongly_under_the_drastic_pair():
+    # existence FAILS (discontinuous conorm), but the maximum connects only
+    # pairs (i, 1), and the drastic divisor intervals meet at every w = i
+    for conn in ("max", "ordinal_sum"):
+        verdict = restricted_decomposability(make_conorm(conn), make_conorm("drastic"), make_norm("drastic"), RES)
+        assert verdict.verdict is Verdict.HOLDS, conn
+    assert str(verdict) == (
+        "HOLDS -- Ordinal-sum conorm (Lukasiewicz on [0,1/2]) connects only pairs (i, 1), "
+        "and the divisor intervals meet at every w"
+    )
+
+
 def test_a_clean_raster_alone_is_unknown():
-    # strong drastic pair: existence FAILS (discontinuous conorm), and the
-    # connector proves nothing for a strong check
-    verdict = restricted_decomposability(make_conorm("max"), make_conorm("drastic"), make_norm("drastic"), RES)
+    # a Schweizer-Sklar pair at lambdas 0.5 and 3 is not classified: its
+    # existence is UNKNOWN, and the connector proves nothing for a strong check
+    verdict = restricted_decomposability(
+        make_conorm("max"), make_conorm("schweizer_sklar", 3.0), make_norm("schweizer_sklar", 0.5), RES
+    )
     assert str(verdict) == "UNKNOWN -- no connected value pair escapes the region on the 51x51 grid of step 1/50"
 
 
