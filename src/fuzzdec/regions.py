@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -72,20 +72,6 @@ class RegionGrid:
                 fh.write(self.to_csv(s))
 
 
-def _raster_blocks(ax: np.ndarray, cell_test, member: np.ndarray) -> Iterator[slice]:
-    """Fill ``member`` (ax x ax) one row block at a time and yield each block's
-    rows once they are final.  ``cell_test(i, r)`` gets the smaller and the
-    larger coordinate of each cell, so membership is symmetric: a block is
-    evaluated from its first row's diagonal on and written with its
-    transpose, and the columns before it come from earlier transposes."""
-    for s in _row_blocks(ax.size, ax.size):
-        a, b = ax[s, None], ax[s.start:]
-        block = cell_test(np.minimum(a, b), np.maximum(a, b))
-        member[s.start:, s] = block.T
-        member[s, s.start:] = block
-        yield s
-
-
 def _axis(resolution: float) -> np.ndarray:
     if resolution < 1.0 / 2000.0:
         got = f"1/{1.0 / resolution:.15g}" if resolution > 0 else repr(resolution)
@@ -115,19 +101,20 @@ def weak_region(S: BinaryOp, resolution: float = 1 / 200) -> RegionGrid:
     return _region(resolution, S)
 
 
-def _strongly_decomposable(T: BinaryOp, S: BinaryOp, i, r) -> np.ndarray:
+def _strongly_decomposable(T: BinaryOp, S: BinaryOp, i, r, meets) -> np.ndarray:
     """Elementwise: whether the value pair (i <= r) admits a strong
     decomposition under (T,S).  On the r = 1 edge (the only axis value
-    within EPSILON of 1 is 1 itself) the divisor-interval intersection
-    decides, which catches attaining values the unattained residual misses
-    for discontinuous conorms; the (1,1) corner is on the diagonal."""
+    within EPSILON of 1 is 1 itself) ``meets(i)``, whether the divisor
+    intervals intersect at w = i, decides, which catches attaining values
+    the unattained residual misses for discontinuous conorms; the (1,1)
+    corner is on the diagonal."""
     res = residual_array(S, i, r)
     recon = np.asarray(S.evaluator(res, i), dtype=float)
     tval = np.asarray(T.evaluator(res, i), dtype=float)
     member = (r <= i + EPSILON) | ((np.abs(recon - r) <= EPSILON) & (tval <= EPSILON))
     edge = (r == 1.0) & (i < 1.0)
     if edge.any():
-        member[edge] = ~intersection(T, S, i[edge]).empty
+        member[edge] = meets(i[edge])
     return member
 
 
@@ -141,25 +128,36 @@ def strong_region(T: BinaryOp, S: BinaryOp, resolution: float = 1 / 200) -> Regi
     return _region(resolution, S, T)
 
 
-def _cell_test(S: BinaryOp, T: Optional[BinaryOp] = None):
-    """``cell_test(i, r)`` of the weak region of S (T None) or of the strong
-    region of (T,S), once the operator kinds are checked."""
+def _cell_test(resolution: float, S: BinaryOp, T: Optional[BinaryOp] = None):
+    """The grid axis and ``cell_test(i, r)`` of the weak region of S (T None)
+    or of the strong region of (T,S), once the operator kinds are checked.
+    The strong test reads the divisor-interval intersection at every axis
+    value below 1 from one array call (an array `intersection` has a fixed
+    cost of about 0.1 ms; a value rounds the same alone or in an array)."""
     if T is None:
         if S.kind is not Kind.CONORM:
             raise ValueError("weak_region expects a conorm")
-        return lambda i, r: _weakly_decomposable(S, i, r)
+        return _axis(resolution), lambda i, r: _weakly_decomposable(S, i, r)
     if T.kind is not Kind.NORM or S.kind is not Kind.CONORM:
         raise ValueError("strong_region expects (norm, conorm)")
-    return lambda i, r: _strongly_decomposable(T, S, i, r)
+    ax = _axis(resolution)
+    meets = ~intersection(T, S, ax[:-1]).empty
+    return ax, lambda i, r: _strongly_decomposable(T, S, i, r, lambda w: meets[np.searchsorted(ax, w)])
 
 
 def _region(resolution: float, S: BinaryOp, T: Optional[BinaryOp] = None) -> RegionGrid:
-    """The weak region of S (T None) or the strong region of (T,S)."""
-    test = _cell_test(S, T)
-    ax = _axis(resolution)
+    """The weak region of S (T None) or the strong region of (T,S).
+    ``cell_test(i, r)`` gets the smaller and the larger coordinate of each
+    cell, so membership is symmetric: a row block is evaluated from its
+    first row's diagonal on and written with its transpose, and the columns
+    before it come from earlier transposes."""
+    ax, test = _cell_test(resolution, S, T)
     member = np.empty((ax.size, ax.size), dtype=bool)
-    for _ in _raster_blocks(ax, test, member):
-        pass
+    for s in _row_blocks(ax.size, ax.size):
+        a, b = ax[s, None], ax[s.start:]
+        block = test(np.minimum(a, b), np.maximum(a, b))
+        member[s.start:, s] = block.T
+        member[s, s.start:] = block
     return RegionGrid(ax, member)
 
 
@@ -173,9 +171,14 @@ def restricted_decomposability(
     (weak or strong) decomposability region: connected relations all
     decompose exactly when {S'(a,b) = 1} sits inside the region.
 
-    The region is rasterised block by block and the check stops at the
-    first block holding an escaping cell; a block's rows are complete when
-    it is checked, so the witness is the row-major first escaping cell.
+    The grid is walked in the row blocks of the region rasters, each from
+    its first row's diagonal to the right edge, and only the cells that S'
+    connects in either argument order go through the cell test.  A cell
+    (a,b) of the block stands for (b,a) as well: a built-in S' commutes, so
+    one evaluation serves both; a custom S' is evaluated in both orders, and
+    an escape at (b,a) below the block waits for its row as the earliest
+    such cell.  The check stops at the first block whose rows hold an
+    escaping cell, and the witness is the row-major first one.
     A clean raster proves nothing between its grid points: it is HOLDS only
     when `existence` HOLDS (every relation decomposes), or under a built-in
     S' whose one-interval is {1} (exponent 0), which connects only pairs
@@ -185,20 +188,38 @@ def restricted_decomposability(
 
     if S_prime.kind is not Kind.CONORM:
         raise ValueError("the connecting operator must be a conorm")
-    test = _cell_test(S, T)
-    ax = _axis(resolution)
-    member = np.empty((ax.size, ax.size), dtype=bool)
-    for s in _raster_blocks(ax, test, member):
-        connected = np.asarray(S_prime.evaluator(ax[s, None], ax), dtype=float) >= 1.0 - EPSILON
-        escaping = connected & ~member[s]
-        if escaping.any():
-            i, j = np.argwhere(escaping)[0]
-            i, j = s.start + int(i), int(j)
-            return fails(
-                (float(ax[i]), float(ax[j])),
-                f"pair ({float(ax[i])!r},{float(ax[j])!r}) is {S_prime.display_name}-connected "
-                "but not decomposable",
-            )
+    ax, test = _cell_test(resolution, S, T)
+
+    def connected(x, y):
+        return np.asarray(S_prime.evaluator(x, y), dtype=float) >= 1.0 - EPSILON
+
+    pending = None  # the row-major first escaping cell found below its block
+    for s in _row_blocks(ax.size, ax.size):
+        a, b = ax[s, None], ax[s.start:]
+        fwd = connected(a, b)
+        bwd = fwd if S_prime.is_builtin else connected(b, a)
+        tested = fwd if bwd is fwd else fwd | bwd
+        if tested.all():
+            bad = ~test(np.minimum(a, b), np.maximum(a, b))
+        else:
+            a, b = np.broadcast_to(a, tested.shape)[tested], np.broadcast_to(b, tested.shape)[tested]
+            bad = np.zeros_like(tested)
+            bad[tested] = ~test(np.minimum(a, b), np.maximum(a, b))
+        # a block cell escapes in its own place when fwd, and transposed when bwd
+        escapes = [fwd & bad] if bwd is fwd else [fwd & bad, (bwd & bad).T]
+        found = [pending] if pending else []
+        for escaping in escapes:
+            if escaping.any():
+                x, y = np.unravel_index(escaping.argmax(), escaping.shape)
+                found.append((s.start + int(x), s.start + int(y)))
+        if found:
+            pending = i, j = min(found)
+            if i < s.stop:
+                return fails(
+                    (float(ax[i]), float(ax[j])),
+                    f"pair ({float(ax[i])!r},{float(ax[j])!r}) is {S_prime.display_name}-connected "
+                    "but not decomposable",
+                )
     exist = existence(S, T)
     if exist.verdict is Verdict.HOLDS:
         return holds(f"every relation decomposes: {exist.detail}")

@@ -35,6 +35,7 @@ from fuzzdec import (
     make_conorm,
     make_custom,
     make_norm,
+    parse_op_spec,
     restricted_decomposability,
     save_relation,
     strong_region,
@@ -359,6 +360,13 @@ def skewed_connector():
     return make_custom(lambda x, y: np.minimum(x + 2.0 * y, 1.0), Kind.CONORM)
 
 
+def lower_connector():
+    # not commutative: S'(a,b) = 1 only on the frame and where a - b >= 1/2,
+    # below the diagonal, so each escape is seen from its transpose in an
+    # earlier row and waits there for its own row
+    return make_custom(lambda x, y: np.where(x - y >= 0.5, 1.0, np.maximum(x, y)), Kind.CONORM)
+
+
 @pytest.mark.parametrize("cells", [2, SIDE, SIDE + 1, 300])
 @pytest.mark.parametrize(
     "norm, conorm",
@@ -381,7 +389,8 @@ def check_rasters(T, S, cells):
     ax, A, B, weak, strong = ref_rasters(T, S, cells)
     assert np.array_equal(weak_region(S, 1 / (cells - 1)).membership, weak)
     assert np.array_equal(strong_region(T, S, 1 / (cells - 1)).membership, strong)
-    for S_prime in (*map(make_conorm, ("lukasiewicz", "drastic", "ordinal_sum")), skewed_connector()):
+    builtins = map(make_conorm, ("lukasiewicz", "drastic", "ordinal_sum"))
+    for S_prime in (*builtins, skewed_connector(), lower_connector()):
         # the connectedness mask over the whole square, S' need not commute
         connected = np.asarray(S_prime.evaluator(A, B), dtype=float) >= 1.0 - EPSILON
         for norm_op, member in ((None, weak), (T, strong)):
@@ -400,6 +409,44 @@ def test_restricted_stops_at_the_first_escaping_block(monkeypatch):
     monkeypatch.setattr(regions_module, "_weakly_decomposable", lambda *a: calls.append(a) or cell_test(*a))
     got = restricted_decomposability(make_conorm("lukasiewicz"), make_conorm("drastic"), None, 1 / 2000)
     assert got.witness == (1 / 2000, 1999 / 2000) and len(calls) == 1
+
+
+@pytest.mark.parametrize("conn", ["ordinal_sum", "lukasiewicz"])
+def test_restricted_tests_only_connected_cells(monkeypatch, conn):
+    # the maximum is continuous, so every block is walked; only the cells of
+    # each block's rectangle (its rows, from its first row's diagonal on)
+    # that S' connects reach the cell test
+    cells = []
+    cell_test = regions_module._weakly_decomposable
+    monkeypatch.setattr(
+        regions_module, "_weakly_decomposable", lambda S, i, r: cells.append(i.size) or cell_test(S, i, r)
+    )
+    S_prime = make_conorm(conn)
+    assert restricted_decomposability(S_prime, make_conorm("max"), None, 1 / 400).passed
+    if conn == "ordinal_sum":  # pairs (i, 1) only: the last column and the last row
+        assert 0 < sum(cells) <= 2 * 401
+    else:
+        ax = np.linspace(0.0, 1.0, 401)
+        connected = np.asarray(S_prime.evaluator(ax[:, None], ax), dtype=float) >= 1.0 - EPSILON
+        assert sum(cells) == sum(int(connected[s, s.start:].sum()) for s in verdicts_module._row_blocks(401, 401))
+
+
+def test_builtin_connectors_commute_bit_for_bit(monkeypatch):
+    # restricted evaluates a built-in S' once per block and reads S'(b,a)
+    # from S'(a,b): every built-in conorm spec the benchmark workloads name,
+    # and the infinite lambdas, on the finest grid
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    specs = {*workloads.CONNECTORS, *workloads.REGION_CONORMS, *workloads.WEAK_CONORMS}
+    specs |= {"schweizer_sklar:lambda=inf", "schweizer_sklar:lambda=-inf", "hamacher:lambda=inf"}
+    ax = np.linspace(0.0, 1.0, 2001)
+    for spec in sorted(specs):
+        S = parse_op_spec(spec, Kind.CONORM)
+        for s in verdicts_module._row_blocks(ax.size, ax.size):
+            fwd = np.asarray(S.evaluator(ax[s, None], ax), dtype=float)
+            bwd = np.asarray(S.evaluator(ax, ax[s, None]), dtype=float)
+            assert same_bits(fwd, bwd), (spec, s)
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +521,12 @@ def test_closure_memory_is_bounded():
     # the whole-array composition held 256^3 cells (128 MB) per temporary
     R = random_relation(np.random.default_rng(1), 256)
     assert peak_bytes(lambda: t_transitive_closure(R, make_norm("lukasiewicz"))) < 16 * 2**20
+
+
+def test_restricted_memory_is_bounded():
+    # walked in row blocks, without the 2001 x 2001 Boolean raster (4 MB)
+    S_prime, S = make_conorm("lukasiewicz"), make_conorm("max")
+    assert peak_bytes(lambda: restricted_decomposability(S_prime, S, None, 1 / 2000)) < 2001 * 2001
 
 
 def test_decompose_and_audit_memory_is_bounded():
