@@ -7,8 +7,9 @@ pair (S(t, min) = max, with t forced to 0 if min = 1), and in the strong
 region of (T,S) when such a t also satisfies T(t, min) = 0.
 
 Regions are rasterised on uniform grids for figure reproduction, and power
-the restricted-domain test: a connectedness bound confines value pairs to
-the set where the connecting conorm reaches 1 and can rescue an otherwise
+the restricted-domain test: an S'-connected relation has S'(R(x,y), R(y,x))
+= 1 for every ordered pair, which confines its value pairs to the set where
+the connecting conorm reaches 1 in both orders and can rescue an otherwise
 undecomposable conorm.  `t_transitive_closure` gives the least transitive
 relation above a relation.
 """
@@ -82,11 +83,27 @@ def _axis(resolution: float) -> np.ndarray:
     return np.linspace(0.0, 1.0, n + 1)
 
 
-def _weakly_decomposable(S: BinaryOp, i, r) -> np.ndarray:
+def _decomposable(S: BinaryOp, T: Optional[BinaryOp], i, r, meets) -> np.ndarray:
     """Elementwise: whether the value pair with smaller coordinate i and
-    larger coordinate r admits a weak decomposition under S."""
-    recon = np.asarray(S.evaluator(residual_array(S, i, r), i), dtype=float)
-    return (r <= i + EPSILON) | (r >= 1.0 - EPSILON) | (np.abs(recon - r) <= EPSILON)
+    larger coordinate r (arrays of at least one dimension) decomposes weakly
+    under S (T None) or strongly under (T,S).  On the diagonal t = 0 does;
+    elsewhere the residual t must reconstruct, S(t,i) = r, and strongly also
+    vanish, T(t,i) = 0.  On the r = 1 edge (the only axis value within
+    EPSILON of 1 is 1 itself) t = 1 decomposes weakly, and strongly
+    ``meets(i)``, whether the divisor intervals intersect at w = i, decides,
+    which catches attaining values the unattained residual misses for
+    discontinuous conorms.  One float buffer holds the reconstruction gap
+    and then the diagonal bound, to save block-sized temporaries."""
+    t = residual_array(S, i, r)
+    work = np.subtract(S.evaluator(t, i), r)
+    member = np.abs(work, out=work) <= EPSILON
+    if T is not None:
+        member &= np.asarray(T.evaluator(t, i), dtype=float) <= EPSILON
+    member |= r <= np.add(i, EPSILON, out=work)
+    edge = (r >= 1.0 - EPSILON) & (i < 1.0)
+    if edge.any():
+        member[edge] = True if T is None else meets(i[edge])
+    return member
 
 
 def weak_region(S: BinaryOp, resolution: float = 1 / 200) -> RegionGrid:
@@ -98,24 +115,7 @@ def weak_region(S: BinaryOp, resolution: float = 1 / 200) -> RegionGrid:
     in the first coordinate this is all of the square.
     """
 
-    return _region(resolution, S)
-
-
-def _strongly_decomposable(T: BinaryOp, S: BinaryOp, i, r, meets) -> np.ndarray:
-    """Elementwise: whether the value pair (i <= r) admits a strong
-    decomposition under (T,S).  On the r = 1 edge (the only axis value
-    within EPSILON of 1 is 1 itself) ``meets(i)``, whether the divisor
-    intervals intersect at w = i, decides, which catches attaining values
-    the unattained residual misses for discontinuous conorms; the (1,1)
-    corner is on the diagonal."""
-    res = residual_array(S, i, r)
-    recon = np.asarray(S.evaluator(res, i), dtype=float)
-    tval = np.asarray(T.evaluator(res, i), dtype=float)
-    member = (r <= i + EPSILON) | ((np.abs(recon - r) <= EPSILON) & (tval <= EPSILON))
-    edge = (r == 1.0) & (i < 1.0)
-    if edge.any():
-        member[edge] = meets(i[edge])
-    return member
+    return _region(*_cell_test("weak_region", resolution, S))
 
 
 def strong_region(T: BinaryOp, S: BinaryOp, resolution: float = 1 / 200) -> RegionGrid:
@@ -125,33 +125,28 @@ def strong_region(T: BinaryOp, S: BinaryOp, resolution: float = 1 / 200) -> Regi
     residual is the only candidate that can also vanish under T.
     """
 
-    return _region(resolution, S, T)
+    return _region(*_cell_test("strong_region", resolution, S, T))
 
 
-def _cell_test(resolution: float, S: BinaryOp, T: Optional[BinaryOp] = None):
+def _cell_test(check: str, resolution: float, S: BinaryOp, T: Optional[BinaryOp] = None):
     """The grid axis and ``cell_test(i, r)`` of the weak region of S (T None)
-    or of the strong region of (T,S), once the operator kinds are checked.
-    The strong test reads the divisor-interval intersection at every axis
-    value below 1 from one array call (an array `intersection` has a fixed
-    cost of about 0.1 ms; a value rounds the same alone or in an array)."""
-    if T is None:
-        if S.kind is not Kind.CONORM:
-            raise ValueError("weak_region expects a conorm")
-        return _axis(resolution), lambda i, r: _weakly_decomposable(S, i, r)
-    if T.kind is not Kind.NORM or S.kind is not Kind.CONORM:
-        raise ValueError("strong_region expects (norm, conorm)")
+    or of the strong region of (T,S), once the operator kinds are checked
+    (an error names ``check``, the function called).  The strong test reads
+    the divisor-interval intersection at every axis value below 1 from one
+    array call (an array `intersection` has a fixed cost of about 0.1 ms; a
+    value rounds the same alone or in an array)."""
+    if S.kind is not Kind.CONORM or (T is not None and T.kind is not Kind.NORM):
+        raise ValueError(f"{check} expects {'a conorm' if T is None else '(norm, conorm)'}")
     ax = _axis(resolution)
-    meets = ~intersection(T, S, ax[:-1]).empty
-    return ax, lambda i, r: _strongly_decomposable(T, S, i, r, lambda w: meets[np.searchsorted(ax, w)])
+    meets = None if T is None else ~intersection(T, S, ax[:-1]).empty
+    return ax, lambda i, r: _decomposable(S, T, i, r, lambda w: meets[np.searchsorted(ax, w)])
 
 
-def _region(resolution: float, S: BinaryOp, T: Optional[BinaryOp] = None) -> RegionGrid:
-    """The weak region of S (T None) or the strong region of (T,S).
-    ``cell_test(i, r)`` gets the smaller and the larger coordinate of each
-    cell, so membership is symmetric: a row block is evaluated from its
-    first row's diagonal on and written with its transpose, and the columns
-    before it come from earlier transposes."""
-    ax, test = _cell_test(resolution, S, T)
+def _region(ax: np.ndarray, test) -> RegionGrid:
+    """The region whose ``test(i, r)`` gets the smaller and the larger
+    coordinate of each cell, so membership is symmetric: a row block is
+    evaluated from its first row's diagonal on and written with its
+    transpose, and the columns before it come from earlier transposes."""
     member = np.empty((ax.size, ax.size), dtype=bool)
     for s in _row_blocks(ax.size, ax.size):
         a, b = ax[s, None], ax[s.start:]
@@ -169,16 +164,16 @@ def restricted_decomposability(
 ) -> TriState:
     """Whether every value pair allowed by S'-connectedness lies in the
     (weak or strong) decomposability region: connected relations all
-    decompose exactly when {S'(a,b) = 1} sits inside the region.
+    decompose exactly when {(a,b) : S'(a,b) = S'(b,a) = 1} sits inside the
+    region.
 
     The grid is walked in the row blocks of the region rasters, each from
-    its first row's diagonal to the right edge, and only the cells that S'
-    connects in either argument order go through the cell test.  A cell
-    (a,b) of the block stands for (b,a) as well: a built-in S' commutes, so
-    one evaluation serves both; a custom S' is evaluated in both orders, and
-    an escape at (b,a) below the block waits for its row as the earliest
-    such cell.  The check stops at the first block whose rows hold an
-    escaping cell, and the witness is the row-major first one.
+    its first row's diagonal to the right edge, and only the connected
+    cells go through the cell test.  A built-in S' commutes, so one
+    evaluation serves both orders; a custom S' is evaluated in both.  The
+    connected set is symmetric like the region, so the row-major first
+    escaping cell lies in the first block that holds one, and is the
+    witness.
     A clean raster proves nothing between its grid points: it is HOLDS only
     when `existence` HOLDS (every relation decomposes), or under a built-in
     S' whose one-interval is {1} (exponent 0), which connects only pairs
@@ -188,38 +183,27 @@ def restricted_decomposability(
 
     if S_prime.kind is not Kind.CONORM:
         raise ValueError("the connecting operator must be a conorm")
-    ax, test = _cell_test(resolution, S, T)
+    ax, test = _cell_test("restricted_decomposability", resolution, S, T)
 
     def connected(x, y):
         return np.asarray(S_prime.evaluator(x, y), dtype=float) >= 1.0 - EPSILON
 
-    pending = None  # the row-major first escaping cell found below its block
     for s in _row_blocks(ax.size, ax.size):
         a, b = ax[s, None], ax[s.start:]
-        fwd = connected(a, b)
-        bwd = fwd if S_prime.is_builtin else connected(b, a)
-        tested = fwd if bwd is fwd else fwd | bwd
+        tested = connected(a, b) if S_prime.is_builtin else connected(a, b) & connected(b, a)
         if tested.all():
             bad = ~test(np.minimum(a, b), np.maximum(a, b))
         else:
             a, b = np.broadcast_to(a, tested.shape)[tested], np.broadcast_to(b, tested.shape)[tested]
             bad = np.zeros_like(tested)
             bad[tested] = ~test(np.minimum(a, b), np.maximum(a, b))
-        # a block cell escapes in its own place when fwd, and transposed when bwd
-        escapes = [fwd & bad] if bwd is fwd else [fwd & bad, (bwd & bad).T]
-        found = [pending] if pending else []
-        for escaping in escapes:
-            if escaping.any():
-                x, y = np.unravel_index(escaping.argmax(), escaping.shape)
-                found.append((s.start + int(x), s.start + int(y)))
-        if found:
-            pending = i, j = min(found)
-            if i < s.stop:
-                return fails(
-                    (float(ax[i]), float(ax[j])),
-                    f"pair ({float(ax[i])!r},{float(ax[j])!r}) is {S_prime.display_name}-connected "
-                    "but not decomposable",
-                )
+        if bad.any():
+            i, j = (s.start + int(k) for k in np.unravel_index(bad.argmax(), bad.shape))
+            return fails(
+                (float(ax[i]), float(ax[j])),
+                f"pair ({float(ax[i])!r},{float(ax[j])!r}) is {S_prime.display_name}-connected "
+                "but not decomposable",
+            )
     exist = existence(S, T)
     if exist.verdict is Verdict.HOLDS:
         return holds(f"every relation decomposes: {exist.detail}")

@@ -4,9 +4,10 @@
 relation, the independent check of the analytic existence and uniqueness
 verdicts; `is_s_connected` is the paper's S-connectedness on one relation,
 the relation-level counterpart of the value pairs
-`regions.restricted_decomposability` checks; `tie_strict_max_decomposition`
-is a deliberately flawed rule that `audit_fp` must catch.  No library code
-calls any of them.
+`regions.restricted_decomposability` checks, and `skewed_connector` and
+`lower_connector` are two connectors that do not commute;
+`tie_strict_max_decomposition` is a deliberately flawed rule that
+`audit_fp` must catch.  No library code calls any of them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from fuzzdec import EPSILON, BinaryOp, FuzzyRelation, Kind, Verdict, make_conorm
+from fuzzdec import EPSILON, BinaryOp, FuzzyRelation, Kind, Verdict, make_conorm, make_custom
 from fuzzdec.decompose import Decomposition, verify_strong, verify_weak
 from fuzzdec.verdicts import _first_cell
 
@@ -152,6 +153,19 @@ def is_s_connected(R: FuzzyRelation, S: BinaryOp) -> bool:
     return _first_cell(
         R.size, lambda s: ~(np.asarray(S.evaluator(m[s], m[:, s].T), dtype=float) >= 1.0 - EPSILON)
     ) is None
+
+
+def skewed_connector() -> BinaryOp:
+    """Not commutative: S'(a,b) = 1 from a + 2b >= 1 on, so (a,b) is
+    connected from a + 2b >= 1 and 2a + b >= 1 on."""
+    return make_custom(lambda x, y: np.minimum(x + 2.0 * y, 1.0), Kind.CONORM)
+
+
+def lower_connector() -> BinaryOp:
+    """Not commutative: S'(a,b) = 1 on the frame and where a - b >= 1/2,
+    below the diagonal, but S'(b,a) < 1 there.  A pair connected in one
+    order only is not connected, so only the frame counts."""
+    return make_custom(lambda x, y: np.where(x - y >= 0.5, 1.0, np.maximum(x, y)), Kind.CONORM)
 
 
 def tie_strict_max_decomposition(R: FuzzyRelation) -> Decomposition:

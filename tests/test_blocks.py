@@ -50,7 +50,7 @@ from fuzzdec.decompose import residual_array
 from fuzzdec.divisors import intersection
 from fuzzdec.operators import EPSILON
 from fuzzdec.relations import asymmetry_violation, symmetry_violation
-from oracles import is_s_connected
+from oracles import is_s_connected, lower_connector, skewed_connector
 
 BLOCK = verdicts_module._BLOCK_CELLS
 LUK4 = Path(__file__).resolve().parent / "data" / "luk4.op"
@@ -355,18 +355,6 @@ def capped_sum():
     return make_custom(lambda x, y: np.minimum(x + y, 1.0), Kind.CONORM)
 
 
-def skewed_connector():
-    # not commutative: S'(a,b) = 1 from a + 2b >= 1 on
-    return make_custom(lambda x, y: np.minimum(x + 2.0 * y, 1.0), Kind.CONORM)
-
-
-def lower_connector():
-    # not commutative: S'(a,b) = 1 only on the frame and where a - b >= 1/2,
-    # below the diagonal, so each escape is seen from its transpose in an
-    # earlier row and waits there for its own row
-    return make_custom(lambda x, y: np.where(x - y >= 0.5, 1.0, np.maximum(x, y)), Kind.CONORM)
-
-
 @pytest.mark.parametrize("cells", [2, SIDE, SIDE + 1, 300])
 @pytest.mark.parametrize(
     "norm, conorm",
@@ -391,8 +379,11 @@ def check_rasters(T, S, cells):
     assert np.array_equal(strong_region(T, S, 1 / (cells - 1)).membership, strong)
     builtins = map(make_conorm, ("lukasiewicz", "drastic", "ordinal_sum"))
     for S_prime in (*builtins, skewed_connector(), lower_connector()):
-        # the connectedness mask over the whole square, S' need not commute
-        connected = np.asarray(S_prime.evaluator(A, B), dtype=float) >= 1.0 - EPSILON
+        # the connectedness mask over the whole square: S' need not commute,
+        # and a pair is connected when S' reaches 1 in both orders
+        connected = (np.asarray(S_prime.evaluator(A, B), dtype=float) >= 1.0 - EPSILON) & (
+            np.asarray(S_prime.evaluator(B, A), dtype=float) >= 1.0 - EPSILON
+        )
         for norm_op, member in ((None, weak), (T, strong)):
             cell = first(connected & ~member)
             got = restricted_decomposability(S_prime, S, norm_op, 1 / (cells - 1))
@@ -405,8 +396,8 @@ def test_restricted_stops_at_the_first_escaping_block(monkeypatch):
     # Lukasiewicz-connected pairs escape the drastic sum's weak region in the
     # first row block (the row-major first is (1/n, 1 - 1/n)); 1/2000 has 64
     calls = []
-    cell_test = regions_module._weakly_decomposable
-    monkeypatch.setattr(regions_module, "_weakly_decomposable", lambda *a: calls.append(a) or cell_test(*a))
+    cell_test = regions_module._decomposable
+    monkeypatch.setattr(regions_module, "_decomposable", lambda *a: calls.append(a) or cell_test(*a))
     got = restricted_decomposability(make_conorm("lukasiewicz"), make_conorm("drastic"), None, 1 / 2000)
     assert got.witness == (1 / 2000, 1999 / 2000) and len(calls) == 1
 
@@ -417,9 +408,9 @@ def test_restricted_tests_only_connected_cells(monkeypatch, conn):
     # each block's rectangle (its rows, from its first row's diagonal on)
     # that S' connects reach the cell test
     cells = []
-    cell_test = regions_module._weakly_decomposable
+    cell_test = regions_module._decomposable
     monkeypatch.setattr(
-        regions_module, "_weakly_decomposable", lambda S, i, r: cells.append(i.size) or cell_test(S, i, r)
+        regions_module, "_decomposable", lambda S, T, i, r, m: cells.append(i.size) or cell_test(S, T, i, r, m)
     )
     S_prime = make_conorm(conn)
     assert restricted_decomposability(S_prime, make_conorm("max"), None, 1 / 400).passed

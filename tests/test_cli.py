@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzdec import cli, decompose, make_custom
+from fuzzdec import Kind, cli, decompose, make_custom
 from fuzzdec.cli import main
 from fuzzdec.relations import FuzzyRelation, format_relation, parse_relation
 
@@ -190,6 +190,22 @@ def test_restricted_subcommand(capsys):
         "--resolution", "100",
     )
     assert code == 1 and "FAILS" in out
+
+
+def test_restricted_witness_is_connected_in_both_orders(tmp_path, capsys):
+    # S'(x,y) = max(x,y) at the nodes except S'(1/4,3/4) = 1, one order only,
+    # and S'(1/2,3/4) = S'(3/4,1/2) = S'(3/4,3/4) = 1; the drastic sum's weak
+    # region is the diagonal, the axes and the edges where a degree is 1
+    nodes = np.maximum.outer(np.arange(5) / 4, np.arange(5) / 4)
+    nodes[1, 3] = nodes[2, 3] = nodes[3, 2] = nodes[3, 3] = 1.0
+    table = tmp_path / "lopsided.op"
+    table.write_text("fuzzop v1\ngrid 4\n" + "\n".join(" ".join(map(str, row)) for row in nodes) + "\n")
+    code, out, _ = run(capsys, "restricted", "--connected-by", f"custom:table={table}",
+                       "--conorm", "drastic", "--resolution", "4")
+    assert code == 1 and "FAILS witness=(0.5, 0.75)" in out
+    S_prime = cli._load_op(f"custom:table={table}", Kind.CONORM)
+    assert S_prime(0.5, 0.75) == S_prime(0.75, 0.5) == 1.0
+    assert S_prime(0.75, 0.25) == 0.75
 
 
 @pytest.mark.parametrize("value", ["0", "-5"])

@@ -25,14 +25,15 @@ from fuzzdec import (
     weak_region,
     zero_interval,
 )
-from fuzzdec.regions import _weakly_decomposable
+from fuzzdec.regions import _decomposable
+from oracles import is_s_connected, lower_connector, skewed_connector
 
 RES = 1 / 50  # fast grids for unit tests; the acceptance suite runs 1/200
 
 
 def weakly_decomposable(S, a, b):
     """The weak cell test on the one value pair (a, b)."""
-    return bool(_weakly_decomposable(S, np.asarray(min(a, b), float), np.asarray(max(a, b), float)))
+    return bool(_decomposable(S, None, np.array([min(a, b)], float), np.array([max(a, b)], float), None)[0])
 
 
 def member(grid, a, b):
@@ -295,6 +296,50 @@ def test_a_clean_raster_alone_is_unknown():
         make_conorm("max"), make_conorm("schweizer_sklar", 3.0), make_norm("schweizer_sklar", 0.5), RES
     )
     assert str(verdict) == "UNKNOWN -- no connected value pair escapes the region on the 51x51 grid of step 1/50"
+
+
+def test_kind_errors_name_the_check_called():
+    S, T = make_conorm("max"), make_norm("minimum")
+    calls = [
+        ("weak_region expects a conorm", lambda: weak_region(T, RES)),
+        ("strong_region expects (norm, conorm)", lambda: strong_region(S, S, RES)),
+        ("restricted_decomposability expects a conorm", lambda: restricted_decomposability(S, T, None, RES)),
+        ("restricted_decomposability expects (norm, conorm)", lambda: restricted_decomposability(S, S, S, RES)),
+        ("the connecting operator must be a conorm", lambda: restricted_decomposability(T, S, None, RES)),
+    ]
+    for message, call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+
+
+REPLAY_CHECKS = [
+    (None, ("drastic", None)),
+    (None, ("schweizer_sklar", 5.0)),
+    (("drastic", None), ("drastic", None)),
+    (("schweizer_sklar", 5.0), ("schweizer_sklar", 5.0)),
+    (("minimum", None), ("lukasiewicz", None)),
+    (("lukasiewicz", None), ("max", None)),
+]
+
+
+@pytest.mark.parametrize("connector", [lower_connector, skewed_connector])
+def test_fails_witnesses_of_non_commuting_connectors_replay(connector):
+    # a witness (a, b) must be a connected relation [[1, a], [b, 1]] (S'
+    # reaches 1 in both orders) whose value pair lies outside the region
+    S_prime, failures = connector(), 0
+    for norm, conorm in REPLAY_CHECKS:
+        T, S = norm and make_norm(*norm), make_conorm(*conorm)
+        for n in (4, 7, 20, 41):
+            verdict = restricted_decomposability(S_prime, S, T, 1 / n)
+            if verdict.verdict is not Verdict.FAILS:
+                continue
+            failures += 1
+            a, b = verdict.witness
+            assert is_s_connected(FuzzyRelation(("x", "y"), np.array([[1.0, a], [b, 1.0]])), S_prime)
+            grid = weak_region(S, 1 / n) if T is None else strong_region(T, S, 1 / n)
+            assert not member(grid, a, b), (norm, conorm, n, (a, b))
+    assert failures
 
 
 # ---------------------------------------------------------------------------
