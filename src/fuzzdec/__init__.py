@@ -37,6 +37,7 @@ from .relations import (
     format_relation,
     is_crisp,
     is_t_transitive,
+    load_operator_table,
     load_relation,
     parse_relation,
     save_relation,

@@ -15,7 +15,8 @@ no rule check is sampled.  `check-norm --grid-step` lies in [1/2000, 1],
 the finest grid `region` and `restricted` take too.  `divisors` prints the
 one- or zero-interval at --w of each operator given, and with both
 --conorm and --norm also strong existence and uniqueness; one operator
-alone needs --w.
+alone needs --w.  Relation files and `custom:table=` operator tables are
+read by `relations`, and each of their errors starts with the file's path.
 """
 
 from __future__ import annotations
@@ -24,16 +25,8 @@ import argparse
 import functools
 import sys
 
-import numpy as np
-
 from .families import _shortest
-from .operators import (
-    BinaryOp,
-    Kind,
-    check_norm_axioms,
-    make_custom,
-    parse_op_spec,
-)
+from .operators import BinaryOp, Kind, check_norm_axioms, parse_op_spec
 from .divisors import existence, intersection, one_interval, uniqueness, zero_interval
 from .decompose import (
     DecompositionError,
@@ -48,15 +41,7 @@ from .preferences import (
     triplet_from_decomposition,
 )
 from .regions import restricted_decomposability, strong_region, weak_region
-from .relations import (
-    ContentLines,
-    RelationParseError,
-    format_relation,
-    load_relation,
-    not_utf8,
-    read_degrees,
-    text_rows,
-)
+from .relations import load_operator_table, load_relation, write_relation
 from .tables import (
     diff_against_reference,
     generate_table1,
@@ -90,55 +75,12 @@ def _seed(args) -> int:
 
 
 def _load_op(spec: str, kind: Kind) -> BinaryOp:
-    if spec.strip().lower().startswith("custom"):
-        rest = spec.strip()[len("custom"):]
-        if not rest.startswith(":table="):
-            raise ValueError("custom operators need a table: custom:table=<path>")
-        return _table_operator(rest[len(":table="):], kind)
-    return parse_op_spec(spec, kind)
-
-
-def _table_operator(path: str, kind: Kind) -> BinaryOp:
-    """Load a custom operator from a value table over a uniform grid.
-
-    Format: first line ``fuzzop v1``, second line ``grid <n>``, then
-    (n+1) rows of (n+1) degrees in [0,1] giving f(i/n, j/n), read and
-    reported like the matrix of a relation file; evaluation is bilinear
-    interpolation between grid nodes.
-    """
-
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            lines = ContentLines(fh)
-            if next(lines, (None, None))[1] != "fuzzop v1":
-                raise ValueError(f"{path}: expected header 'fuzzop v1'")
-            head = next(lines, (None, ""))[1].split()
-            if len(head) != 2 or head[0] != "grid":
-                raise ValueError(f"{path}: expected 'grid <n>' on the second line")
-            n = int(head[1]) if head[1].isdecimal() else 0
-            if n < 1:
-                raise ValueError(f"{path}: grid size must be a positive integer, got {head[1]!r}")
-            mat = read_degrees(lines, n + 1, n + 1)
-        except RelationParseError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        except UnicodeDecodeError:
-            raise not_utf8(path) from None
-
-    def fn(x, y):
-        xi = np.clip(np.asarray(x, dtype=float), 0.0, 1.0) * n
-        yi = np.clip(np.asarray(y, dtype=float), 0.0, 1.0) * n
-        x0 = np.clip(np.floor(xi).astype(int), 0, n - 1)
-        y0 = np.clip(np.floor(yi).astype(int), 0, n - 1)
-        fx = xi - x0
-        fy = yi - y0
-        return (
-            mat[x0, y0] * (1 - fx) * (1 - fy)
-            + mat[x0 + 1, y0] * fx * (1 - fy)
-            + mat[x0, y0 + 1] * (1 - fx) * fy
-            + mat[x0 + 1, y0 + 1] * fx * fy
-        )
-
-    return make_custom(fn, kind)
+    if not spec.strip().lower().startswith("custom"):
+        return parse_op_spec(spec, kind)
+    head, table, path = spec.strip().partition(":table=")
+    if head.lower() != "custom" or not table:
+        raise ValueError("custom operators need a table: custom:table=<path>")
+    return load_operator_table(path, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +113,7 @@ def _cmd_decompose(args) -> bool:
     print(f"# canonical {'strong' if T is not None else 'weak'} decomposition under {_title(S, T)}")
     for title, part in (("# strict part P", d.strict), ("# indifference part I", d.indifference)):
         print(title)
-        for rows in text_rows(part):
-            print(format_relation(part, rows), end="")
+        write_relation(part, sys.stdout)
     print(f"# verification: {check}")
     return check.verdict is Verdict.HOLDS
 

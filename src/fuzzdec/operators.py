@@ -164,15 +164,10 @@ def parse_op_spec(spec: str, kind: Kind) -> BinaryOp:
         if not tail.startswith("lambda="):
             raise ValueError(f"bad operator spec {spec!r}: expected lambda=<value>")
         raw = tail[len("lambda="):].strip()
-        if raw in ("+inf", "inf"):
-            lam = math.inf
-        elif raw == "-inf":
-            lam = -math.inf
-        else:
-            try:
-                lam = float(raw)
-            except ValueError:
-                raise ValueError(f"bad lambda value {raw!r} in spec {spec!r}") from None
+        try:
+            lam = float(raw)  # reads +inf, inf and -inf too
+        except ValueError:
+            raise ValueError(f"bad lambda value {raw!r} in spec {spec!r}") from None
         text = head
     return make_family(text, kind, lam)
 
@@ -419,12 +414,16 @@ def check_strict_near_zero(op: BinaryOp) -> TriState:
         raise ValueError("strict-near-zero is a conorm property")
     if op.is_builtin:
         witness = op.record.flat_near_zero
-    else:  # a flat stretch starting at t=0 refutes the claim outright
-        V = _section(op)
-        flat = np.flatnonzero(np.abs(V[:-1, 1] - V[:-1, 0]) <= 1e-15)
-        witness = (float(_W[flat[0]]), 0.0, float(_T[1])) if flat.size else None
+    else:  # a flat stretch from t = 0, or from just after a jump at 0, refutes the claim
+        w, t = _W[:-1], np.zeros(_W.size - 1)
+        end = np.asarray(op.evaluator(t + _T[1], w), dtype=float)
+        # where the first step rises by more than _JUMP, S is read instead at
+        # its BISECTION_STEPS-th halving towards 0, t = 0.001 * 2**-60
+        t[end - op.evaluator(t, w) > _JUMP] = _T[1] * 0.5**BISECTION_STEPS
+        flat = np.flatnonzero(np.abs(end - op.evaluator(t, w)) <= 1e-15)
+        witness = (float(w[flat[0]]), float(t[flat[0]]), float(_T[1])) if flat.size else None
     return _verdict(
         op, witness, f"{op.display_name} rises strictly from t=0 for every w < 1",
-        f"no flat section on [0, {_T[1]:g}] at each of {_W.size - 1} w",
+        f"no flat section on [0, {_T[1]:g}] or just after a jump at 0, at each of {_W.size - 1} w",
         lambda w, t, s: f"S({t:g},{w:g}) = {op(t, w):g} and S({s:g},{w:g}) = {op(s, w):g}: flat near 0",
     )

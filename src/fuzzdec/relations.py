@@ -1,4 +1,6 @@
-"""Finite fuzzy binary relations and their structural predicates.
+"""Finite fuzzy binary relations, their structural predicates, and both file
+formats: relation files, and the value tables of custom operators (loaded
+here, not beside ``make_custom``, because ``operators`` is the lower layer).
 
 A relation is a square membership matrix over an ordered universe of labels;
 row index is the first argument.  Equality-style predicates (symmetry,
@@ -12,18 +14,18 @@ import functools
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .operators import EPSILON, BinaryOp, Kind
+from .operators import EPSILON, BinaryOp, Kind, make_custom
 from .verdicts import _first_cell, _row_blocks
 
 FILE_HEADER = "fuzzrel v1"
 
 
 class RelationParseError(ValueError):
-    """Raised on malformed relation files; the message pinpoints row/column."""
+    """Raised on malformed relation files and operator tables; the message pinpoints row/column."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,18 +135,20 @@ def crisp_decompose(R: FuzzyRelation) -> Tuple[FuzzyRelation, FuzzyRelation]:
 
 
 # ---------------------------------------------------------------------------
-# file format
+# file formats
 #
-#   fuzzrel v1
-#   universe <label> <label> ...
-#   <row of n degrees>
-#   ... (n rows, row-major, whitespace separated)
+#   fuzzrel v1                       fuzzop v1
+#   universe <label> <label> ...     grid <n>
+#   <row of n degrees>               <row of n+1 values f(i/n, j/n)>
+#   ... (n rows)                     ... (n+1 rows, i = 0..n)
 #
+# Rows are row-major and whitespace separated, read by one reader for both;
+# a table is evaluated by bilinear interpolation between its grid nodes.
 # '#' starts a comment; blank lines are ignored.  Degrees are written as
 # "%.17g" (17 significant digits, one space apart) so emitted files re-parse
-# to bit-identical matrices.  Any degree is read as Python's float() reads
-# its ASCII spelling without '_'; further spellings float() takes ('0.0_5',
-# full-width digits) are rejected.
+# to bit-identical matrices.  Any degree (or grid size) is read as Python's
+# float() (or int()) reads its ASCII spelling without '_'; further spellings
+# they take ('0.0_5', full-width digits) are rejected.
 #
 # Text is converted by numpy kernels, each equal to the per-value conversion
 # it replaces, in text blocks of at most ``_TEXT_CELLS`` cells:
@@ -300,12 +304,6 @@ def _format_rows(m: np.ndarray) -> str:
     return buf[mask][1:].tobytes().decode("ascii") + "\n"
 
 
-def text_rows(R: FuzzyRelation) -> Iterator[slice]:
-    """Row slices of R, each at most one text block, whose ``format_relation``
-    texts make up R's file text in order."""
-    return _row_blocks(R.size, R.size, _TEXT_CELLS)
-
-
 def format_relation(R: FuzzyRelation, rows: slice = slice(0, None)) -> str:
     """The file text of R's rows ``rows`` (a slice with step 1), with the
     header and ``universe`` lines in front where the slice starts at row 0, so
@@ -328,11 +326,18 @@ def _header(R: FuzzyRelation) -> str:
     return FILE_HEADER + "\nuniverse " + " ".join(R.universe) + "\n"
 
 
+def write_relation(R: FuzzyRelation, fh) -> None:
+    """Write R's file text to the open text file ``fh`` one text block of rows
+    at a time, after the checks of ``_header``."""
+    _header(R)
+    for rows in _row_blocks(R.size, R.size, _TEXT_CELLS):
+        fh.write(format_relation(R, rows))
+
+
 def save_relation(R: FuzzyRelation, path) -> None:
     _header(R)  # an empty universe or a bad label raises before the file is opened
     with open(path, "w", encoding="utf-8") as fh:
-        for rows in text_rows(R):
-            fh.write(format_relation(R, rows))
+        write_relation(R, fh)
 
 
 class ContentLines:
@@ -562,46 +567,88 @@ def _quotients(F: np.ndarray, k: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return x, undecided
 
 
+def _preamble(source, header: str, usage: str, what: str) -> Tuple[ContentLines, int, List[str]]:
+    """The lines of ``source`` after its ``header`` line and the keyword line ``usage``
+    shows (as ``'grid <n>'``), with that line's number and arguments; ``what`` names an empty file."""
+    lines = ContentLines(source)
+    lineno, text = next(lines, (None, None))
+    if text is None:
+        raise RelationParseError(f"empty {what}")
+    if text != header:
+        raise RelationParseError(f"line {lineno}: expected header {header!r}, got {text!r}")
+    keyword = usage.split()[0]
+    lineno, text = next(lines, (None, None))
+    if text is None:
+        raise RelationParseError(f"missing {keyword} line")
+    words = text.split()
+    if words[0] != keyword or len(words) < 2:
+        raise RelationParseError(f"line {lineno}: expected {usage!r}, got {text!r}")
+    return lines, lineno, words[1:]
+
+
 def parse_relation(source: Union[str, Iterable[str]]) -> FuzzyRelation:
     """Parse a relation file given as one string or as an iterable of lines
     (an open file streams: no copy of the whole text is made)."""
-    lines = ContentLines(source)
-    lineno, header = next(lines, (None, None))
-    if header is None:
-        raise RelationParseError("empty relation file")
-    if header != FILE_HEADER:
-        raise RelationParseError(f"line {lineno}: expected header {FILE_HEADER!r}, got {header!r}")
-    lineno, uline = next(lines, (None, None))
-    if uline is None:
-        raise RelationParseError("missing universe line")
-    parts = uline.split()
-    if parts[0] != "universe" or len(parts) < 2:
-        raise RelationParseError(f"line {lineno}: expected 'universe <label> ...', got {uline!r}")
-    labels = parts[1:]
+    lines, lineno, labels = _preamble(source, FILE_HEADER, "universe <label> ...", "relation file")
     n = len(labels)
     if len(set(labels)) != n:
         raise RelationParseError(f"line {lineno}: duplicate universe labels")
     return FuzzyRelation._adopt(tuple(labels), read_degrees(lines, n, n))
 
 
-def load_relation(path) -> FuzzyRelation:
+def _parse_table(source: Union[str, Iterable[str]], kind: Kind) -> BinaryOp:
+    """The custom operator of an operator table: the bilinear interpolant of
+    its (n+1) x (n+1) grid nodes."""
+    lines, lineno, words = _preamble(source, "fuzzop v1", "grid <n>", "operator table")
+    size = " ".join(words)
+    n = int(size) if size.isascii() and size.isdigit() else 0  # isdigit alone takes other scripts
+    if n < 1:
+        raise RelationParseError(f"line {lineno}: grid size must be a positive integer, got {size!r}")
+    mat = read_degrees(lines, n + 1, n + 1)
+
+    def fn(x, y):
+        xi = np.clip(np.asarray(x, dtype=float), 0.0, 1.0) * n
+        yi = np.clip(np.asarray(y, dtype=float), 0.0, 1.0) * n
+        x0 = np.clip(np.floor(xi).astype(int), 0, n - 1)
+        y0 = np.clip(np.floor(yi).astype(int), 0, n - 1)
+        fx = xi - x0
+        fy = yi - y0
+        return (
+            mat[x0, y0] * (1 - fx) * (1 - fy)
+            + mat[x0 + 1, y0] * fx * (1 - fy)
+            + mat[x0, y0 + 1] * (1 - fx) * fy
+            + mat[x0 + 1, y0 + 1] * fx * fy
+        )
+
+    return make_custom(fn, kind)
+
+
+def _load(path, parse):
+    """``parse`` of the UTF-8 text file at ``path``, streamed; each parse
+    error starts with ``<path>: ``, and a file that does not decode is named
+    with its first line that does not."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return parse_relation(fh)
+            return parse(fh)
+        except RelationParseError as exc:
+            raise RelationParseError(f"{path}: {exc}") from None
         except UnicodeDecodeError:
-            raise not_utf8(path) from None
-
-
-def not_utf8(path) -> RelationParseError:
-    """The error for a file that does not decode as UTF-8, naming the file and
-    its first line that does not (the decoder's own position counts from the
-    start of a read chunk)."""
-    with open(path, "rb") as fh:
+            pass
+    with open(path, "rb") as fh:  # the decoder's own position counts from the start of a read chunk
         for lineno, raw in enumerate(fh, start=1):
             try:
                 raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                return RelationParseError(
-                    f"{path}: line {lineno}: byte {exc.start + 1} (0x{raw[exc.start]:02x}) is not UTF-8 text"
-                )
-    return RelationParseError(f"{path}: not UTF-8 text")
+                where = f"line {lineno}: byte {exc.start + 1} (0x{raw[exc.start]:02x})"
+                raise RelationParseError(f"{path}: {where} is not UTF-8 text") from None
+    raise RelationParseError(f"{path}: not UTF-8 text")
+
+
+def load_relation(path) -> FuzzyRelation:
+    return _load(path, parse_relation)
+
+
+def load_operator_table(path, kind: Kind) -> BinaryOp:
+    """The custom operator of kind ``kind`` that the operator table at
+    ``path`` holds (see the file formats above)."""
+    return _load(path, lambda lines: _parse_table(lines, kind))

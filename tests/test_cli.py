@@ -239,14 +239,21 @@ def test_usage_and_parse_errors(tmp_path, capsys):
 @pytest.mark.parametrize(
     "body, problem",
     [
-        ("fuzzop v1\n", "expected 'grid <n>' on the second line"),
-        ("fuzzop v1\ngrid 0\n0\n", "grid size must be a positive integer, got '0'"),
-        ("fuzzop v1\ngrid -2\n0 0\n", "grid size must be a positive integer, got '-2'"),
+        ("", "empty operator table"),
+        ("fuzzop v2\ngrid 1\n", "line 1: expected header 'fuzzop v1', got 'fuzzop v2'"),
+        ("fuzzop v1\n", "missing grid line"),
+        ("fuzzop v1\n\ngrids 2\n", "line 3: expected 'grid <n>', got 'grids 2'"),
+        ("fuzzop v1\ngrid 0\n0\n", "line 2: grid size must be a positive integer, got '0'"),
+        ("fuzzop v1\ngrid -2\n0 0\n", "line 2: grid size must be a positive integer, got '-2'"),
+        ("fuzzop v1\ngrid 1 2\n0 0\n", "line 2: grid size must be a positive integer, got '1 2'"),
+        # digits of other scripts are refused, as they are in the degrees
+        ("fuzzop v1\ngrid \u0661\n0 0\n0 1\n", "line 2: grid size must be a positive integer, got '\u0661'"),
+        ("fuzzop v1\ngrid \uff11\n0 0\n0 1\n", "line 2: grid size must be a positive integer, got '\uff11'"),
     ],
 )
 def test_bad_custom_table_header_exits_2(tmp_path, capsys, body, problem):
     table = tmp_path / "bad.op"
-    table.write_text(body)
+    table.write_text(body, encoding="utf-8")
     code, out, err = run(capsys, "check-norm", "--op", f"custom:table={table}", "--kind", "norm")
     assert code == 2 and out == ""
     assert err == f"error: {table}: {problem}\n"
@@ -336,7 +343,7 @@ def test_short_relation_on_a_huge_universe_exits_2(tmp_path, capsys, row, proble
     rel.write_text("fuzzrel v1\nuniverse " + " ".join(f"a{k}" for k in range(100000)) + f"\n{row}\n")
     code, out, err = run(capsys, "audit", "--relation", str(rel), "--conorm", "max")
     assert (code, out) == (2, "")
-    assert err == f"error: {problem}\n"
+    assert err == f"error: {rel}: {problem}\n"
 
 
 def test_check_norm_rejects_nan_output(monkeypatch, capsys):

@@ -9,13 +9,14 @@ through the public ``format_relation`` / ``parse_relation``.
 
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzdec import relations
-from fuzzdec.relations import FuzzyRelation, format_relation, parse_relation, save_relation, text_rows
+from fuzzdec.relations import FuzzyRelation, format_relation, parse_relation, save_relation, write_relation
 
 ONE_BITS = 0x3FF0000000000000  # the bit pattern of 1.0: patterns up to it are the floats in [0, 1]
 KERNEL_BITS = int(np.float64(1e-3).view(np.uint64))  # the least degree the digit kernel writes
@@ -94,15 +95,22 @@ def test_row_slices_join_to_the_whole_text(tmp_path):
     for n in (1, 2, 63, 64, 65, 130):
         R = FuzzyRelation(tuple(f"x{k}" for k in range(n)), rng.random((n, n)))
         whole = format_relation(R)
-        assert "".join(format_relation(R, rows) for rows in text_rows(R)) == whole
+        writes = []
+        write_relation(R, SimpleNamespace(write=writes.append))
+        assert "".join(writes) == whole
         assert format_relation(R, slice(0, 1)) + format_relation(R, slice(1, None)) == whole
-        assert all(s.stop - s.start <= max(1, relations._TEXT_CELLS // n) for s in text_rows(R))
+        # one write per text block of rows, the first with the header and universe lines
+        rows = [text.count("\n") for text in writes]
+        rows[0] -= 2
+        assert sum(rows) == n and max(rows) <= max(1, relations._TEXT_CELLS // n)
     # an empty universe has no file text: the parser refuses "universe" alone
     empty = FuzzyRelation((), np.zeros((0, 0)))
     with pytest.raises(ValueError, match="empty universe"):
         format_relation(empty)
     with pytest.raises(ValueError, match="empty universe"):
         save_relation(empty, tmp_path / "empty.rel")
+    with pytest.raises(ValueError, match="empty universe"):
+        write_relation(empty, SimpleNamespace(write=writes.append))
     assert not (tmp_path / "empty.rel").exists()
 
 

@@ -454,9 +454,13 @@ def test_every_property_witness_of_a_builtin_record_replays():
 
 def test_custom_copies_of_the_builtin_operators_agree_with_their_records():
     # a custom copy is swept on the section grid, so it never HOLDS; where the
-    # record HOLDS it never FAILS either, except for continuity across two
-    # adjacent floats, where the float evaluator itself jumps (Schweizer-Sklar
-    # at lambda 20 and 50); every FAILS witness of a copy replays
+    # record HOLDS it never FAILS either, except across two adjacent floats
+    # where the float evaluator itself jumps (Schweizer-Sklar at lambda 20 and
+    # 50: for continuity, and for strictness near zero from t = 0 to the least
+    # positive float, after which the float section is flat at 1); every FAILS
+    # witness of a copy replays.  Where the record is not strict near zero the
+    # copy FAILS too, from a jump at 0 (drastic sum, lambda = +inf) as from a
+    # flat start
     float_jumps = []
     for op in builtin_ops(Kind.NORM, PROPERTY_LAMBDAS) + builtin_ops(Kind.CONORM, PROPERTY_LAMBDAS):
         copy = make_custom(op.evaluator, op.kind)
@@ -466,6 +470,8 @@ def test_custom_copies_of_the_builtin_operators_agree_with_their_records():
         for check in checks:
             record, swept = check(op), check(copy)
             assert swept.verdict is not Verdict.HOLDS, (op, check)
+            if check is check_strict_near_zero and record.verdict is Verdict.FAILS:
+                assert swept.verdict is Verdict.FAILS, (op, swept)
             if swept.verdict is not Verdict.FAILS:
                 continue
             if check is check_first_coordinate_continuity:
@@ -475,19 +481,23 @@ def test_custom_copies_of_the_builtin_operators_agree_with_their_records():
                     assert s == np.nextafter(t, 1.0), (op, swept)
                     float_jumps.append((op.kind, op.family, op.parameter))
                 continue
+            if check is check_strict_near_zero:
+                w, t, s = swept.witness
+                assert w < 1.0 and 0.0 <= t < s <= 1e-3 and abs(copy(s, w) - copy(t, w)) <= 1e-15, (op, swept)
+                if record.verdict is Verdict.HOLDS:
+                    assert copy(0.0, w) + 0.05 < copy(5e-324, w) == copy(s, w), (op, swept)
+                    float_jumps.append(("at zero", op.family, op.parameter))
+                continue
             assert record.verdict is Verdict.FAILS, (op, check, swept)
             if check is check_strictly_increasing_first:
                 t, s, w = swept.witness
                 assert t < s and copy(s, w) <= copy(t, w), (op, swept)
                 assert w < 1.0 if op.kind is Kind.CONORM else w > 0.0
-            elif check is check_strict_near_zero:
-                w, t, s = swept.witness
-                assert w < 1.0 and t == 0.0 < s and abs(copy(s, w) - copy(t, w)) <= 1e-15, (op, swept)
             else:
                 w, t, s = swept.witness
                 R, d1, d2 = mj_counterexample(copy, w, t, s)
                 assert t < s and d1.strict.degrees.tobytes() != d2.strict.degrees.tobytes()
                 assert all(verify_weak(R, d).verdict is Verdict.HOLDS for d in (d1, d2)), (op, swept)
     assert sorted(float_jumps, key=str) == [
-        (kind, "schweizer_sklar", lam) for kind in (Kind.CONORM, Kind.NORM) for lam in (20.0, 50.0)
+        (kind, "schweizer_sklar", lam) for kind in ("at zero", Kind.CONORM, Kind.NORM) for lam in (20.0, 50.0)
     ]

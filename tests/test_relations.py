@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from hypothesis import example, given, settings, strategies as st
 from fuzzdec import verdicts
 from fuzzdec import (
     FuzzyRelation,
+    Kind,
     RelationParseError,
     crisp_decompose,
     format_relation,
     is_crisp,
     is_t_transitive,
+    load_operator_table,
     load_relation,
     make_conorm,
     make_norm,
@@ -424,10 +427,12 @@ def test_streamed_errors_match_the_text(tmp_path):
     path = tmp_path / "bad.rel"
     path.write_bytes(text.encode("utf-8"))
     for source in (text, iter(text.splitlines())):
-        with pytest.raises(RelationParseError, match="line 4: row 2, column 2: not a number"):
+        with pytest.raises(RelationParseError, match="line 4: row 2, column 2: not a number") as parsed:
             parse_relation(source)
-    with pytest.raises(RelationParseError, match="line 4: row 2, column 2: not a number"):
+    # the loader puts the path in front of the parser's own message
+    with pytest.raises(RelationParseError) as loaded:
         load_relation(path)
+    assert str(loaded.value) == f"{path}: {parsed.value}"
     # errors come in line order: a bad row before the count, rows past the
     # n-th are counted however they arrive
     head = ["fuzzrel v1", "universe a b"]
@@ -476,3 +481,34 @@ def test_fuzzed_relation_text_parses_or_raises_a_parse_error(text):
         return
     assert R.degrees.shape == (R.size, R.size)
     assert np.all((R.degrees >= 0.0) & (R.degrees <= 1.0))
+
+
+@pytest.mark.parametrize(
+    "body, problem",
+    [
+        (b"", "empty operator table"),
+        (b"fuzzop v1\ngrid 1\n0 0\n", "expected 2 matrix rows, found 1"),
+        (b"fuzzop v1\ngrid 1\n0 0\n0 \xe9\n", "line 4: byte 3 (0xe9) is not UTF-8 text"),
+    ],
+)
+def test_operator_table_errors_start_with_the_path(tmp_path, body, problem):
+    path = tmp_path / "bad.op"
+    path.write_bytes(body)
+    with pytest.raises(RelationParseError) as exc:
+        load_operator_table(path, Kind.NORM)
+    assert str(exc.value) == f"{path}: {problem}"
+
+
+def test_readme_file_examples_load(tmp_path):
+    # every fenced relation file and operator table of the README loads
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```\n(fuzz(?:rel|op) v1\n.*?)^```", readme, flags=re.S | re.M)
+    assert {text.split()[0] for text in blocks} == {"fuzzrel", "fuzzop"}
+    for k, text in enumerate(blocks):
+        path = tmp_path / f"example{k}"
+        path.write_text(text, encoding="utf-8")
+        if text.startswith("fuzzrel"):
+            assert load_relation(path).size >= 1
+        else:
+            op = load_operator_table(path, Kind.CONORM)
+            assert op(0.0, 0.5) == 0.5 and op(1.0, 0.5) == 1.0
