@@ -11,7 +11,9 @@ the restricted-domain test: an S'-connected relation has S'(R(x,y), R(y,x))
 = 1 for every ordered pair, which confines its value pairs to the set where
 the connecting conorm reaches 1 in both orders and can rescue an otherwise
 undecomposable conorm.  `t_transitive_closure` gives the least transitive
-relation above a relation.
+relation above a relation: Warshall's n pivot updates for a built-in norm,
+followed by sup-T squaring to a fixpoint for a custom norm, which may not
+be associative.
 """
 
 from __future__ import annotations
@@ -223,15 +225,27 @@ def restricted_decomposability(
 
 
 def t_transitive_closure(R: FuzzyRelation, T_prime: BinaryOp) -> FuzzyRelation:
-    """Least T'-transitive relation above R via repeated sup-T' composition.
-    Converges in at most |X| rounds because a norm never exceeds min, so
-    cycles cannot strengthen a path."""
+    """Least T'-transitive relation above R.
+
+    For an associative T' the closure is the sup over paths of T' along the
+    path, which Warshall's pivot recurrence builds in n updates,
+    m = max(m, T'(m[:, k], m[k, :])) for k = 0..n-1 (Naessens, De Meyer and
+    De Baets, IEEE Trans. Fuzzy Systems 10, 2002).  Each update reads row and
+    column k whole before it writes, and a norm never exceeds min, so the
+    pivot row and column cannot change under it.  Built-in norms are t-norms,
+    so the pivot pass is their closure.  A custom norm is not known to be
+    associative: from the pivot result, which lies between R and the
+    closure, sup-T' squaring repeats until nothing changes by more than
+    EPSILON (at most |X| rounds; one round for an associative norm)."""
 
     if T_prime.kind is not Kind.NORM:
         raise ValueError("transitive closure expects a norm")
     m = R.degrees.copy()
-    for _ in range(max(2, R.size)):
-        m, old = np.maximum(m, sup_t_compose(m, T_prime)), m
-        if np.all(np.abs(m - old) <= EPSILON):
-            break
+    for k in range(R.size):
+        np.maximum(m, T_prime.evaluator(m[:, k, None], m[None, k, :]), out=m)
+    if not T_prime.is_builtin:
+        for _ in range(max(2, R.size)):
+            m, old = np.maximum(m, sup_t_compose(m, T_prime)), m
+            if np.all(np.abs(m - old) <= EPSILON):
+                break
     return FuzzyRelation._adopt(R.universe, np.clip(m, 0.0, 1.0))

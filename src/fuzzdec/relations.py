@@ -97,11 +97,14 @@ def is_crisp(R: FuzzyRelation) -> bool:
 
 
 def is_t_transitive(R: FuzzyRelation, T: BinaryOp) -> bool:
-    """R(x,z) >= T(R(x,y), R(y,z)) for every triple, within tolerance."""
+    """R(x,z) >= T(R(x,y), R(y,z)) for every triple, within tolerance.  The
+    composition is built in the row blocks of `sup_t_compose`, and the check
+    stops at the first block that holds a violation."""
     if T.kind is not Kind.NORM:
         raise ValueError("transitivity expects a norm")
     m = R.degrees
-    return bool(np.all(m >= sup_t_compose(m, T) - EPSILON))
+    n = m.shape[0]
+    return _first_cell(n, lambda s: ~(m[s] >= _sup_t_rows(m, T, s) - EPSILON), n * n) is None
 
 
 def sup_t_compose(m: np.ndarray, T: BinaryOp) -> np.ndarray:
@@ -110,8 +113,13 @@ def sup_t_compose(m: np.ndarray, T: BinaryOp) -> np.ndarray:
     n = m.shape[0]
     out = np.empty_like(m)
     for s in _row_blocks(n, n * n):
-        out[s] = np.asarray(T.evaluator(m[s, :, None], m[None, :, :]), dtype=float).max(axis=1)
+        out[s] = _sup_t_rows(m, T, s)
     return out
+
+
+def _sup_t_rows(m: np.ndarray, T: BinaryOp, rows: slice) -> np.ndarray:
+    """Rows ``rows`` of the sup-T self-composition of m."""
+    return np.asarray(T.evaluator(m[rows, :, None], m[None, :, :]), dtype=float).max(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,11 @@ the relation-level counterpart of the value pairs
 `regions.restricted_decomposability` checks, and `skewed_connector` and
 `lower_connector` are two connectors that do not commute;
 `tie_strict_max_decomposition` is a deliberately flawed rule that
-`audit_fp` must catch.  No library code calls any of them.
+`audit_fp` must catch.  `walk_closure`, `warshall_closure` and
+`squaring_closure` are three independent routes to the least T-transitive
+relation above a relation (the last two for an associative T), and
+`squared_min_norm` is a norm-kind operator that is not associative.  No
+library code calls any of them.
 """
 
 from __future__ import annotations
@@ -181,3 +185,52 @@ def tie_strict_max_decomposition(R: FuzzyRelation) -> Decomposition:
     P = np.where((m > m.T) | np.triu((m == m.T) & (m < 1.0), 1), m, 0.0)
     I = np.minimum(m, m.T)
     return Decomposition(FuzzyRelation(R.universe, P), FuzzyRelation(R.universe, I), make_conorm("max"))
+
+
+def walk_closure(R: FuzzyRelation, T: BinaryOp) -> np.ndarray:
+    """The T-transitive closure by definition: the sup over every walk of
+    1 to n steps from x to z of T folded from the left along the walk,
+    T(T(R(x,y1), R(y1,y2)), ...).  A norm never exceeds min, so a walk that
+    repeats a node is no better than a shorter one and n steps are enough.  It
+    evaluates T one scalar at a time; meant for n <= 4."""
+    m = R.degrees
+    n = R.size
+    if n > 4:
+        raise ValueError("the walk oracle is meant for universes of at most 4 elements")
+    out = np.zeros((n, n))
+    for x, z in itertools.product(range(n), repeat=2):
+        for steps in range(1, n + 1):
+            for inner in itertools.product(range(n), repeat=steps - 1):
+                walk = (x,) + inner + (z,)
+                value = m[walk[0], walk[1]]
+                for a, b in zip(walk[1:], walk[2:]):
+                    value = T(value, m[a, b])
+                out[x, z] = max(out[x, z], value)
+    return out
+
+
+def warshall_closure(m: np.ndarray, T: BinaryOp) -> np.ndarray:
+    """Textbook Warshall: n pivot updates m = max(m, T(m[:, k], m[k, :])),
+    each a new whole array."""
+    for k in range(m.shape[0]):
+        m = np.maximum(m, np.asarray(T.evaluator(m[:, k][:, None], m[k, :][None, :]), dtype=float))
+    return np.clip(m, 0.0, 1.0)
+
+
+def squaring_closure(m: np.ndarray, T: BinaryOp) -> np.ndarray:
+    """The closure as the fixpoint of m = max(m, sup-T self-composition),
+    each composition one whole n x n x n array, for at most max(2, n)
+    rounds; it ends once a round changes nothing by more than EPSILON."""
+    for _ in range(max(2, m.shape[0])):
+        comp = np.asarray(T.evaluator(m[:, :, None], m[None, :, :]), dtype=float).max(axis=1)
+        m, old = np.maximum(m, comp), m
+        if np.all(np.abs(m - old) <= EPSILON):
+            break
+    return np.clip(m, 0.0, 1.0)
+
+
+def squared_min_norm() -> BinaryOp:
+    """T(x,y) = min(x,y)^2: monotone and commutative but not associative,
+    so a path's value depends on how it is split, and Warshall's pivot pass
+    alone misses compositions that squaring finds."""
+    return make_custom(lambda x, y: np.minimum(x, y) ** 2, Kind.NORM)

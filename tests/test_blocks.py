@@ -50,7 +50,13 @@ from fuzzdec.decompose import residual_array
 from fuzzdec.divisors import intersection
 from fuzzdec.operators import EPSILON
 from fuzzdec.relations import asymmetry_violation, symmetry_violation
-from oracles import is_s_connected, lower_connector, skewed_connector
+from oracles import (
+    is_s_connected,
+    lower_connector,
+    skewed_connector,
+    squaring_closure,
+    warshall_closure,
+)
 
 BLOCK = verdicts_module._BLOCK_CELLS
 LUK4 = Path(__file__).resolve().parent / "data" / "luk4.op"
@@ -90,18 +96,6 @@ def block(request, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # whole-matrix references (the expressions the blocked code replaced)
-
-
-def ref_closure(m, T, limit):
-    m = m.copy()
-    for _ in range(limit):
-        comp = np.asarray(T.evaluator(m[:, :, None], m[None, :, :]), dtype=float).max(axis=1)
-        new = np.maximum(m, comp)
-        if np.all(np.abs(new - m) <= EPSILON):
-            m = new
-            break
-        m = new
-    return np.clip(m, 0.0, 1.0)
 
 
 def ref_decompose(m, S):
@@ -154,6 +148,17 @@ def test_row_blocks_partition_rows_within_the_cap(rows, per_row):
 # closure and transitivity
 
 
+def assert_closure_matches(C, m, T):
+    """The closure has the bits of whole-array Warshall, and agrees with the
+    squaring fixpoint: exactly under the minimum, which rounds nothing, and
+    otherwise within 1e-12, since rounding follows the pivot order."""
+    assert same_bits(C, warshall_closure(m, T))
+    fixpoint = squaring_closure(m, T)
+    if T.family == "minimum":
+        assert same_bits(C, fixpoint)
+    np.testing.assert_allclose(C, fixpoint, rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.parametrize(
     "n, norm",
     # rows per block: 65536 (n = 1, 2), 47 of 37, 6 of 100, 2 of 181 (a
@@ -165,7 +170,7 @@ def test_closure_and_transitivity_match_whole_array(n, norm):
     T = make_norm(*norm)
     R = random_relation(np.random.default_rng(n), n, grid=n % 2 == 0)
     C = t_transitive_closure(R, T)
-    assert same_bits(C.degrees, ref_closure(R.degrees, T, max(2, n)))
+    assert_closure_matches(C.degrees, R.degrees, T)
     assert is_t_transitive(C, T)
     if n > 1:
         m = R.degrees
@@ -178,7 +183,7 @@ def test_closure_matches_whole_array_across_tiny_blocks(block):
     for n in (1, 2, 3, 9, 16):
         R = random_relation(np.random.default_rng(n), n)
         C = t_transitive_closure(R, T)
-        assert same_bits(C.degrees, ref_closure(R.degrees, T, max(2, n)))
+        assert_closure_matches(C.degrees, R.degrees, T)
         m = R.degrees
         comp = np.asarray(T.evaluator(m[:, :, None], m[None, :, :]), dtype=float).max(axis=1)
         assert is_t_transitive(C, T)

@@ -26,7 +26,15 @@ from fuzzdec import (
     zero_interval,
 )
 from fuzzdec.regions import _decomposable
-from oracles import is_s_connected, lower_connector, skewed_connector
+from oracles import (
+    is_s_connected,
+    lower_connector,
+    skewed_connector,
+    squared_min_norm,
+    squaring_closure,
+    walk_closure,
+    warshall_closure,
+)
 
 RES = 1 / 50  # fast grids for unit tests; the acceptance suite runs 1/200
 
@@ -358,6 +366,41 @@ def test_transitive_closure_properties():
             assert is_t_transitive(closed, T)
             again = t_transitive_closure(closed, T)
             np.testing.assert_allclose(again.degrees, closed.degrees, atol=1e-9)
+
+
+WALK_NORMS = [("minimum", None), ("product", None), ("lukasiewicz", None), ("drastic", None),
+              ("ordinal_sum", None), ("schweizer_sklar", -1.0), ("schweizer_sklar", 0.5),
+              ("schweizer_sklar", 2.0), ("hamacher", 0.0), ("hamacher", 2.0)]
+
+
+@pytest.mark.parametrize("norm", WALK_NORMS, ids=[f"{f}-{lam}" for f, lam in WALK_NORMS])
+def test_closure_is_the_sup_over_walks(norm):
+    # random diagonals, so cycles through a node can raise its own degree
+    T = make_norm(*norm)
+    rng = np.random.default_rng(30)
+    for n in (1, 2, 3, 4):
+        for grid in (False, True):
+            for _ in range(4):
+                m = rng.integers(0, 21, size=(n, n)) / 20 if grid else rng.random((n, n))
+                R = FuzzyRelation(tuple("abcd"[:n]), m)
+                C = t_transitive_closure(R, T).degrees
+                walks = walk_closure(R, T)
+                if T.family == "minimum":
+                    assert np.array_equal(C, walks)
+                np.testing.assert_allclose(C, walks, rtol=0.0, atol=1e-12)
+
+
+def test_custom_closure_finishes_what_the_pivot_pass_misses():
+    T = squared_min_norm()
+    rng = np.random.default_rng(6)
+    for n in (6, 40):
+        R = FuzzyRelation(tuple(f"x{k}" for k in range(n)), rng.random((n, n)))
+        pivot = warshall_closure(R.degrees, T)
+        assert not is_t_transitive(FuzzyRelation(R.universe, pivot), T)
+        C = t_transitive_closure(R, T)
+        assert is_t_transitive(C, T)
+        assert np.all(C.degrees >= R.degrees)
+        assert np.array_equal(C.degrees, squaring_closure(R.degrees, T))
 
 
 def test_two_element_interior_witness_is_min_transitive():

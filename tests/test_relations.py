@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 from pathlib import Path
@@ -89,6 +90,27 @@ def test_transitivity():
         for b in range(3):
             for c in range(3):
                 assert m[a, c] >= m[a, b] * m[b, c] - 1e-9
+
+
+def test_transitivity_stops_at_the_first_violating_block():
+    # n = 64 composes in 4 blocks of 16 rows; the violation sits in row 0
+    calls = []
+    Tmin = make_norm("min")
+
+    def counted(x, y):
+        calls.append(x.shape)
+        return Tmin.evaluator(x, y)
+
+    T = dataclasses.replace(Tmin, evaluator=counted)
+    m = np.full((64, 64), 0.5)
+    m[0, 1] = m[1, 2] = 0.9
+    m[0, 2] = 0.1
+    assert not is_t_transitive(rel(m), T)
+    assert len(calls) == 1
+    calls.clear()
+    m[0, 2] = 0.9
+    assert is_t_transitive(rel(m), T)
+    assert len(calls) == 64 * 64 * 64 // verdicts._BLOCK_CELLS
 
 
 def test_connectedness():
