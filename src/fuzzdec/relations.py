@@ -14,7 +14,7 @@ import functools
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -159,23 +159,32 @@ def crisp_decompose(R: FuzzyRelation) -> Tuple[FuzzyRelation, FuzzyRelation]:
 # they take ('0.0_5', full-width digits) are rejected.
 #
 # Text is converted by numpy kernels, each equal to the per-value conversion
-# it replaces, in text blocks of at most ``_TEXT_CELLS`` cells:
+# it replaces, in text blocks of at most ``_TEXT_CELLS`` cells (written) or
+# row blocks of at most ``verdicts._BLOCK_CELLS`` cells (read).  A degree on
+# a finite scale repeats: one distinct-value table (``_Distinct``) per file,
+# parsed or written, converts each distinct degree once, for as long as the
+# file has at most ``_DISTINCT_CAP`` of them.
 #
 # - writing: a degree in [1e-3, 1) is printed from its 17 significant digits,
 #   x * 10**(16 - q) rounded half to even from Dekker's exact product, through
 #   4-digit tables, a trailing-zero cut and one Boolean compress of a block of
 #   fixed-width cells; 0 and 1 are written directly and every other degree
-#   (below 1e-3, -0.0, subnormal) by "%.17g" itself.  A block whose degrees
-#   mostly repeat (a finite scale) formats each distinct bit pattern once.
-# - reading: a block of plain decimals (tokens 0, 1 or [01].d{1,19}, one
-#   space apart, one row a line) is read as integers F by numpy's integer
-#   text reader and rounded as F / 10**k by an exact double-double quotient
-#   (Clinger's condition: the quotient is decided unless it lies within
-#   2**-40 ulp of a rounding midpoint).  A token it cannot decide (an
-#   e-notation or 20-digit spelling, or a near-midpoint quotient) is read by
-#   float(); any other block is read by np.loadtxt, whose grammar is
-#   float()'s on ASCII without '_', and a block it rejects is walked cell by
-#   cell to name its first offending cell.
+#   (below 1e-3, -0.0, subnormal) by "%.17g" itself.  The table, keyed by bit
+#   pattern, makes each distinct degree's cell once; past its cap every
+#   cell is made anew.
+# - reading: a block of plain lines whose tokens are all 8 bytes or shorter
+#   (one space apart, one row a line, such as repr(k / 20)) takes each
+#   token's bytes as one integer key, and the table reads each distinct
+#   token once by float(); a block with a token it refuses goes on as
+#   below.  A block of longer plain decimals (tokens 0, 1 or [01].d{1,19})
+#   is read as integers F by numpy's integer text reader and rounded as
+#   F / 10**k by an exact double-double quotient (Clinger's condition: the
+#   quotient is decided unless it lies within 2**-40 ulp of a rounding
+#   midpoint).  A token it cannot decide (an e-notation or 20-digit
+#   spelling, or a near-midpoint quotient) is read by float(); any other
+#   block is read by np.loadtxt, whose grammar is float()'s on ASCII without
+#   '_', and a block it rejects is walked cell by cell to name its first
+#   offending cell.
 
 _TEXT_CELLS = 1 << 12
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant for float64
@@ -201,6 +210,127 @@ def _times_power(a: np.ndarray, k: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     e += np.multiply(al, bh, out=bh)
     e += np.multiply(al, bl, out=bl)
     return p, e
+
+
+_DISTINCT_CAP = 256  # distinct keys a table holds before it gives up
+# odd multipliers of the table's hash, each at least 2**63, so that key 1
+# never lands in slot 0
+_MULTIPLIERS = (
+    0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 0xD6E8FEB86659FD93,
+    0xC2B2AE3D27D4EB4F, 0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53, 0xA0761D6478BD642F,
+)
+
+
+def _hash(keys: np.ndarray, m: int, bits: int) -> np.ndarray:
+    """The slot (k * m mod 2**64) >> (64 - bits) of each key k (uint64) in
+    an array of 2**bits slots, as int64."""
+    slots = keys * np.uint64(m)
+    slots >>= np.uint64(64 - bits)
+    return slots.view(np.int64)
+
+
+def _spread(keys: np.ndarray, bits: int) -> Optional[Tuple[int, np.ndarray, np.ndarray]]:
+    """(m, slots, held) for the first multiplier m of ``_MULTIPLIERS`` whose
+    ``_hash`` sends two of ``keys`` to one slot only when they are equal:
+    the slot of each key, and the 2**bits slots with each key in its own.
+    An empty slot holds a key that lands in another slot, so that no lookup
+    matches it: slot 0 holds 1, any other slot 0 (the bits of +0.0, which
+    land in slot 0).  None where no multiplier spreads the keys."""
+    for m in _MULTIPLIERS:
+        slots = _hash(keys, m, bits)
+        held = np.zeros(1 << bits, np.uint64)
+        held[0] = 1
+        held[slots] = keys
+        if (np.take(held, slots) == keys).all():
+            return m, slots, held
+    return None
+
+
+class _Distinct:
+    """The distinct 64-bit keys of one file (one parse or one write), each
+    with the rows ``convert`` makes of it, made once per key: ``convert``
+    maps new keys to a tuple of arrays, one row a key in each.
+
+    The keys are numbered in order of arrival and held in the slots
+    ``_spread`` gives them; the table grows with them, and every lookup
+    compares the key held in the slot.  The table gives up
+    for good, ``rows`` returning None from then on, once a file has more
+    than ``_DISTINCT_CAP`` distinct keys, when no multiplier spreads them,
+    or when ``convert`` returns None for new keys."""
+
+    def __init__(self, convert: Callable[[np.ndarray], Optional[Tuple[np.ndarray, ...]]]):
+        self._convert = convert
+        self._keys = np.empty(0, np.uint64)  # by number; None once the table gives up
+        self._rows = None
+        self._hold(self._keys)
+
+    @property
+    def holding(self) -> bool:
+        """Whether the table has not given up."""
+        return self._keys is not None
+
+    def rows(self, keys: np.ndarray) -> Optional[Tuple[np.ndarray, ...]]:
+        """The rows of each of ``keys`` (uint64), converting the new ones,
+        or None where the table gives up."""
+        if not self.holding:
+            return None
+        slots, missing = self._find(keys)
+        if missing.any():
+            # a block's new keys mostly all show in a prefix of those missing,
+            # whose distinct values a short sort finds
+            if not self._add(np.unique(keys[missing][:4 * _DISTINCT_CAP])):
+                return None
+            slots, missing = self._find(keys)
+            if missing.any():
+                if not self._add(_distinct(keys[missing])):
+                    return None
+                slots, _ = self._find(keys)
+        numbers = np.take(self._numbers, slots)
+        del slots
+        return tuple(np.take(a, numbers, axis=0) for a in self._rows)
+
+    def _find(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The slot of each key, and whether the key is missing from it."""
+        slots = _hash(keys, self._multiplier, self._bits)
+        return slots, np.take(self._held, slots) != keys
+
+    def _add(self, fresh: Optional[np.ndarray]) -> bool:
+        """Add the new keys ``fresh`` (distinct), or give up and return
+        False."""
+        if fresh is not None and self._keys.size + fresh.size <= _DISTINCT_CAP:
+            rows = self._convert(fresh)
+            if rows is not None and self._hold(np.concatenate([self._keys, fresh])):
+                self._rows = rows if self._rows is None else tuple(map(np.concatenate, zip(self._rows, rows)))
+                return True
+        self._keys = None
+        return False
+
+    def _hold(self, keys: np.ndarray) -> bool:
+        """Hold ``keys``, numbered in order, in a table of 2**bits >=
+        2 * len(keys)**2 slots (4 to 16 bits), where a spread without
+        collisions is likely; False where no multiplier spreads them."""
+        bits = min(16, max(4, (2 * keys.size**2).bit_length()))
+        spread = _spread(keys, bits)
+        if spread is None:
+            return False
+        self._multiplier, slots, self._held = spread
+        self._bits = bits
+        self._numbers = np.zeros(1 << bits, np.intp)
+        self._numbers[slots] = np.arange(keys.size)
+        self._keys = keys
+        return True
+
+
+def _distinct(keys: np.ndarray) -> Optional[np.ndarray]:
+    """The distinct values of ``keys``, found by spreading them over
+    2**16 slots (no sort), or None where no multiplier spreads them."""
+    spread = _spread(keys, 16)
+    if spread is None:
+        return None
+    held = spread[2]
+    used = held != 0  # key 0 lands only in slot 0, and key 1 never does
+    used[0] = held[0] != 1
+    return held[used]
 
 
 # A written cell is 24 bytes: its separator, then either the digits of a
@@ -296,30 +426,36 @@ def _cells(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return buf, mask
 
 
-def _format_rows(m: np.ndarray) -> str:
-    """The lines of the rows of m, formatted as one block."""
+def _cells_of_bits(bits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``_cells`` of the degrees with bit patterns ``bits``."""
+    return _cells(bits.view(np.float64))
+
+
+def _format_rows(m: np.ndarray, table: Optional[_Distinct] = None) -> str:
+    """The lines of the rows of m, formatted as one block: each distinct
+    degree's cell comes from ``table`` (of ``_cells_of_bits``) while it
+    holds them, every cell from ``_cells`` otherwise."""
     x = np.ascontiguousarray(m).ravel()
-    bits = x.view(np.uint64)  # -0.0 and 0.0 stay apart
-    sample = bits[:: max(1, x.size // 64)]
-    if 2 * np.unique(sample).size <= sample.size:  # mostly repeats: format each value once
-        values, index = np.unique(bits, return_inverse=True)
-        buf, mask = _cells(values.view(np.float64))
-        buf = np.take(buf.view(np.uint64), index, axis=0).view(np.uint8)
-        mask = np.take(mask.view(np.uint64), index, axis=0).view(bool)
-    else:
-        buf, mask = _cells(x)
+    rows = None if table is None else table.rows(x.view(np.uint64))  # -0.0 and 0.0 stay apart
+    buf, mask = _cells(x) if rows is None else rows
     buf[:: m.shape[1], 0] = 10  # each row's first separator ends the row before
     return buf[mask][1:].tobytes().decode("ascii") + "\n"
 
 
-def format_relation(R: FuzzyRelation, rows: slice = slice(0, None)) -> str:
-    """The file text of R's rows ``rows`` (a slice with step 1), with the
-    header and ``universe`` lines in front where the slice starts at row 0, so
-    the texts of consecutive slices join to the whole file."""
-    start, stop, _ = rows.indices(R.size)
+def format_relation(R: FuzzyRelation, rows: slice = slice(0, None), *, table: Optional[_Distinct] = None) -> str:
+    """The file text of R's rows ``rows`` (a slice with step 1, else
+    ValueError), with the header and ``universe`` lines in front where the
+    slice starts at row 0, so the texts of consecutive slices join to the
+    whole file.  ``table`` is the distinct-value table of the file these
+    rows are part of (``write_relation`` passes one for all its slices);
+    by default the call has its own."""
+    start, stop, step = rows.indices(R.size)
+    if step != 1:
+        raise ValueError(f"format_relation takes a row slice with step 1, got step {step}")
+    table = _Distinct(_cells_of_bits) if table is None else table
     m = R.degrees[start:stop]
     head = _header(R) if start == 0 else ""
-    return head + "".join(_format_rows(m[s]) for s in _row_blocks(len(m), R.size, _TEXT_CELLS))
+    return head + "".join(_format_rows(m[s], table) for s in _row_blocks(len(m), R.size, _TEXT_CELLS))
 
 
 def _header(R: FuzzyRelation) -> str:
@@ -336,10 +472,12 @@ def _header(R: FuzzyRelation) -> str:
 
 def write_relation(R: FuzzyRelation, fh) -> None:
     """Write R's file text to the open text file ``fh`` one text block of rows
-    at a time, after the checks of ``_header``."""
+    at a time, after the checks of ``_header``, with one distinct-value
+    table for the whole file."""
     _header(R)
+    table = _Distinct(_cells_of_bits)
     for rows in _row_blocks(R.size, R.size, _TEXT_CELLS):
-        fh.write(format_relation(R, rows))
+        fh.write(format_relation(R, rows, table=table))
 
 
 def save_relation(R: FuzzyRelation, path) -> None:
@@ -425,10 +563,11 @@ def read_degrees(lines: ContentLines, rows: int, cols: int) -> np.ndarray:
     Errors come in line order: the first offending row length or cell in
     row-major order, then the row count."""
     mat = np.empty((0, cols))
+    table = _Distinct(_judged)
     for s in _row_blocks(rows, cols):
         block = lines.rows(s.stop - s.start)
         if block.texts:
-            degrees = _read_block(block, s.start, cols)
+            degrees = _read_block(block, s.start, cols, table)
             # mat grows in place (no view of it exists): no second copy is made
             mat.resize((s.start + len(block.texts), cols), refcheck=False)
             mat[s.start:] = degrees
@@ -440,12 +579,15 @@ def read_degrees(lines: ContentLines, rows: int, cols: int) -> np.ndarray:
     return mat
 
 
-def _read_block(block: _Block, first_row: int, cols: int) -> np.ndarray:
+def _read_block(block: _Block, first_row: int, cols: int, table: _Distinct) -> np.ndarray:
     """The degrees on ``block``'s lines, rows ``first_row + 1, ...`` of the
-    matrix.  A block the reader rejects is walked cell by cell, each cell
-    judged by the same reader, to name its first offending cell."""
+    matrix, ``table`` holding the distinct short tokens of the file.  A
+    block the reader rejects is walked cell by cell, each cell judged by the
+    same reader, to name its first offending cell."""
     if block.plain:
-        mat = _read_decimals(block.texts, cols)
+        mat = _read_short(block.texts, cols, table)
+        if mat is None:
+            mat = _read_decimals(block.texts, cols)
         if mat is not None:
             return mat
     try:
@@ -483,19 +625,12 @@ def _read_decimals(lines: List[str], cols: int) -> Optional[np.ndarray]:
     return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
-def _decimals(text: str, rows: int, cols: int) -> Optional[np.ndarray]:
-    """The rows x cols degrees of ``text``, or None: where a row has another
-    shape, the tokens average under 10 bytes (short ones read faster as
-    floats), more than 1 in 16 is not a plain decimal, or a degree is not a
-    number in [0,1]."""
-    if not text.endswith("\n"):
-        text += "\n"
-    n = rows * cols
-    if len(text) < 10 * n:
-        return None
-    b = np.frombuffer(text.encode("ascii"), np.uint8)
+def _tokens(b: np.ndarray, rows: int, cols: int) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(starts, ends, lengths) of the rows x cols tokens of the ASCII bytes
+    ``b``, or None where they are not one space apart, one row a line, each
+    line ending in a newline."""
     ends = np.flatnonzero(b <= 32)  # the space or newline after each token
-    if ends.size != n:
+    if ends.size != rows * cols:
         return None
     seps = np.take(b, ends).reshape(rows, cols)
     if not ((seps[:, -1] == 10).all() and (seps[:, :-1] == 32).all()):
@@ -506,6 +641,78 @@ def _decimals(text: str, rows: int, cols: int) -> Optional[np.ndarray]:
     length = ends - starts
     if length.min() < 1:
         return None
+    return starts, ends, length
+
+
+def _read_short(lines: List[str], cols: int, table: _Distinct) -> Optional[np.ndarray]:
+    """The degrees of plain lines whose tokens are all 8 bytes or shorter,
+    each distinct token converted once by ``table``, or None: where a row
+    has another shape, a token is longer, or the table gives up (a file of
+    many distinct tokens, or a token ``_judged`` refuses)."""
+    keys = _short_keys(lines, cols) if table.holding else None
+    rows = None if keys is None else table.rows(keys)
+    return None if rows is None else rows[0].reshape(len(lines), cols)
+
+
+def _short_keys(lines: List[str], cols: int) -> Optional[np.ndarray]:
+    """The bytes of each token of plain lines as one little-endian uint64,
+    or None where a row has another shape or a token is longer than 8
+    bytes."""
+    rows = len(lines)
+    if sum(map(len, lines)) > 9 * rows * cols:  # a token is longer than 8 bytes
+        return None
+    text = "".join(lines)
+    # the last newline, then 7 bytes past it: every token start has 8 bytes to read
+    size = len(text) + (not text.endswith("\n"))
+    raw = text.ljust(size, "\n").ljust(size + 7, "\0").encode("ascii")
+    del text
+    found = _tokens(np.frombuffer(raw, np.uint8, size), rows, cols)
+    if found is None:
+        return None
+    starts, _, length = found
+    del found  # the token ends
+    if length.max() > 8:
+        return None
+    words = np.ndarray((size,), np.dtype("<u8"), raw, strides=(1,))  # the 8 bytes from each offset
+    keys = words[starts]  # np.take would first copy words whole
+    keys &= np.take(np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64), length)  # a token's own bytes
+    return keys
+
+
+def _judged(keys: np.ndarray) -> Optional[Tuple[np.ndarray]]:
+    """The degrees (one array) of the tokens whose bytes (little-endian, up
+    to 8) the ``keys`` hold, each read as float() reads it, as np.loadtxt
+    does; None where one holds '_', is not a number, or is outside [0,1]."""
+    values = []
+    for key in keys.tolist():
+        token = key.to_bytes(8, "little").rstrip(b"\0").decode("ascii")
+        if "_" in token:
+            return None
+        try:
+            v = float(token)
+        except ValueError:
+            return None
+        if not 0.0 <= v <= 1.0:
+            return None
+        values.append(v)
+    return (np.array(values, dtype=float),)
+
+
+def _decimals(text: str, rows: int, cols: int) -> Optional[np.ndarray]:
+    """The rows x cols degrees of ``text``, or None: where a row has another
+    shape, the tokens average under 10 bytes (shorter ones are left to
+    ``_read_short`` or np.loadtxt), more than 1 in 16 is not a plain
+    decimal, or a degree is not a number in [0,1]."""
+    if not text.endswith("\n"):
+        text += "\n"
+    n = rows * cols
+    if len(text) < 10 * n:
+        return None
+    b = np.frombuffer(text.encode("ascii"), np.uint8)
+    found = _tokens(b, rows, cols)
+    if found is None:
+        return None
+    starts, ends, length = found
     lead = np.take(b, starts)
     dotted = np.take(b, starts + 1) == 46
     plain = (lead - np.uint8(48) <= 1) & np.where(dotted, (length >= 3) & (length <= 21), length == 1)

@@ -7,6 +7,8 @@ exact ties at the 18th digit, tokens next to a rounding midpoint) and
 through the public ``format_relation`` / ``parse_relation``.
 """
 
+import re
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
@@ -15,8 +17,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzdec import relations
-from fuzzdec.relations import FuzzyRelation, format_relation, parse_relation, save_relation, write_relation
+from fuzzdec import relations, verdicts
+from fuzzdec.relations import (
+    FuzzyRelation,
+    RelationParseError,
+    format_relation,
+    load_relation,
+    parse_relation,
+    save_relation,
+    write_relation,
+)
 
 ONE_BITS = 0x3FF0000000000000  # the bit pattern of 1.0: patterns up to it are the floats in [0, 1]
 KERNEL_BITS = int(np.float64(1e-3).view(np.uint64))  # the least degree the digit kernel writes
@@ -54,10 +64,18 @@ EDGES = sorted(
 
 def format_both_ways(values):
     """The writer's text of ``values`` as one row, through the per-cell
-    kernel and through the path that formats each distinct value once."""
+    kernel, and of four copies of that row through a distinct-value table,
+    which formats each distinct value once (while there are at most
+    ``_DISTINCT_CAP`` of them)."""
     x = np.asarray(values, dtype=float)
     once = relations._format_rows(x.reshape(1, -1))
-    repeated = relations._format_rows(np.tile(x, 4).reshape(4, -1))
+    table = relations._Distinct(relations._cells_of_bits)
+    repeated = relations._format_rows(np.tile(x, 4).reshape(4, -1), table)
+    distinct = np.unique(x.view(np.uint64)).size
+    if distinct <= 64:  # a collision no multiplier resolves is then most unlikely
+        assert table.holding
+    if distinct > relations._DISTINCT_CAP:
+        assert not table.holding
     return once, repeated
 
 
@@ -238,7 +256,7 @@ def test_reader_leaves_other_spellings_to_float():
         "0.12345678901234567 0.1234567890123456x\n",  # another byte
         "0.12345678901234567 nan\n",
         "0.12345678901234567\n",  # a short row
-        "0.05 0.1\n",  # short tokens read faster as floats
+        "0.05 0.1\n",  # short tokens: the distinct-value table reads them
     ],
 )
 def test_other_blocks_are_left_to_numpy_float_reader(text):
@@ -257,3 +275,193 @@ def test_plain_files_are_read_without_numpy_float_reader(monkeypatch):
     monkeypatch.setattr(np, "loadtxt", refuse)
     assert parse_relation(text).degrees.tobytes() == R.degrees.tobytes()
     assert parse_relation(text.splitlines(keepends=True)).degrees.tobytes() == R.degrees.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the distinct-value table: one per file, shared by its blocks
+
+
+# short spellings float() reads, each 8 bytes or shorter
+ODD_SHORT = ["1e-3", "+0.5", ".5", "1.", "00.5", "-0", "0", "1", "0.", "1.0", "5E-1", "0.000", "+1", "-0.0", "1e0"]
+GRID = [repr(k / 20) for k in range(21)]
+
+
+def relation_text(rows):
+    n = len(rows)
+    return "fuzzrel v1\nuniverse " + " ".join(f"x{k}" for k in range(n)) + "\n" + "".join(" ".join(r) + "\n" for r in rows)
+
+
+def expected_degrees(rows):
+    return np.array([[float(t) for t in r] for r in rows])
+
+
+@pytest.fixture(params=[None, 64], ids=["default-blocks", "small-blocks"])
+def blocks(request, monkeypatch):
+    """The default text and row blocks, or blocks of 64 cells, so that one
+    table spans many of them."""
+    if request.param:
+        monkeypatch.setattr(relations, "_TEXT_CELLS", request.param)
+        monkeypatch.setattr(verdicts, "_BLOCK_CELLS", request.param)
+    return request.param
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """Every distinct-value table made while the test runs."""
+    made = []
+
+    class Recorded(relations._Distinct):
+        def __init__(self, convert):
+            super().__init__(convert)
+            made.append(self)
+
+    monkeypatch.setattr(relations, "_Distinct", Recorded)
+    return made
+
+
+short_tokens = st.one_of(
+    st.sampled_from(ODD_SHORT + GRID),
+    st.integers(0, 99999).map(lambda f: "0." + str(f)),  # up to 7 bytes
+    st.integers(0, 999).map(lambda f: f"{f}e-3" if f else "0e0"),
+)
+
+
+@given(st.lists(short_tokens, min_size=1, max_size=12, unique=True), st.integers(1, 14), st.randoms())
+@settings(max_examples=150, deadline=None)
+def test_files_of_few_short_tokens_read_as_float(vocabulary, n, rnd):
+    rows = [[rnd.choice(vocabulary) for _ in range(n)] for _ in range(n)]
+    expected = expected_degrees(rows)
+    for source in (relation_text(rows), relation_text(rows).splitlines(keepends=True)):
+        assert parse_relation(source).degrees.tobytes() == expected.tobytes()
+    lines = [" ".join(r) + "\n" for r in rows]
+    table = relations._Distinct(relations._judged)
+    got = relations._read_short(lines, n, table)
+    assert got is not None, "the block did not take the table"
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad, problem",
+    [("nan", "degree nan outside [0,1]"), ("inf", "degree inf outside [0,1]"),
+     ("0_5", "not a number: '0_5'"), ("2", "degree 2.0 outside [0,1]"), ("0.x", "not a number: '0.x'")],
+)
+@pytest.mark.parametrize("at", [(0, 1), (7, 3), (11, 11)])
+def test_a_short_token_the_judge_refuses_names_its_cell(blocks, bad, problem, at):
+    # the table already holds the grid when the bad token arrives in a later
+    # block; the block falls back and the cell walk names the cell
+    n = 12
+    rows = [[GRID[(r * n + c) % 21] for c in range(n)] for r in range(n)]
+    r, c = at
+    rows[r][c] = bad
+    message = f"line {r + 3}: row {r + 1}, column {c + 1}: {problem}"
+    with pytest.raises(RelationParseError, match=re.escape(message) + "$"):
+        parse_relation(relation_text(rows))
+
+
+def test_the_reader_table_spans_blocks_and_gives_up_past_the_cap(blocks, tables):
+    # grid rows, then rows of 3-decimal tokens: the distinct count crosses
+    # the cap mid-file, and the later blocks take the other paths
+    n = 40
+    rng = np.random.default_rng(11)
+    rows = [[GRID[k] for k in rng.integers(0, 21, n)] for _ in range(20)]
+    rows += [[f"0.{k:03d}" for k in rng.integers(0, 1000, n)] for _ in range(20)]
+    expected = expected_degrees(rows)
+    assert parse_relation(relation_text(rows)).degrees.tobytes() == expected.tobytes()
+    assert len(tables) == 1 and not tables[0].holding
+    # below the cap the one table holds the file to the end
+    del tables[:]
+    assert parse_relation(relation_text(rows[:20] * 2)).degrees.tobytes() == expected_degrees(rows[:20] * 2).tobytes()
+    assert len(tables) == 1 and tables[0].holding
+
+
+def grid_writer_values(rng, size):
+    """Degrees on the 1/20 grid mixed with -0.0, subnormals and values
+    below 1e-3, which the writer prints through "%.17g"."""
+    odd = [-0.0, 5e-324, 2.2250738585072014e-308 / 3, 2.2250738585072014e-308, 1e-4, 3.3e-5, 0.00099999999999999]
+    return np.array([k / 20 for k in range(21)] + odd)[rng.integers(0, 28, size)]
+
+
+@pytest.mark.parametrize("n", [1, 7, 40, 130])
+def test_grid_relations_write_as_percent_17g(blocks, tables, n):
+    rng = np.random.default_rng(n)
+    R = FuzzyRelation(tuple(f"x{k}" for k in range(n)), grid_writer_values(rng, (n, n)))
+    head = relations._header(R)
+    writes = []
+    write_relation(R, SimpleNamespace(write=writes.append))
+    assert format_relation(R) == "".join(writes) == head + reference_lines(R.degrees)
+    assert all(t.holding for t in tables)
+    back = parse_relation("".join(writes)).degrees
+    assert back.tobytes() == R.degrees.tobytes()
+
+
+def test_the_writer_table_spans_blocks_and_gives_up_past_the_cap(blocks, tables):
+    n = 40
+    rng = np.random.default_rng(12)
+    m = grid_writer_values(rng, (n, n))
+    m[20:] = rng.random((20, n))  # continuous rows: the distinct count crosses the cap
+    R = FuzzyRelation(tuple(f"x{k}" for k in range(n)), m)
+    writes = []
+    write_relation(R, SimpleNamespace(write=writes.append))
+    assert "".join(writes) == relations._header(R) + reference_lines(m)
+    assert len(tables) == 1 and not tables[0].holding
+    if blocks:
+        assert len(writes) > 2  # the table served the blocks before it gave up
+
+
+def test_values_new_past_the_sorted_prefix_are_added(tables):
+    # the table finds a block's new values in a sorted prefix of the cells it
+    # misses, then spreads the rest: here +0.0, -0.0 and the least subnormal
+    # (bits 0, 2**63 and 1) first show past that prefix
+    n = 64
+    rng = np.random.default_rng(14)
+    m = rng.integers(1, 21, (n, n)) / 20
+    m[40:, ::3] = np.array([0.0, -0.0, 5e-324])[rng.integers(0, 3, (24, 22))]
+    R = FuzzyRelation(tuple(f"x{k}" for k in range(n)), m)
+    assert format_relation(R) == relations._header(R) + reference_lines(m)
+    assert tables[0].holding
+    rows = [["0" if v == 0 else GRID[round(v * 20)] for v in row] for row in m.tolist()]
+    assert parse_relation(relation_text(rows)).degrees.tobytes() == expected_degrees(rows).tobytes()
+    assert tables[1].holding
+
+
+def test_repr_grid_files_never_give_numpy_float_reader_a_block(monkeypatch):
+    # the benchmark's grid files spell degrees as repr(k / 20): the
+    # distinct-value table reads them, and np.loadtxt sees no block
+    n = 300
+    rows = [[GRID[k] for k in np.random.default_rng(13).integers(0, 21, n)] for _ in range(n)]
+    sizes = []
+    loadtxt = np.loadtxt
+
+    def recording(lines, *args, **kwargs):
+        sizes.append(len(lines))
+        return loadtxt(lines, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", recording)
+    assert parse_relation(relation_text(rows)).degrees.tobytes() == expected_degrees(rows).tobytes()
+    assert sizes == []
+
+
+@pytest.mark.parametrize("n", [500, 1000])
+@pytest.mark.parametrize("grid", [True, False], ids=["grid", "continuous"])
+def test_file_io_memory_stays_bounded(tmp_path, n, grid):
+    rng = np.random.default_rng(n)
+    path = tmp_path / "r.rel"
+    if grid:
+        num = rng.integers(0, 21, (n, n))
+        path.write_text(relation_text([[GRID[k] for k in row] for row in num.tolist()]))
+        m = num / 20
+    else:
+        m = rng.random((n, n))
+        save_relation(FuzzyRelation(tuple(f"x{k}" for k in range(n)), m), path)
+    tracemalloc.start()
+    try:
+        R = load_relation(path)
+        loaded = tracemalloc.get_traced_memory()[1] - R.degrees.nbytes
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        save_relation(R, tmp_path / "out.rel")
+        saved = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert R.degrees.tobytes() == m.tobytes()
+    assert loaded < 8 * 2**20 and saved < 8 * 2**20, (loaded / 2**20, saved / 2**20)

@@ -161,6 +161,15 @@ def test_file_round_trip():
     np.testing.assert_array_equal(back.degrees, R.degrees)
 
 
+@pytest.mark.parametrize("step", [2, -1])
+def test_format_relation_refuses_a_row_slice_with_another_step(step):
+    # the texts of slices join to the file only where each takes every row
+    R = rel(np.eye(3))
+    with pytest.raises(ValueError, match=f"step 1, got step {step}$"):
+        format_relation(R, slice(0, None, step) if step > 0 else slice(None, None, step))
+    assert format_relation(R, slice(0, None, 1)) == format_relation(R)
+
+
 @pytest.mark.parametrize("label", ["", "a b", "a#x", "a\nb", "x\xa0"])
 def test_a_label_the_universe_line_cannot_carry_is_refused(tmp_path, label):
     # each would read back as other labels, a short row or a duplicate
@@ -391,6 +400,8 @@ def test_first_bad_cell_is_named_across_a_block_boundary(bad):
 def test_a_block_rejected_without_a_bad_cell_is_not_returned(monkeypatch):
     # a reader that refuses every block of two or more lines: the walk finds
     # no bad cell, so the block raises rather than leaving its rows unread
+    # (tabs leave the block to np.loadtxt: the short-token table reads only
+    # tokens one space apart)
     loadtxt = np.loadtxt
 
     def one_line_reader(lines, **kw):
@@ -400,7 +411,7 @@ def test_a_block_rejected_without_a_bad_cell_is_not_returned(monkeypatch):
 
     monkeypatch.setattr(np, "loadtxt", one_line_reader)
     with pytest.raises(RelationParseError, match=r"^line 3: rows 1 to 2 do not read as a matrix$"):
-        parse_relation("fuzzrel v1\nuniverse a b\n0 1\n1 0\n")
+        parse_relation("fuzzrel v1\nuniverse a b\n0\t1\n1\t0\n")
     assert parse_relation("fuzzrel v1\nuniverse a\n0.5\n").degrees.tolist() == [[0.5]]
 
 
