@@ -18,7 +18,6 @@ from fuzzdec import (
     residual,
     strong_decompose,
     verify_strong,
-    verify_weak,
 )
 
 # x beats y decisively; both compare to themselves fully
@@ -32,7 +31,7 @@ for spec in ("max", "lukasiewicz", "prob"):
     d = canonical_decompose(R, S)
     print(f"canonical decomposition under {S.display_name}:")
     print("  P(x,y) =", d.strict.value("x", "y"), "  I(x,y) =", d.indifference.value("x", "y"))
-    print(" ", verify_weak(R, d))
+    print(" ", d.verification)  # verify_weak's verdict, which canonical_decompose carries
 print()
 
 print("The residual behind those numbers, P = inf{t : S(t, i) >= r}, reconstructs r:")

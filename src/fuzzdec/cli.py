@@ -28,12 +28,7 @@ import sys
 from .families import _shortest
 from .operators import BinaryOp, Kind, check_norm_axioms, parse_op_spec
 from .divisors import existence, intersection, one_interval, uniqueness, zero_interval
-from .decompose import (
-    DecompositionError,
-    canonical_decompose,
-    strong_decompose,
-    verify_weak,
-)
+from .decompose import DecompositionError, canonical_decompose, strong_decompose
 from .preferences import (
     RuleClass,
     audit_fp,
@@ -108,14 +103,13 @@ def _decomposed(args) -> tuple:
 
 
 def _cmd_decompose(args) -> bool:
-    R, d, S, T = _decomposed(args)
-    check = d.verification if T is not None else verify_weak(R, d)
+    _, d, S, T = _decomposed(args)
     print(f"# canonical {'strong' if T is not None else 'weak'} decomposition under {_title(S, T)}")
     for title, part in (("# strict part P", d.strict), ("# indifference part I", d.indifference)):
         print(title)
         write_relation(part, sys.stdout)
-    print(f"# verification: {check}")
-    return check.verdict is Verdict.HOLDS
+    print(f"# verification: {d.verification}")
+    return d.verification.verdict is Verdict.HOLDS
 
 
 def _cmd_audit(args) -> bool:

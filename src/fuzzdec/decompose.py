@@ -35,7 +35,7 @@ class Decomposition:
     indifference: FuzzyRelation
     conorm: BinaryOp
     norm: Optional[BinaryOp] = None
-    # the verdict of the check that accepted the decomposition, where one did
+    # verify_weak's / verify_strong's verdict on a decomposition built here
     verification: Optional[TriState] = field(default=None, compare=False)
 
 
@@ -80,56 +80,59 @@ def residual(S: BinaryOp, i: float, r: float) -> float:
 
 
 def canonical_decompose(R: FuzzyRelation, S: BinaryOp) -> Decomposition:
-    """I = min(R, R^t); P = pointwise residual.  Refuses where weak
-    `existence` FAILS, for a conorm discontinuous in the first coordinate
-    (some relations have no decomposition at all then, and this one would
-    not reconstruct)."""
+    """I = min(R, R^t); P = pointwise residual, verified by `verify_weak`.
+    Refuses where weak `existence` FAILS, for a conorm discontinuous in the
+    first coordinate (some relations have no decomposition at all then, and
+    this one would not reconstruct)."""
+    return _decompose(R, S, None)
 
-    exist = existence(S)
+
+def strong_decompose(R: FuzzyRelation, T: BinaryOp, S: BinaryOp) -> Decomposition:
+    """The canonical parts, verified by `verify_strong` against the norm
+    condition T(P, I) = 0.  Refuses where strong `existence` FAILS (which
+    includes the weak continuity check); even where it holds the norm
+    condition can fail where the divisor intervals meet only between two
+    floats (drastic x Schweizer-Sklar at lambda near 0 has P = 1 where I > 0)."""
+    return _decompose(R, S, T)
+
+
+def _decompose(R: FuzzyRelation, S: BinaryOp, T: Optional[BinaryOp]) -> Decomposition:
+    """I = min(R, R^t) and the residual P, built in row blocks and checked once
+    by `verify_weak` (T None) or `verify_strong`.  Asymmetric and symmetric by
+    construction, they fail only on reconstruction (named at the first cell
+    of `_gap`) or on T(P, I) = 0."""
+    exist = existence(S, T)
     if exist.verdict is Verdict.FAILS:
-        raise DecompositionError(f"no weak decomposition under {S.display_name}: {exist.detail}")
+        what, under = "weak", S.display_name
+        if T is not None:
+            what, under = "strong", f"({T.display_name}, {S.display_name})"
+        raise DecompositionError(f"no {what} decomposition under {under}: {exist.detail}")
     m = R.degrees
     i_mat, p_mat = np.empty_like(m), np.empty_like(m)
     for s in _row_blocks(R.size, R.size):
         i_blk = i_mat[s] = np.minimum(m[s], m[:, s].T)
-        p_blk = p_mat[s] = residual_array(S, i_blk, m[s])
-        recon = np.asarray(S.evaluator(p_blk, i_blk), dtype=float)
-        gap = np.abs(recon - m[s]) > EPSILON
-        if gap.any():
-            a, b = np.argwhere(gap)[0]
-            raise DecompositionError(
-                f"residual infimum not attained at pair ({R.universe[s.start + a]},{R.universe[b]}): "
-                f"S(P,I) = {float(recon[a, b])!r} but R = {float(m[s.start + a, b])!r}"
-            )
-    return Decomposition(
-        strict=FuzzyRelation._adopt(R.universe, p_mat),
-        indifference=FuzzyRelation._adopt(R.universe, i_mat),
-        conorm=S,
-    )
-
-
-def strong_decompose(R: FuzzyRelation, T: BinaryOp, S: BinaryOp) -> Decomposition:
-    """Canonical decomposition re-verified against the norm condition
-    T(P, I) = 0.  Refuses where strong `existence` FAILS; even where it
-    holds the check can fail where the divisor intervals meet only between
-    two floats (drastic x Schweizer-Sklar at lambda near 0 has P = 1 where
-    I > 0).  The result carries the check's verdict as ``verification``."""
-
-    exist = existence(S, T)
-    if exist.verdict is Verdict.FAILS:
-        raise DecompositionError(
-            f"no strong decomposition under ({T.display_name}, {S.display_name}): {exist.detail}"
-        )
-    weak = canonical_decompose(R, S)
-    d = Decomposition(weak.strict, weak.indifference, S, T)
-    check = verify_strong(R, d, T)
-    if check.verdict is Verdict.FAILS:
+        p_mat[s] = residual_array(S, i_blk, m[s])
+    d = Decomposition(FuzzyRelation._adopt(R.universe, p_mat), FuzzyRelation._adopt(R.universe, i_mat), S, T)
+    check = verify_weak(R, d) if T is None else verify_strong(R, d, T)
+    if check.verdict is not Verdict.FAILS:
+        return replace(d, verification=check)
+    bad = _first_cell(R.size, _gap(S, p_mat, i_mat, m))
+    if bad is None:
         raise DecompositionError(f"canonical pair fails the norm condition: {check.detail}")
-    return replace(d, verification=check)
+    (a, b), (recon, r) = bad, check.witness
+    raise DecompositionError(
+        f"residual infimum not attained at pair ({R.universe[a]},{R.universe[b]}): "
+        f"S(P,I) = {recon!r} but R = {r!r}"
+    )
 
 
 # ---------------------------------------------------------------------------
 # verification
+
+
+def _gap(S: BinaryOp, P: np.ndarray, I: np.ndarray, R: np.ndarray):
+    """The row-block mask of the cells where |S(P,I) - R| > EPSILON."""
+    return lambda s: np.abs(np.asarray(S.evaluator(P[s], I[s]), dtype=float) - R[s]) > EPSILON
 
 
 def _structural_check(R: FuzzyRelation, D: Decomposition) -> Optional[TriState]:
@@ -145,9 +148,7 @@ def _structural_check(R: FuzzyRelation, D: Decomposition) -> Optional[TriState]:
             a, b = bad
             return fails((float(m[a, b]), float(m[b, a])), f"{what} at ({R.universe[a]},{R.universe[b]})")
     p, i, r = P.degrees, I.degrees, R.degrees
-    bad = _first_cell(
-        R.size, lambda s: np.abs(np.asarray(D.conorm.evaluator(p[s], i[s]), dtype=float) - r[s]) > EPSILON
-    )
+    bad = _first_cell(R.size, _gap(D.conorm, p, i, r))
     if bad is not None:
         a, b = bad
         return fails(

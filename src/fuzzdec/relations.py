@@ -81,14 +81,16 @@ class FuzzyRelation:
 # predicates
 
 
+# Both pair predicates are symmetric, so the row-major first violation has y >= x:
+# row block s compares only its cells on and above the diagonal, m[s, s.start:].
 def asymmetry_violation(m: np.ndarray) -> Optional[Tuple[int, int]]:
     """Row-major first (x, y) with m(x,y) > 0 and m(y,x) > 0, or None."""
-    return _first_cell(m.shape[0], lambda s: (m[s] > 0.0) & (m[:, s].T > 0.0))
+    return _first_cell(m.shape[0], lambda s: (m[s, s.start:] > 0.0) & (m[s.start:, s].T > 0.0))
 
 
 def symmetry_violation(m: np.ndarray) -> Optional[Tuple[int, int]]:
     """Row-major first (x, y) with m(x,y) != m(y,x), or None."""
-    return _first_cell(m.shape[0], lambda s: m[s] != m[:, s].T)
+    return _first_cell(m.shape[0], lambda s: m[s, s.start:] != m[s.start:, s].T)
 
 
 def is_crisp(R: FuzzyRelation) -> bool:
@@ -393,8 +395,9 @@ def _cells(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     lead = hi // 10**8
     hi -= lead * 10**8
     groups = (hi // 10**4, hi % 10**4, lo // 10**4, lo % 10**4)
+    zero = (x == 0.0) & ~np.signbit(x)  # its cell is fixed: no trailing zeros to count
     trailing = np.take(zeros, groups[3])
-    more = np.flatnonzero(groups[3] == 0)
+    more = np.flatnonzero((groups[3] == 0) & ~zero)
     for g in groups[2::-1]:
         if not more.size:
             break
@@ -404,7 +407,6 @@ def _cells(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     z = -1 - q
     head = z * 10 + lead
     keep = z * 17 + trailing
-    zero = (x == 0.0) & ~np.signbit(x)
     unit = x == 1.0
     head[zero] = 30
     head[unit] = 31

@@ -37,13 +37,13 @@ def _first_cell(
 ) -> Optional[Tuple[int, int]]:
     """Row-major first True cell of the n x n mask that ``mask_of`` builds one
     row block at a time, or None.  No block after the first hit is built.
-    Blocks are sized for ``cells_per_row`` (by default n) cells of work per
-    mask row."""
+    A block mask narrower than n holds the last columns of its rows.  Blocks
+    are sized for ``cells_per_row`` (by default n) cells of work per mask row."""
     for rows in _row_blocks(n, cells_per_row or n):
         mask = mask_of(rows)
         if mask.any():
             a, b = np.argwhere(mask)[0]
-            return (rows.start + int(a), int(b))
+            return (rows.start + int(a), n - mask.shape[1] + int(b))
     return None
 
 

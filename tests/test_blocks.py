@@ -258,18 +258,28 @@ def test_a_hit_in_the_first_block_builds_no_later_block(monkeypatch):
     assert verdicts_module._first_cell(n, mask_of) == (0, 0)
     assert len(built) == 1
 
+    # the decomposition is built whole, then its verifier evaluates S(P, I)
+    # on no block after the first that fails to reconstruct
     m = np.full((n, n), 0.25)
     m[0, 1], m[1, 0] = 0.51, 0.5
-    residuals = []
+    residuals, checked = [], []
 
     def counted(S, i, r):
         residuals.append(r)
         return residual_array(S, i, r)
 
+    gap = decompose_module._gap
+
+    def counted_gap(*args):
+        mask_of = gap(*args)
+        return lambda rows: checked.append(rows) or mask_of(rows)
+
     monkeypatch.setattr(decompose_module, "residual_array", counted)
+    monkeypatch.setattr(decompose_module, "_gap", counted_gap)
     with pytest.raises(DecompositionError, match=r"pair \(x0,x1\)"):
         canonical_decompose(FuzzyRelation(labels(n), m), jump_conorm())
-    assert len(residuals) == 1
+    assert len(residuals) == n
+    assert checked and all(rows == slice(0, 1) for rows in checked)
 
 
 def tampered(R, S, n, rng):
@@ -296,7 +306,18 @@ def test_verification_witnesses_match_whole_array(n, block):
     a, b = first((P > 0.0) & (P.T > 0.0))
     got = verify_weak(R, d)
     assert got.witness == (P[a, b], P[b, a]) and f"at (x{a},x{b})" in got.detail
-    assert asymmetry_violation(P) is not None and symmetry_violation(I) is None
+    assert asymmetry_violation(P) == (a, b) and symmetry_violation(I) is None
+
+    # the canonical strict part, with an indifference no longer symmetric
+    I1 = I.copy()
+    for a, b in [*rng.integers(0, n, size=(3, 2)), (n - 1, 1)]:
+        if a != b:
+            I1[a, b] = (I1[b, a] + 0.5) % 1.0
+    d1 = Decomposition(canonical_decompose(R, S).strict, FuzzyRelation(R.universe, I1), S)
+    a, b = first(I1 != I1.T)
+    assert symmetry_violation(I1) == (a, b)
+    got = verify_weak(R, d1)
+    assert got.witness == (I1[a, b], I1[b, a]) and got.detail == f"indifference not symmetric at (x{a},x{b})"
 
     # asymmetric again, but no longer reconstructing R
     P2 = np.zeros_like(P)
@@ -346,7 +367,10 @@ def test_fp_witnesses_match_whole_array(n, block):
         I[a, b] = 0.5 * I[a, b]
     t = PreferenceTriplet(R, FuzzyRelation(R.universe, P), FuzzyRelation(R.universe, I))
     report = audit_fp(t)
-    for axiom, cell in ref_fp_witnesses(R.degrees, P, I).items():
+    refs = ref_fp_witnesses(R.degrees, P, I)
+    # the pair scans behind FP1 and FP2 compare only the cells on and above the diagonal
+    assert asymmetry_violation(P) == refs["FP1"] and symmetry_violation(I) == refs["FP2"]
+    for axiom, cell in refs.items():
         verdict = report.verdicts[axiom]
         assert verdict.passed == (cell is None)
         assert verdict.witness == (None if cell is None else (f"x{cell[0]}", f"x{cell[1]}"))

@@ -73,6 +73,15 @@ def test_strong_decompose_is_verified_once(showcase_file, capsys, monkeypatch):
     assert out.endswith("# verification: HOLDS -- strong decomposition verified\n")
 
 
+def test_weak_decompose_is_verified_once(showcase_file, capsys, monkeypatch):
+    calls = []
+    verify_weak = decompose.verify_weak
+    monkeypatch.setattr(decompose, "verify_weak", lambda *args: calls.append(args) or verify_weak(*args))
+    code, out, _ = run(capsys, "decompose", "--relation", showcase_file, "--conorm", "lukasiewicz")
+    assert code == 0 and len(calls) == 1
+    assert out.endswith("# verification: HOLDS -- weak decomposition verified\n")
+
+
 def test_audit_subcommand(showcase_file, capsys):
     code, out, _ = run(capsys, "audit", "--relation", showcase_file, "--conorm", "max")
     assert code == 0

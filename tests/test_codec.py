@@ -79,7 +79,13 @@ def format_both_ways(values):
     return once, repeated
 
 
-@pytest.mark.parametrize("values", [EDGES, [-0.0] + EDGES, ties()], ids=["edges", "negative-zero", "ties"])
+# most cells 0.0, whose cell the writer fixes without counting trailing zeros,
+# between the edges, the ties and -0.0
+ZERO_HEAVY = [v for x in (*EDGES, *ties()[::7], -0.0) for v in (0.0, x, 0.0)]
+
+
+@pytest.mark.parametrize("values", [EDGES, [-0.0] + EDGES, ties(), ZERO_HEAVY],
+                         ids=["edges", "negative-zero", "ties", "zero-heavy"])
 def test_writer_prints_named_edges_as_percent_17g(values):
     once, repeated = format_both_ways(values)
     assert once == reference_lines(values)

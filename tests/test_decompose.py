@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,6 +20,7 @@ from fuzzdec import (
     verify_strong,
     verify_weak,
 )
+from fuzzdec import divisors
 from fuzzdec.families import _least_addend
 from oracles import enumerate_decompositions
 
@@ -312,6 +315,36 @@ def test_strong_decompose_cases():
 
     with pytest.raises(DecompositionError):
         strong_decompose(two_rel(1.0, 0.5), make_norm("min"), make_conorm("max"))
+
+
+def counting(op, cells):
+    """``op`` with an evaluator that adds the size of each call to ``cells``."""
+    evaluate = op.evaluator
+    return replace(op, evaluator=lambda x, y: cells.append(np.broadcast(x, y).size) or evaluate(x, y))
+
+
+@pytest.mark.parametrize("strong", [False, True], ids=["weak", "strong"])
+def test_a_decomposition_evaluates_each_operator_on_every_cell_once(strong):
+    n = 30
+    m = np.random.default_rng(4).integers(0, 21, size=(n, n)) / 20
+    np.fill_diagonal(m, 1.0)
+    R = FuzzyRelation(tuple(f"x{k}" for k in range(n)), m)
+    s_cells, t_cells = [], []
+    S, T = counting(make_conorm("lukasiewicz"), s_cells), counting(make_norm("lukasiewicz"), t_cells)
+    d = strong_decompose(R, T, S) if strong else canonical_decompose(R, S)
+    # the one pass over S(P, I) is the verifier's, whose verdict d carries
+    assert sum(s_cells) == n * n
+    assert sum(t_cells) == (n * n if strong else 0)
+    assert str(d.verification) == f"HOLDS -- {'strong' if strong else 'weak'} decomposition verified"
+
+
+def test_strong_decompose_checks_continuity_once(monkeypatch):
+    calls = []
+    check = divisors.check_first_coordinate_continuity
+    monkeypatch.setattr(divisors, "check_first_coordinate_continuity", lambda op: calls.append(op) or check(op))
+    d = strong_decompose(two_rel(0.9, 0.2), make_norm("drastic"), make_conorm("lukasiewicz"))
+    assert calls == [make_conorm("lukasiewicz")]
+    assert d.verification.verdict is Verdict.HOLDS
 
 
 def test_strong_decompose_degenerates_on_crisp_input():
