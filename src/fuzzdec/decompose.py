@@ -59,7 +59,7 @@ def bisection_residual(S: BinaryOp, i, r):
     custom conorms and the independent oracle for the closed forms.  Scalar
     in, scalar out; arrays broadcast."""
     i, r = np.broadcast_arrays(np.asarray(i, float), np.asarray(r, float))
-    _, hi = _bisect(lambda t: np.asarray(S.evaluator(t, i), dtype=float) >= r, i.shape)
+    _, hi = _bisect(lambda t: S.evaluator(t, i) >= r, i.shape)
     return float(hi) if hi.ndim == 0 else hi
 
 
@@ -132,7 +132,7 @@ def _decompose(R: FuzzyRelation, S: BinaryOp, T: Optional[BinaryOp]) -> Decompos
 
 def _gap(S: BinaryOp, P: np.ndarray, I: np.ndarray, R: np.ndarray):
     """The row-block mask of the cells where |S(P,I) - R| > EPSILON."""
-    return lambda s: np.abs(np.asarray(S.evaluator(P[s], I[s]), dtype=float) - R[s]) > EPSILON
+    return lambda s: np.abs(S.evaluator(P[s], I[s]) - R[s]) > EPSILON
 
 
 def _structural_check(R: FuzzyRelation, D: Decomposition) -> Optional[TriState]:
@@ -182,7 +182,7 @@ def verify_strong(R: FuzzyRelation, D: Decomposition, T: BinaryOp) -> TriState:
     if bad is not None:
         return bad
     P, I = D.strict.degrees, D.indifference.degrees
-    bad = _first_cell(R.size, lambda s: np.asarray(T.evaluator(P[s], I[s]), dtype=float) > EPSILON)
+    bad = _first_cell(R.size, lambda s: T.evaluator(P[s], I[s]) > EPSILON)
     if bad is not None:
         a, b = bad
         return fails(

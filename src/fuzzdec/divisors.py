@@ -88,7 +88,7 @@ def _absorbing_edge(op: BinaryOp, w, boundary: str) -> tuple:
     a = 1.0 if op.kind is Kind.CONORM else 0.0
 
     def absorbed(t):
-        return np.asarray(op.evaluator(np.broadcast_to(t, w.shape), w), dtype=float) == a
+        return op.evaluator(np.broadcast_to(t, w.shape), w) == a
 
     bad = np.flatnonzero(~absorbed(a))
     if bad.size:

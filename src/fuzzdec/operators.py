@@ -59,7 +59,13 @@ _ALIASES = {
 @dataclass(frozen=True)
 class BinaryOp:
     """A t-norm or t-conorm: a monotone, commutative, associative
-    [0,1]^2 -> [0,1] operator with identity 1 (norm) or 0 (conorm)."""
+    [0,1]^2 -> [0,1] operator with identity 1 (norm) or 0 (conorm).
+
+    ``evaluator`` takes float arrays and returns a float64 array of their
+    broadcast shape (or a np.float64 for 0-d operands): a built-in one by
+    construction, a custom one through `make_custom`.  Callers use its
+    result as it is.  It may be a view of an operand, so a caller never
+    writes into it."""
 
     kind: Kind
     family: str
@@ -132,7 +138,9 @@ def make_conorm(family: str, parameter: Optional[float] = None) -> BinaryOp:
 def make_custom(fn: Callable, kind: Kind) -> BinaryOp:
     """Wrap a user-supplied [0,1]^2 -> [0,1] callable (must broadcast over
     numpy arrays, or at least accept scalars).  Array operands reach it
-    `lifted`, so one value rounds as it does in an array."""
+    `lifted`, so one value rounds as it does in an array.  Its result is
+    viewed, read-only, at the operands' broadcast shape, so a callable that
+    returns a constant or one operand still meets the evaluator contract."""
 
     def ev(x, y):
         try:
@@ -147,7 +155,7 @@ def make_custom(fn: Callable, kind: Kind) -> BinaryOp:
                 f"custom {kind.value} returned {float(vs[k])!r} at "
                 f"({float(xs[k])!r}, {float(ys[k])!r})"
             )
-        return out
+        return np.broadcast_to(out, np.broadcast_shapes(np.shape(x), np.shape(y)))
 
     return BinaryOp(kind, "custom", None, ev)
 
@@ -220,7 +228,7 @@ def check_norm_axioms(op: BinaryOp, grid: float = 0.01) -> TriState:
         (absorb, g, absorb, 0.0, f"{letter}({a},x) = {a}"),
     ]
     for xs, ys, want, tol, label in pairs:
-        got = np.asarray(op.evaluator(xs, ys), dtype=float)
+        got = op.evaluator(xs, ys)
         bad = np.abs(got - want) > tol
         if bad.any():
             k = int(np.argmax(bad))
@@ -236,8 +244,8 @@ def check_norm_axioms(op: BinaryOp, grid: float = 0.01) -> TriState:
     above = None
     for s in _row_blocks(g.size, g.size):
         xx, yy = np.meshgrid(g[s], g, indexing="ij")
-        fwd = np.asarray(op.evaluator(xx, yy), dtype=float)
-        bwd = np.asarray(op.evaluator(yy, xx), dtype=float)
+        fwd = op.evaluator(xx, yy)
+        bwd = op.evaluator(yy, xx)
         # each row's step down from the row above it (the first row's from itself)
         steps = np.diff(np.vstack([fwd[:1] if above is None else above, fwd]), axis=0)
         masks = (np.abs(fwd - np.clip(fwd, 0.0, 1.0)) > 0, np.abs(fwd - bwd) > EPSILON, steps < -EPSILON)
@@ -264,10 +272,10 @@ def check_norm_axioms(op: BinaryOp, grid: float = 0.01) -> TriState:
     A = ga[:, None, None]
     B = ga[None, :, None]
     C = ga[None, None, :]
-    ab = np.asarray(op.evaluator(A, B), dtype=float)
-    bc = np.asarray(op.evaluator(B, C), dtype=float)
-    lhs = np.asarray(op.evaluator(ab, C), dtype=float)
-    rhs = np.asarray(op.evaluator(A, bc), dtype=float)
+    ab = op.evaluator(A, B)
+    bc = op.evaluator(B, C)
+    lhs = op.evaluator(ab, C)
+    rhs = op.evaluator(A, bc)
     assoc_bad = np.abs(lhs - rhs) > EPSILON
     if assoc_bad.any():
         i, j, k = np.argwhere(assoc_bad)[0]
@@ -298,7 +306,7 @@ _JUMP = 0.05  # a rise above this across a step of t is a jump unless bisection 
 def _section(op: BinaryOp) -> np.ndarray:
     """op(t, w) on the section grid, one row per w."""
     tt, ww = np.meshgrid(_T, _W)
-    return np.asarray(op.evaluator(tt, ww), dtype=float)
+    return op.evaluator(tt, ww)
 
 
 def _verdict(op: BinaryOp, witness, proven: str, swept: str, failure: Callable[..., str]) -> TriState:
@@ -343,7 +351,7 @@ def _jump(op: BinaryOp) -> Optional[Tuple[float, float, float]]:
     w, a, b, va, vb = _W[wi], _T[ti], _T[ti + 1], V[wi, ti], V[wi, ti + 1]
     for _ in range(BISECTION_STEPS):
         m = 0.5 * (a + b)
-        vm = np.asarray(op.evaluator(m, w), dtype=float)
+        vm = op.evaluator(m, w)
         left = np.abs(vm - va) >= np.abs(vb - vm)
         a, va = np.where(left, a, m), np.where(left, va, vm)
         b, vb = np.where(left, m, b), np.where(left, vm, vb)
@@ -416,7 +424,7 @@ def check_strict_near_zero(op: BinaryOp) -> TriState:
         witness = op.record.flat_near_zero
     else:  # a flat stretch from t = 0, or from just after a jump at 0, refutes the claim
         w, t = _W[:-1], np.zeros(_W.size - 1)
-        end = np.asarray(op.evaluator(t + _T[1], w), dtype=float)
+        end = op.evaluator(t + _T[1], w)
         # where the first step rises by more than _JUMP, S is read instead at
         # its BISECTION_STEPS-th halving towards 0, t = 0.001 * 2**-60
         t[end - op.evaluator(t, w) > _JUMP] = _T[1] * 0.5**BISECTION_STEPS

@@ -11,9 +11,9 @@ the restricted-domain test: an S'-connected relation has S'(R(x,y), R(y,x))
 = 1 for every ordered pair, which confines its value pairs to the set where
 the connecting conorm reaches 1 in both orders and can rescue an otherwise
 undecomposable conorm.  `t_transitive_closure` gives the least transitive
-relation above a relation: Warshall's n pivot updates for a built-in norm,
-followed by sup-T squaring to a fixpoint for a custom norm, which may not
-be associative.
+relation above a relation: one pass of Warshall's n pivot updates for a
+built-in norm, and passes repeated to a fixpoint for a custom norm, which
+may not be associative.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from .operators import EPSILON, BinaryOp, Kind
 from .decompose import residual_array
 from .divisors import _classified, existence, intersection
-from .relations import FuzzyRelation, sup_t_compose
+from .relations import FuzzyRelation, _pivot_term
 from .verdicts import TriState, Verdict, _row_blocks, fails, holds, unknown
 
 
@@ -100,7 +100,7 @@ def _decomposable(S: BinaryOp, T: Optional[BinaryOp], i, r, meets) -> np.ndarray
     work = np.subtract(S.evaluator(t, i), r)
     member = np.abs(work, out=work) <= EPSILON
     if T is not None:
-        member &= np.asarray(T.evaluator(t, i), dtype=float) <= EPSILON
+        member &= T.evaluator(t, i) <= EPSILON
     member |= r <= np.add(i, EPSILON, out=work)
     edge = (r >= 1.0 - EPSILON) & (i < 1.0)
     if edge.any():
@@ -188,7 +188,7 @@ def restricted_decomposability(
     ax, test = _cell_test("restricted_decomposability", resolution, S, T)
 
     def connected(x, y):
-        return np.asarray(S_prime.evaluator(x, y), dtype=float) >= 1.0 - EPSILON
+        return S_prime.evaluator(x, y) >= 1.0 - EPSILON
 
     for s in _row_blocks(ax.size, ax.size):
         a, b = ax[s, None], ax[s.start:]
@@ -227,25 +227,24 @@ def restricted_decomposability(
 def t_transitive_closure(R: FuzzyRelation, T_prime: BinaryOp) -> FuzzyRelation:
     """Least T'-transitive relation above R.
 
-    For an associative T' the closure is the sup over paths of T' along the
-    path, which Warshall's pivot recurrence builds in n updates,
-    m = max(m, T'(m[:, k], m[k, :])) for k = 0..n-1 (Naessens, De Meyer and
-    De Baets, IEEE Trans. Fuzzy Systems 10, 2002).  Each update reads row and
-    column k whole before it writes, and a norm never exceeds min, so the
-    pivot row and column cannot change under it.  Built-in norms are t-norms,
-    so the pivot pass is their closure.  A custom norm is not known to be
-    associative: from the pivot result, which lies between R and the
-    closure, sup-T' squaring repeats until nothing changes by more than
-    EPSILON (at most |X| rounds; one round for an associative norm)."""
+    Warshall's pivot pass (Naessens, De Meyer and De Baets, IEEE Trans.
+    Fuzzy Systems 10, 2002) runs m = max(m, T'(m[:, k], m[k, :])) in place
+    for k = 0..n-1.  Each update reads row and column k whole before it
+    writes, and a norm never exceeds min, so the pivot row and column cannot
+    change under it.  Every update is forced on the closure, so m never
+    leaves the region between R and it.  For an associative T', as every
+    built-in norm is, one pass is the closure.  A custom norm is not known
+    to be associative, so its pass repeats until a pass moves nothing by
+    more than EPSILON (at most max(2, |X|) passes): a pass that changes
+    nothing leaves m transitive."""
 
     if T_prime.kind is not Kind.NORM:
         raise ValueError("transitive closure expects a norm")
     m = R.degrees.copy()
-    for k in range(R.size):
-        np.maximum(m, T_prime.evaluator(m[:, k, None], m[None, k, :]), out=m)
-    if not T_prime.is_builtin:
-        for _ in range(max(2, R.size)):
-            m, old = np.maximum(m, sup_t_compose(m, T_prime)), m
-            if np.all(np.abs(m - old) <= EPSILON):
-                break
+    for _ in range(1 if T_prime.is_builtin else max(2, R.size)):
+        old = None if T_prime.is_builtin else m.copy()
+        for k in range(R.size):
+            np.maximum(m, _pivot_term(m, T_prime, k), out=m)
+        if old is None or np.all(m - old <= EPSILON):
+            break
     return FuzzyRelation._adopt(R.universe, np.clip(m, 0.0, 1.0))

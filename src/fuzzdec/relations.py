@@ -5,7 +5,9 @@ here, not beside ``make_custom``, because ``operators`` is the lower layer).
 A relation is a square membership matrix over an ordered universe of labels;
 row index is the first argument.  Equality-style predicates (symmetry,
 crispness) compare stored degrees exactly, while transitivity, which
-evaluates a norm, allows the package-wide 1e-9 tolerance.
+evaluates a norm, allows the package-wide 1e-9 tolerance.  Transitivity is
+read through Warshall's pivot term, the package's one O(n^3) kernel, which
+`regions.t_transitive_closure` also builds the closure from.
 """
 
 from __future__ import annotations
@@ -99,29 +101,19 @@ def is_crisp(R: FuzzyRelation) -> bool:
 
 
 def is_t_transitive(R: FuzzyRelation, T: BinaryOp) -> bool:
-    """R(x,z) >= T(R(x,y), R(y,z)) for every triple, within tolerance.  The
-    composition is built in the row blocks of `sup_t_compose`, and the check
-    stops at the first block that holds a violation."""
+    """R(x,z) >= T(R(x,y), R(y,z)) for every triple, within tolerance: for
+    each pivot y, R >= `_pivot_term` - EPSILON, checked one pivot at a time
+    up to the first violating one."""
     if T.kind is not Kind.NORM:
         raise ValueError("transitivity expects a norm")
     m = R.degrees
-    n = m.shape[0]
-    return _first_cell(n, lambda s: ~(m[s] >= _sup_t_rows(m, T, s) - EPSILON), n * n) is None
+    return all(np.all(m >= _pivot_term(m, T, k) - EPSILON) for k in range(R.size))
 
 
-def sup_t_compose(m: np.ndarray, T: BinaryOp) -> np.ndarray:
-    """The sup-T self-composition max_y T(m(x,y), m(y,z)), built one row
-    block of x at a time so the n x n x n products never exist at once."""
-    n = m.shape[0]
-    out = np.empty_like(m)
-    for s in _row_blocks(n, n * n):
-        out[s] = _sup_t_rows(m, T, s)
-    return out
-
-
-def _sup_t_rows(m: np.ndarray, T: BinaryOp, rows: slice) -> np.ndarray:
-    """Rows ``rows`` of the sup-T self-composition of m."""
-    return np.asarray(T.evaluator(m[rows, :, None], m[None, :, :]), dtype=float).max(axis=1)
+def _pivot_term(m: np.ndarray, T: BinaryOp, k: int) -> np.ndarray:
+    """Warshall's pivot term T(m(x,k), m(k,z)) over all (x, z).  It may be a
+    view of m (a custom T may return its argument), so it is never written."""
+    return T.evaluator(m[:, k, None], m[None, k, :])
 
 
 # ---------------------------------------------------------------------------
@@ -531,12 +523,14 @@ class ContentLines:
 
 
 def _plain(chunks: List[str]) -> bool:
-    """Whether each chunk is one ASCII line with no '#' and something besides
-    whitespace, ending in a newline (the last one may instead end the
-    source): such a chunk is its own content line, and numpy's reader splits
-    it into the cells ``str.split`` makes."""
+    """Whether each chunk is one ASCII line with no '#' or '_' and something
+    besides whitespace, ending in a newline (the last one may instead end
+    the source): such a chunk is its own content line, and numpy's reader
+    splits it into the cells ``str.split`` makes.  float() reads '_' between
+    digits, which a degree may not hold, so such a block is left to the
+    cell walk."""
     text = "".join(chunks)
-    if not text.isascii() or any(c in text for c in "#\r\x0b\x0c\x1c\x1d\x1e"):
+    if not text.isascii() or any(c in text for c in "#_\r\x0b\x0c\x1c\x1d\x1e"):
         return False
     last = len(chunks) - 1
     for k, chunk in enumerate(chunks):
@@ -684,12 +678,11 @@ def _short_keys(lines: List[str], cols: int) -> Optional[np.ndarray]:
 def _judged(keys: np.ndarray) -> Optional[Tuple[np.ndarray]]:
     """The degrees (one array) of the tokens whose bytes (little-endian, up
     to 8) the ``keys`` hold, each read as float() reads it, as np.loadtxt
-    does; None where one holds '_', is not a number, or is outside [0,1]."""
+    does; None where one is not a number or is outside [0,1].  The tokens
+    come from `_plain` lines, which hold no '_'."""
     values = []
     for key in keys.tolist():
         token = key.to_bytes(8, "little").rstrip(b"\0").decode("ascii")
-        if "_" in token:
-            return None
         try:
             v = float(token)
         except ValueError:

@@ -32,14 +32,11 @@ def _row_blocks(rows: int, cells_per_row: int, cap: Optional[int] = None) -> Ite
         yield slice(lo, min(lo + step, rows))
 
 
-def _first_cell(
-    n: int, mask_of: Callable[[slice], np.ndarray], cells_per_row: Optional[int] = None
-) -> Optional[Tuple[int, int]]:
+def _first_cell(n: int, mask_of: Callable[[slice], np.ndarray]) -> Optional[Tuple[int, int]]:
     """Row-major first True cell of the n x n mask that ``mask_of`` builds one
     row block at a time, or None.  No block after the first hit is built.
-    A block mask narrower than n holds the last columns of its rows.  Blocks
-    are sized for ``cells_per_row`` (by default n) cells of work per mask row."""
-    for rows in _row_blocks(n, cells_per_row or n):
+    A block mask narrower than n holds the last columns of its rows."""
+    for rows in _row_blocks(n, n):
         mask = mask_of(rows)
         if mask.any():
             a, b = np.argwhere(mask)[0]

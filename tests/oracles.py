@@ -231,6 +231,6 @@ def squaring_closure(m: np.ndarray, T: BinaryOp) -> np.ndarray:
 
 def squared_min_norm() -> BinaryOp:
     """T(x,y) = min(x,y)^2: monotone and commutative but not associative,
-    so a path's value depends on how it is split, and Warshall's pivot pass
-    alone misses compositions that squaring finds."""
+    so a path's value depends on how it is split, and one pivot pass alone
+    misses compositions that squaring, or further pivot passes, find."""
     return make_custom(lambda x, y: np.minimum(x, y) ** 2, Kind.NORM)

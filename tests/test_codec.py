@@ -269,6 +269,20 @@ def test_other_blocks_are_left_to_numpy_float_reader(text):
     assert relations._decimals(text, 1, 2) is None
 
 
+@pytest.mark.parametrize("bad", ["1e-3_0", "1_0e-1", "0.25e0_0"])
+@pytest.mark.parametrize("n", [4, 9])
+def test_a_long_token_block_refuses_an_underscore(n, bad):
+    # float() reads '_' between digits, which a degree may not hold: the
+    # block is left to the cell walk, which names the cell
+    rng = np.random.default_rng(n)
+    rows = [["%.17g" % v for v in rng.random(n)] for _ in range(n)]
+    rows[1][n - 1] = bad
+    message = f"line 4: row 2, column {n}: not a number: {bad!r}"
+    for source in (relation_text(rows), relation_text(rows).splitlines(keepends=True)):
+        with pytest.raises(RelationParseError, match=re.escape(message) + "$"):
+            parse_relation(source)
+
+
 def test_plain_files_are_read_without_numpy_float_reader(monkeypatch):
     rng = np.random.default_rng(6)
     n = 90

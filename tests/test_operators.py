@@ -21,6 +21,7 @@ from fuzzdec import (
 )
 from fuzzdec import existence, families
 from fuzzdec.operators import format_lambda
+from fuzzdec.tables import LAMBDA_SAMPLES
 
 BUILTIN_SPECS = [
     ("minimum", None),
@@ -99,6 +100,38 @@ def test_make_family_deterministic():
     g = degree_grid(0.01)
     xx, yy = np.meshgrid(g, g, indexing="ij")
     np.testing.assert_array_equal(a.evaluator(xx, yy), b.evaluator(xx, yy))
+
+
+def accepted_builtins():
+    """Every built-in family at each lambda of `tables.LAMBDA_SAMPLES` it
+    accepts, in both kinds."""
+    ops = []
+    for family in (*families.FAMILIES, *families.PARAMETRIC):
+        for lam in (None,) if family in families.FAMILIES else LAMBDA_SAMPLES:
+            for kind in Kind:
+                try:
+                    ops.append(make_family(family, kind, lam))
+                except ValueError:
+                    pass
+    return ops
+
+
+# custom callables: one that broadcasts, and two whose result has another shape
+CUSTOM_SHAPES = {"squared-min": lambda x, y: np.minimum(x, y) ** 2, "first": lambda x, y: x, "constant": lambda x, y: 0.0}
+
+
+@pytest.mark.parametrize(
+    "op",
+    [pytest.param(op, id=f"{op.family}-{op.parameter}-{op.kind.value}") for op in accepted_builtins()]
+    + [pytest.param(make_custom(fn, Kind.NORM), id=f"custom-{name}") for name, fn in CUSTOM_SHAPES.items()],
+)
+def test_evaluators_return_float_arrays_of_the_broadcast_shape(op):
+    g = degree_grid(0.25)
+    for x, y in ((g[:, None], g[None, :]), (g, g[::-1]), (g[None, :3], g[:2, None])):
+        out = op.evaluator(x, y)
+        assert isinstance(out, np.ndarray)
+        assert out.dtype == np.float64
+        assert out.shape == np.broadcast_shapes(x.shape, y.shape)
 
 
 def where_chain_pinned(formula, absorbing):

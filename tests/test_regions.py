@@ -14,6 +14,7 @@ from fuzzdec import (
     RegionGrid,
     Verdict,
     is_t_transitive,
+    load_operator_table,
     make_conorm,
     make_custom,
     make_norm,
@@ -401,6 +402,22 @@ def test_custom_closure_finishes_what_the_pivot_pass_misses():
         assert is_t_transitive(C, T)
         assert np.all(C.degrees >= R.degrees)
         assert np.array_equal(C.degrees, squaring_closure(R.degrees, T))
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 40])
+def test_closure_under_a_table_norm_is_the_least_transitive_relation(tmp_path, n):
+    # the Lukasiewicz norm max(0, x + y - 1) at the nodes of the 1/4 grid
+    nodes = [[max(0.0, (a + b - 4) / 4) for b in range(5)] for a in range(5)]
+    path = tmp_path / "luk_norm.op"
+    path.write_text("fuzzop v1\ngrid 4\n" + "".join(" ".join(map(repr, row)) + "\n" for row in nodes))
+    T = load_operator_table(path, Kind.NORM)
+    R = FuzzyRelation(tuple(f"x{k}" for k in range(n)), np.random.default_rng(n).random((n, n)))
+    C = t_transitive_closure(R, T)
+    assert is_t_transitive(C, T)
+    assert np.all(C.degrees >= R.degrees)
+    # interpolation rounds, so closing again may still move a cell by a few ulps
+    np.testing.assert_allclose(t_transitive_closure(C, T).degrees, C.degrees, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(C.degrees, squaring_closure(R.degrees, T), rtol=0.0, atol=1e-12)
 
 
 def test_two_element_interior_witness_is_min_transitive():

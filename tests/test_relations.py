@@ -92,8 +92,8 @@ def test_transitivity():
                 assert m[a, c] >= m[a, b] * m[b, c] - 1e-9
 
 
-def test_transitivity_stops_at_the_first_violating_block():
-    # n = 64 composes in 4 blocks of 16 rows; the violation sits in row 0
+def test_transitivity_stops_at_the_first_violating_pivot():
+    # one evaluator call per pivot; the violation T(m(0,1), m(1,2)) > m(0,2) sits at pivot 1
     calls = []
     Tmin = make_norm("min")
 
@@ -106,11 +106,11 @@ def test_transitivity_stops_at_the_first_violating_block():
     m[0, 1] = m[1, 2] = 0.9
     m[0, 2] = 0.1
     assert not is_t_transitive(rel(m), T)
-    assert len(calls) == 1
+    assert len(calls) == 2
     calls.clear()
     m[0, 2] = 0.9
     assert is_t_transitive(rel(m), T)
-    assert len(calls) == 64 * 64 * 64 // verdicts._BLOCK_CELLS
+    assert len(calls) == 64
 
 
 def test_connectedness():
