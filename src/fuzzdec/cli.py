@@ -26,7 +26,7 @@ import functools
 import sys
 
 from .families import _shortest
-from .operators import BinaryOp, Kind, check_norm_axioms, parse_op_spec
+from .operators import BinaryOp, Kind, _number, check_norm_axioms, parse_op_spec
 from .divisors import existence, intersection, one_interval, uniqueness, zero_interval
 from .decompose import DecompositionError, canonical_decompose, strong_decompose
 from .preferences import (
@@ -57,9 +57,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)  # argparse reports a ValueError as an invalid value
+    value = int(text) if text.isascii() and text.isdigit() else 0  # isdigit alone takes other scripts
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _real(text: str) -> float:
+    value = _number(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
     return value
 
 
@@ -234,12 +241,12 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("check-norm", help="check the defining axioms of an operator")
     sp.add_argument("--op", required=True)
     sp.add_argument("--kind", choices=["norm", "conorm"], required=True)
-    sp.add_argument("--grid-step", type=float, default=0.01, dest="grid_step")
+    sp.add_argument("--grid-step", type=_real, default=0.01, dest="grid_step")
     sp.set_defaults(fn=_cmd_check_norm)
 
     sp = sub.add_parser("divisors", help="divisor intervals and existence/uniqueness",
                         parents=[_operands(conorm_required=False)])
-    sp.add_argument("--w", type=float)
+    sp.add_argument("--w", type=_real)
     sp.set_defaults(fn=_cmd_divisors)
 
     sp = sub.add_parser("region", help="rasterise a decomposability region to CSV", parents=[pair])

@@ -172,26 +172,39 @@ def parse_op_spec(spec: str, kind: Kind) -> BinaryOp:
         if not tail.startswith("lambda="):
             raise ValueError(f"bad operator spec {spec!r}: expected lambda=<value>")
         raw = tail[len("lambda="):].strip()
-        try:
-            lam = float(raw)  # reads +inf, inf and -inf too
-        except ValueError:
-            raise ValueError(f"bad lambda value {raw!r} in spec {spec!r}") from None
+        lam = _number(raw)  # reads +inf, inf and -inf too
+        if lam is None:
+            raise ValueError(f"bad lambda value {raw!r} in spec {spec!r}")
         text = head
     return make_family(text, kind, lam)
+
+
+def _number(token: str) -> Optional[float]:
+    """``token`` as float() reads it, or None where float() refuses it or where it holds '_' or a
+    non-ASCII character ('1_0' and '١' read as 10 and 1): a file's degree, a lambda and a flag read so."""
+    if not token.isascii() or "_" in token:
+        return None
+    try:
+        return float(token)
+    except ValueError:
+        return None
 
 
 # ---------------------------------------------------------------------------
 # grids
 
+_FINEST_STEP = 1.0 / 2000.0  # of a degree grid, and of a region raster's axis
+
 
 def degree_grid(step: float = 1e-3, extra: Iterable[float] = ()) -> np.ndarray:
-    """Uniform grid on [0,1] of the given step, always containing 0, 1/2, 1
-    plus any extra breakpoints."""
+    """Uniform grid on [0,1] of the given step, in [1/2000, 1], always
+    containing 0, 1/2, 1 plus any extra breakpoints."""
 
     if not 0.0 < step <= 1.0:  # NaN fails this too
         raise ValueError(f"grid step must lie in (0, 1], got {step:g}")
-    n = max(1, round(1.0 / step))
-    pts = np.linspace(0.0, 1.0, n + 1)
+    if step < _FINEST_STEP:  # a step of 1e-9 would ask for 10**9 points
+        raise ValueError(f"grid step below 1/2000 is not supported, got {step:g}")
+    pts = np.linspace(0.0, 1.0, round(1.0 / step) + 1)
     merged = np.union1d(pts, np.asarray([0.0, 0.5, 1.0, *extra], dtype=float))
     return merged[(merged >= 0.0) & (merged <= 1.0)]
 
@@ -215,8 +228,6 @@ def check_norm_axioms(op: BinaryOp, grid: float = 0.01) -> TriState:
     the sweep earn UNKNOWN, never HOLDS.
     """
 
-    if 0.0 < grid < 1.0 / 2000.0:  # the (0, 1] range check of `degree_grid` names the rest
-        raise ValueError(f"grid step below 1/2000 is not supported, got {grid:g}")
     g = _as_grid(grid, op)
     letter, e, a = ("T", 1, 0) if op.kind is Kind.NORM else ("S", 0, 1)
     ident, absorb = np.full_like(g, e), np.full_like(g, a)

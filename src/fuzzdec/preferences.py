@@ -123,20 +123,18 @@ def audit_fp(t: PreferenceTriplet, seed: int = 0) -> FPReport:
     )
 
     i_flat, p_flat, r_flat = I.ravel(), P.ravel(), R.ravel()
+
+    def fp6_fails(a, b):  # where FP6 fails for the cells that a and b index
+        return (i_flat[a] <= i_flat[b]) & (p_flat[a] <= p_flat[b]) & (r_flat[a] > r_flat[b] + EPSILON)
+
     exhaustive = n <= 21  # covers GRID_RELATION; the pair mask is built in row blocks
     if exhaustive:  # every pair of cells, row-major
-        pair = _first_cell(
-            n * n,
-            lambda s: (i_flat[s, None] <= i_flat)
-            & (p_flat[s, None] <= p_flat)
-            & (r_flat[s, None] > r_flat + EPSILON),
-        )
+        pair = _first_cell(n * n, lambda s: fp6_fails((s, None), slice(None)))
     else:
         rng = np.random.default_rng(seed)
         a = rng.integers(0, n * n, size=_FP6_SAMPLE)
         b = rng.integers(0, n * n, size=_FP6_SAMPLE)
-        viol = (i_flat[a] <= i_flat[b]) & (p_flat[a] <= p_flat[b]) & (r_flat[a] > r_flat[b] + EPSILON)
-        hits = np.flatnonzero(viol)
+        hits = np.flatnonzero(fp6_fails(a, b))
         pair = (int(a[hits[0]]), int(b[hits[0]])) if hits.size else None
     if pair is not None:
         a, b = pair

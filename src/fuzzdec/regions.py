@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .operators import EPSILON, BinaryOp, Kind
+from .operators import _FINEST_STEP, EPSILON, BinaryOp, Kind
 from .decompose import residual_array
 from .divisors import _classified, existence, intersection
 from .relations import FuzzyRelation, _pivot_term
@@ -76,13 +76,12 @@ class RegionGrid:
 
 
 def _axis(resolution: float) -> np.ndarray:
-    if resolution < 1.0 / 2000.0:
+    if resolution < _FINEST_STEP:
         got = f"1/{1.0 / resolution:.15g}" if resolution > 0 else repr(resolution)
         raise ValueError(f"resolution below 1/2000 is not supported, got {got}")
     if not resolution <= 1.0:  # also NaN, which fails every comparison
         raise ValueError(f"resolution must lie in [1/2000, 1], got {resolution!r}")
-    n = round(1.0 / resolution)
-    return np.linspace(0.0, 1.0, n + 1)
+    return np.linspace(0.0, 1.0, round(1.0 / resolution) + 1)
 
 
 def _decomposable(S: BinaryOp, T: Optional[BinaryOp], i, r, meets) -> np.ndarray:

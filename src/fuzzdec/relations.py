@@ -20,7 +20,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .operators import EPSILON, BinaryOp, Kind, make_custom
+from .operators import EPSILON, BinaryOp, Kind, _number, make_custom
 from .verdicts import _first_cell, _row_blocks
 
 FILE_HEADER = "fuzzrel v1"
@@ -148,9 +148,9 @@ def crisp_decompose(R: FuzzyRelation) -> Tuple[FuzzyRelation, FuzzyRelation]:
 # a table is evaluated by bilinear interpolation between its grid nodes.
 # '#' starts a comment; blank lines are ignored.  Degrees are written as
 # "%.17g" (17 significant digits, one space apart) so emitted files re-parse
-# to bit-identical matrices.  Any degree (or grid size) is read as Python's
-# float() (or int()) reads its ASCII spelling without '_'; further spellings
-# they take ('0.0_5', full-width digits) are rejected.
+# to bit-identical matrices.  One judge, ``operators._number``, reads every
+# degree token as float() reads ASCII without '_' (so not '0.0_5' or full-width
+# digits), and the degree must lie in [0,1].  A grid size is ASCII digits.
 #
 # Text is converted by numpy kernels, each equal to the per-value conversion
 # it replaces, in text blocks of at most ``_TEXT_CELLS`` cells (written) or
@@ -168,16 +168,16 @@ def crisp_decompose(R: FuzzyRelation) -> Tuple[FuzzyRelation, FuzzyRelation]:
 #   cell is made anew.
 # - reading: a block of plain lines whose tokens are all 8 bytes or shorter
 #   (one space apart, one row a line, such as repr(k / 20)) takes each
-#   token's bytes as one integer key, and the table reads each distinct
-#   token once by float(); a block with a token it refuses goes on as
-#   below.  A block of longer plain decimals (tokens 0, 1 or [01].d{1,19})
-#   is read as integers F by numpy's integer text reader and rounded as
-#   F / 10**k by an exact double-double quotient (Clinger's condition: the
-#   quotient is decided unless it lies within 2**-40 ulp of a rounding
-#   midpoint).  A token it cannot decide (an e-notation or 20-digit
-#   spelling, or a near-midpoint quotient) is read by float(); any other
-#   block is read by np.loadtxt, whose grammar is float()'s on ASCII without
-#   '_', and a block it rejects is walked cell by cell to name its first
+#   token's bytes as one integer key, and the table judges each distinct
+#   token once; a block with a token it refuses goes on as below.  A block
+#   of longer plain decimals (tokens 0, 1 or [01].d{1,19}) is read as
+#   integers F by numpy's integer text reader and rounded as F / 10**k by
+#   an exact double-double quotient (Clinger's condition: the quotient is
+#   decided unless it lies within 2**-40 ulp of a rounding midpoint).  A
+#   token it cannot decide (an e-notation or 20-digit spelling, or a
+#   near-midpoint quotient) is judged on its own; any other block is read
+#   whole by np.loadtxt, whose grammar is the judge's, and a block it
+#   rejects is walked cell by cell, each cell judged, to name its first
 #   offending cell.
 
 _TEXT_CELLS = 1 << 12
@@ -523,14 +523,12 @@ class ContentLines:
 
 
 def _plain(chunks: List[str]) -> bool:
-    """Whether each chunk is one ASCII line with no '#' or '_' and something
-    besides whitespace, ending in a newline (the last one may instead end
-    the source): such a chunk is its own content line, and numpy's reader
-    splits it into the cells ``str.split`` makes.  float() reads '_' between
-    digits, which a degree may not hold, so such a block is left to the
-    cell walk."""
+    """Whether each chunk is one ASCII line with no '#' and something besides
+    whitespace, ending in a newline (the last one may instead end the
+    source): such a chunk is its own content line, and numpy's reader splits
+    it into the cells ``str.split`` makes."""
     text = "".join(chunks)
-    if not text.isascii() or any(c in text for c in "#_\r\x0b\x0c\x1c\x1d\x1e"):
+    if not text.isascii() or any(c in text for c in "#\r\x0b\x0c\x1c\x1d\x1e"):
         return False
     last = len(chunks) - 1
     for k, chunk in enumerate(chunks):
@@ -578,8 +576,8 @@ def read_degrees(lines: ContentLines, rows: int, cols: int) -> np.ndarray:
 def _read_block(block: _Block, first_row: int, cols: int, table: _Distinct) -> np.ndarray:
     """The degrees on ``block``'s lines, rows ``first_row + 1, ...`` of the
     matrix, ``table`` holding the distinct short tokens of the file.  A
-    block the reader rejects is walked cell by cell, each cell judged by the
-    same reader, to name its first offending cell."""
+    block the readers reject is walked cell by cell, each cell judged by
+    ``_number``, to name its first offending cell."""
     if block.plain:
         mat = _read_short(block.texts, cols, table)
         if mat is None:
@@ -598,10 +596,9 @@ def _read_block(block: _Block, first_row: int, cols: int, table: _Distinct) -> n
             raise RelationParseError(f"line {lineno}: row {r} has {len(cells)} entries, expected {cols}")
         for c, cell in enumerate(cells, start=1):
             where = f"line {lineno}: row {r}, column {c}"
-            try:
-                v = float(np.loadtxt([cell], comments=None))
-            except ValueError:
-                raise RelationParseError(f"{where}: not a number: {cell!r}") from None
+            v = _number(cell)
+            if v is None:
+                raise RelationParseError(f"{where}: not a number: {cell!r}")
             if not 0.0 <= v <= 1.0:
                 raise RelationParseError(f"{where}: degree {v!r} outside [0,1]")
     last = first_row + len(block.texts)
@@ -677,20 +674,11 @@ def _short_keys(lines: List[str], cols: int) -> Optional[np.ndarray]:
 
 def _judged(keys: np.ndarray) -> Optional[Tuple[np.ndarray]]:
     """The degrees (one array) of the tokens whose bytes (little-endian, up
-    to 8) the ``keys`` hold, each read as float() reads it, as np.loadtxt
-    does; None where one is not a number or is outside [0,1].  The tokens
-    come from `_plain` lines, which hold no '_'."""
-    values = []
-    for key in keys.tolist():
-        token = key.to_bytes(8, "little").rstrip(b"\0").decode("ascii")
-        try:
-            v = float(token)
-        except ValueError:
-            return None
-        if not 0.0 <= v <= 1.0:
-            return None
-        values.append(v)
-    return (np.array(values, dtype=float),)
+    to 8) the ``keys`` hold, each read by ``_number``; None where one is not
+    a number or is outside [0,1]."""
+    values = [_number(key.to_bytes(8, "little").rstrip(b"\0").decode("ascii")) for key in keys.tolist()]
+    judged = all(v is not None and 0.0 <= v <= 1.0 for v in values)
+    return (np.array(values, dtype=float),) if judged else None
 
 
 def _decimals(text: str, rows: int, cols: int) -> Optional[np.ndarray]:
@@ -711,7 +699,7 @@ def _decimals(text: str, rows: int, cols: int) -> Optional[np.ndarray]:
     lead = np.take(b, starts)
     dotted = np.take(b, starts + 1) == 46
     plain = (lead - np.uint8(48) <= 1) & np.where(dotted, (length >= 3) & (length <= 21), length == 1)
-    if any(c in text for c in "eE+-"):  # e-notation (or a sign) leaves its token to float()
+    if any(c in text for c in "eE+-"):  # e-notation (or a sign) leaves its token to the judge
         plain[np.searchsorted(ends, np.flatnonzero((b == 101) | (b == 69) | (b == 43) | (b == 45)))] = False
     other = np.flatnonzero(~plain)
     dots = np.flatnonzero(dotted & plain)
@@ -738,11 +726,8 @@ def _decimals(text: str, rows: int, cols: int) -> Optional[np.ndarray]:
     degrees, undecided = _quotients(fractions, np.take(length, dots) - 2)
     values[dots] = degrees + whole
     for i in np.concatenate([other, dots[undecided]]).tolist():
-        try:
-            v = float(text[starts[i]:ends[i]])
-        except ValueError:
-            return None
-        if not 0.0 <= v <= 1.0:
+        v = _number(text[starts[i]:ends[i]])
+        if v is None or not 0.0 <= v <= 1.0:
             return None
         values[i] = v
     return values.reshape(rows, cols)

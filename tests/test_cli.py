@@ -412,6 +412,29 @@ def test_bad_grid_step_is_named(capsys, step):
     assert err == f"error: grid step {why}, got {float(step):g}\n"
 
 
+# float() and int() read '_' between digits and other scripts' digits, which
+# a relation file may not hold; no flag or spec takes them either
+FILE_REJECTED_SPELLINGS = [
+    ("divisors --norm ss:lambda=1_0 --w 0.5", "bad lambda value '1_0' in spec 'ss:lambda=1_0'"),
+    ("divisors --norm ss:lambda=\u0662 --w 0.5", "bad lambda value '\u0662' in spec 'ss:lambda=\u0662'"),
+    ("divisors --conorm max --w 0.5_0", "argument --w: not a number: '0.5_0'"),
+    ("check-norm --op max --kind conorm --grid-step 0.0_1", "argument --grid-step: not a number: '0.0_1'"),
+    ("region --conorm max --resolution 1_0 --out {out}", "argument --resolution: must be a positive integer, got '1_0'"),
+    ("restricted --connected-by max --conorm max --resolution \u0661\u0660",
+     "argument --resolution: must be a positive integer, got '\u0661\u0660'"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["divisors --norm ss:lambda=+inf --w 1e-3", "divisors --conorm ss:lambda=-inf --w 1E-3",
+     "check-norm --op max --kind conorm --grid-step 1e-3"],
+)
+def test_float_spellings_of_flags_and_specs_still_parse(capsys, argv):
+    code, _, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+
+
 OUT_OF_RANGE = [
     *((f"divisors {op} --w {w}", f"w must lie in [0,1], got {float(w)!r}")
       for op in ("--conorm lukasiewicz", "--norm minimum") for w in ("nan", "2", "-0.5", "inf")),
@@ -421,7 +444,9 @@ OUT_OF_RANGE = [
 ]
 
 
-@pytest.mark.parametrize("argv, message", OUT_OF_RANGE, ids=[argv for argv, _ in OUT_OF_RANGE])
+@pytest.mark.parametrize(
+    "argv, message", OUT_OF_RANGE + FILE_REJECTED_SPELLINGS, ids=[a for a, _ in OUT_OF_RANGE + FILE_REJECTED_SPELLINGS]
+)
 def test_out_of_range_values_are_named(tmp_path, capsys, argv, message):
     out_path = tmp_path / "r.csv"
     code, out, err = run(capsys, *argv.format(out=out_path).split())

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzdec import relations, verdicts
+from fuzzdec.operators import _number
 from fuzzdec.relations import (
     FuzzyRelation,
     RelationParseError,
@@ -378,6 +379,20 @@ def test_a_short_token_the_judge_refuses_names_its_cell(blocks, bad, problem, at
         parse_relation(relation_text(rows))
 
 
+def test_the_cell_walk_reads_no_cell_with_numpy(monkeypatch):
+    # np.loadtxt reads the block whole once; the walk judges the cells
+    # itself, so it names the last cell of a block without a numpy call
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda lines, **kw: calls.append(len(lines)) or loadtxt(lines, **kw))
+    n = 12
+    rows = [[GRID[(r * n + c) % 21] for c in range(n)] for r in range(n)]
+    rows[n - 1][n - 1] = "0_5"
+    with pytest.raises(RelationParseError, match=re.escape("row 12, column 12: not a number: '0_5'") + "$"):
+        parse_relation(relation_text(rows))
+    assert calls == [n]
+
+
 def test_the_reader_table_spans_blocks_and_gives_up_past_the_cap(blocks, tables):
     # grid rows, then rows of 3-decimal tokens: the distinct count crosses
     # the cap mid-file, and the later blocks take the other paths
@@ -392,6 +407,51 @@ def test_the_reader_table_spans_blocks_and_gives_up_past_the_cap(blocks, tables)
     del tables[:]
     assert parse_relation(relation_text(rows[:20] * 2)).degrees.tobytes() == expected_degrees(rows[:20] * 2).tobytes()
     assert len(tables) == 1 and tables[0].holding
+
+
+# ---------------------------------------------------------------------------
+# one grammar: the judge of a token reads it as numpy's block reader does
+
+
+TOKEN_ZOO = [
+    "infinity", "+inf", "-nan", "1.e5", ".5", "+.5", "00.5", "-0", "1e-400", "4e-324", "1e400",
+    "0x1", "1d-1", "0.5e", "1__0", "0_5", "0.5\x00", "0.123456789012345678901234567890",
+]
+
+
+def block_read(token):
+    """float(np.loadtxt([token])), or None where it refuses the token."""
+    try:
+        return float(np.loadtxt([token], comments=None))
+    except (ValueError, TypeError):  # TypeError: not one number
+        return None
+
+
+def assert_one_grammar(token):
+    # repr tells -0.0 from 0.0, and reads every NaN (and None) alike
+    assert repr(_number(token)) == repr(block_read(token)), token
+
+
+@pytest.mark.parametrize("token", TOKEN_ZOO)
+def test_the_judge_reads_the_token_zoo_as_numpy(token):
+    assert_one_grammar(token)
+
+
+printable_tokens = st.one_of(
+    st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7E), min_size=1, max_size=12),
+    st.text(st.sampled_from("0123456789.eE+-_xdinfatyINFATY"), min_size=1, max_size=12),  # near-numbers
+)
+
+
+@given(printable_tokens)
+@settings(max_examples=500, deadline=None)
+def test_the_judge_reads_printable_ascii_tokens_as_numpy(token):
+    assert_one_grammar(token)
+
+
+def test_the_judge_refuses_digits_of_other_scripts():
+    assert float("\u0661") == float("\uff11") == 1.0
+    assert _number("\u0661") is None and _number("\uff11") is None
 
 
 def grid_writer_values(rng, size):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -190,6 +191,21 @@ def test_parse_op_spec():
         parse_op_spec("max:lambda=1", Kind.CONORM)
     with pytest.raises(ValueError):
         parse_op_spec("schweizer_sklar:lambda=abc", Kind.NORM)
+
+
+def test_lambda_reads_as_a_file_degree():
+    assert parse_op_spec("ss:lambda=1e-3", Kind.NORM).parameter == 1e-3
+    assert parse_op_spec("ss:lambda=+inf", Kind.NORM).parameter == math.inf
+    # float() reads these as 10 and 2; a relation file may not hold them either
+    for raw in ("1_0", "\u0662", "\uff12"):
+        with pytest.raises(ValueError, match=re.escape(f"bad lambda value {raw!r} in spec 'ss:lambda={raw}'")):
+            parse_op_spec(f"ss:lambda={raw}", Kind.NORM)
+
+
+def test_degree_grid_stops_at_the_finest_step():
+    assert degree_grid(1 / 2000).size == 2001
+    with pytest.raises(ValueError, match="grid step below 1/2000 is not supported"):
+        degree_grid(1 / 2001)
 
 
 def test_lambdas_and_witness_texts_print_each_float_in_full():
