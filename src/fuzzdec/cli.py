@@ -63,6 +63,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _integer(text: str) -> int:
+    """ASCII digits, '-' allowed in front: int() alone also reads '_' and other scripts' digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _real(text: str) -> float:
     value = _number(text)
     if value is None:
@@ -231,7 +239,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=_cmd_decompose)
 
     sp = sub.add_parser("audit", help="audit the canonical decomposition as a preference", parents=[relation])
-    sp.add_argument("--seed", type=int, default=0, help="seed of the FP6 sample above 21 elements")
+    sp.add_argument("--seed", type=_integer, default=0, help="seed of the FP6 sample above 21 elements")
     sp.set_defaults(fn=_cmd_audit)
 
     sp = sub.add_parser("classify", help="classify the canonical decomposition rule", parents=[pair])
@@ -260,10 +268,10 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=_cmd_restricted)
 
     sp = sub.add_parser("tables", help="regenerate the reference tables and diff them")
-    sp.add_argument("--which", type=int, choices=[1, 2], required=True)
+    sp.add_argument("--which", type=_integer, choices=[1, 2], required=True)
     sp.add_argument("--format", choices=["text", "csv"], default="text")
     sp.add_argument("--speculate", action="store_true")
-    sp.add_argument("--seed", type=int, default=0, help="accepted and range-checked; has no effect")
+    sp.add_argument("--seed", type=_integer, default=0, help="accepted and range-checked; has no effect")
     sp.set_defaults(fn=_cmd_tables)
 
     return p

@@ -191,13 +191,26 @@ def _zero_end(w, p):
     return 1.0 - w if p == 1.0 else lifted(lambda w: (1.0 - w ** p) ** (1.0 / p), w)
 
 
+def _copied(out, *rules):
+    """``out``, a built-in evaluator's one fresh array, with each (value, where) rule copied in
+    over it in turn, the last one winning, no cell gathered.  A 0-d array (a ufunc's scalar of
+    0-d operands, made an array) takes a plain store, a third of what ``np.copyto`` costs there."""
+    out = np.asarray(out)
+    for value, where in rules:
+        if out.ndim:
+            np.copyto(out, value, where=where)
+        elif where:
+            out[()] = value
+    return out
+
+
 def _pinned(formula, absorbing: float):
-    """Evaluator computing ``formula`` off the boundary of the square (on
-    `lifted` operands) and the boundary rows exactly: a norm (absorbing 0) has
-    T(x,0) = 0 and T(x,1) = x, a conorm (absorbing 1) has S(x,1) = 1 and
-    S(x,0) = x.  The formula runs on the whole block (elementwise, so each
-    cell rounds as alone); only the cells outside (0,1)^2 are rewritten, 0
-    where no boundary rule applies."""
+    """Evaluator computing ``formula`` on `lifted` operands, clipped to [0,1],
+    with the boundary rows pinned: a norm (absorbing 0) has T(x,0) = 0 and
+    T(x,1) = x, a conorm (absorbing 1) S(x,1) = 1 and S(x,0) = x.  The
+    absorbing value goes where an operand is absorbing, then y where x is the
+    identity, x where y is, and +0.0 in a conorm's (+-0, +-0) cell.  Each cell
+    rounds as alone; a NaN operand gives NaN unless its partner absorbs."""
     identity = 1.0 - absorbing
 
     def ev(x, y):
@@ -205,13 +218,10 @@ def _pinned(formula, absorbing: float):
         with np.errstate(all="ignore"):
             out = lifted(formula, x, y)
         np.clip(out, 0.0, 1.0, out=out)
-        edge = ~((x > 0) & (y > 0) & (x < 1) & (y < 1))
-        if edge.any():
-            x, y = np.broadcast_to(x, out.shape)[edge], np.broadcast_to(y, out.shape)[edge]
-            val = np.where((x == absorbing) | (y == absorbing), absorbing, 0.0)
-            val = np.where(x == identity, y, val)
-            out[edge] = np.where(y == identity, np.where(x == identity, identity, x), val)
-        return out
+        rules = [(absorbing, (x == absorbing) | (y == absorbing)), (y, x == identity), (x, y == identity)]
+        if absorbing == 1.0:  # the last rule copies x = -0.0 at y = +-0
+            rules.append((0.0, (x == 0.0) & (y == 0.0)))
+        return _copied(out, *rules)
 
     return ev
 
@@ -305,7 +315,7 @@ PRODUCT = Family(
     names=("Product", "Probabilistic sum"),
     norm=lambda x, y: x * y,
     # the plain formula rounds S(1,y) below 1 for some y; pin the boundary
-    conorm=lambda x, y: np.where((x == 1.0) | (y == 1.0), 1.0, x + y - x * y),
+    conorm=lambda x, y: _copied(x + y - x * y, (1.0, (x == 1.0) | (y == 1.0))),
     residual=lambda i, r, S: np.clip((r - i) / (1.0 - i), 0.0, 1.0),
     exponent=0.0,
 )
@@ -324,8 +334,8 @@ LUKASIEWICZ = Family(
 
 DRASTIC = Family(
     names=("Drastic product", "Drastic sum"),
-    norm=lambda x, y: np.where(y == 1.0, x, np.where(x == 1.0, y, 0.0)),
-    conorm=lambda x, y: np.where(y == 0.0, x, np.where(x == 0.0, y, 1.0)),
+    norm=lambda x, y: _copied(np.zeros(np.broadcast(x, y).shape), (y, x == 1.0), (x, y == 1.0)),
+    conorm=lambda x, y: _copied(np.ones(np.broadcast(x, y).shape), (y, x == 0.0), (x, y == 0.0)),
     # for 0 < i < r the attaining set is (0,1]: infimum 0, not attained
     residual=lambda i, r, S: np.where(i == 0.0, r, 0.0),
     exponent=math.inf,
@@ -341,12 +351,8 @@ ORDINAL_SUM = Family(
         "Ordinal-sum norm (Lukasiewicz on [1/2,1])",
         "Ordinal-sum conorm (Lukasiewicz on [0,1/2])",
     ),
-    norm=lambda x, y: np.where(
-        (x >= 0.5) & (y >= 0.5), np.maximum(0.5, x + y - 1.0), np.minimum(x, y)
-    ),
-    conorm=lambda x, y: np.where(
-        (x <= 0.5) & (y <= 0.5), np.minimum(0.5, x + y), np.maximum(x, y)
-    ),
+    norm=lambda x, y: _copied(np.minimum(x, y), (np.maximum(0.5, x + y - 1.0), (x >= 0.5) & (y >= 0.5))),
+    conorm=lambda x, y: _copied(np.maximum(x, y), (np.minimum(0.5, x + y), (x <= 0.5) & (y <= 0.5))),
     residual=lambda i, r, S: np.where((r <= 0.5) & (i <= 0.5), _least_addend(i, r), r),
     exponent=0.0,
     strict_norm=(0.6, 0.65, 0.7),

@@ -65,7 +65,10 @@ class BinaryOp:
     broadcast shape (or a np.float64 for 0-d operands): a built-in one by
     construction, a custom one through `make_custom`.  Callers use its
     result as it is.  It may be a view of an operand, so a caller never
-    writes into it."""
+    writes into it.  The contract covers operands in [0,1], and NaN, which
+    gives NaN; the Schweizer-Sklar, Hamacher and probabilistic-sum evaluators
+    give the absorbing value beside an absorbing partner instead, and the
+    drastic ones wherever the partner is not the identity."""
 
     kind: Kind
     family: str

@@ -103,11 +103,23 @@ def is_crisp(R: FuzzyRelation) -> bool:
 def is_t_transitive(R: FuzzyRelation, T: BinaryOp) -> bool:
     """R(x,z) >= T(R(x,y), R(y,z)) for every triple, within tolerance: for
     each pivot y, R >= `_pivot_term` - EPSILON, checked one pivot at a time
-    up to the first violating one."""
+    up to the first violating one, as one comparison with `_term_bound`."""
     if T.kind is not Kind.NORM:
         raise ValueError("transitivity expects a norm")
     m = R.degrees
-    return all(np.all(m >= _pivot_term(m, T, k) - EPSILON) for k in range(R.size))
+    bound = _term_bound(m)
+    return all(np.all(_pivot_term(m, T, k) <= bound) for k in range(R.size))
+
+
+def _term_bound(m: np.ndarray) -> np.ndarray:
+    """The largest float b with fl(b - EPSILON) <= m, cell by cell: as t -> fl(t - EPSILON) is monotone,
+    t <= b exactly where m >= t - EPSILON (a NaN t fails both).  fl(m + EPSILON) is a float or two off."""
+    b = m + EPSILON
+    while (over := b - EPSILON > m).any():
+        b[over] = np.nextafter(b[over], 0.0)
+    while (up := np.nextafter(b, 2.0) - EPSILON <= m).any():
+        b[up] = np.nextafter(b[up], 2.0)
+    return b
 
 
 def _pivot_term(m: np.ndarray, T: BinaryOp, k: int) -> np.ndarray:

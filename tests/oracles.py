@@ -10,8 +10,11 @@ the relation-level counterpart of the value pairs
 `audit_fp` must catch.  `walk_closure`, `warshall_closure` and
 `squaring_closure` are three independent routes to the least T-transitive
 relation above a relation (the last two for an associative T), and
-`squared_min_norm` is a norm-kind operator that is not associative.  No
-library code calls any of them.
+`squared_min_norm` is a norm-kind operator that is not associative.
+`where_chain_evaluator` is each built-in evaluator as the whole-block
+``np.where`` chains it once was (`where_chain_pinned` for Schweizer-Sklar
+and Hamacher, `WHERE_CHAINS` for the probabilistic sum, drastic and
+ordinal-sum operators).  No library code calls any of them.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from fuzzdec import EPSILON, BinaryOp, FuzzyRelation, Kind, Verdict, make_conorm, make_custom
+from fuzzdec import EPSILON, BinaryOp, FuzzyRelation, Kind, Verdict, families, make_conorm, make_custom
 from fuzzdec.decompose import Decomposition, verify_strong, verify_weak
 from fuzzdec.verdicts import _first_cell
 
@@ -234,3 +237,51 @@ def squared_min_norm() -> BinaryOp:
     so a path's value depends on how it is split, and one pivot pass alone
     misses compositions that squaring, or further pivot passes, find."""
     return make_custom(lambda x, y: np.minimum(x, y) ** 2, Kind.NORM)
+
+
+def where_chain_pinned(formula, absorbing):
+    """The `families._pinned` that masked the operands and ran the whole
+    where-chain on every cell; a cell outside [0,1]^2 that no boundary rule
+    reaches, NaN included, reads 0."""
+    identity = 1.0 - absorbing
+
+    def ev(x, y):
+        inside = (x > 0) & (y > 0) & (x < 1) & (y < 1)
+        with np.errstate(all="ignore"):
+            val = families.lifted(formula, np.where(inside, x, 0.5), np.where(inside, y, 0.5))
+        out = np.where(inside, np.clip(val, 0.0, 1.0), 0.0)
+        out = np.where((x == absorbing) | (y == absorbing), absorbing, out)
+        out = np.where(x == identity, y, out)
+        return np.where(y == identity, np.where(x == identity, identity, x), out)
+
+    return ev
+
+
+# the other evaluators that were np.where chains, by (family, kind)
+WHERE_CHAINS = {
+    ("product", Kind.CONORM): lambda x, y: np.where((x == 1.0) | (y == 1.0), 1.0, x + y - x * y),
+    ("drastic", Kind.NORM): lambda x, y: np.where(y == 1.0, x, np.where(x == 1.0, y, 0.0)),
+    ("drastic", Kind.CONORM): lambda x, y: np.where(y == 0.0, x, np.where(x == 0.0, y, 1.0)),
+    ("ordinal_sum_lukasiewicz_half", Kind.NORM): lambda x, y: np.where(
+        (x >= 0.5) & (y >= 0.5), np.maximum(0.5, x + y - 1.0), np.minimum(x, y)
+    ),
+    ("ordinal_sum_lukasiewicz_half", Kind.CONORM): lambda x, y: np.where(
+        (x <= 0.5) & (y <= 0.5), np.minimum(0.5, x + y), np.maximum(x, y)
+    ),
+}
+
+
+def where_chain_evaluator(op: BinaryOp):
+    """The evaluator of the built-in ``op`` as where-chains: `WHERE_CHAINS`
+    for a record of `families.FAMILIES` (its own evaluator where it never
+    had one), and for a parametric record the one `families.resolve` builds
+    with `where_chain_pinned` in place of `families._pinned`."""
+    field = "norm" if op.kind is Kind.NORM else "conorm"
+    for name, record in families.FAMILIES.items():
+        if getattr(record, field) is op.evaluator:
+            return WHERE_CHAINS.get((name, op.kind), op.evaluator)
+    pinned, families._pinned = families._pinned, where_chain_pinned
+    try:
+        return getattr(families.resolve(op.family, op.parameter)[1], field)
+    finally:
+        families._pinned = pinned

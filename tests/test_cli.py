@@ -422,6 +422,8 @@ FILE_REJECTED_SPELLINGS = [
     ("region --conorm max --resolution 1_0 --out {out}", "argument --resolution: must be a positive integer, got '1_0'"),
     ("restricted --connected-by max --conorm max --resolution \u0661\u0660",
      "argument --resolution: must be a positive integer, got '\u0661\u0660'"),
+    ("tables --which 1 --seed 1_0", "argument --seed: not an integer: '1_0'"),
+    ("tables --which \u0661", "argument --which: not an integer: '\u0661'"),
 ]
 
 

@@ -20,9 +20,10 @@ from fuzzdec import (
     make_norm,
     parse_op_spec,
 )
-from fuzzdec import existence, families
+from fuzzdec import FuzzyRelation, existence, families
 from fuzzdec.operators import format_lambda
 from fuzzdec.tables import LAMBDA_SAMPLES
+from oracles import where_chain_evaluator, where_chain_pinned
 
 BUILTIN_SPECS = [
     ("minimum", None),
@@ -135,28 +136,29 @@ def test_evaluators_return_float_arrays_of_the_broadcast_shape(op):
         assert out.shape == np.broadcast_shapes(x.shape, y.shape)
 
 
-def where_chain_pinned(formula, absorbing):
-    """The `families._pinned` that masked the operands and ran the whole
-    where-chain on every cell: the oracle the current one must match bit for
-    bit."""
-    identity = 1.0 - absorbing
-
-    def ev(x, y):
-        inside = (x > 0) & (y > 0) & (x < 1) & (y < 1)
-        with np.errstate(all="ignore"):
-            val = families.lifted(formula, np.where(inside, x, 0.5), np.where(inside, y, 0.5))
-        out = np.where(inside, np.clip(val, 0.0, 1.0), 0.0)
-        out = np.where((x == absorbing) | (y == absorbing), absorbing, out)
-        out = np.where(x == identity, y, out)
-        return np.where(y == identity, np.where(x == identity, identity, x), out)
-
-    return ev
-
-
 # boundary rows, the floats next to them, out-of-range values, NaN and +-inf
 PINNED_PROBES = np.array(
     [-0.0, 0.0, 5e-324, 0.25, 0.5, 0.7, 1 - 2**-53, 1.0, -0.5, 1.5, np.nan, np.inf, -np.inf]
 )
+
+
+def assert_pinned_cells(got, want, x, y, absorbing):
+    """``got`` against the where-chain's ``want``: bit for bit where both
+    operands lie in [0,1] and wherever an operand is 0 or 1 (the boundary
+    rules).  Where an operand is NaN and neither is 0 or 1, NaN (the
+    where-chain read 0 there); beside an absorbing partner, the absorbing
+    value.  Other cells with an operand outside [0,1] are outside the
+    evaluator contract."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    x, y = np.broadcast_arrays(x, y)
+    inside = (x >= 0.0) & (x <= 1.0) & (y >= 0.0) & (y <= 1.0)
+    edge = np.isin(x, (0.0, 1.0)) | np.isin(y, (0.0, 1.0))
+    assert np.array_equal(got.view(np.int64)[inside | edge], want.view(np.int64)[inside | edge])
+    nan = (np.isnan(x) | np.isnan(y)) & ~edge
+    assert np.isnan(got[nan]).all()
+    beside = (np.isnan(x) | np.isnan(y)) & ((x == absorbing) | (y == absorbing))
+    assert (got[beside] == absorbing).all()
 
 
 @pytest.mark.parametrize(
@@ -170,16 +172,53 @@ def test_pinned_evaluators_match_the_where_chain(family, lam, monkeypatch):
     oracle = families.PARAMETRIC[family](lam)
     probes = np.concatenate([PINNED_PROBES, degree_grid(0.01)])
     xx, yy = np.meshgrid(probes, probes, indexing="ij")
-    for got_ev, want_ev in ((record.norm, oracle.norm), (record.conorm, oracle.conorm)):
+    for absorbing, got_ev, want_ev in ((0.0, record.norm, oracle.norm), (1.0, record.conorm, oracle.conorm)):
         for x, y in ((xx, yy), (probes[:, None], probes[None, :])):
-            got, want = got_ev(x, y), want_ev(x, y)
-            assert got.shape == want.shape
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert_pinned_cells(got_ev(x, y), want_ev(x, y), x, y, absorbing)
         for x in PINNED_PROBES:  # 0-d operands
             for y in PINNED_PROBES:
-                got, want = got_ev(np.float64(x), np.float64(y)), want_ev(np.float64(x), np.float64(y))
-                assert np.asarray(got).shape == np.asarray(want).shape == ()
-                assert np.asarray(got).view(np.int64) == np.asarray(want).view(np.int64), (x, y)
+                x0, y0 = np.float64(x), np.float64(y)
+                assert_pinned_cells(got_ev(x0, y0), want_ev(x0, y0), x0, y0, absorbing)
+
+
+def _read_only(m):
+    """``m`` write-protected, as `FuzzyRelation.degrees` is."""
+    if np.ndim(m) == 2:
+        return FuzzyRelation(tuple(f"x{i}" for i in range(len(m))), m).degrees
+    m = np.array(m, dtype=float)
+    m.flags.writeable = False
+    return m
+
+
+def _operand_pairs():
+    """(label, x, y): in-domain probes, decomposition-shaped blocks (P = 0
+    wherever R(x,y) <= R(y,x)), Warshall pivot broadcasts and 0-d
+    operands, all write-protected."""
+    probes = np.concatenate([PINNED_PROBES[:8], np.nextafter(0.5, [0.0, 1.0]), degree_grid(0.01)])
+    xx, yy = np.meshgrid(probes, probes, indexing="ij")
+    pairs = [("probes", _read_only(xx), _read_only(yy))]
+    rng = np.random.default_rng(35)
+    for grid, m in (("grid", rng.integers(0, 21, (48, 48)) / 20), ("continuous", rng.random((48, 48)))):
+        R = _read_only(m)
+        P, I = _read_only(np.where(m > m.T, m, 0.0)), _read_only(np.minimum(m, m.T))
+        pairs += [(f"{grid}-block", P, I), (f"{grid}-pivot", R[:, 7, None], R[None, 7, :])]
+    for x in PINNED_PROBES[:8]:
+        for y in (0.0, 5e-324, 0.5, 1.0):
+            pairs.append(("0-d", _read_only(x), _read_only(y)))
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "op", [pytest.param(op, id=f"{op.family}-{op.parameter}-{op.kind.value}") for op in accepted_builtins()]
+)
+def test_every_builtin_evaluator_matches_its_where_chain(op):
+    oracle = where_chain_evaluator(op)
+    for label, x, y in _operand_pairs():
+        before = x.copy(), y.copy()
+        got, want = op.evaluator(x, y), oracle(x, y)
+        assert np.shape(got) == np.shape(want) == np.broadcast_shapes(x.shape, y.shape), label
+        assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64)), label
+        assert np.array_equal(x, before[0]) and np.array_equal(y, before[1]), label
 
 
 def test_parse_op_spec():

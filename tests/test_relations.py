@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fuzzdec import verdicts
 from fuzzdec import (
+    EPSILON,
     FuzzyRelation,
     Kind,
     RelationParseError,
@@ -23,7 +24,7 @@ from fuzzdec import (
     parse_relation,
     save_relation,
 )
-from fuzzdec.relations import asymmetry_violation, symmetry_violation
+from fuzzdec.relations import _term_bound, asymmetry_violation, symmetry_violation
 from oracles import is_s_connected
 
 
@@ -111,6 +112,21 @@ def test_transitivity_stops_at_the_first_violating_pivot():
     m[0, 2] = 0.9
     assert is_t_transitive(rel(m), T)
     assert len(calls) == 64
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16),
+    st.lists(st.floats(0.0, 1.0), min_size=16, max_size=16),
+)
+# fl(m + EPSILON) steps down once at the first m and up once at the second
+@example([0.12499999999999999, 2.0**-29, 0.0, 5e-324, 1.0], [0.5] * 16)
+def test_the_term_bound_is_the_tolerant_comparison(degrees, terms):
+    m = np.array(degrees)
+    b = _term_bound(m)
+    nan = np.full(m.shape, np.nan)
+    for t in (np.nextafter(b, -1.0), b, np.nextafter(b, 2.0), m, np.array(terms[: m.size]), nan):
+        assert np.array_equal(t <= b, m >= t - EPSILON)
 
 
 def test_connectedness():
