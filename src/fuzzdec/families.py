@@ -226,6 +226,24 @@ def _pinned(formula, absorbing: float):
     return ev
 
 
+def _drastic(absorbing: float):
+    """Drastic evaluator with absorbing value 0 (the norm) or 1 (the conorm):
+    the absorbing value, except where an operand is the identity, where it
+    is the other operand.  A NaN operand gives NaN unless its partner
+    absorbs; operands without NaN, the usual blocks, skip that rule."""
+    identity = 1.0 - absorbing
+    fill = np.zeros if absorbing == 0.0 else np.ones
+
+    def ev(x, y):
+        out = _copied(fill(np.broadcast(x, y).shape), (y, x == identity), (x, y == identity))
+        if np.isnan(np.max(x, initial=0.0)) or np.isnan(np.max(y, initial=0.0)):
+            nan = x + y  # NaN where an operand is
+            out = _copied(out, (nan, np.isnan(nan) & (x != absorbing) & (y != absorbing)))
+        return out
+
+    return ev
+
+
 _ONE_BITS = np.float64(1.0).view(np.int64)
 
 
@@ -334,8 +352,8 @@ LUKASIEWICZ = Family(
 
 DRASTIC = Family(
     names=("Drastic product", "Drastic sum"),
-    norm=lambda x, y: _copied(np.zeros(np.broadcast(x, y).shape), (y, x == 1.0), (x, y == 1.0)),
-    conorm=lambda x, y: _copied(np.ones(np.broadcast(x, y).shape), (y, x == 0.0), (x, y == 0.0)),
+    norm=_drastic(0.0),
+    conorm=_drastic(1.0),
     # for 0 < i < r the attaining set is (0,1]: infimum 0, not attained
     residual=lambda i, r, S: np.where(i == 0.0, r, 0.0),
     exponent=math.inf,

@@ -66,9 +66,8 @@ class BinaryOp:
     construction, a custom one through `make_custom`.  Callers use its
     result as it is.  It may be a view of an operand, so a caller never
     writes into it.  The contract covers operands in [0,1], and NaN, which
-    gives NaN; the Schweizer-Sklar, Hamacher and probabilistic-sum evaluators
-    give the absorbing value beside an absorbing partner instead, and the
-    drastic ones wherever the partner is not the identity."""
+    gives NaN; the Schweizer-Sklar, Hamacher, probabilistic-sum and drastic
+    evaluators give the absorbing value beside an absorbing partner instead."""
 
     kind: Kind
     family: str

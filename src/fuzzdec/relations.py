@@ -158,9 +158,12 @@ def crisp_decompose(R: FuzzyRelation) -> Tuple[FuzzyRelation, FuzzyRelation]:
 #
 # Rows are row-major and whitespace separated, read by one reader for both;
 # a table is evaluated by bilinear interpolation between its grid nodes.
-# '#' starts a comment; blank lines are ignored.  Degrees are written as
-# "%.17g" (17 significant digits, one space apart) so emitted files re-parse
-# to bit-identical matrices.  One judge, ``operators._number``, reads every
+# '#' starts a comment; blank lines are ignored.  Emitted degrees are one
+# space apart, and each reads back as the same float: 0, -0 and 1 are
+# written "0", "-0" and "1"; the float of any other decimal of at most 6
+# places as repr writes it, its shortest spelling (0.05, 1e-05); every
+# other degree as "%.17g" (17 significant digits).  Region CSVs spell their
+# axis values the same way.  One judge, ``operators._number``, reads every
 # degree token as float() reads ASCII without '_' (so not '0.0_5' or full-width
 # digits), and the degree must lie in [0,1].  A grid size is ASCII digits.
 #
@@ -174,10 +177,16 @@ def crisp_decompose(R: FuzzyRelation) -> Tuple[FuzzyRelation, FuzzyRelation]:
 # - writing: a degree in [1e-3, 1) is printed from its 17 significant digits,
 #   x * 10**(16 - q) rounded half to even from Dekker's exact product, through
 #   4-digit tables, a trailing-zero cut and one Boolean compress of a block of
-#   fixed-width cells; 0 and 1 are written directly and every other degree
-#   (below 1e-3, -0.0, subnormal) by "%.17g" itself.  The table, keyed by bit
-#   pattern, makes each distinct degree's cell once; past its cap every
-#   cell is made anew.
+#   fixed-width cells.  Only digits whose last 8 lie within 16 of a multiple
+#   of 10**8 can be a six-place decimal's; rint(x * 1e6) / 1e6 == x decides,
+#   and the decimal's own digits m * 10**(10 - q) go to the cut.  +0.0 and 1
+#   take fixed cells, without the kernel where they fill more than 1 in 8
+#   cells of a block; every other degree (below 1e-3, -0.0, subnormal) is
+#   spelled one by one.  The table, keyed by bit pattern, makes each
+#   distinct degree's text once and holds it left-aligned in NUL-padded
+#   cells as wide as the longest (5 bytes for the 1/20 grid), gathered at
+#   that width, the padding then deleted; past its cap every cell is made
+#   anew.
 # - reading: a block of plain lines whose tokens are all 8 bytes or shorter
 #   (one space apart, one row a line, such as repr(k / 20)) takes each
 #   token's bytes as one integer key, and the table judges each distinct
@@ -254,8 +263,9 @@ def _spread(keys: np.ndarray, bits: int) -> Optional[Tuple[int, np.ndarray, np.n
 
 class _Distinct:
     """The distinct 64-bit keys of one file (one parse or one write), each
-    with the rows ``convert`` makes of it, made once per key: ``convert``
-    maps new keys to a tuple of arrays, one row a key in each.
+    with the row ``convert`` makes of it, made once per key: ``convert``
+    maps new keys to an array, one row a key (rows of bytes may differ in
+    width from call to call: the narrower are padded with NUL bytes).
 
     The keys are numbered in order of arrival and held in the slots
     ``_spread`` gives them; the table grows with them, and every lookup
@@ -264,7 +274,7 @@ class _Distinct:
     than ``_DISTINCT_CAP`` distinct keys, when no multiplier spreads them,
     or when ``convert`` returns None for new keys."""
 
-    def __init__(self, convert: Callable[[np.ndarray], Optional[Tuple[np.ndarray, ...]]]):
+    def __init__(self, convert: Callable[[np.ndarray], Optional[np.ndarray]]):
         self._convert = convert
         self._keys = np.empty(0, np.uint64)  # by number; None once the table gives up
         self._rows = None
@@ -275,7 +285,7 @@ class _Distinct:
         """Whether the table has not given up."""
         return self._keys is not None
 
-    def rows(self, keys: np.ndarray) -> Optional[Tuple[np.ndarray, ...]]:
+    def rows(self, keys: np.ndarray) -> Optional[np.ndarray]:
         """The rows of each of ``keys`` (uint64), converting the new ones,
         or None where the table gives up."""
         if not self.holding:
@@ -293,7 +303,7 @@ class _Distinct:
                 slots, _ = self._find(keys)
         numbers = np.take(self._numbers, slots)
         del slots
-        return tuple(np.take(a, numbers, axis=0) for a in self._rows)
+        return np.take(self._rows, numbers, axis=0)
 
     def _find(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The slot of each key, and whether the key is missing from it."""
@@ -306,7 +316,7 @@ class _Distinct:
         if fresh is not None and self._keys.size + fresh.size <= _DISTINCT_CAP:
             rows = self._convert(fresh)
             if rows is not None and self._hold(np.concatenate([self._keys, fresh])):
-                self._rows = rows if self._rows is None else tuple(map(np.concatenate, zip(self._rows, rows)))
+                self._rows = rows if self._rows is None else _stacked(self._rows, rows)
                 return True
         self._keys = None
         return False
@@ -325,6 +335,15 @@ class _Distinct:
         self._numbers[slots] = np.arange(keys.size)
         self._keys = keys
         return True
+
+
+def _stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The rows of a, then of b; rows of bytes are padded with NUL bytes to
+    the wider of the two."""
+    if a.ndim == 2:
+        width = max(a.shape[1], b.shape[1])
+        a, b = (np.pad(c, ((0, 0), (0, width - c.shape[1]))) for c in (a, b))
+    return np.concatenate([a, b])
 
 
 def _distinct(keys: np.ndarray) -> Optional[np.ndarray]:
@@ -380,12 +399,25 @@ def _digits17(x: np.ndarray, q: np.ndarray) -> np.ndarray:
     return p.astype(np.int64) + np.rint(e, out=e).astype(np.int64)
 
 
+def _spelling(v: float) -> bytes:
+    """The text of one degree by the writer's rule (see the file formats above)."""
+    if v != 0.0 and v != 1.0 and round(v * 1e6) / 1e6 == v:
+        return repr(v).encode("ascii")
+    return b"%.17g" % v
+
+
 def _cells(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The ``_CELL``-byte cells of the degrees x (each separated by a space)
     and the bytes each keeps."""
     digits, zeros, heads, keeps = _text_tables()
-    # digits of every cell as if it were in [1e-3, 1); the rest are replaced
-    xc = np.clip(x, 1e-3, 1.0 - 2.0**-53)
+    zero = (x == 0.0) & ~np.signbit(x)
+    unit = x == 1.0
+    fixed = zero | unit  # their cells are fixed
+    # the kernel skips them where more than 1 in 8 cells is fixed (half of a canonical P
+    # is 0); for fewer, gathering the other cells costs more than it saves
+    live = np.flatnonzero(~fixed) if np.count_nonzero(fixed) * 8 > x.size else slice(None)
+    # digits of each live cell as if it were in [1e-3, 1); the others are replaced below
+    xc = np.clip(x[live], 1e-3, 1.0 - 2.0**-53)
     q = np.floor(np.log10(xc)).astype(np.intp)
     n = _digits17(xc, q)
     # log10 may miss the decimal exponent by one, and rounding may carry into
@@ -396,12 +428,22 @@ def _cells(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         n[off] = _digits17(xc[off], q[off])
     hi = n // 10**8
     lo = n - hi * 10**8
+    # the float of a decimal m / 10**6 has digits within 10 of m * 10**(10 - q), so
+    # only digits within 16 of a multiple of 10**8 are tested; a match gets those digits
+    near = np.flatnonzero((lo <= 16) | (lo >= 10**8 - 16))
+    if near.size:
+        m = np.rint(xc[near] * 1e6)
+        short = m / 1e6 == xc[near]
+        near = near[short]
+        hi[near] = m[short].astype(np.int64) * 10 ** (2 - q[near])
+        lo[near] = 0
     lead = hi // 10**8
     hi -= lead * 10**8
-    groups = (hi // 10**4, hi % 10**4, lo // 10**4, lo % 10**4)
-    zero = (x == 0.0) & ~np.signbit(x)  # its cell is fixed: no trailing zeros to count
+    groups = [hi // 10**4, hi, lo // 10**4, lo]
+    groups[1] -= groups[0] * 10**4  # in place of the slower %
+    groups[3] -= groups[2] * 10**4
     trailing = np.take(zeros, groups[3])
-    more = np.flatnonzero((groups[3] == 0) & ~zero)
+    more = np.flatnonzero(groups[3] == 0)
     for g in groups[2::-1]:
         if not more.size:
             break
@@ -409,43 +451,58 @@ def _cells(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         trailing[more] += np.take(zeros, gm)
         more = more[gm == 0]
     z = -1 - q
-    head = z * 10 + lead
-    keep = z * 17 + trailing
-    unit = x == 1.0
-    head[zero] = 30
-    head[unit] = 31
-    keep[zero | unit] = 51
+    head, keep = z * 10 + lead, z * 17 + trailing
+    if isinstance(live, slice):
+        head[fixed], keep[fixed] = 30 + unit[fixed], 51
+    else:
+        cells = head, keep
+        head, keep = np.where(unit, 31, 30), np.full(x.size, 51)
+        head[live], keep[live] = cells
     buf = np.empty((x.size, _CELL), np.uint8)
     words = buf.view(np.uint32)
     buf.view(np.uint64)[:, 0] = np.take(heads, head)
     for k, g in enumerate(groups, start=2):
-        words[:, k] = np.take(digits, g)
+        words[:, k][live] = np.take(digits, g)  # faster than words[live, k]
     mask = np.empty((x.size, 3), np.uint64)
     for k in range(3):
         mask[:, k] = np.take(keeps[:, k], keep)
     mask = mask.view(bool)
-    for k in np.flatnonzero((x < 1e-3) & ~zero).tolist():
-        text = b"%.17g" % x[k]
+    small = np.flatnonzero((x < 1e-3) & ~zero)
+    for k, v in zip(small.tolist(), x[small].tolist()):
+        text = _spelling(v)
         buf[k, 1:1 + len(text)] = np.frombuffer(text, np.uint8)
         mask[k] = False
         mask[k, :1 + len(text)] = True
     return buf, mask
 
 
-def _cells_of_bits(bits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``_cells`` of the degrees with bit patterns ``bits``."""
-    return _cells(bits.view(np.float64))
+def _spellings(x: np.ndarray) -> List[str]:
+    """The texts of the degrees x."""
+    buf, mask = _cells(x)
+    return buf[mask].tobytes().decode("ascii").split()
+
+
+def _cells_of_bits(bits: np.ndarray) -> np.ndarray:
+    """The cells of the degrees with bit patterns ``bits``, each one's kept
+    bytes left-aligned and padded with NUL bytes to the longest."""
+    buf, mask = _cells(bits.view(np.float64))
+    size = mask.sum(axis=1)
+    texts = np.zeros((bits.size, size.max()), np.uint8)
+    texts[np.arange(texts.shape[1]) < size[:, None]] = buf[mask]
+    return texts
 
 
 def _format_rows(m: np.ndarray, table: Optional[_Distinct] = None) -> str:
     """The lines of the rows of m, formatted as one block: each distinct
-    degree's cell comes from ``table`` (of ``_cells_of_bits``) while it
+    degree's text comes from ``table`` (of ``_cells_of_bits``) while it
     holds them, every cell from ``_cells`` otherwise."""
     x = np.ascontiguousarray(m).ravel()
-    rows = None if table is None else table.rows(x.view(np.uint64))  # -0.0 and 0.0 stay apart
-    buf, mask = _cells(x) if rows is None else rows
+    texts = None if table is None else table.rows(x.view(np.uint64))  # -0.0 and 0.0 stay apart
+    buf, mask = _cells(x) if texts is None else (texts, None)
     buf[:: m.shape[1], 0] = 10  # each row's first separator ends the row before
-    return buf[mask][1:].tobytes().decode("ascii") + "\n"
+    # deleting the NUL bytes that pad the table's texts is twice as fast as a Boolean compress
+    text = buf[mask].tobytes() if texts is None else buf.tobytes().translate(None, b"\0")
+    return text[1:].decode("ascii") + "\n"
 
 
 def format_relation(R: FuzzyRelation, rows: slice = slice(0, None), *, table: Optional[_Distinct] = None) -> str:
@@ -656,7 +713,7 @@ def _read_short(lines: List[str], cols: int, table: _Distinct) -> Optional[np.nd
     many distinct tokens, or a token ``_judged`` refuses)."""
     keys = _short_keys(lines, cols) if table.holding else None
     rows = None if keys is None else table.rows(keys)
-    return None if rows is None else rows[0].reshape(len(lines), cols)
+    return None if rows is None else rows.reshape(len(lines), cols)
 
 
 def _short_keys(lines: List[str], cols: int) -> Optional[np.ndarray]:
@@ -684,13 +741,13 @@ def _short_keys(lines: List[str], cols: int) -> Optional[np.ndarray]:
     return keys
 
 
-def _judged(keys: np.ndarray) -> Optional[Tuple[np.ndarray]]:
-    """The degrees (one array) of the tokens whose bytes (little-endian, up
+def _judged(keys: np.ndarray) -> Optional[np.ndarray]:
+    """The degrees of the tokens whose bytes (little-endian, up
     to 8) the ``keys`` hold, each read by ``_number``; None where one is not
     a number or is outside [0,1]."""
     values = [_number(key.to_bytes(8, "little").rstrip(b"\0").decode("ascii")) for key in keys.tolist()]
     judged = all(v is not None and 0.0 <= v <= 1.0 for v in values)
-    return (np.array(values, dtype=float),) if judged else None
+    return np.array(values, dtype=float) if judged else None
 
 
 def _decimals(text: str, rows: int, cols: int) -> Optional[np.ndarray]:

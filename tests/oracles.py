@@ -14,12 +14,15 @@ relation above a relation (the last two for an associative T), and
 `where_chain_evaluator` is each built-in evaluator as the whole-block
 ``np.where`` chains it once was (`where_chain_pinned` for Schweizer-Sklar
 and Hamacher, `WHERE_CHAINS` for the probabilistic sum, drastic and
-ordinal-sum operators).  No library code calls any of them.
+ordinal-sum operators).  `spelling` is the text the writers give one
+degree or axis value, from exact arithmetic.  No library code calls any of
+them.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -285,3 +288,14 @@ def where_chain_evaluator(op: BinaryOp):
         return getattr(families.resolve(op.family, op.parameter)[1], field)
     finally:
         families._pinned = pinned
+
+
+def spelling(v: float) -> str:
+    """The text of v in an emitted relation file or region CSV: ``repr(v)``
+    (the shortest text that reads back as v) where v is the float nearest a
+    decimal of at most 6 places, ``"%.17g" % v`` elsewhere and for 0, -0 and
+    1 (``0``, ``-0``, ``1``)."""
+    v = float(v)
+    if v not in (0.0, 1.0) and float(Fraction(round(Fraction(v) * 10**6), 10**6)) == v:
+        return repr(v)
+    return "%.17g" % v

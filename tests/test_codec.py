@@ -1,10 +1,12 @@
 """The relation text codec against the per-value conversions it replaces.
 
-The writer must print every degree exactly as ``"%.17g" % x``; the reader
-must read every token exactly as ``float(token)``.  Both are checked on
-random bit patterns, on named edges (powers of ten and their neighbours,
-exact ties at the 18th digit, tokens next to a rounding midpoint) and
-through the public ``format_relation`` / ``parse_relation``.
+The writer must print every degree exactly as ``oracles.spelling`` does
+(``repr`` for the float of a decimal of at most 6 places, ``"%.17g"``
+otherwise and for 0, -0 and 1); the reader must read every token exactly as
+``float(token)``.  Both are checked on random bit patterns, on named edges
+(powers of ten and their neighbours, exact ties at the 18th digit, every
+six-place decimal and the floats beside it, tokens next to a rounding
+midpoint) and through the public ``format_relation`` / ``parse_relation``.
 """
 
 import re
@@ -28,6 +30,7 @@ from fuzzdec.relations import (
     save_relation,
     write_relation,
 )
+from oracles import spelling
 
 ONE_BITS = 0x3FF0000000000000  # the bit pattern of 1.0: patterns up to it are the floats in [0, 1]
 KERNEL_BITS = int(np.float64(1e-3).view(np.uint64))  # the least degree the digit kernel writes
@@ -38,7 +41,7 @@ def unit_floats(bits):
 
 
 def reference_lines(m):
-    return "".join(" ".join("%.17g" % v for v in row) + "\n" for row in np.atleast_2d(m).tolist())
+    return "".join(" ".join(map(spelling, row)) + "\n" for row in np.atleast_2d(m).tolist())
 
 
 def neighbours(x):
@@ -113,6 +116,54 @@ def test_writer_prints_random_bit_patterns_as_percent_17g(bits):
 def test_writer_prints_bit_patterns_of_the_kernel_range_as_percent_17g(bits):
     values = unit_floats(bits)
     assert format_both_ways(values)[0] == reference_lines(values)
+
+
+def test_every_six_place_decimal_is_written_as_repr():
+    # int / 10**6 rounds correctly, so these are the floats of the decimals
+    decimals = np.arange(1000, 10**6) / 10**6
+    for lo in range(0, decimals.size, 1 << 16):
+        x = decimals[lo:lo + (1 << 16)]
+        assert relations._spellings(x) == [repr(v) for v in x.tolist()]
+        for beside in (np.nextafter(x, 0.0), np.nextafter(x, 1.0)):
+            assert relations._spellings(beside) == ["%.17g" % v for v in beside.tolist()]
+
+
+def test_random_bit_patterns_round_trip_bit_exactly():
+    # patterns over all of [0, 1], over the kernel's range, and six-place
+    # decimals with the floats beside them, a few cells 0 and 1 among them,
+    # each through the per-cell kernel and through the distinct-value table
+    # (one value in 200)
+    rng = np.random.default_rng(36)
+    decimals = rng.integers(0, 10**6 + 1, 1500) / 10**6
+    m = np.concatenate([
+        unit_floats(rng.integers(0, ONE_BITS + 1, 2750)),
+        unit_floats(rng.integers(KERNEL_BITS, ONE_BITS + 1, 2750)),
+        decimals, np.nextafter(decimals, 0.0), np.nextafter(decimals, 1.0),
+    ])
+    m[::97], m[1::89] = 0.0, 1.0
+    for m in (m.reshape(100, 100), m[::200][rng.integers(0, 50, (100, 100))]):
+        text = format_relation(FuzzyRelation(tuple(f"x{k}" for k in range(100)), m))
+        assert parse_relation(text).degrees.tobytes() == m.tobytes()
+
+
+def test_saved_grid_relations_are_read_by_the_short_token_path(blocks, monkeypatch, tmp_path):
+    n = 300
+    R = FuzzyRelation(tuple(f"x{k}" for k in range(n)), np.random.default_rng(15).integers(0, 21, (n, n)) / 20)
+    save_relation(R, tmp_path / "r.rel")
+    read_short, taken = relations._read_short, []
+
+    def recording(lines, cols, table):
+        taken.append(read_short(lines, cols, table))
+        return taken[-1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a block of the file left the short-token path")
+
+    monkeypatch.setattr(relations, "_read_short", recording)
+    monkeypatch.setattr(relations, "_read_decimals", refuse)
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    assert load_relation(tmp_path / "r.rel").degrees.tobytes() == R.degrees.tobytes()
+    assert len(taken) == len(list(verdicts._row_blocks(n, n))) and all(t is not None for t in taken)
 
 
 def test_row_slices_join_to_the_whole_text(tmp_path):
@@ -456,7 +507,8 @@ def test_the_judge_refuses_digits_of_other_scripts():
 
 def grid_writer_values(rng, size):
     """Degrees on the 1/20 grid mixed with -0.0, subnormals and values
-    below 1e-3, which the writer prints through "%.17g"."""
+    below 1e-3, which the writer prints one by one (1e-4 and 3.3e-5 as
+    repr, the rest through "%.17g")."""
     odd = [-0.0, 5e-324, 2.2250738585072014e-308 / 3, 2.2250738585072014e-308, 1e-4, 3.3e-5, 0.00099999999999999]
     return np.array([k / 20 for k in range(21)] + odd)[rng.integers(0, 28, size)]
 

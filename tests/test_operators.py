@@ -23,7 +23,7 @@ from fuzzdec import (
 from fuzzdec import FuzzyRelation, existence, families
 from fuzzdec.operators import format_lambda
 from fuzzdec.tables import LAMBDA_SAMPLES
-from oracles import where_chain_evaluator, where_chain_pinned
+from oracles import WHERE_CHAINS, where_chain_evaluator, where_chain_pinned
 
 BUILTIN_SPECS = [
     ("minimum", None),
@@ -146,7 +146,7 @@ def assert_pinned_cells(got, want, x, y, absorbing):
     """``got`` against the where-chain's ``want``: bit for bit where both
     operands lie in [0,1] and wherever an operand is 0 or 1 (the boundary
     rules).  Where an operand is NaN and neither is 0 or 1, NaN (the
-    where-chain read 0 there); beside an absorbing partner, the absorbing
+    where-chain read 0 or 1 there); beside an absorbing partner, the absorbing
     value.  Other cells with an operand outside [0,1] are outside the
     evaluator contract."""
     got, want = np.asarray(got), np.asarray(want)
@@ -179,6 +179,23 @@ def test_pinned_evaluators_match_the_where_chain(family, lam, monkeypatch):
             for y in PINNED_PROBES:
                 x0, y0 = np.float64(x), np.float64(y)
                 assert_pinned_cells(got_ev(x0, y0), want_ev(x0, y0), x0, y0, absorbing)
+
+
+@pytest.mark.parametrize("family,lam", [("drastic", None), ("schweizer_sklar", math.inf), ("hamacher", math.inf)])
+@np.errstate(invalid="ignore")  # inf * 0 and inf - inf, outside the evaluator contract
+def test_drastic_evaluators_keep_the_pinned_contract(family, lam):
+    # a NaN operand gave the absorbing value unless its partner was the identity
+    probes = np.concatenate([PINNED_PROBES, degree_grid(0.01)])
+    xx, yy = np.meshgrid(probes, probes, indexing="ij")
+    for absorbing, kind in ((0.0, Kind.NORM), (1.0, Kind.CONORM)):
+        got_ev, want_ev = make_family(family, kind, lam).evaluator, WHERE_CHAINS["drastic", kind]
+        for x, y in ((xx, yy), (probes[:, None], probes[None, :])):
+            assert_pinned_cells(got_ev(x, y), want_ev(x, y), x, y, absorbing)
+        for x in PINNED_PROBES:  # 0-d operands
+            for y in PINNED_PROBES:
+                x0, y0 = np.float64(x), np.float64(y)
+                assert_pinned_cells(got_ev(x0, y0), want_ev(x0, y0), x0, y0, absorbing)
+        assert np.isnan(got_ev(np.nan, 0.5)) and np.isnan(got_ev(np.nan, np.nan))
 
 
 def _read_only(m):

@@ -31,6 +31,7 @@ from oracles import (
     is_s_connected,
     lower_connector,
     skewed_connector,
+    spelling,
     squared_min_norm,
     squaring_closure,
     walk_closure,
@@ -198,7 +199,7 @@ def reference_csv(grid):
     out = ["a,b,member\n"]
     for i, a in enumerate(grid.axis):
         for j, b in enumerate(grid.axis):
-            out.append(f"{a:.17g},{b:.17g},{int(grid.membership[i, j])}\n")
+            out.append(f"{spelling(a)},{spelling(b)},{int(grid.membership[i, j])}\n")
     return "".join(out)
 
 
@@ -243,7 +244,8 @@ def test_save_csv_writes_to_csv(tmp_path):
 
 
 def test_save_csv_memory_is_bounded_by_one_row_block(tmp_path):
-    # the 1/2000 CSV is about 150 MB; a whole-file text took 288 MB at its peak
+    # the 1/2000 CSV is 75 MB (150 MB with every axis value in 17 digits, when a
+    # whole-file text took 288 MB at its peak)
     grid = strong_region(make_norm("lukasiewicz"), make_conorm("lukasiewicz"), 1 / 2000)
     path = tmp_path / "region.csv"
     tracemalloc.start()
@@ -255,7 +257,7 @@ def test_save_csv_memory_is_bounded_by_one_row_block(tmp_path):
     assert peak < 8 * 2**20
     with open(path, "rb") as fh:
         assert fh.readline() == b"a,b,member\n"
-    assert path.stat().st_size == 150_511_229
+    assert path.stat().st_size == 75_001_493
     path.unlink()  # pytest keeps recent temporary directories
 
 

@@ -25,7 +25,7 @@ from fuzzdec import (
     save_relation,
 )
 from fuzzdec.relations import _term_bound, asymmetry_violation, symmetry_violation
-from oracles import is_s_connected
+from oracles import is_s_connected, spelling
 
 
 def rel(matrix, labels=None):
@@ -215,7 +215,7 @@ def reference_format(R):
     """The per-value writer the row-wise one must match byte for byte."""
     lines = ["fuzzrel v1", "universe " + " ".join(R.universe)]
     for row in R.degrees:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
+        lines.append(" ".join(map(spelling, row)))
     return "\n".join(lines) + "\n"
 
 
