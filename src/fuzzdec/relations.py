@@ -71,9 +71,11 @@ class FuzzyRelation:
         return len(self.universe)
 
     def value(self, x: str, y: str) -> float:
-        i = self.universe.index(x)
-        j = self.universe.index(y)
-        return float(self.degrees[i, j])
+        """R(x, y); ValueError naming a label that is not in the universe."""
+        for label in (x, y):
+            if label not in self.universe:
+                raise ValueError(f"label {label!r} is not in the universe")
+        return float(self.degrees[self.universe.index(x), self.universe.index(y)])
 
     def __str__(self) -> str:
         return format_relation(self)
@@ -176,17 +178,17 @@ def crisp_decompose(R: FuzzyRelation) -> Tuple[FuzzyRelation, FuzzyRelation]:
 #
 # - writing: a degree in [1e-3, 1) is printed from its 17 significant digits,
 #   x * 10**(16 - q) rounded half to even from Dekker's exact product, through
-#   4-digit tables, a trailing-zero cut and one Boolean compress of a block of
-#   fixed-width cells.  Only digits whose last 8 lie within 16 of a multiple
-#   of 10**8 can be a six-place decimal's; rint(x * 1e6) / 1e6 == x decides,
-#   and the decimal's own digits m * 10**(10 - q) go to the cut.  +0.0 and 1
-#   take fixed cells, without the kernel where they fill more than 1 in 8
-#   cells of a block; every other degree (below 1e-3, -0.0, subnormal) is
-#   spelled one by one.  The table, keyed by bit pattern, makes each
-#   distinct degree's text once and holds it left-aligned in NUL-padded
-#   cells as wide as the longest (5 bytes for the 1/20 grid), gathered at
-#   that width, the padding then deleted; past its cap every cell is made
-#   anew.
+#   4-digit tables into a 24-byte cell whose unused bytes are NUL (the head
+#   is NUL-padded, and a trailing-zero cut clears the last zero digits).
+#   Only digits whose last 8 lie within 16 of a multiple of 10**8 can be a
+#   six-place decimal's; rint(x * 1e6) / 1e6 == x decides, and the decimal's
+#   own digits m * 10**(10 - q) go to the cut.  +0.0 and 1 take fixed cells,
+#   without the kernel where they fill more than 1 in 8 cells of a block;
+#   every other degree (below 1e-3, -0.0, subnormal) is spelled one by one.
+#   The table, keyed by bit pattern, makes each distinct degree's text once
+#   and holds it in an ``S`` array, NUL-padded to the longest (5 bytes for
+#   the 1/20 grid) and gathered at that width; past its cap every cell is
+#   made anew.  Either way one deletion of the NUL bytes joins the cells.
 # - reading: a block of plain lines whose tokens are all 8 bytes or shorter
 #   (one space apart, one row a line, such as repr(k / 20)) takes each
 #   token's bytes as one integer key, and the table judges each distinct
@@ -263,9 +265,10 @@ def _spread(keys: np.ndarray, bits: int) -> Optional[Tuple[int, np.ndarray, np.n
 
 class _Distinct:
     """The distinct 64-bit keys of one file (one parse or one write), each
-    with the row ``convert`` makes of it, made once per key: ``convert``
-    maps new keys to an array, one row a key (rows of bytes may differ in
-    width from call to call: the narrower are padded with NUL bytes).
+    with the item ``convert`` makes of it, made once per key: ``convert``
+    maps new keys to a 1-d array, one item a key, that ``np.concatenate``
+    joins to the earlier ones (an ``S`` array pads narrower texts with NUL
+    bytes).
 
     The keys are numbered in order of arrival and held in the slots
     ``_spread`` gives them; the table grows with them, and every lookup
@@ -303,7 +306,7 @@ class _Distinct:
                 slots, _ = self._find(keys)
         numbers = np.take(self._numbers, slots)
         del slots
-        return np.take(self._rows, numbers, axis=0)
+        return np.take(self._rows, numbers)
 
     def _find(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The slot of each key, and whether the key is missing from it."""
@@ -316,7 +319,7 @@ class _Distinct:
         if fresh is not None and self._keys.size + fresh.size <= _DISTINCT_CAP:
             rows = self._convert(fresh)
             if rows is not None and self._hold(np.concatenate([self._keys, fresh])):
-                self._rows = rows if self._rows is None else _stacked(self._rows, rows)
+                self._rows = rows if self._rows is None else np.concatenate([self._rows, rows])
                 return True
         self._keys = None
         return False
@@ -337,15 +340,6 @@ class _Distinct:
         return True
 
 
-def _stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The rows of a, then of b; rows of bytes are padded with NUL bytes to
-    the wider of the two."""
-    if a.ndim == 2:
-        width = max(a.shape[1], b.shape[1])
-        a, b = (np.pad(c, ((0, 0), (0, width - c.shape[1]))) for c in (a, b))
-    return np.concatenate([a, b])
-
-
 def _distinct(keys: np.ndarray) -> Optional[np.ndarray]:
     """The distinct values of ``keys``, found by spreading them over
     2**16 slots (no sort), or None where no multiplier spreads them."""
@@ -358,9 +352,9 @@ def _distinct(keys: np.ndarray) -> Optional[np.ndarray]:
     return held[used]
 
 
-# A written cell is 24 bytes: its separator, then either the digits of a
-# degree in [1e-3, 1) ("0." and z < 3 zeros ending at byte 7 with the leading
-# digit, then four 4-digit groups) or another text from byte 1.
+# A written cell is 24 bytes, NUL where its text does not reach: its separator,
+# then either the digits of a degree in [1e-3, 1) ("0." and z < 3 zeros ending
+# at byte 7 with the leading digit, then four 4-digit groups) or another text.
 _CELL = 24
 
 
@@ -369,26 +363,22 @@ def _text_tables():
     """The writer's lookup tables, built on first use: the 4 ASCII digits of
     each g < 10**4 as one uint32; the trailing zeros of those digits (4 for
     0); cell bytes 0-7 as one uint64 (a space, then "0." with z zeros and the
-    leading digit d at index 10 * z + d, "0" and "1" at 30 and 31); and the
-    bytes a cell keeps as 3 uint64s (its separator and [5 - z, 24 - t) for t
-    trailing zeros at index 17 * z + t, bytes 0-1 at 51)."""
+    leading digit d at index 10 * z + d, "0" and "1" at 30 and 31, NUL before
+    and after); and, at index t, bytes 8-23 as two uint64 masks that clear
+    the last t of the 16 digits."""
     g = np.arange(10**4)[:, None]
     places = 10 ** np.arange(3, -1, -1)
     digits = (g // places % 10 + 48).astype(np.uint8)
     zeros = (g % (10 * places[::-1]) == 0).sum(axis=1)
     z, lead = np.divmod(np.arange(30), 10)
-    heads = np.full((32, 8), 32, np.uint8)
-    heads[:30] = np.where(np.arange(8) >= 5 - z[:, None], 48, 32)
+    heads = np.zeros((32, 8), np.uint8)
+    heads[:30] = np.where(np.arange(8) >= 5 - z[:, None], 48, 0)
+    heads[:, 0] = 32
     heads[np.arange(30), 6 - z] = 46
     heads[:30, 7] = 48 + lead
     heads[30:, 1] = (48, 49)
-    z, t = np.divmod(np.arange(51), 17)
-    cell = np.arange(_CELL)
-    keeps = np.zeros((52, _CELL), bool)
-    keeps[:51] = (cell >= 5 - z[:, None]) & (cell < _CELL - t[:, None])
-    keeps[51, 1] = True
-    keeps[:, 0] = True
-    return digits.view(np.uint32).ravel(), zeros, heads.view(np.uint64).ravel(), keeps.view(np.uint64)
+    cuts = np.where(np.arange(16) < np.arange(16, -1, -1)[:, None], 255, 0).astype(np.uint8)
+    return digits.view(np.uint32).ravel(), zeros, heads.view(np.uint64).ravel(), cuts.view(np.uint64)
 
 
 def _digits17(x: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -406,10 +396,10 @@ def _spelling(v: float) -> bytes:
     return b"%.17g" % v
 
 
-def _cells(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The ``_CELL``-byte cells of the degrees x (each separated by a space)
-    and the bytes each keeps."""
-    digits, zeros, heads, keeps = _text_tables()
+def _cells(x: np.ndarray) -> np.ndarray:
+    """The ``_CELL``-byte cells of the degrees x, each a space and its text,
+    NUL-padded."""
+    digits, zeros, heads, cuts = _text_tables()
     zero = (x == 0.0) & ~np.signbit(x)
     unit = x == 1.0
     fixed = zero | unit  # their cells are fixed
@@ -450,59 +440,48 @@ def _cells(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         gm = g[more]
         trailing[more] += np.take(zeros, gm)
         more = more[gm == 0]
-    z = -1 - q
-    head, keep = z * 10 + lead, z * 17 + trailing
+    head = (-1 - q) * 10 + lead
+    # a fixed cell clears all 16 digits
     if isinstance(live, slice):
-        head[fixed], keep[fixed] = 30 + unit[fixed], 51
+        head[fixed], trailing[fixed] = 30 + unit[fixed], 16
     else:
-        cells = head, keep
-        head, keep = np.where(unit, 31, 30), np.full(x.size, 51)
-        head[live], keep[live] = cells
+        cells = head, trailing
+        head, trailing = np.where(unit, 31, 30), np.full(x.size, 16)
+        head[live], trailing[live] = cells
     buf = np.empty((x.size, _CELL), np.uint8)
     words = buf.view(np.uint32)
     buf.view(np.uint64)[:, 0] = np.take(heads, head)
     for k, g in enumerate(groups, start=2):
         words[:, k][live] = np.take(digits, g)  # faster than words[live, k]
-    mask = np.empty((x.size, 3), np.uint64)
-    for k in range(3):
-        mask[:, k] = np.take(keeps[:, k], keep)
-    mask = mask.view(bool)
+    buf.view(np.uint64)[:, 1:] &= np.take(cuts, trailing, axis=0)
     small = np.flatnonzero((x < 1e-3) & ~zero)
     for k, v in zip(small.tolist(), x[small].tolist()):
-        text = _spelling(v)
-        buf[k, 1:1 + len(text)] = np.frombuffer(text, np.uint8)
-        mask[k] = False
-        mask[k, :1 + len(text)] = True
-    return buf, mask
+        buf[k, 1:] = np.frombuffer(_spelling(v).ljust(_CELL - 1, b"\0"), np.uint8)
+    return buf
 
 
 def _spellings(x: np.ndarray) -> List[str]:
     """The texts of the degrees x."""
-    buf, mask = _cells(x)
-    return buf[mask].tobytes().decode("ascii").split()
+    return _cells(x).tobytes().translate(None, b"\0").decode("ascii").split()
 
 
 def _cells_of_bits(bits: np.ndarray) -> np.ndarray:
-    """The cells of the degrees with bit patterns ``bits``, each one's kept
-    bytes left-aligned and padded with NUL bytes to the longest."""
-    buf, mask = _cells(bits.view(np.float64))
-    size = mask.sum(axis=1)
-    texts = np.zeros((bits.size, size.max()), np.uint8)
-    texts[np.arange(texts.shape[1]) < size[:, None]] = buf[mask]
-    return texts
+    """The cells of the degrees with bit patterns ``bits`` as an ``S`` array,
+    each cell's bytes without its NULs, so that the array pads them with NUL
+    bytes to the longest."""
+    return np.array([cell.tobytes().translate(None, b"\0") for cell in _cells(bits.view(np.float64))])
 
 
 def _format_rows(m: np.ndarray, table: Optional[_Distinct] = None) -> str:
-    """The lines of the rows of m, formatted as one block: each distinct
-    degree's text comes from ``table`` (of ``_cells_of_bits``) while it
-    holds them, every cell from ``_cells`` otherwise."""
+    """The lines of the rows of m, formatted as one block: the NUL-padded
+    cells of each distinct degree come from ``table`` (of ``_cells_of_bits``)
+    while it holds them, of every degree from ``_cells`` otherwise, and one
+    deletion of their NUL bytes joins them."""
     x = np.ascontiguousarray(m).ravel()
     texts = None if table is None else table.rows(x.view(np.uint64))  # -0.0 and 0.0 stay apart
-    buf, mask = _cells(x) if texts is None else (texts, None)
+    buf = (_cells(x) if texts is None else texts).view(np.uint8).reshape(x.size, -1)
     buf[:: m.shape[1], 0] = 10  # each row's first separator ends the row before
-    # deleting the NUL bytes that pad the table's texts is twice as fast as a Boolean compress
-    text = buf[mask].tobytes() if texts is None else buf.tobytes().translate(None, b"\0")
-    return text[1:].decode("ascii") + "\n"
+    return buf.tobytes().translate(None, b"\0")[1:].decode("ascii") + "\n"
 
 
 def format_relation(R: FuzzyRelation, rows: slice = slice(0, None), *, table: Optional[_Distinct] = None) -> str:

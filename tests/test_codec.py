@@ -60,6 +60,23 @@ def ties():
     return out
 
 
+def cut_edges():
+    """For each leading-zero count z < 3 and trailing-zero count t <= 16 of
+    the writer's 17 digits, a degree written "0." + z zeros + 17 - t digits
+    (the first and last not 0), found by a seeded search."""
+    rng = np.random.default_rng(37)
+    out = []
+    for z in range(3):
+        for t in range(17):
+            while True:
+                digits = str(rng.integers(10 ** (16 - t), 10 ** (17 - t)))
+                text = "0." + "0" * z + digits
+                if digits[-1] != "0" and spelling(float(text)) == text:
+                    out.append(float(text))
+                    break
+    return out
+
+
 EDGES = sorted(
     {float(v) for x in (1e-3, 1e-4, 1e-2, 0.1, 0.5, 1.0) for v in neighbours(x)}
     | {0.0, 0.99999999999999989, 1 - 2**-53, 5e-324, 2.2250738585072014e-308, 0.1, 1e-3}
@@ -88,8 +105,8 @@ def format_both_ways(values):
 ZERO_HEAVY = [v for x in (*EDGES, *ties()[::7], -0.0) for v in (0.0, x, 0.0)]
 
 
-@pytest.mark.parametrize("values", [EDGES, [-0.0] + EDGES, ties(), ZERO_HEAVY],
-                         ids=["edges", "negative-zero", "ties", "zero-heavy"])
+@pytest.mark.parametrize("values", [EDGES, [-0.0] + EDGES, ties(), ZERO_HEAVY, cut_edges()],
+                         ids=["edges", "negative-zero", "ties", "zero-heavy", "trailing-zeros"])
 def test_writer_prints_named_edges_as_percent_17g(values):
     once, repeated = format_both_ways(values)
     assert once == reference_lines(values)

@@ -51,6 +51,12 @@ def test_construction_names_a_nan_degree():
         rel([[1.0, 0.5], [np.nan, 1.0]])
 
 
+@pytest.mark.parametrize("x, y", [("a", "z"), ("z", "b")])
+def test_value_names_a_label_outside_the_universe(x, y):
+    with pytest.raises(ValueError, match="label 'z' is not in the universe"):
+        rel([[1, 0.5], [0.25, 1]], ("a", "b")).value(x, y)
+
+
 def test_symmetry():
     assert symmetry_violation(rel([[1, 0.5], [0.5, 1]]).degrees) is None
     assert symmetry_violation(rel([[1, 1], [0.5, 1]]).degrees) is not None
