@@ -51,7 +51,7 @@ def residual_array(S: BinaryOp, i, r) -> np.ndarray:
     if not S.is_builtin:
         return np.asarray(bisection_residual(S, i, r))
     with np.errstate(all="ignore"):
-        return np.where(r > i, S.record.residual(i, r, S.evaluator), 0.0)
+        return np.where(r > i, S.record.residual(i, r), 0.0)
 
 
 def bisection_residual(S: BinaryOp, i, r):

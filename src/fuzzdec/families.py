@@ -138,14 +138,15 @@ class Family:
     ``exponent`` is the p the divisor intervals `zero_interval` and
     `one_interval` derive from: p = 0 for the points {0} and {1}, +inf for
     the drastic [0,1) and (0,1], the power p of [0, (1-w^p)^(1/p)] otherwise.
+    For p other than 1 the closed end moves into the interval until it
+    replays in the record's own evaluator (`_replaying`), so T(upper, w) = 0
+    and S(lower, w) = 1 hold in floats at every closed end.
     """
 
     names: Tuple[str, str]  # display names of the norm and the conorm
     norm: Callable  # (x, y) -> T(x, y)
     conorm: Callable  # (x, y) -> S(x, y)
-    # (i, r, S) -> inf{t : S(t, i) >= r}, read where r > i; S evaluates the
-    # conorm, for the families whose closed form needs a float correction
-    residual: Callable
+    residual: Callable  # (i, r) -> inf{t : S(t, i) >= r}, read where r > i
     exponent: float
     jump: Witness = None  # (t0, t1, w): S(., w) jumps between t0 and t1; T at (1-t1, 1-t0, 1-w)
     strict_norm: Witness = None  # (t, s, w): T(t,w) = T(s,w) with w > 0
@@ -161,7 +162,8 @@ class Family:
             return DegreeInterval.closed(0.0, 1.0 * (w == 0.0))
         if p == math.inf:  # [0,1); all of [0,1] at w = 0, {0} at w = 1
             return DegreeInterval(0.0, 1.0 * (w != 1.0), True, (w == 0.0) | (w == 1.0))
-        return DegreeInterval.closed(0.0, _zero_end(w, p))
+        end = _zero_end(w, p)
+        return DegreeInterval.closed(0.0, end if p == 1.0 else _replaying(self.norm, end, w, 0.0))
 
     def one_interval(self, w) -> DegreeInterval:
         """{t : S(t, w) = 1}, for one w or entry by entry for an array of w."""
@@ -171,7 +173,8 @@ class Family:
         if p == math.inf:  # (0,1]; {1} at w = 0, all of [0,1] at w = 1
             return DegreeInterval(1.0 * (w == 0.0), 1.0, (w == 0.0) | (w == 1.0), True)
         # S is the dual of T: the zero-interval at 1 - w, reflected
-        return DegreeInterval.closed(1.0 - _zero_end(1.0 - w, p), 1.0)
+        end = 1.0 - _zero_end(1.0 - w, p)
+        return DegreeInterval.closed(end if p == 1.0 else _replaying(self.conorm, end, w, 1.0), 1.0)
 
 
 def lifted(formula, *bases):
@@ -247,31 +250,36 @@ def _drastic(absorbing: float):
 _ONE_BITS = np.float64(1.0).view(np.int64)
 
 
-def _least_saturating(S, p, i):
-    """The least t = 1 - d (d a float: S reads t through 1 - t) with
-    S(t, i) == 1.0, for i < 1, from the closed form p of that infimum.
-    Where S(p, i) < 1 (lam > 1 amplifies the rounding of (1-p)^lam, by up to
-    1e-8 at lam = 2), t steps up to the next such point and at least one
-    float, 1 or 2 steps for lam in [1.5, 50]; S(1, i) = 1 ends the walk.
-    Where p rounded up to 1 (lam near 0), bisection over the bit patterns of
-    [0, 1] finds the least saturating float: a strict degree of 1 breaks
-    T(P, I) = 0 for every norm.  Elsewhere p is kept."""
-    short = S(p, i) != 1.0
-    while short.any():
-        up = np.maximum(np.nextafter(p, 1.0), 1.0 - np.nextafter(1.0 - p, 0.0))
-        p = np.where(short, up, p)
-        short = S(p, i) != 1.0
-    top = (p == 1.0) & (i > 0.0)  # S(t, 0) = t saturates only at t = 1
-    if top.any():
-        # lo never saturates (S(0, i) = i < 1), hi always does (S(1, i) = 1)
+def _replaying(op, t, w, absorbing: float):
+    """The closed-form end t of {t : op(t, w) = absorbing} (op is monotone in
+    t), moved into that set until it replays in floats; where it already
+    does it is kept.  Schweizer-Sklar at lam > 1 misses by rounding, up to
+    1e-8 at lam = 2, and a step or two ends the walk.  A norm's end steps
+    down one float at a time.  A conorm's end steps up to the next float
+    and at least one float of 1 - t (it reads t through 1 - t).  Where that
+    end rounded up to 1 (lam near 0, w > 0), bisection over the bit
+    patterns of [0, 1] finds the least float that saturates: a strict
+    degree of 1 breaks T(P, I) = 0 for every norm."""
+    t, w = (np.array(a) for a in np.broadcast_arrays(t, w))
+    missed = (op(t, w) != absorbing) & (t == t)  # a NaN end (of a NaN w) stays, for the interval to refuse
+    while missed.any():
+        if absorbing:
+            step = np.maximum(np.nextafter(t, 1.0), 1.0 - np.nextafter(1.0 - t, 0.0))
+        else:
+            step = np.nextafter(t, 0.0)
+        t = np.where(missed, step, t)
+        missed &= op(t, w) != absorbing
+    top = (t == 1.0) & (w > 0.0)  # S(t, 0) = t saturates only at t = 1
+    if absorbing and top.any():
+        # lo never saturates (S(0, w) = w < 1), hi always does (S(1, w) = 1)
         lo = np.zeros(int(top.sum()), dtype=np.int64)
         hi = np.full(lo.shape, _ONE_BITS)
         while (hi - lo > 1).any():
             mid = (lo + hi) // 2
-            ok = S(mid.view(np.float64), i[top]) == 1.0
+            ok = op(mid.view(np.float64), w[top]) == 1.0
             hi, lo = np.where(ok, mid, hi), np.where(ok, lo, mid)
-        p[top] = hi.view(np.float64)
-    return p
+        t[top] = hi.view(np.float64)
+    return t
 
 
 def _least_addend(i, r):
@@ -322,7 +330,7 @@ MINIMUM = Family(
     names=("Minimum", "Maximum"),
     norm=np.minimum,
     conorm=np.maximum,
-    residual=lambda i, r, S: r,
+    residual=lambda i, r: r,
     exponent=0.0,
     strict_norm=(0.6, 0.7, 0.5),
     strict_conorm=(0.2, 0.3, 0.5),
@@ -334,7 +342,7 @@ PRODUCT = Family(
     norm=lambda x, y: x * y,
     # the plain formula rounds S(1,y) below 1 for some y; pin the boundary
     conorm=lambda x, y: _copied(x + y - x * y, (1.0, (x == 1.0) | (y == 1.0))),
-    residual=lambda i, r, S: np.clip((r - i) / (1.0 - i), 0.0, 1.0),
+    residual=lambda i, r: np.clip((r - i) / (1.0 - i), 0.0, 1.0),
     exponent=0.0,
 )
 
@@ -342,7 +350,7 @@ LUKASIEWICZ = Family(
     names=("Lukasiewicz norm", "Lukasiewicz conorm"),
     norm=lambda x, y: np.maximum(x + y - 1.0, 0.0),
     conorm=lambda x, y: np.minimum(x + y, 1.0),
-    residual=lambda i, r, S: _least_addend(i, r),
+    residual=_least_addend,
     exponent=1.0,
     strict_norm=(0.1, 0.2, 0.5),
     strict_conorm=(0.8, 0.9, 0.5),
@@ -355,7 +363,7 @@ DRASTIC = Family(
     norm=_drastic(0.0),
     conorm=_drastic(1.0),
     # for 0 < i < r the attaining set is (0,1]: infimum 0, not attained
-    residual=lambda i, r, S: np.where(i == 0.0, r, 0.0),
+    residual=lambda i, r: np.where(i == 0.0, r, 0.0),
     exponent=math.inf,
     jump=(0.0, 0.001, 0.5),
     strict_norm=(0.3, 0.4, 0.5),
@@ -371,7 +379,7 @@ ORDINAL_SUM = Family(
     ),
     norm=lambda x, y: _copied(np.minimum(x, y), (np.maximum(0.5, x + y - 1.0), (x >= 0.5) & (y >= 0.5))),
     conorm=lambda x, y: _copied(np.maximum(x, y), (np.minimum(0.5, x + y), (x <= 0.5) & (y <= 0.5))),
-    residual=lambda i, r, S: np.where((r <= 0.5) & (i <= 0.5), _least_addend(i, r), r),
+    residual=lambda i, r: np.where((r <= 0.5) & (i <= 0.5), _least_addend(i, r), r),
     exponent=0.0,
     strict_norm=(0.6, 0.65, 0.7),
     strict_conorm=(0.3, 0.4, 0.3),
@@ -392,10 +400,13 @@ _DYADIC = 2.0 ** -np.arange(2, 1075)
 def _flat_thirds(op, interval, absorbing: float, probes) -> Tuple[float, float, float]:
     """(t, s, w): the interior thirds t < s of the divisor interval
     ``interval(w)`` at the first w, 0.5 and then each of ``probes``, where
-    both replay in floats: op(t, w) = op(s, w) = ``absorbing``.  At small
-    lambda the interval at w = 0.5 rounds to one float.  Where no probe
-    separates two of its points (lambda below about 0.019 for the conorm and
-    0.00093 for the norm), the thirds at w = 0.5 stay."""
+    both replay in floats: op(t, w) = op(s, w) = ``absorbing``.  The
+    conorm's one-interval ends at the least saturating float where its
+    closed form rounds to 1, so at small lambda it keeps two floats at
+    w = 0.5, but thirds of two or three floats can round to one; a probe
+    toward 1 then separates them.  The norm's zero-interval at w = 0.5
+    rounds to {0} at small lambda; where no probe separates two of its
+    points (lambda below about 0.00093), the thirds at w = 0.5 stay, t = s."""
 
     def thirds(w):
         iv = interval(w)
@@ -415,13 +426,8 @@ def _schweizer_sklar(lam: float) -> Family:
     """Schweizer-Sklar at a finite lambda != 0."""
 
     def closed_residual(i, r):
-        """1 - A^(1/lam) with A = (1-r)^lam + 1 - (1-i)^lam; 1 where A <= 0."""
-
-        def formula(i, r):
-            A = (1.0 - r) ** lam + 1.0 - (1.0 - i) ** lam
-            return np.where(A <= 0.0, 1.0, 1.0 - A ** (1.0 / lam))
-
-        return lifted(formula, i, r)
+        """1 - A^(1/lam) with A = (1-r)^lam + 1 - (1-i)^lam."""
+        return lifted(lambda i, r: 1.0 - ((1.0 - r) ** lam + 1.0 - (1.0 - i) ** lam) ** (1.0 / lam), i, r)
 
     # lambda < 0: the divisor intervals are the points {0} and {1}
     base = Family(
@@ -431,17 +437,18 @@ def _schweizer_sklar(lam: float) -> Family:
             lambda x, y: 1.0 - np.maximum((1.0 - x) ** lam + (1.0 - y) ** lam - 1.0, 0.0) ** (1.0 / lam),
             1.0,
         ),
-        residual=lambda i, r, S: np.clip(np.where(r == 1.0, 1.0, closed_residual(i, r)), 0.0, 1.0),
+        residual=lambda i, r: np.clip(np.where(r == 1.0, 1.0, closed_residual(i, r)), 0.0, 1.0),
         exponent=0.0,
     )
     if lam < 0.0:
         return base
 
-    def residual(i, r, S):
+    def residual(i, r):
+        # on the edge r = 1 the residual is the one-interval's lower end
         p = np.array(np.clip(closed_residual(i, r), 0.0, 1.0))
         edge = (r == 1.0) & (i < 1.0)
         if edge.any():
-            p[edge] = _least_saturating(S, p[edge], np.broadcast_to(i, p.shape)[edge])
+            p[edge] = powered.one_interval(np.broadcast_to(i, p.shape)[edge]).lower
         return p
 
     powered = replace(base, residual=residual, exponent=lam)
@@ -463,7 +470,7 @@ def _hamacher(lam: float) -> Family:
             lambda x, y: (x + y - x * y - (1.0 - lam) * x * y) / (1.0 - (1.0 - lam) * x * y),
             1.0,
         ),
-        residual=lambda i, r, S: np.clip(
+        residual=lambda i, r: np.clip(
             (r - i) / (1.0 - (2.0 - lam) * i + (1.0 - lam) * r * i), 0.0, 1.0
         ),
         exponent=0.0,

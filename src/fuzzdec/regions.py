@@ -28,7 +28,7 @@ from .operators import _FINEST_STEP, EPSILON, BinaryOp, Kind
 from .decompose import residual_array
 from .divisors import _classified, existence, intersection
 from .relations import FuzzyRelation, _pivot_term, _spellings
-from .verdicts import TriState, Verdict, _row_blocks, fails, holds, unknown
+from .verdicts import TriState, Verdict, _first_cell, _row_blocks, fails, holds, unknown
 
 
 @dataclass(frozen=True)
@@ -178,8 +178,7 @@ def restricted_decomposability(
     cells go through the cell test.  A built-in S' commutes, so one
     evaluation serves both orders; a custom S' is evaluated in both.  The
     connected set is symmetric like the region, so the row-major first
-    escaping cell lies in the first block that holds one, and is the
-    witness.
+    escaping cell, which `_first_cell` finds, is the witness.
     A clean raster proves nothing between its grid points: it is HOLDS only
     when `existence` HOLDS (every relation decomposes), or under a built-in
     S' whose one-interval is {1} (exponent 0), which connects only pairs
@@ -194,22 +193,24 @@ def restricted_decomposability(
     def connected(x, y):
         return S_prime.evaluator(x, y) >= 1.0 - EPSILON
 
-    for s in _row_blocks(ax.size, ax.size):
+    def escaping(s):
         a, b = ax[s, None], ax[s.start:]
         tested = connected(a, b) if S_prime.is_builtin else connected(a, b) & connected(b, a)
         if tested.all():
-            bad = ~test(np.minimum(a, b), np.maximum(a, b))
-        else:
-            a, b = np.broadcast_to(a, tested.shape)[tested], np.broadcast_to(b, tested.shape)[tested]
-            bad = np.zeros_like(tested)
-            bad[tested] = ~test(np.minimum(a, b), np.maximum(a, b))
-        if bad.any():
-            i, j = (s.start + int(k) for k in np.unravel_index(bad.argmax(), bad.shape))
-            return fails(
-                (float(ax[i]), float(ax[j])),
-                f"pair ({float(ax[i])!r},{float(ax[j])!r}) is {S_prime.display_name}-connected "
-                "but not decomposable",
-            )
+            return ~test(np.minimum(a, b), np.maximum(a, b))
+        a, b = np.broadcast_to(a, tested.shape)[tested], np.broadcast_to(b, tested.shape)[tested]
+        bad = np.zeros_like(tested)
+        bad[tested] = ~test(np.minimum(a, b), np.maximum(a, b))
+        return bad
+
+    bad = _first_cell(ax.size, escaping)
+    if bad is not None:
+        i, j = bad
+        return fails(
+            (float(ax[i]), float(ax[j])),
+            f"pair ({float(ax[i])!r},{float(ax[j])!r}) is {S_prime.display_name}-connected "
+            "but not decomposable",
+        )
     exist = existence(S, T)
     if exist.verdict is Verdict.HOLDS:
         return holds(f"every relation decomposes: {exist.detail}")

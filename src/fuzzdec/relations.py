@@ -301,7 +301,7 @@ class _Distinct:
                 return None
             slots, missing = self._find(keys)
             if missing.any():
-                if not self._add(_distinct(keys[missing])):
+                if not self._add(np.unique(keys[missing])):
                     return None
                 slots, _ = self._find(keys)
         numbers = np.take(self._numbers, slots)
@@ -313,10 +313,10 @@ class _Distinct:
         slots = _hash(keys, self._multiplier, self._bits)
         return slots, np.take(self._held, slots) != keys
 
-    def _add(self, fresh: Optional[np.ndarray]) -> bool:
+    def _add(self, fresh: np.ndarray) -> bool:
         """Add the new keys ``fresh`` (distinct), or give up and return
         False."""
-        if fresh is not None and self._keys.size + fresh.size <= _DISTINCT_CAP:
+        if self._keys.size + fresh.size <= _DISTINCT_CAP:
             rows = self._convert(fresh)
             if rows is not None and self._hold(np.concatenate([self._keys, fresh])):
                 self._rows = rows if self._rows is None else np.concatenate([self._rows, rows])
@@ -338,18 +338,6 @@ class _Distinct:
         self._numbers[slots] = np.arange(keys.size)
         self._keys = keys
         return True
-
-
-def _distinct(keys: np.ndarray) -> Optional[np.ndarray]:
-    """The distinct values of ``keys``, found by spreading them over
-    2**16 slots (no sort), or None where no multiplier spreads them."""
-    spread = _spread(keys, 16)
-    if spread is None:
-        return None
-    held = spread[2]
-    used = held != 0  # key 0 lands only in slot 0, and key 1 never does
-    used[0] = held[0] != 1
-    return held[used]
 
 
 # A written cell is 24 bytes, NUL where its text does not reach: its separator,
@@ -657,10 +645,9 @@ def _read_block(block: _Block, first_row: int, cols: int, table: _Distinct) -> n
 def _read_decimals(lines: List[str], cols: int) -> Optional[np.ndarray]:
     """The degrees of plain lines read by ``_decimals`` one text block at a
     time, or None where it refuses a block."""
-    step = max(1, _TEXT_CELLS // cols)
     parts = []
-    for lo in range(0, len(lines), step):
-        part = _decimals("".join(lines[lo:lo + step]), min(step, len(lines) - lo), cols)
+    for s in _row_blocks(len(lines), cols, _TEXT_CELLS):
+        part = _decimals("".join(lines[s]), s.stop - s.start, cols)
         if part is None:
             return None
         parts.append(part)

@@ -28,6 +28,7 @@ from fuzzdec import (
     zero_interval,
 )
 from fuzzdec.divisors import _CLASSIFIED_PROBES, _classified, intersection
+from fuzzdec.tables import LAMBDA_SAMPLES
 
 CONORMS = [
     ("minimum", None),
@@ -233,6 +234,45 @@ def test_array_intervals_match_the_single_w_view():
             assert residual(S, i[k].item(), r[k].item()) == res[k], (S, i[k], r[k])
     S20 = make_conorm("schweizer_sklar", 20.0)
     assert S20(2.9333681039744874e-08, 0.512) == 1.0
+
+
+REPLAY_OPS = [(f, None) for f in ("minimum", "product", "lukasiewicz", "drastic", "ordinal_sum")]
+REPLAY_OPS += [("hamacher", lam) for lam in LAMBDA_SAMPLES if lam >= 0.0]
+REPLAY_OPS += [("schweizer_sklar", lam) for lam in (*LAMBDA_SAMPLES, 0.001, 0.01, 0.05, 3.0, 5.0, 7.0, 20.0, 1e300)]
+
+
+@pytest.mark.parametrize("family,lam", REPLAY_OPS)
+def test_every_closed_interval_end_replays(family, lam):
+    # a closed end is a member in floats: S(lower, w) = 1 and T(upper, w) = 0;
+    # Schweizer-Sklar's closed forms round out of the interval at lambda = 2
+    # (S(0.18538352582334794, 0.42) = 0.9999999850988388), and at 1e300 print
+    # [0, 1] for both, where S(0, 0.001) = 0.001 and T(1, 0.5) = 0.5
+    ws = np.concatenate((degree_grid(0.0005), np.random.default_rng(11).random(10_000)))
+    S, T = make_family(family, Kind.CONORM, lam), make_family(family, Kind.NORM, lam)
+    one, zero = one_interval(S, ws), zero_interval(T, ws)
+    lo, hi = np.broadcast_to(one.lower, ws.shape), np.broadcast_to(zero.upper, ws.shape)
+    assert ws[one.lower_closed & (S.evaluator(lo, ws) != 1.0)].tolist() == []
+    assert ws[zero.upper_closed & (T.evaluator(hi, ws) != 0.0)].tolist() == []
+
+
+def test_a_nan_end_is_refused_not_walked():
+    # a NaN w gives a NaN closed end, which no step moves
+    record = make_conorm("schweizer_sklar", 2.0).record
+    for interval in (record.one_interval, record.zero_interval):
+        with pytest.raises(ValueError, match="0 <= lower <= upper <= 1"):
+            interval(np.array([0.5, np.nan]))
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.001])
+def test_tiny_lambda_collapse_witness_gives_two_decompositions(lam):
+    # the one-interval at w = 0.5 starts below 1 here, though its closed form
+    # rounds to 1, so its thirds are two floats
+    S = make_conorm("schweizer_sklar", lam)
+    v = check_collapse_implies_absorption(S)
+    w, t, s = v.witness
+    R, d1, d2 = mj_counterexample(S, w, t, s)
+    assert v.verdict is Verdict.FAILS and t < s and S(t, w) == S(s, w) == 1.0
+    assert all(verify_weak(R, d).verdict is Verdict.HOLDS for d in (d1, d2))
 
 
 # ---------------------------------------------------------------------------

@@ -270,8 +270,8 @@ def test_lambdas_and_witness_texts_print_each_float_in_full():
     assert [format_lambda(lam) for lam in (math.inf, -math.inf, 1.0, -0.5)] == ["+inf", "-inf", "1", "-0.5"]
     # ... and would print t = s for this t < s
     S = make_conorm("schweizer_sklar", 0.05)
-    assert check_strictly_increasing_first(S).detail == "op(0.9999999999999999,0.96875) = 1 and op(1,0.96875) = 1"
-    assert check_collapse_implies_absorption(S).detail == "S(0.9999999999999999,0.96875) = S(1,0.96875) = 1 > 0.96875"
+    assert check_strictly_increasing_first(S).detail == "op(0.999999999999998,0.5) = 1 and op(0.999999999999999,0.5) = 1"
+    assert check_collapse_implies_absorption(S).detail == "S(0.999999999999998,0.5) = S(0.999999999999999,0.5) = 1 > 0.5"
     # a section that falls is not described as flat
     dip = make_custom(lambda x, y: np.minimum(1.0, np.asarray(x) + y) - 0.25 * (np.asarray(x) > 0.5), Kind.CONORM)
     assert str(check_strictly_increasing_first(dip)) == (
