@@ -26,7 +26,7 @@ import functools
 import sys
 
 from .families import _shortest
-from .operators import BinaryOp, Kind, _number, check_norm_axioms, parse_op_spec
+from .operators import BinaryOp, Kind, _count, _number, check_norm_axioms, parse_op_spec
 from .divisors import existence, intersection, one_interval, uniqueness, zero_interval
 from .decompose import DecompositionError, canonical_decompose, strong_decompose
 from .preferences import (
@@ -57,16 +57,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    value = int(text) if text.isascii() and text.isdigit() else 0  # isdigit alone takes other scripts
-    if value < 1:
+    value = _count(text)
+    if not value:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
 
 
 def _integer(text: str) -> int:
-    """ASCII digits, '-' allowed in front: int() alone also reads '_' and other scripts' digits."""
-    digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdigit()):
+    """ASCII digits, '-' allowed in front."""
+    if _count(text.removeprefix("-")) is None:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     return int(text)
 

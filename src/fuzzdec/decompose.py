@@ -5,9 +5,10 @@ I(x,y) = min(R(x,y), R(y,x)); the canonical strict part is the residual
 P(x,y) = inf{t : S(t, I(x,y)) >= R(x,y)}, which exists as a reconstructing
 value exactly when S is continuous in its first coordinate.
 
-Closed-form residuals are used for every built-in conorm; a 60-step
-bisection covers custom operators and doubles as an independent oracle for
-the closed forms.
+Closed-form residuals are used for every built-in conorm; a bisection over
+float bit patterns covers custom operators, giving the least float that
+reaches r where the section is monotone in floats, and doubles as an
+independent oracle for the closed forms.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from typing import Optional
 
 import numpy as np
 
+from .families import _bisect
 from .operators import EPSILON, BinaryOp, Kind
-from .divisors import _bisect, existence
+from .divisors import existence
 from .relations import FuzzyRelation, asymmetry_violation, symmetry_violation
 from .verdicts import TriState, Verdict, _first_cell, _row_blocks, fails, holds
 
@@ -56,10 +58,15 @@ def residual_array(S: BinaryOp, i, r) -> np.ndarray:
 
 def bisection_residual(S: BinaryOp, i, r):
     """Residual computed by bisection regardless of family: the fallback for
-    custom conorms and the independent oracle for the closed forms.  Scalar
-    in, scalar out; arrays broadcast."""
+    custom conorms and the independent oracle for the closed forms; the
+    least float t with S(t, i) >= r where the section is monotone in floats
+    (1 where S(1, i) < r).  Scalar in, scalar out; arrays broadcast."""
     i, r = np.broadcast_arrays(np.asarray(i, float), np.asarray(r, float))
-    _, hi = _bisect(lambda t: S.evaluator(t, i) >= r, i.shape)
+
+    def reaches(t):
+        return S.evaluator(np.broadcast_to(t, i.shape), i) >= r
+
+    _, hi = _bisect(reaches, np.where(reaches(1.0), 0.0, 1.0), np.where(reaches(0.0), 0.0, 1.0))
     return float(hi) if hi.ndim == 0 else hi
 
 

@@ -17,9 +17,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .families import DegreeInterval
+from .families import DegreeInterval, _DYADIC, _bisect
 from .operators import (
-    BISECTION_STEPS,
     BinaryOp,
     Kind,
     _as_grid,
@@ -63,27 +62,14 @@ def zero_interval(T: BinaryOp, w) -> DegreeInterval:
 
 
 # ---------------------------------------------------------------------------
-# bisection (monotone level-set boundary): the fallback for custom operators
-# and an independent oracle for the closed forms
+# bisection over float bit patterns: the fallback for custom operators and an
+# independent oracle for the closed forms
 
 
-def _bisect(passes, shape) -> tuple:
-    """(lo, hi) around the point of [0,1] where the monotone ``passes``
-    starts to hold, per entry (0 where it holds at 0, 1 where it fails at 1):
-    BISECTION_STEPS halvings, each one call of ``passes`` on the vector."""
-    lo = np.where(passes(np.ones(shape)), 0.0, 1.0)
-    hi = np.where(passes(np.zeros(shape)), 0.0, 1.0)
-    for _ in range(BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        ok = passes(mid)
-        hi, lo = np.where(ok, mid, hi), np.where(ok, lo, mid)
-    return lo, hi
-
-
-def _absorbing_edge(op: BinaryOp, w, boundary: str) -> tuple:
-    """Per entry of w: the bisected end inside [0,1] of {t : op(t, w) = a},
-    a the absorbing element (1 for a conorm, 0 for a norm), and whether op
-    reaches a there.  The first w with op(a, w) != a is named."""
+def _absorbing_edge(op: BinaryOp, w, boundary: str):
+    """Per entry of w: the end inside [0,1] of {t : op(t, w) = a}, a the
+    absorbing element (1 for a conorm, 0 for a norm), which op reaches and
+    the next float outside does not.  The first w with op(a, w) != a is named."""
     w = np.asarray(w, dtype=float)
     a = 1.0 if op.kind is Kind.CONORM else 0.0
 
@@ -96,24 +82,18 @@ def _absorbing_edge(op: BinaryOp, w, boundary: str) -> tuple:
         raise ValueError(
             f"operator violates the {op.kind.value} boundary {boundary} at w={at!r}: got {op(a, at)!r}"
         )
-    # the set is [edge, 1] for a conorm and [0, edge] for a norm, so t lies
-    # at or above the edge where S(t, w) = 1 or T(t, w) != 0; the bracket end
-    # inside the set is the best estimate, and membership decides closure
-    lo, hi = _bisect(lambda t: absorbed(t) == (a == 1.0), w.shape)
-    edge = hi if a == 1.0 else lo
-    return edge, absorbed(edge)
+    # [edge, 1] for a conorm, [0, edge] for a norm: all of [0,1] where it holds the far end 1 - a
+    return _bisect(absorbed, 1.0 - a, np.where(absorbed(1.0 - a), 1.0 - a, a))[1]
 
 
 def bisection_one_interval(S: BinaryOp, w) -> DegreeInterval:
     """Numerically computed one-interval, ignoring closed forms."""
-    lower, closed = _absorbing_edge(S, w, "S(1,w) = 1")
-    return DegreeInterval(lower, 1.0, closed, True)
+    return DegreeInterval.closed(_absorbing_edge(S, w, "S(1,w) = 1"), 1.0)
 
 
 def bisection_zero_interval(T: BinaryOp, w) -> DegreeInterval:
     """Numerically computed zero-interval, ignoring closed forms."""
-    upper, closed = _absorbing_edge(T, w, "T(0,w) = 0")
-    return DegreeInterval(0.0, upper, True, closed)
+    return DegreeInterval.closed(0.0, _absorbing_edge(T, w, "T(0,w) = 0"))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +135,7 @@ def intersection(T: BinaryOp, S: BinaryOp, w) -> DegreeInterval:
 
 
 # toward 1, where one-intervals are widest, then toward 0, where large-exponent zero-intervals resolve
-_CLASSIFIED_PROBES = np.concatenate([1.0 - 2.0 ** -np.arange(2, 53), 2.0 ** -np.arange(2, 53)])
+_CLASSIFIED_PROBES = np.concatenate([1.0 - _DYADIC[:51], _DYADIC[:51]])
 
 
 def _probes(T: BinaryOp, S: BinaryOp) -> tuple:

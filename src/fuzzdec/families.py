@@ -247,7 +247,18 @@ def _drastic(absorbing: float):
     return ev
 
 
-_ONE_BITS = np.float64(1.0).view(np.int64)
+def _bisect(inside, lo, hi):
+    """(lo, hi): the adjacent floats at the edge of a set, entry by entry, from lo outside and
+    hi inside it (floats >= 0 in either order, ``inside`` monotone in floats between them), by
+    bisecting the int64 bit patterns, which order floats >= 0 as their values do: one call of
+    ``inside`` a halving, at most 62 from 0 to 1.  An entry with lo = hi stays."""
+    lo, hi = (np.asarray(a, dtype=float).view(np.int64) for a in (lo, hi))
+    # a halving leaves at most ceil(gap / 2) patterns between them
+    for _ in range(int(np.max(np.abs(hi - lo), initial=1) - 1).bit_length()):
+        mid = (lo + hi) >> 1
+        ok = inside(mid.view(np.float64))
+        hi, lo = np.where(ok, mid, hi), np.where(ok, lo, mid)
+    return lo.view(np.float64), hi.view(np.float64)
 
 
 def _replaying(op, t, w, absorbing: float):
@@ -255,11 +266,11 @@ def _replaying(op, t, w, absorbing: float):
     t), moved into that set until it replays in floats; where it already
     does it is kept.  Schweizer-Sklar at lam > 1 misses by rounding, up to
     1e-8 at lam = 2, and a step or two ends the walk.  A norm's end steps
-    down one float at a time.  A conorm's end steps up to the next float
-    and at least one float of 1 - t (it reads t through 1 - t).  Where that
-    end rounded up to 1 (lam near 0, w > 0), bisection over the bit
-    patterns of [0, 1] finds the least float that saturates: a strict
-    degree of 1 breaks T(P, I) = 0 for every norm."""
+    down one float at a time, a conorm's up to the next float and at least
+    one float of 1 - t (it reads t through 1 - t).  Where that end rounded
+    up to 1 (lam near 0, w > 0; a strict degree of 1 breaks T(P, I) = 0 for
+    every norm), the distance d below 1 doubles from one float until 1 - d
+    does not saturate (S(0, w) = w < 1), then `_bisect` finds the edge."""
     t, w = (np.array(a) for a in np.broadcast_arrays(t, w))
     missed = (op(t, w) != absorbing) & (t == t)  # a NaN end (of a NaN w) stays, for the interval to refuse
     while missed.any():
@@ -271,14 +282,11 @@ def _replaying(op, t, w, absorbing: float):
         missed &= op(t, w) != absorbing
     top = (t == 1.0) & (w > 0.0)  # S(t, 0) = t saturates only at t = 1
     if absorbing and top.any():
-        # lo never saturates (S(0, w) = w < 1), hi always does (S(1, w) = 1)
-        lo = np.zeros(int(top.sum()), dtype=np.int64)
-        hi = np.full(lo.shape, _ONE_BITS)
-        while (hi - lo > 1).any():
-            mid = (lo + hi) // 2
-            ok = op(mid.view(np.float64), w[top]) == 1.0
-            hi, lo = np.where(ok, mid, hi), np.where(ok, lo, mid)
-        t[top] = hi.view(np.float64)
+        wt, d = w[top], np.full(int(top.sum()), 2.0 ** -53)
+        while (more := op(1.0 - d, wt) == 1.0).any():
+            d = np.where(more, 2.0 * d, d)
+        # 1 - d/2 saturated (1 - 2^-54 rounds to 1.0)
+        t[top] = _bisect(lambda t: op(t, wt) == 1.0, 1.0 - d, 1.0 - d / 2)[1]
     return t
 
 

@@ -29,8 +29,8 @@ from .verdicts import TriState, _row_blocks, fails, holds, unknown
 # Absolute tolerance for comparisons between membership degrees.
 EPSILON = 1e-9
 
-# Halvings of each bisection: of a divisor interval's end, or of a jump of a
-# custom operator's section.
+# Halvings of each jump of a custom operator's section (`_jump`); the divisor
+# interval ends and residuals bisect float bit patterns instead.
 BISECTION_STEPS = 60
 
 
@@ -190,6 +190,12 @@ def _number(token: str) -> Optional[float]:
         return float(token)
     except ValueError:
         return None
+
+
+def _count(token: str) -> Optional[int]:
+    """``token`` as int() reads it where it is ASCII digits alone (int() also reads '_', signs and
+    other scripts' digits), else None: a grid size or a count flag."""
+    return int(token) if token.isascii() and token.isdigit() else None
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .operators import EPSILON, BinaryOp, Kind, _number, make_custom
+from .operators import EPSILON, BinaryOp, Kind, _count, _number, make_custom
 from .verdicts import _first_cell, _row_blocks
 
 FILE_HEADER = "fuzzrel v1"
@@ -832,8 +832,8 @@ def _parse_table(source: Union[str, Iterable[str]], kind: Kind) -> BinaryOp:
     its (n+1) x (n+1) grid nodes."""
     lines, lineno, words = _preamble(source, "fuzzop v1", "grid <n>", "operator table")
     size = " ".join(words)
-    n = int(size) if size.isascii() and size.isdigit() else 0  # isdigit alone takes other scripts
-    if n < 1:
+    n = _count(size)
+    if not n:
         raise RelationParseError(f"line {lineno}: grid size must be a positive integer, got {size!r}")
     mat = read_degrees(lines, n + 1, n + 1)
 

@@ -15,8 +15,9 @@ relation above a relation (the last two for an associative T), and
 ``np.where`` chains it once was (`where_chain_pinned` for Schweizer-Sklar
 and Hamacher, `WHERE_CHAINS` for the probabilistic sum, drastic and
 ordinal-sum operators).  `spelling` is the text the writers give one
-degree or axis value, from exact arithmetic.  No library code calls any of
-them.
+degree or axis value, from exact arithmetic.  `least_saturating` is a
+one-interval's lower end by bisection over all of [0, 1]'s bit patterns.
+No library code calls any of them.
 """
 
 from __future__ import annotations
@@ -299,3 +300,17 @@ def spelling(v: float) -> str:
     if v not in (0.0, 1.0) and float(Fraction(round(Fraction(v) * 10**6), 10**6)) == v:
         return repr(v)
     return "%.17g" % v
+
+
+def least_saturating(S: BinaryOp, w: np.ndarray) -> np.ndarray:
+    """The least float t with S(t, w) = 1, entry by entry, for a conorm
+    monotone in floats: bisection over the int64 bit patterns from 0 (where
+    S(0, w) = w < 1) to 1.0, with no start taken from a closed form."""
+    w = np.asarray(w, dtype=float)
+    lo = np.zeros(w.shape, dtype=np.int64)
+    hi = np.full(w.shape, np.float64(1.0).view(np.int64))
+    while (hi - lo > 1).any():
+        mid = (lo + hi) // 2
+        ok = S.evaluator(mid.view(np.float64), w) == 1.0
+        hi, lo = np.where(ok, mid, hi), np.where(ok, lo, mid)
+    return hi.view(np.float64)

@@ -28,7 +28,9 @@ from fuzzdec import (
     zero_interval,
 )
 from fuzzdec.divisors import _CLASSIFIED_PROBES, _classified, intersection
+from fuzzdec.families import _zero_end
 from fuzzdec.tables import LAMBDA_SAMPLES
+from oracles import least_saturating
 
 CONORMS = [
     ("minimum", None),
@@ -253,6 +255,39 @@ def test_every_closed_interval_end_replays(family, lam):
     lo, hi = np.broadcast_to(one.lower, ws.shape), np.broadcast_to(zero.upper, ws.shape)
     assert ws[one.lower_closed & (S.evaluator(lo, ws) != 1.0)].tolist() == []
     assert ws[zero.upper_closed & (T.evaluator(hi, ws) != 0.0)].tolist() == []
+
+
+@pytest.mark.parametrize("lam", [1e-4, 1e-3, 0.01, 0.05])
+def test_rounded_up_conorm_end_is_the_least_saturating_float(lam):
+    # where the closed end rounds to 1 (here at 1,929-1,999 of the 1,999
+    # interior w), the search brackets the least saturating float below 1
+    # before bisecting, and must land where a bisection over all of [0, 1] does
+    S = make_conorm("schweizer_sklar", lam)
+    ws = degree_grid(0.0005)[1:-1]
+    rounded = 1.0 - _zero_end(1.0 - ws, lam) == 1.0
+    lower = one_interval(S, ws[rounded]).lower
+    assert rounded.sum() >= 1900 and (lower < 1.0).any()
+    assert lower.tobytes() == least_saturating(S, ws[rounded]).tobytes()
+
+
+@pytest.mark.parametrize("family,lam", CONORMS)
+def test_every_custom_interval_end_is_an_exact_float_edge(family, lam):
+    # a custom end is reached, and the next float outside the interval is
+    # not; a value bisection stopped 2^-60 short of the drastic conorm's
+    # end, [8.673617379884035e-19, 1] at w = 0.5, though 5e-324 saturates
+    ws = np.concatenate((degree_grid(0.001), np.random.default_rng(5).random(2_000)))
+    for kind, interval, a, toward in (
+        (Kind.CONORM, bisection_one_interval, 1.0, 0.0),
+        (Kind.NORM, bisection_zero_interval, 0.0, 1.0),
+    ):
+        op = make_custom(make_family(family, kind, lam).evaluator, kind)
+        iv = interval(op, ws)
+        end = iv.lower if kind is Kind.CONORM else iv.upper
+        assert (iv.lower_closed & iv.upper_closed).all()
+        assert ws[op.evaluator(end, ws) != a].tolist() == []
+        edge = end != toward  # the interval is all of [0, 1] where the end is the far end
+        outside = np.nextafter(end[edge], toward)
+        assert ws[edge][op.evaluator(outside, ws[edge]) == a].tolist() == []
 
 
 def test_a_nan_end_is_refused_not_walked():
