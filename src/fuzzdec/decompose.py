@@ -2,8 +2,9 @@
 
 Any reconstruction R = S(P, I) with P asymmetric and I symmetric forces
 I(x,y) = min(R(x,y), R(y,x)); the canonical strict part is the residual
-P(x,y) = inf{t : S(t, I(x,y)) >= R(x,y)}, which exists as a reconstructing
-value exactly when S is continuous in its first coordinate.
+P(x,y) = inf{t : S(t, I(x,y)) >= R(x,y)}.  It reconstructs every relation
+when S is continuous in its first coordinate; otherwise a relation
+decomposes exactly where the infimum is attained at each of its pairs.
 
 Closed-form residuals are used for every built-in conorm; a bisection over
 float bit patterns covers custom operators, giving the least float that
@@ -60,13 +61,13 @@ def bisection_residual(S: BinaryOp, i, r):
     """Residual computed by bisection regardless of family: the fallback for
     custom conorms and the independent oracle for the closed forms; the
     least float t with S(t, i) >= r where the section is monotone in floats
-    (1 where S(1, i) < r).  Scalar in, scalar out; arrays broadcast."""
+    (1 where S(1, i) < r).  Only the cells the end checks leave open are
+    bisected.  Scalar in, scalar out; arrays broadcast."""
     i, r = np.broadcast_arrays(np.asarray(i, float), np.asarray(r, float))
-
-    def reaches(t):
-        return S.evaluator(np.broadcast_to(t, i.shape), i) >= r
-
-    _, hi = _bisect(reaches, np.where(reaches(1.0), 0.0, 1.0), np.where(reaches(0.0), 0.0, 1.0))
+    lo, hi = (np.where(S.evaluator(np.broadcast_to(t, i.shape), i) >= r, 0.0, 1.0) for t in (1.0, 0.0))
+    cut = lo != hi
+    i, r = i[cut], r[cut]
+    hi[cut] = _bisect(lambda t: S.evaluator(t, i) >= r, lo[cut], hi[cut])[1]
     return float(hi) if hi.ndim == 0 else hi
 
 
@@ -88,32 +89,28 @@ def residual(S: BinaryOp, i: float, r: float) -> float:
 
 def canonical_decompose(R: FuzzyRelation, S: BinaryOp) -> Decomposition:
     """I = min(R, R^t); P = pointwise residual, verified by `verify_weak`.
-    Refuses where weak `existence` FAILS, for a conorm discontinuous in the
-    first coordinate (some relations have no decomposition at all then, and
-    this one would not reconstruct)."""
+    Refuses exactly where that verification fails: where the residual's
+    infimum does not reconstruct some pair, as it can under a conorm
+    discontinuous in the first coordinate."""
     return _decompose(R, S, None)
 
 
 def strong_decompose(R: FuzzyRelation, T: BinaryOp, S: BinaryOp) -> Decomposition:
     """The canonical parts, verified by `verify_strong` against the norm
-    condition T(P, I) = 0.  Refuses where strong `existence` FAILS (which
-    includes the weak continuity check); even where it holds the norm
-    condition can fail where the divisor intervals meet only between two
-    floats (drastic x Schweizer-Sklar at lambda near 0 has P = 1 where I > 0)."""
+    condition T(P, I) = 0.  Refuses exactly where that verification fails,
+    including where strong `existence` HOLDS but the divisor intervals meet
+    only between two floats (drastic x Schweizer-Sklar at lambda near 0 has
+    P = 1 where I > 0)."""
     return _decompose(R, S, T)
 
 
 def _decompose(R: FuzzyRelation, S: BinaryOp, T: Optional[BinaryOp]) -> Decomposition:
     """I = min(R, R^t) and the residual P, built in row blocks and checked once
-    by `verify_weak` (T None) or `verify_strong`.  Asymmetric and symmetric by
-    construction, they fail only on reconstruction (named at the first cell
-    of `_gap`) or on T(P, I) = 0."""
-    exist = existence(S, T)
-    if exist.verdict is Verdict.FAILS:
-        what, under = "weak", S.display_name
-        if T is not None:
-            what, under = "strong", f"({T.display_name}, {S.display_name})"
-        raise DecompositionError(f"no {what} decomposition under {under}: {exist.detail}")
+    by `verify_weak` (T None) or `verify_strong`, whose verdict decides for
+    the relation in hand.  Asymmetric and symmetric by construction, the pair
+    fails only on reconstruction (named at the first cell of `_gap`) or on
+    T(P, I) = 0; only then is `existence` asked, and where it FAILS for every
+    relation the refusal cites it as the cause."""
     m = R.degrees
     i_mat, p_mat = np.empty_like(m), np.empty_like(m)
     for s in _row_blocks(R.size, R.size):
@@ -125,16 +122,22 @@ def _decompose(R: FuzzyRelation, S: BinaryOp, T: Optional[BinaryOp]) -> Decompos
         return replace(d, verification=check)
     bad = _first_cell(R.size, _gap(S, p_mat, i_mat, m))
     if bad is None:
-        raise DecompositionError(f"canonical pair fails the norm condition: {check.detail}")
-    (a, b), (recon, r) = bad, check.witness
-    raise DecompositionError(
-        f"residual infimum not attained at pair ({R.universe[a]},{R.universe[b]}): "
-        f"S(P,I) = {recon!r} but R = {r!r}"
-    )
+        why = f"canonical pair fails the norm condition: {check.detail}"
+    else:
+        recon, r = check.witness
+        why = f"residual infimum not attained at pair {_pair(R, *bad)}: S(P,I) = {recon!r} but R = {r!r}"
+    exist = existence(S, T)
+    if exist.verdict is Verdict.FAILS:
+        why += f"; {'weak' if T is None else 'strong'} decompositions do not always exist: {exist.detail}"
+    raise DecompositionError(why)
 
 
 # ---------------------------------------------------------------------------
 # verification
+
+
+def _pair(R: FuzzyRelation, a: int, b: int) -> str:
+    return f"({R.universe[a]},{R.universe[b]})"
 
 
 def _gap(S: BinaryOp, P: np.ndarray, I: np.ndarray, R: np.ndarray):
@@ -142,7 +145,19 @@ def _gap(S: BinaryOp, P: np.ndarray, I: np.ndarray, R: np.ndarray):
     return lambda s: np.abs(S.evaluator(P[s], I[s]) - R[s]) > EPSILON
 
 
-def _structural_check(R: FuzzyRelation, D: Decomposition) -> Optional[TriState]:
+def verify_weak(R: FuzzyRelation, D: Decomposition) -> TriState:
+    """P asymmetric, I symmetric, S(P,I) = R, and I = 1 forces P = 0."""
+    return _verify(R, D, None)
+
+
+def verify_strong(R: FuzzyRelation, D: Decomposition, T: BinaryOp) -> TriState:
+    """P asymmetric, I symmetric, S(P,I) = R, and T(P,I) = 0."""
+    return _verify(R, D, T)
+
+
+def _verify(R: FuzzyRelation, D: Decomposition, T: Optional[BinaryOp]) -> TriState:
+    """The universes, asymmetry of P, symmetry of I and S(P,I) = R, then the
+    mode's own condition: I = 1 forces P = 0 (weak, T None) or T(P,I) = 0."""
     P, I = D.strict, D.indifference
     if not (R.universe == P.universe == I.universe):
         raise ValueError("relation and decomposition universes differ")
@@ -153,48 +168,23 @@ def _structural_check(R: FuzzyRelation, D: Decomposition) -> Optional[TriState]:
         bad = violation(m)
         if bad is not None:
             a, b = bad
-            return fails((float(m[a, b]), float(m[b, a])), f"{what} at ({R.universe[a]},{R.universe[b]})")
+            return fails((float(m[a, b]), float(m[b, a])), f"{what} at {_pair(R, a, b)}")
     p, i, r = P.degrees, I.degrees, R.degrees
     bad = _first_cell(R.size, _gap(D.conorm, p, i, r))
     if bad is not None:
         a, b = bad
-        return fails(
-            (D.conorm(p[a, b], i[a, b]), float(r[a, b])),
-            f"S(P,I) != R at ({R.universe[a]},{R.universe[b]})",
-        )
-    return None
-
-
-def verify_weak(R: FuzzyRelation, D: Decomposition) -> TriState:
-    """P asymmetric, I symmetric, S(P,I) = R, and I = 1 forces P = 0."""
-
-    bad = _structural_check(R, D)
-    if bad is not None:
-        return bad
-    P, I = D.strict.degrees, D.indifference.degrees
-    bad = _first_cell(R.size, lambda s: (I[s] == 1.0) & (P[s] > 0.0))
-    if bad is not None:
+        return fails((D.conorm(p[a, b], i[a, b]), float(r[a, b])), f"S(P,I) != R at {_pair(R, a, b)}")
+    if T is None:
+        bad = _first_cell(R.size, lambda s: (i[s] == 1.0) & (p[s] > 0.0))
+        if bad is None:
+            return holds("weak decomposition verified")
         a, b = bad
-        return fails(
-            (float(P[a, b]), 1.0),
-            f"I = 1 but P = {P[a, b]:g} at ({R.universe[a]},{R.universe[b]})",
-        )
-    return holds("weak decomposition verified")
-
-
-def verify_strong(R: FuzzyRelation, D: Decomposition, T: BinaryOp) -> TriState:
-    """P asymmetric, I symmetric, S(P,I) = R, and T(P,I) = 0."""
-
-    bad = _structural_check(R, D)
-    if bad is not None:
-        return bad
-    P, I = D.strict.degrees, D.indifference.degrees
-    bad = _first_cell(R.size, lambda s: T.evaluator(P[s], I[s]) > EPSILON)
-    if bad is not None:
-        a, b = bad
-        return fails(
-            (float(P[a, b]), float(I[a, b])),
-            f"T({P[a, b]:g},{I[a, b]:g}) = {T(P[a, b], I[a, b]):g} != 0 "
-            f"at ({R.universe[a]},{R.universe[b]})",
-        )
-    return holds("strong decomposition verified")
+        return fails((float(p[a, b]), 1.0), f"I = 1 but P = {p[a, b]:g} at {_pair(R, a, b)}")
+    bad = _first_cell(R.size, lambda s: T.evaluator(p[s], i[s]) > EPSILON)
+    if bad is None:
+        return holds("strong decomposition verified")
+    a, b = bad
+    return fails(
+        (float(p[a, b]), float(i[a, b])),
+        f"T({p[a, b]:g},{i[a, b]:g}) = {T(p[a, b], i[a, b]):g} != 0 at {_pair(R, a, b)}",
+    )

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzdec import Kind, cli, decompose, make_custom
+from fuzzdec import Kind, cli, decompose, make_custom, tables
 from fuzzdec.cli import main
 from fuzzdec.relations import FuzzyRelation, format_relation, parse_relation
 
@@ -88,6 +88,24 @@ def test_audit_subcommand(showcase_file, capsys):
     assert "overall: pass" in out
 
 
+@pytest.mark.parametrize(
+    "rows, ops, kind",
+    [("1 0.9\n0 1\n", ["--conorm", "drastic"], "weak"),
+     ("1 1\n0 1\n", ["--norm", "lukasiewicz", "--conorm", "max"], "strong")],
+    ids=["weak-drastic", "strong-lukasiewicz-max"],
+)
+def test_a_relation_decomposes_where_existence_fails_for_some_other(tmp_path, capsys, rows, ops, kind):
+    # existence FAILS for these operators, which leave some relation
+    # undecomposable; this one decomposes, and the verification says so
+    path = tmp_path / "r.rel"
+    path.write_text("fuzzrel v1\nuniverse a b\n" + rows)
+    code, out, err = run(capsys, "decompose", "--relation", str(path), *ops)
+    assert (code, err) == (0, "")
+    assert out.endswith(f"# verification: HOLDS -- {kind} decomposition verified\n")
+    code, out, err = run(capsys, "audit", "--relation", str(path), *ops)
+    assert (code, err) == (0, "") and out.endswith("\noverall: pass\n")
+
+
 def test_audit_labels_a_sampled_fp6_pass(tmp_path, capsys):
     n = 22
     m = np.random.default_rng(8).integers(0, 21, (n, n)) / 20
@@ -116,6 +134,14 @@ def test_tables_subcommands(capsys):
     code, out, _ = run(capsys, "tables", "--which", "2", "--format", "csv")
     assert code == 0
     assert "0 mismatches" in out and "row,conorm,regime,verdict" in out
+
+
+def test_tables_prints_each_mismatch(capsys, monkeypatch):
+    # a declaration that disagrees with the computed verdict of one cell
+    monkeypatch.setattr(tables, "CELLS", {**tables.CELLS, ("drastic", "lukasiewicz"): (("", "none", "compatible"),)})
+    code, out, _ = run(capsys, "tables", "--which", "1")
+    assert code == 1
+    assert out.endswith("\n1 mismatches against the reference table\n  (drastic, lukasiewicz): expected none, got exists\n")
 
 
 def test_check_norm_custom_table_violation(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from fuzzdec import (
     make_conorm,
     make_custom,
     make_norm,
+    parse_op_spec,
     residual,
     residual_array,
     strong_decompose,
@@ -357,12 +359,13 @@ def test_a_decomposition_evaluates_each_operator_on_every_cell_once(strong):
     assert str(d.verification) == f"HOLDS -- {'strong' if strong else 'weak'} decomposition verified"
 
 
-def test_strong_decompose_checks_continuity_once(monkeypatch):
+def test_verified_strong_decompose_never_checks_continuity(monkeypatch):
+    # the verification decides; existence is asked only to explain a refusal
     calls = []
     check = divisors.check_first_coordinate_continuity
     monkeypatch.setattr(divisors, "check_first_coordinate_continuity", lambda op: calls.append(op) or check(op))
     d = strong_decompose(two_rel(0.9, 0.2), make_norm("drastic"), make_conorm("lukasiewicz"))
-    assert calls == [make_conorm("lukasiewicz")]
+    assert calls == []
     assert d.verification.verdict is Verdict.HOLDS
 
 
@@ -467,6 +470,74 @@ def test_enumeration_strong_filter():
     )
     assert len(ds) == 1
     assert ds[0].strict.value("x", "y") == pytest.approx(0.5)
+
+
+SWEEP_WEAK = ("max", "prob", "lukasiewicz", "drastic", "ordinal_sum", "schweizer_sklar:lambda=-1",
+              "schweizer_sklar:lambda=0.5", "schweizer_sklar:lambda=2", "hamacher:lambda=2")
+SWEEP_STRONG = (
+    ("lukasiewicz", "lukasiewicz"), ("drastic", "lukasiewicz"), ("product", "prob"), ("minimum", "max"),
+    ("drastic", "drastic"), ("schweizer_sklar:lambda=0.5", "schweizer_sklar:lambda=0.5"),
+    ("minimum", "lukasiewicz"), ("lukasiewicz", "max"), ("product", "lukasiewicz"), ("lukasiewicz", "drastic"),
+)
+# (norm, conorm, R(a,b), R(b,a)) refused although a grid P decomposes them:
+# the pairs (i, 1), 0 < i < 1, under the drastic sum, where S(t, i) = 1 for
+# every t > 0 but the residual's infimum 0 gives S(0, i) = i (the r = 1 edge)
+UNATTAINED_AT_ONE = {
+    (t, "drastic", x, y)
+    for t in (None, "drastic", "lukasiewicz")
+    for x, y in ((1.0, 0.25), (1.0, 0.5), (1.0, 0.75), (0.25, 1.0), (0.5, 1.0), (0.75, 1.0))
+}
+
+
+@pytest.mark.parametrize("t, s", [(None, s) for s in SWEEP_WEAK] + list(SWEEP_STRONG))
+def test_decompose_succeeds_wherever_the_oracle_finds_a_decomposition(t, s):
+    # every two-label relation with degrees on the 1/4 grid: the verdict is
+    # the relation's own, not existence's for every relation
+    T = None if t is None else parse_op_spec(t, Kind.NORM)
+    S = parse_op_spec(s, Kind.CONORM)
+    refused = set()
+    for x, y in itertools.product(np.arange(5) / 4, repeat=2):
+        R = two_rel(x, y)
+        try:
+            d = canonical_decompose(R, S) if T is None else strong_decompose(R, T, S)
+        except DecompositionError:
+            if enumerate_decompositions(R, S, T, grid_step=0.05):
+                refused.add((t, s, x, y))
+        else:
+            assert str(d.verification) == f"HOLDS -- {'weak' if T is None else 'strong'} decomposition verified"
+    assert refused == {case for case in UNATTAINED_AT_ONE if case[:2] == (t, s)}
+
+
+@pytest.mark.parametrize(
+    "T, S, message",
+    [
+        (
+            None,
+            make_conorm("drastic"),
+            "residual infimum not attained at pair (x,y): S(P,I) = 0.3 but R = 0.8; weak decompositions do not "
+            "always exist: conorm discontinuous in the first coordinate: jump from 0.5 to 1 across "
+            "first-argument gap of 0.001",
+        ),
+        (
+            make_norm("minimum"),
+            make_conorm("max"),
+            "canonical pair fails the norm condition: T(0.8,0.3) = 0.3 != 0 at (x,y); strong decompositions do "
+            "not always exist: at w=0.5: one-interval {1} and zero-interval {0} are disjoint",
+        ),
+        (
+            # existence holds, so the refusal cites nothing more
+            make_norm("drastic"),
+            make_conorm("schweizer_sklar", 0.05),
+            "canonical pair fails the norm condition: T(1,0.05) = 0.05 != 0 at (x,y)",
+        ),
+    ],
+    ids=["weak-drastic", "strong-minimum", "strong-float"],
+)
+def test_a_refusal_names_the_pair_then_cites_existence_where_it_fails(T, S, message):
+    R = two_rel(0.8, 0.3) if T is None or T.family == "minimum" else two_rel(1.0, 0.05)
+    with pytest.raises(DecompositionError) as err:
+        canonical_decompose(R, S) if T is None else strong_decompose(R, T, S)
+    assert str(err.value) == message
 
 
 def test_enumeration_guards():

@@ -363,6 +363,16 @@ def test_uniqueness_witness_is_printed_in_full():
     assert t1 != t2 and f"at w={w!r} both t={t1!r} and t={t2!r} decompose" in v.detail
 
 
+def test_strong_uniqueness_is_unknown_where_every_probe_meets_in_one_point():
+    # S saturates exactly on t >= 1 - w and T vanishes exactly on t <= 1 - w,
+    # so each probe's intersection is {1 - w}; a custom pair has no proof
+    S = make_custom(lambda x, y: np.where(x >= 1 - y, 1.0, np.minimum(x + y, 0.9999999999999999)), Kind.CONORM)
+    T = make_custom(lambda x, y: np.where(x <= 1 - y, 0.0, np.maximum(x + y - 1, 5e-324)), Kind.NORM)
+    v = strong_uniqueness(T, S)
+    assert v.verdict is Verdict.UNKNOWN
+    assert v.detail == "no w among w = 0.5 and the 1001-point grid of step 0.001 shows two points that decompose the pair"
+
+
 def test_existence_witness_is_printed_in_full():
     # the capped sum up to w = 0.7, the probabilistic sum above: the first
     # disjoint sweep probe is the grid value 0.7000000000000001, which :g

@@ -1,6 +1,7 @@
 """`divisors.existence` and `divisors.uniqueness` are the one place that
-decides the paper's two characterisations: they reproduce Table 1, and every
-caller that refuses a decomposition refuses exactly where existence FAILS."""
+decides the paper's two characterisations: they reproduce Table 1, the rule
+classification refuses exactly where existence FAILS, and a refused
+decomposition cites existence as its cause exactly where it FAILS."""
 
 import json
 from pathlib import Path

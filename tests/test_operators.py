@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from fuzzdec import (
     Kind,
     Verdict,
+    canonical_decompose,
     check_collapse_implies_absorption,
     check_first_coordinate_continuity,
     check_norm_axioms,
@@ -18,7 +19,10 @@ from fuzzdec import (
     make_custom,
     make_family,
     make_norm,
+    one_interval,
     parse_op_spec,
+    strong_decompose,
+    zero_interval,
 )
 from fuzzdec import FuzzyRelation, existence, families
 from fuzzdec.operators import format_lambda
@@ -555,3 +559,25 @@ def test_custom_nan_message_names_the_first_offending_pair():
     inf_op = make_custom(lambda x, y: np.where(np.asarray(y) == 0.5, np.inf, np.minimum(x, y)), Kind.NORM)
     with pytest.raises(ValueError, match=r"^custom norm returned inf at \(0\.0, 0\.5\)$"):
         check_first_coordinate_continuity(inf_op)
+
+
+def test_a_scalar_only_callable_is_evaluated_cell_by_cell():
+    # min() and max() of an array raise, so these reach np.vectorize; they
+    # must answer as their broadcasting twins do, bit for bit
+    S = make_custom(lambda x, y: min(1.0, x + y), Kind.CONORM)
+    T = make_custom(lambda x, y: max(0.0, x + y - 1.0), Kind.NORM)
+    S_array = make_custom(lambda x, y: np.minimum(1.0, x + y), Kind.CONORM)
+    T_array = make_custom(lambda x, y: np.maximum(0.0, x + y - 1.0), Kind.NORM)
+    m = np.random.default_rng(3).integers(0, 21, (5, 5)) / 20
+    np.fill_diagonal(m, 1.0)
+    R = FuzzyRelation(tuple("abcde"), m)
+    for got, want in (
+        (canonical_decompose(R, S), canonical_decompose(R, S_array)),
+        (strong_decompose(R, T, S), strong_decompose(R, T_array, S_array)),
+    ):
+        np.testing.assert_array_equal(got.strict.degrees, want.strict.degrees)
+        np.testing.assert_array_equal(got.indifference.degrees, want.indifference.degrees)
+        assert got.verification.verdict is Verdict.HOLDS
+    for w in np.arange(21) / 20:
+        assert str(one_interval(S, w)) == str(one_interval(S_array, w))
+        assert str(zero_interval(T, w)) == str(zero_interval(T_array, w))

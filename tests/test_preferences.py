@@ -61,6 +61,14 @@ def test_tie_promoting_rule_fails_exactly_fp4():
     assert d.strict.value(x, y) > 0 and R.value(x, y) == R.value(y, x)
 
 
+def test_a_failing_report_prints_each_witness():
+    R = two_rel(0.5, 0.5)
+    report = audit_fp(triplet_from_decomposition(R, tie_strict_max_decomposition(R)))
+    assert str(report) == (
+        "FP1: pass\nFP2: pass\nFP3: pass\nFP4: fail (witness ('x', 'y'))\nFP5: pass\nFP6: pass\noverall: fail"
+    )
+
+
 def test_tie_promoting_rule_matches_plain_max_rule_off_ties():
     R = two_rel(0.9, 0.4)
     d = tie_strict_max_decomposition(R)
@@ -250,8 +258,9 @@ def test_classify_strong_rules():
         (("drastic",), ("lukasiewicz",)),
     ],
 )
-def test_strong_classification_asks_strong_existence_three_times(monkeypatch, norm, conorm):
-    # its own existence check, the strong decomposition of GRID_RELATION and uniqueness
+def test_strong_classification_asks_strong_existence_twice(monkeypatch, norm, conorm):
+    # its own existence check and uniqueness; the verified strong
+    # decomposition of GRID_RELATION asks nothing
     calls = []
 
     def counted(T, S):
@@ -261,7 +270,7 @@ def test_strong_classification_asks_strong_existence_three_times(monkeypatch, no
     monkeypatch.setattr(divisors, "strong_existence", counted)
     T, S = make_norm(*norm), make_conorm(*conorm)
     assert _classify_computed(S, T).verdict is not RuleClass.NOT_COMPATIBLE
-    assert calls == [(T, S)] * 3
+    assert calls == [(T, S)] * 2
 
 
 def test_classify_open_cells_stay_undetermined():

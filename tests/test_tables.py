@@ -13,12 +13,14 @@ from fuzzdec import (
     tables,
 )
 from fuzzdec.divisors import strong_existence
+from fuzzdec.reference import open_cell
 from fuzzdec.operators import check_collapse_implies_absorption
 from fuzzdec.tables import (
     CONORM_FAMILIES,
     LAMBDA_SAMPLES,
     ROWS,
     RegimeConsistencyError,
+    TableMismatch,
     _declared,
     oracle_evidence_for_open_cells,
 )
@@ -69,6 +71,17 @@ def test_table1_repaired_cell_backed_by_direct_witness(table1):
     # and for lambda = 0.5 the divisor intervals at w = 0.5 are disjoint
     v = strong_existence(T, make_conorm("schweizer_sklar", 0.5))
     assert v.verdict is Verdict.FAILS
+
+
+def test_a_mismatch_names_its_cell_and_regime():
+    m = TableMismatch("weak", "schweizer_sklar", "lambda=+inf", "none", "unique")
+    assert str(m) == "(weak, schweizer_sklar) [lambda=+inf]: expected none, got unique"
+
+
+def test_mixed_lambda_pair_is_not_an_open_cell():
+    # the reference cells share one lambda between norm and conorm
+    assert open_cell(make_norm("schweizer_sklar", 2.0), make_conorm("schweizer_sklar", 2.0))
+    assert not open_cell(make_norm("schweizer_sklar", 0.5), make_conorm("schweizer_sklar", 2.0))
 
 
 def test_table2_matches_reference(table2):
